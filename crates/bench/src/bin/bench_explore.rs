@@ -14,7 +14,11 @@
 //! seed engine, and on `matmul` the pre-bulk scalar replay path
 //! (`Evaluator::scalar_replay`), which is PR 3's fused baseline — the
 //! `replay_phase_speedup` of that row is the number the bulk-lane
-//! refactor is pinned on. Everything is written to `BENCH_explore.json`
+//! refactor is pinned on. Each kernel row also carries two per-layer
+//! rates: `trace_mev_per_s` (trace generation timed alone on one thread,
+//! every paper tiling under the natural layout) and `layouts_per_s`
+//! (`(T, L)` pairs per second of the fused run's layout phase, placement
+//! and arbitration included). Everything is written to `BENCH_explore.json`
 //! in the current directory. Each configuration is timed over several
 //! runs and the best run is reported, which filters scheduler noise
 //! without external tooling.
@@ -26,7 +30,9 @@
 //! ```
 
 use bench::seed_engine::seed_explore_designs;
-use loopir::kernels;
+use loopir::transform::tile_all;
+use loopir::{kernels, DataLayout};
+use memexplore::metrics::read_trace;
 use memexplore::{DesignSpace, Engine, Evaluator, Explorer, Record, SweepTelemetry};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,13 +63,38 @@ struct KernelResult {
     total_speedup: f64,
     /// Fused ≡ fused-without-analytic ≡ per-design, bitwise.
     identical: bool,
+    /// Trace-generation throughput in isolation (see [`trace_mev_per_s`]).
+    trace_mev_per_s: f64,
+    /// `(T, L)` pairs placed and arbitrated per second of the fused run's
+    /// layout phase.
+    layouts_per_s: f64,
     telemetry: SweepTelemetry,
+}
+
+/// One layer timed in isolation on a fixed input: the kernel's read trace
+/// under its natural layout at every paper tiling `B`, generated on one
+/// thread. Returns millions of read events per second (best of [`RUNS`]).
+fn trace_mev_per_s(kernel: &loopir::Kernel) -> f64 {
+    let layout = DataLayout::natural(kernel);
+    let tiled: Vec<loopir::Kernel> = DesignSpace::paper()
+        .tilings
+        .iter()
+        .map(|&b| tile_all(kernel, b))
+        .collect();
+    let (secs, events) = best_of(RUNS, || {
+        tiled
+            .iter()
+            .map(|k| read_trace(k, &layout).len())
+            .sum::<usize>()
+    });
+    events as f64 / secs / 1e6
 }
 
 fn bench_kernel(
     kernel: &loopir::Kernel,
     designs: &[memexplore::CacheDesign],
     workers: usize,
+    trace_mev_per_s: f64,
 ) -> KernelResult {
     let fused = Explorer::default()
         .with_engine(Engine::Fused)
@@ -96,6 +127,8 @@ fn bench_kernel(
         replay_speedup: per_t.simulate_time.as_secs_f64() / fused_t.simulate_time.as_secs_f64(),
         total_speedup: per_secs / fused_secs,
         identical: fused_records == per_records && fused_records == na_records,
+        trace_mev_per_s,
+        layouts_per_s: fused_t.layouts_computed as f64 / fused_t.layout_time.as_secs_f64(),
         telemetry: fused_t,
     }
 }
@@ -198,8 +231,9 @@ fn main() {
 
     let mut results: Vec<KernelResult> = Vec::new();
     for kernel in kernels::all_paper_kernels() {
+        let trace_rate = trace_mev_per_s(&kernel);
         for &workers in &worker_counts {
-            results.push(bench_kernel(&kernel, &designs, workers));
+            results.push(bench_kernel(&kernel, &designs, workers, trace_rate));
         }
     }
 
@@ -239,9 +273,9 @@ fn main() {
 
     for r in &results {
         println!(
-            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | no-analytic {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x",
+            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | no-analytic {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x | trace {:.1} Mev/s | {:.0} layouts/s",
             r.kernel, r.designs, r.workers, r.fused_secs, r.no_analytic_secs, r.per_design_secs,
-            r.replay_speedup, r.total_speedup
+            r.replay_speedup, r.total_speedup, r.trace_mev_per_s, r.layouts_per_s
         );
         assert!(r.identical, "{}: engines diverged", r.kernel);
     }
@@ -321,6 +355,8 @@ fn render_json(
                 "      \"replay_phase_speedup\": {:.3},\n",
                 "      \"total_speedup\": {:.3},\n",
                 "      \"records_identical\": {},\n",
+                "      \"trace_mev_per_s\": {:.1},\n",
+                "      \"layouts_per_s\": {:.1},\n",
                 "      \"telemetry\": {}\n",
                 "    }}{}"
             ),
@@ -333,6 +369,8 @@ fn render_json(
             r.replay_speedup,
             r.total_speedup,
             r.identical,
+            r.trace_mev_per_s,
+            r.layouts_per_s,
             r.telemetry.to_json(),
             if i + 1 < results.len() { ",\n" } else { "\n" }
         );

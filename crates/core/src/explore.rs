@@ -20,6 +20,7 @@
 //! regardless of scheduling or engine.
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
+use crate::arbitrate::arbitrate_layouts;
 use crate::checkpoint::CheckpointError;
 use crate::metrics::{read_trace, CacheDesign, Evaluator, Record};
 use crate::obs::{FieldValue, LatencyHistogram, Obs, Span};
@@ -362,6 +363,8 @@ pub(crate) fn try_steal_loop<F: Fn(usize, usize) + Sync>(
 pub(crate) struct SweepHists {
     /// Layout placement latency (one sample per distinct `(T, L)` pair).
     pub layout: LatencyHistogram,
+    /// Layout scoring latency (one sample per direct-mapped scoring bank).
+    pub score: LatencyHistogram,
     /// Per-design simulation latency (per-design engine + fallbacks).
     pub design: LatencyHistogram,
     /// Trace-group scan latency (fused engine, one sample per bank).
@@ -374,6 +377,7 @@ impl SweepHists {
     /// Snapshots every histogram into its telemetry field.
     pub fn fill(&self, t: &mut SweepTelemetry) {
         t.layout_latency = self.layout.summary();
+        t.score_latency = self.score.summary();
         t.design_latency = self.design.summary();
         t.scan_latency = self.scan.summary();
         t.flush_latency = self.flush.summary();
@@ -598,9 +602,9 @@ impl Explorer {
         hists: &SweepHists,
     ) -> Result<SweepPlan, ExploreError> {
         let obs = self.obs.as_deref();
-        // Phase 1: off-chip layouts, one per distinct (T, L).
+        // Phase 1: off-chip layouts, one per distinct (T, L), deduplicated
+        // by value.
         let phase_start = Instant::now();
-        let span = Span::begin(obs, "layout");
         let mut pair_index: HashMap<(usize, usize), usize> = HashMap::new();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         for d in designs {
@@ -609,39 +613,29 @@ impl Explorer {
                 pairs.len() - 1
             });
         }
-        let layout_slots: Vec<OnceLock<(DataLayout, bool)>> =
-            pairs.iter().map(|_| OnceLock::new()).collect();
-        try_steal_loop(workers, pairs.len(), |w, i| {
-            let (t, l) = pairs[i];
-            let unit_start = Instant::now();
-            let _ = layout_slots[i].set(self.evaluator.layout_for(kernel, t, l));
-            let dur = unit_start.elapsed();
-            hists.layout.record(dur);
-            if let Some(o) = obs {
-                o.unit(
-                    "layout",
-                    "place",
-                    w as u64,
-                    dur,
-                    &[
-                        ("cache", FieldValue::U64(t as u64)),
-                        ("line", FieldValue::U64(l as u64)),
-                    ],
-                );
-            }
-        })
+        let mut unique_layouts: Vec<DataLayout> = Vec::new();
+        let arbitrated = arbitrate_layouts(
+            &self.evaluator,
+            kernel,
+            &pairs,
+            workers,
+            obs,
+            Some(hists),
+            &mut unique_layouts,
+        )
         .map_err(|message| ExploreError::WorkerPanic {
             phase: "layout",
             message,
         })?;
-        drop(span);
+        let (layout_id, conflict_free): (Vec<usize>, Vec<bool>) =
+            arbitrated.pairs.into_iter().unzip();
         let layout_time = phase_start.elapsed();
 
         // Phase 2: traces. A trace depends on the layout *contents* and the
         // tiling — not on (T, L) directly — and distinct (T, L) pairs often
-        // optimize to identical layouts, so layouts are deduplicated by
-        // value first and traces are keyed by (layout id, B). Tiling
-        // reorders the loop nest, so the tiled kernel is shared per B.
+        // optimize to identical layouts, so traces are keyed by (layout
+        // id, B). Tiling reorders the loop nest, so the tiled kernel is
+        // shared per B.
         let phase_start = Instant::now();
         let span = Span::begin(obs, "trace");
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
@@ -649,20 +643,6 @@ impl Explorer {
             tiled
                 .entry(d.tiling)
                 .or_insert_with(|| tile_all(kernel, d.tiling));
-        }
-        let mut conflict_free = Vec::with_capacity(pairs.len());
-        let mut unique_layouts: Vec<DataLayout> = Vec::new();
-        let mut layout_id = Vec::with_capacity(pairs.len());
-        for slot in layout_slots {
-            let (layout, cf) = slot.into_inner().expect("layout phase filled every slot");
-            conflict_free.push(cf);
-            match unique_layouts.iter().position(|u| *u == layout) {
-                Some(id) => layout_id.push(id),
-                None => {
-                    unique_layouts.push(layout);
-                    layout_id.push(unique_layouts.len() - 1);
-                }
-            }
         }
         let mut key_index: HashMap<(usize, u64), usize> = HashMap::new();
         let mut keys: Vec<(usize, u64)> = Vec::new();

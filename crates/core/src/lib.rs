@@ -39,6 +39,7 @@
 //! ```
 
 pub mod analytic;
+mod arbitrate;
 pub mod cache;
 pub mod checkpoint;
 pub mod composite;

@@ -1,7 +1,7 @@
 //! Evaluating one cache design against one kernel.
 
+use crate::arbitrate::arbitrate_layouts;
 use crate::cycles::CycleModel;
-use analysis::placement::optimize_layout;
 use energy::DacEnergyModel;
 use energy::SramPart;
 use loopir::transform::tile_all;
@@ -192,36 +192,31 @@ impl Evaluator {
     /// `(cache size, line size)` pair, plus the conflict-free flag.
     ///
     /// Layouts depend only on the kernel and `(T, L)` — not on associativity
-    /// or tiling — so sweeps cache them per pair (see
-    /// [`Explorer`](crate::Explorer)).
-    ///
-    /// The optimized mode guards against a corner case of padding: a
-    /// stretched row pitch can push a borderline working set past the cache
-    /// and *create* capacity misses. Both the padded and the natural layout
-    /// are therefore miss-counted once on a direct-mapped cache, and the
-    /// better one wins — the assignment can then never lose to doing
-    /// nothing.
+    /// or tiling — so sweeps compute them once per pair, all pairs in one
+    /// layout phase. This is that phase applied to one pair: the optimized
+    /// mode places the arrays, then keeps the padded layout unless the
+    /// natural one misses strictly less on a direct-mapped `(T, L)` cache,
+    /// so the assignment can never lose to doing nothing.
     pub fn layout_for(
         &self,
         kernel: &Kernel,
         cache_size: usize,
         line: usize,
     ) -> (DataLayout, bool) {
-        match self.placement {
-            PlacementMode::Optimized => {
-                let r = optimize_layout(kernel, cache_size as u64, line as u64)
-                    .expect("kernels have arrays and geometry is validated");
-                let natural = DataLayout::natural(kernel);
-                let m_opt = quick_misses(kernel, &r.layout, cache_size, line);
-                let m_nat = quick_misses(kernel, &natural, cache_size, line);
-                if m_opt <= m_nat {
-                    (r.layout, r.conflict_free)
-                } else {
-                    (natural, false)
-                }
-            }
-            PlacementMode::Natural => (DataLayout::natural(kernel), false),
-        }
+        let mut unique = Vec::with_capacity(1);
+        let arbitrated = arbitrate_layouts(
+            self,
+            kernel,
+            &[(cache_size, line)],
+            1,
+            None,
+            None,
+            &mut unique,
+        )
+        .unwrap_or_else(|message| panic!("{message}"));
+        let (_, conflict_free) = arbitrated.pairs[0];
+        let layout = unique.pop().expect("one pair yields one layout");
+        (layout, conflict_free)
     }
 
     /// Evaluates `design` on `kernel`.
@@ -512,22 +507,13 @@ impl Evaluator {
 /// format consumed by [`Evaluator::evaluate_with_trace`] and stored in
 /// sweep [`memsim::TraceArena`]s.
 pub fn read_trace(kernel: &Kernel, layout: &DataLayout) -> Vec<TraceEvent> {
-    TraceGen::new(kernel, layout)
-        .filter(|a| a.kind == AccessKind::Read)
-        .map(|a| TraceEvent::read(a.addr, a.size))
-        .collect()
-}
-
-/// Read-miss count of the untiled kernel on a direct-mapped cache — the
-/// proxy used to arbitrate between candidate layouts.
-fn quick_misses(kernel: &Kernel, layout: &DataLayout, cache_size: usize, line: usize) -> u64 {
-    let config = CacheConfig::new(cache_size, line, 1).expect("geometry validated by caller");
-    let events = TraceGen::new(kernel, layout)
-        .filter(|a| a.kind == AccessKind::Read)
-        .map(|a| TraceEvent::read(a.addr, a.size));
-    let mut sim = Simulator::new(config);
-    sim.run(events);
-    sim.stats().read_misses()
+    let mut trace = Vec::new();
+    TraceGen::new(kernel, layout).for_each(|a| {
+        if a.kind == AccessKind::Read {
+            trace.push(TraceEvent::read(a.addr, a.size));
+        }
+    });
+    trace
 }
 
 #[cfg(test)]

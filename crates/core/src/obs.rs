@@ -1123,6 +1123,8 @@ pub struct RunReport {
     pub sim: LatencySummary,
     /// Layout placement latencies (rebuilt, µs resolution).
     pub layout: LatencySummary,
+    /// Layout scoring-bank latencies (rebuilt, µs resolution).
+    pub score: LatencySummary,
     /// Checkpoint flush latencies (rebuilt, µs resolution).
     pub flush: LatencySummary,
     /// Designs completed (fresh scan members + lone simulations +
@@ -1171,6 +1173,7 @@ impl RunReport {
         let scan = LatencyHistogram::new();
         let sim = LatencyHistogram::new();
         let layout = LatencyHistogram::new();
+        let score = LatencyHistogram::new();
         let flush = LatencyHistogram::new();
         let job = LatencyHistogram::new();
         for (lineno, line) in text.lines().enumerate() {
@@ -1217,6 +1220,7 @@ impl RunReport {
                             report.designs_done += 1;
                         }
                         "place" => layout.record(dur),
+                        "score" => score.record(dur),
                         "flush" => {
                             flush.record(dur);
                             if event.u64_field("ok") == Some(1) {
@@ -1281,6 +1285,7 @@ impl RunReport {
         report.scan = scan.summary();
         report.sim = sim.summary();
         report.layout = layout.summary();
+        report.score = score.summary();
         report.flush = flush.summary();
         report.job = job.summary();
         Ok(report)
@@ -1335,6 +1340,7 @@ impl fmt::Display for RunReport {
             ("scan", &self.scan),
             ("sim", &self.sim),
             ("layout", &self.layout),
+            ("score", &self.score),
             ("flush", &self.flush),
         ] {
             if s.count > 0 {

@@ -66,6 +66,7 @@
 //! both stay bit-identical to the per-design engine.
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
+use crate::arbitrate::arbitrate_layouts;
 use crate::explore::{steal_loop, DesignSpace, Engine, Explorer, SweepHists, OBS_TICK_EVENTS};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
@@ -196,41 +197,20 @@ impl Explorer {
                 }
                 seen
             };
-            let layout_slots: Vec<OnceLock<(DataLayout, bool)>> =
-                new_pairs.iter().map(|_| OnceLock::new()).collect();
-            let layout_span = Span::begin(obs, "layout");
-            steal_loop(workers, new_pairs.len(), |w, i| {
-                let (t, l) = new_pairs[i];
-                let unit_start = Instant::now();
-                let _ = layout_slots[i].set(self.evaluator.layout_for(kernel, t, l));
-                let dur = unit_start.elapsed();
-                hists.layout.record(dur);
-                if let Some(o) = obs {
-                    o.unit(
-                        "layout",
-                        "place",
-                        w as u64,
-                        dur,
-                        &[
-                            ("cache", FieldValue::U64(t as u64)),
-                            ("line", FieldValue::U64(l as u64)),
-                        ],
-                    );
-                }
-            });
-            drop(layout_span);
-            for (pair, slot) in new_pairs.iter().zip(layout_slots) {
-                let (layout, conflict_free) = slot.into_inner().expect("layout slot filled");
-                let id = match unique_layouts.iter().position(|u| *u == layout) {
-                    Some(id) => id,
-                    None => {
-                        unique_layouts.push(layout);
-                        unique_layouts.len() - 1
-                    }
-                };
-                pair_layout.insert(*pair, (id, conflict_free));
-                telemetry.layouts_computed += 1;
+            let arbitrated = arbitrate_layouts(
+                &self.evaluator,
+                kernel,
+                &new_pairs,
+                workers,
+                obs,
+                Some(&hists),
+                &mut unique_layouts,
+            )
+            .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
+            for (pair, id) in new_pairs.iter().zip(arbitrated.pairs) {
+                pair_layout.insert(*pair, id);
             }
+            telemetry.layouts_computed += new_pairs.len();
             telemetry.layout_time += phase_start.elapsed();
 
             // Bound inputs per (layout id, L): scan the untiled trace once.

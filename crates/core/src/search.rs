@@ -60,7 +60,8 @@
 //! certificate stays sound (it can only widen the reported gap).
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
-use crate::explore::{steal_loop, DesignSpace, Explorer, SweepHists};
+use crate::arbitrate::arbitrate_layouts;
+use crate::explore::{DesignSpace, Explorer, SweepHists};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
 use crate::pareto::{exact_add_bs, BoundInputs};
@@ -74,7 +75,6 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::Ordering as AtomicOrdering;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The scalar objective a search minimizes.
@@ -459,42 +459,24 @@ impl Explorer {
 
         let workers = self.worker_count(pairs.len());
         let phase_start = Instant::now();
-        let layout_slots: Vec<OnceLock<(DataLayout, bool)>> =
-            pairs.iter().map(|_| OnceLock::new()).collect();
-        let layout_span = Span::begin(obs, "layout");
-        let worker_busy = steal_loop(workers, pairs.len(), |w, i| {
-            let unit_start = Instant::now();
-            let _ = layout_slots[i].set(self.evaluator.layout_for(kernel, pairs[i].t, pairs[i].l));
-            let dur = unit_start.elapsed();
-            hists.layout.record(dur);
-            if let Some(o) = obs {
-                o.unit(
-                    "layout",
-                    "place",
-                    w as u64,
-                    dur,
-                    &[
-                        ("cache", FieldValue::U64(pairs[i].t as u64)),
-                        ("line", FieldValue::U64(pairs[i].l as u64)),
-                    ],
-                );
-            }
-        });
-        drop(layout_span);
         let mut unique_layouts: Vec<DataLayout> = Vec::new();
-        for (pair, slot) in pairs.iter_mut().zip(layout_slots) {
-            let (layout, conflict_free) = slot.into_inner().expect("layout slot filled");
-            let id = match unique_layouts.iter().position(|u| *u == layout) {
-                Some(id) => id,
-                None => {
-                    unique_layouts.push(layout);
-                    unique_layouts.len() - 1
-                }
-            };
+        let tl: Vec<(usize, usize)> = pairs.iter().map(|p| (p.t, p.l)).collect();
+        let arbitrated = arbitrate_layouts(
+            &self.evaluator,
+            kernel,
+            &tl,
+            workers,
+            obs,
+            Some(&hists),
+            &mut unique_layouts,
+        )
+        .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
+        for (pair, (id, conflict_free)) in pairs.iter_mut().zip(arbitrated.pairs) {
             pair.layout_id = id;
             pair.conflict_free = conflict_free;
-            telemetry.layouts_computed += 1;
         }
+        let worker_busy = arbitrated.worker_busy;
+        telemetry.layouts_computed += pairs.len();
         telemetry.layout_time = phase_start.elapsed();
 
         // Traces keyed by (layout id, tiling); tiled kernels shared per B.

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 5;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 6;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -123,6 +123,10 @@ pub struct SweepTelemetry {
     pub workers_surviving: usize,
     /// Per-unit layout placement latency (one sample per `(T, L)` pair).
     pub layout_latency: LatencySummary,
+    /// Per-unit layout scoring latency: the direct-mapped simulation that
+    /// arbitrates optimized against natural layouts (one sample per
+    /// scoring bank: its replay time, trace generation excluded).
+    pub score_latency: LatencySummary,
     /// Per-design simulation latency (per-design engine and supervisor
     /// fallbacks).
     pub design_latency: LatencySummary,
@@ -229,7 +233,8 @@ impl SweepTelemetry {
                 "\"classify_secs\":{},\"compress_secs\":{},",
                 "\"bound_secs\":{},\"simulate_secs\":{},",
                 "\"select_secs\":{},\"total_secs\":{},",
-                "\"layout_latency\":{},\"design_latency\":{},",
+                "\"layout_latency\":{},\"score_latency\":{},",
+                "\"design_latency\":{},",
                 "\"scan_latency\":{},\"flush_latency\":{}}}"
             ),
             TELEMETRY_SCHEMA_VERSION,
@@ -274,6 +279,7 @@ impl SweepTelemetry {
             json_f64(self.select_time.as_secs_f64(), 6),
             json_f64(self.total_time.as_secs_f64(), 6),
             self.layout_latency.to_json(),
+            self.score_latency.to_json(),
             self.design_latency.to_json(),
             self.scan_latency.to_json(),
             self.flush_latency.to_json(),
@@ -325,6 +331,7 @@ impl fmt::Display for SweepTelemetry {
             ("latency scan", &self.scan_latency),
             ("latency sim", &self.design_latency),
             ("latency lay", &self.layout_latency),
+            ("latency score", &self.score_latency),
             ("latency ckpt", &self.flush_latency),
         ] {
             if s.count > 0 {

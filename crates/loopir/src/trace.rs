@@ -6,9 +6,17 @@
 //! cache simulator and replaces the closed-form miss-rate expressions the
 //! paper used (its §4.1 notes a trace-driven simulator is the interchangeable
 //! alternative).
+//!
+//! The walk is strength-reduced. Subscripts are affine in the induction
+//! variables and [`DataLayout::element_address`] is linear in the
+//! subscripts, so every reference's byte address is affine too. The
+//! generator compiles each reference once into a base address plus one byte
+//! increment per loop level, and carries the addresses along the odometer
+//! with additions only: no per-event evaluation and no allocation.
 
+use crate::expr::AffineExpr;
 use crate::layout::DataLayout;
-use crate::nest::{AccessKind, ArrayId, Kernel};
+use crate::nest::{AccessKind, ArrayId, Bound, Kernel};
 
 /// One memory access of the generated trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -30,6 +38,25 @@ pub struct MemoryAccess {
 /// supported; a loop level that evaluates to an empty range at some outer
 /// iteration simply contributes no iterations there.
 ///
+/// Subscripts are bounds-checked once per kernel when they can be, and
+/// per innermost run otherwise, never per event. A subscript that stays
+/// inside its extent over the whole box of induction-variable ranges needs
+/// no further check. Otherwise each run checks it at both ends: it is
+/// affine in the innermost variable, so it stays inside its extent over
+/// the run iff it does there. A run that fails the check is walked event
+/// by event through [`DataLayout::element_address`], so an out-of-bounds
+/// subscript panics at exactly the event, and with exactly the message,
+/// of a naive walk — even when the offending reference is a write a
+/// caller would filter out.
+///
+/// # Panics
+///
+/// [`TraceGen::new`] panics with a message starting `trace address
+/// overflow` if some address, subscript or loop bound over the nest's
+/// iteration box does not fit an `i64`, and if a loop bound reads a loop
+/// that does not enclose it. Iteration panics if a subscript leaves its
+/// array's declared extent.
+///
 /// # Example
 ///
 /// ```
@@ -45,22 +72,292 @@ pub struct MemoryAccess {
 pub struct TraceGen<'a> {
     kernel: &'a Kernel,
     layout: &'a DataLayout,
-    /// Current induction-variable values; `None` once exhausted.
-    ivs: Option<Vec<i64>>,
+    plan: Plan,
+    /// Current induction-variable values. The innermost one is kept only
+    /// while a run takes the per-event path, which is the only reader.
+    ivs: Vec<i64>,
+    /// Upper bound of each level at the current outer point.
+    his: Vec<i64>,
+    /// Row values, level-major: block `l` holds every row with levels
+    /// `..l` at their current values and levels `l..` at zero.
+    vals: Vec<i64>,
+    /// Address of each reference at the current point.
+    cur: Vec<i64>,
+    /// Iterations of the current innermost run after the current point.
+    left: u64,
+    /// Whether the current run is known to stay in bounds and so emits the
+    /// carried addresses.
+    in_bounds: bool,
     /// Index of the next body reference to emit at the current point.
     next_ref: usize,
+    /// Set once the nest is exhausted.
+    done: bool,
+}
+
+/// What one emitted access carries besides its address.
+struct RefMeta {
+    size: u32,
+    kind: AccessKind,
+    array: ArrayId,
+}
+
+/// A kernel compiled against one layout.
+///
+/// Every quantity the walk needs is an affine *row* over the induction
+/// variables, in this order: the byte address of each reference, the
+/// lower and upper bound expression of each loop level from the innermost
+/// out, then each subscript of each reference. Block `m` of the walk's
+/// values only needs the bounds of levels `m..`, and the subscripts only
+/// when runs are checked, so the rows it carries are a prefix.
+struct Plan {
+    refs: Vec<RefMeta>,
+    /// Number of rows.
+    rows: usize,
+    /// Row values with every induction variable at zero.
+    base: Vec<i64>,
+    /// `coef[l * rows + q]`: increment of row `q` per unit of level `l`.
+    coef: Vec<i64>,
+    /// `stride[l * rows + q]`: increment of row `q` per step of level `l`.
+    stride: Vec<i64>,
+    /// Declared extent of each subscript row, in row order.
+    extents: Vec<i64>,
+    /// The `min` cap of each level's lower and upper bound (`i64::MAX`
+    /// for none), outermost level first.
+    caps: Vec<i64>,
+    /// `widths[m]`: how many leading rows block `m` carries.
+    widths: Vec<usize>,
+    /// Loop steps, outermost first.
+    steps: Vec<i64>,
+    /// False when some reference does not match its array's rank or reads
+    /// a loop outside the nest. Every run then takes the per-event path,
+    /// which panics exactly as the naive walk does.
+    exact: bool,
+    /// True when every subscript stays inside its extent over the whole
+    /// iteration box, so no run needs its own check.
+    verified: bool,
+}
+
+/// Panics with the plan's overflow message unless `v` is `Some`.
+fn fits<T>(v: Option<T>, what: impl FnOnce() -> String) -> T {
+    v.unwrap_or_else(|| panic!("trace address overflow: {} does not fit an i64", what()))
+}
+
+/// Widens the interval `acc` by `c · v` for `v` in `range`, panicking on
+/// overflow.
+fn widen(acc: (i64, i64), c: i64, range: (i64, i64), what: impl Fn() -> String) -> (i64, i64) {
+    let ends = c.checked_mul(range.0).zip(c.checked_mul(range.1));
+    let (a, b) = fits(ends.map(|(a, b)| (a.min(b), a.max(b))), &what);
+    (
+        fits(acc.0.checked_add(a), &what),
+        fits(acc.1.checked_add(b), &what),
+    )
+}
+
+/// The extremes of an affine row (constant plus one coefficient per
+/// level) over the first `coeffs.len()` levels of `ranges`.
+fn row_range(
+    constant: i64,
+    coeffs: &[i64],
+    ranges: &[(i64, i64)],
+    what: impl Fn() -> String,
+) -> (i64, i64) {
+    coeffs
+        .iter()
+        .zip(ranges)
+        .fold((constant, constant), |acc, (&c, &range)| {
+            widen(acc, c, range, &what)
+        })
+}
+
+impl Plan {
+    /// Compiles `kernel` under `layout`, checking that every row stays
+    /// inside `i64` over the nest's iteration box.
+    fn new(kernel: &Kernel, layout: &DataLayout) -> Plan {
+        let loops = &kernel.nest.loops;
+        let depth = loops.len();
+        let refs = &kernel.nest.refs;
+        let mut exact = true;
+        // Affine rows as (constant, one coefficient per level).
+        let mut addr_rows: Vec<(i64, Vec<i64>)> = Vec::with_capacity(refs.len());
+        let mut sub_rows: Vec<(i64, Vec<i64>)> = Vec::new();
+        let mut extents = Vec::new();
+        for (ri, r) in refs.iter().enumerate() {
+            let a = kernel.array(r.array);
+            let p = layout.placement(r.array);
+            let what = |part: &str| format!("{part} of reference {ri} to `{}`", a.name);
+            if r.subscripts.len() != a.dims.len()
+                || r.subscripts.iter().any(|s| s.max_depth() >= Some(depth))
+            {
+                exact = false;
+            }
+            // Byte weight of each subscript position: the row pitch for
+            // the outermost dimension of a multi-dimensional array, the
+            // row-major element weight times the element size otherwise.
+            let mut scales = vec![0i64; a.dims.len()];
+            let mut weight = fits(i64::try_from(a.elem_size).ok(), || what("element size"));
+            for k in (1..a.dims.len()).rev() {
+                scales[k] = weight;
+                let d = i64::try_from(a.dims[k]).ok();
+                weight = fits(d.and_then(|d| weight.checked_mul(d)), || what("row size"));
+            }
+            if let Some(first) = scales.first_mut() {
+                *first = match a.dims.len() {
+                    1 => weight,
+                    _ => fits(i64::try_from(p.row_pitch).ok(), || what("row pitch")),
+                };
+            }
+            let mut constant = fits(i64::try_from(p.base).ok(), || what("base address"));
+            let mut coeffs = vec![0i64; depth];
+            for (s, &scale) in r.subscripts.iter().zip(&scales) {
+                let term = s.constant_term().checked_mul(scale);
+                constant = fits(term.and_then(|t| constant.checked_add(t)), || {
+                    what("base address")
+                });
+                for (l, c) in coeffs.iter_mut().enumerate() {
+                    let term = s.coeff(l).checked_mul(scale);
+                    *c = fits(term.and_then(|t| c.checked_add(t)), || {
+                        what("address increment")
+                    });
+                }
+            }
+            addr_rows.push((constant, coeffs));
+            for (s, &d) in r.subscripts.iter().zip(&a.dims) {
+                sub_rows.push((s.constant_term(), s.linear_part(depth)));
+                extents.push(i64::try_from(d).unwrap_or(i64::MAX));
+            }
+        }
+        // Loop bounds as rows too; `min` caps apply on top (`i64::MAX`
+        // when the bound has none).
+        let mut bound_rows: Vec<(i64, Vec<i64>)> = Vec::with_capacity(2 * depth);
+        let mut caps = Vec::with_capacity(2 * depth);
+        for (l, lp) in loops.iter().enumerate() {
+            for b in [&lp.lower, &lp.upper] {
+                let (e, cap) = match b {
+                    Bound::Const(k) => (&AffineExpr::constant(*k), i64::MAX),
+                    Bound::Affine(e) => (e, i64::MAX),
+                    Bound::Min(e, cap) => (e, *cap),
+                };
+                assert!(
+                    e.max_depth().is_none_or(|d| d < l),
+                    "a bound of loop {l} reads a loop that does not enclose it"
+                );
+                let mut coeffs = e.linear_part(l);
+                coeffs.resize(depth, 0);
+                bound_rows.push((e.constant_term(), coeffs));
+                caps.push(cap);
+            }
+        }
+
+        // Each induction variable's range over the nest: lower bounds
+        // minimised and upper bounds maximised over the outer ranges.
+        let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(depth);
+        for l in 0..depth {
+            let what = || format!("the bounds of loop {l}");
+            let range = |i: usize| {
+                let (constant, coeffs) = &bound_rows[i];
+                let (lo, hi) = row_range(*constant, &coeffs[..l], &ranges, what);
+                (lo.min(caps[i]), hi.min(caps[i]))
+            };
+            let lo = range(2 * l).0;
+            let hi = range(2 * l + 1).1;
+            ranges.push((lo, hi.max(lo)));
+        }
+        // Every value the walk carries lies inside its row's extremes
+        // over that box, so checking them here makes every later sum
+        // exact. Subscripts wholly inside their extents need no per-run
+        // check at all.
+        let mut verified = exact;
+        for (q, (constant, coeffs)) in addr_rows.iter().enumerate() {
+            row_range(*constant, coeffs, &ranges, || {
+                format!("the address of reference {q} over the iteration box")
+            });
+        }
+        for (k, ((constant, coeffs), &extent)) in sub_rows.iter().zip(&extents).enumerate() {
+            let (lo, hi) = row_range(*constant, coeffs, &ranges, || {
+                format!("subscript row {k} over the iteration box")
+            });
+            verified &= lo >= 0 && hi < extent;
+        }
+
+        let all: Vec<&(i64, Vec<i64>)> = addr_rows
+            .iter()
+            .chain(bound_rows.chunks(2).rev().flatten())
+            .chain(&sub_rows)
+            .collect();
+        let rows = all.len();
+        let widths = (0..=depth)
+            .map(|m| match verified {
+                true if m > 0 => refs.len() + 2 * (depth - m),
+                _ => rows,
+            })
+            .collect();
+        let mut coef = vec![0i64; depth * rows];
+        let mut stride = vec![0i64; depth * rows];
+        for (l, lp) in loops.iter().enumerate() {
+            for (q, (_, coeffs)) in all.iter().enumerate() {
+                coef[l * rows + q] = coeffs[l];
+                // A stride can only overflow when the step leaves the
+                // range, and then the walk never applies it; wrapping
+                // keeps every applied sum exact.
+                stride[l * rows + q] = coeffs[l].wrapping_mul(lp.step);
+            }
+        }
+        Plan {
+            refs: refs
+                .iter()
+                .map(|r| RefMeta {
+                    size: kernel.array(r.array).elem_size as u32,
+                    kind: r.kind,
+                    array: r.array,
+                })
+                .collect(),
+            rows,
+            base: all.iter().map(|(c, _)| *c).collect(),
+            coef,
+            stride,
+            extents,
+            caps,
+            widths,
+            steps: loops.iter().map(|lp| lp.step).collect(),
+            exact,
+            verified,
+        }
+    }
 }
 
 impl<'a> TraceGen<'a> {
-    /// Starts a trace at the first iteration point of the nest.
+    /// Compiles the kernel under `layout` and positions the walk at the
+    /// first iteration point of the nest.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `trace address overflow` if an address, subscript or
+    /// loop bound over the nest's iteration box does not fit an `i64`, and
+    /// if a loop bound reads a loop that does not enclose it.
     pub fn new(kernel: &'a Kernel, layout: &'a DataLayout) -> Self {
-        let ivs = first_point(kernel);
-        TraceGen {
+        let plan = Plan::new(kernel, layout);
+        let depth = kernel.nest.depth();
+        let mut vals = vec![0i64; (depth + 1) * plan.rows];
+        vals[..plan.rows].copy_from_slice(&plan.base);
+        let nrefs = plan.refs.len();
+        let mut gen = TraceGen {
             kernel,
             layout,
-            ivs,
+            ivs: vec![0; depth],
+            his: vec![0; depth],
+            cur: plan.base[..nrefs].to_vec(),
+            vals,
+            left: 0,
+            in_bounds: false,
             next_ref: 0,
+            done: nrefs == 0,
+            plan,
+        };
+        gen.done = gen.done || !gen.settle(0, true);
+        if gen.done {
+            gen.next_ref = nrefs;
         }
+        gen
     }
 
     /// Collects the whole trace, keeping only reads if `reads_only`.
@@ -76,96 +373,231 @@ impl<'a> TraceGen<'a> {
             .filter(|a| !reads_only || a.kind == AccessKind::Read)
             .collect()
     }
-}
 
-/// Finds the first non-empty iteration point, or `None` if the whole nest is
-/// empty.
-fn first_point(kernel: &Kernel) -> Option<Vec<i64>> {
-    let loops = &kernel.nest.loops;
-    let mut ivs = vec![0i64; loops.len()];
-    descend(kernel, &mut ivs, 0).then_some(ivs)
-}
-
-/// Initialises levels `from..` to their lower bounds; returns `false` if some
-/// level is empty at the current outer values (caller must advance an outer
-/// level).
-fn descend(kernel: &Kernel, ivs: &mut [i64], from: usize) -> bool {
-    let loops = &kernel.nest.loops;
-    let mut level = from;
-    while level < loops.len() {
-        let lo = loops[level].lower.eval(&ivs[..level]);
-        let hi = loops[level].upper.eval(&ivs[..level]);
-        if lo > hi {
-            // Empty range at this outer point: advance the enclosing level.
-            if level == 0 {
-                return false;
+    /// Moves the odometer to the first point of the next non-empty
+    /// innermost run, starting at `level`: with `entering`, levels
+    /// `level..` are initialised to their lower bounds; otherwise `level`
+    /// is advanced by its step first. An empty level advances its
+    /// enclosing one. Returns `false` when the nest is exhausted.
+    fn settle(&mut self, mut level: usize, mut entering: bool) -> bool {
+        let depth = self.ivs.len();
+        let Plan {
+            rows,
+            ref coef,
+            ref stride,
+            ref caps,
+            ref widths,
+            ref steps,
+            ..
+        } = self.plan;
+        let nrefs = self.cur.len();
+        loop {
+            if entering {
+                if level == depth {
+                    self.start_run();
+                    return true;
+                }
+                let b = nrefs + 2 * (depth - 1 - level);
+                let at = &self.vals[level * rows + b..level * rows + b + 2];
+                let lo = at[0].min(caps[2 * level]);
+                let hi = at[1].min(caps[2 * level + 1]);
+                if lo <= hi {
+                    self.ivs[level] = lo;
+                    self.his[level] = hi;
+                    let (outer, inner) = self.vals.split_at_mut((level + 1) * rows);
+                    let outer = &outer[level * rows..];
+                    let coef = &coef[level * rows..(level + 1) * rows];
+                    // The innermost level only moves the addresses.
+                    let out = if level + 1 == depth {
+                        &mut self.cur[..]
+                    } else {
+                        &mut inner[..widths[level + 1]]
+                    };
+                    for ((v, &o), &c) in out.iter_mut().zip(outer).zip(coef) {
+                        *v = o.wrapping_add(c.wrapping_mul(lo));
+                    }
+                    level += 1;
+                    continue;
+                }
+                if level == 0 {
+                    return false;
+                }
+                level -= 1;
+                entering = false;
+            } else {
+                let next = self.ivs[level] + steps[level];
+                if next <= self.his[level] {
+                    self.ivs[level] = next;
+                    let start = (level + 1) * rows;
+                    let inner = &mut self.vals[start..start + widths[level + 1]];
+                    for (v, &s) in inner.iter_mut().zip(&stride[level * rows..]) {
+                        *v = v.wrapping_add(s);
+                    }
+                    level += 1;
+                    entering = true;
+                    continue;
+                }
+                if level == 0 {
+                    return false;
+                }
+                level -= 1;
             }
-            if !advance(kernel, ivs, level - 1) {
-                return false;
-            }
-            // `advance` already re-descended below `level - 1`.
-            return true;
         }
-        ivs[level] = lo;
-        level += 1;
     }
-    true
-}
 
-/// Advances level `level` by its step, cascading to outer levels on
-/// exhaustion and re-descending inner levels. Returns `false` when the whole
-/// nest is exhausted.
-fn advance(kernel: &Kernel, ivs: &mut [i64], level: usize) -> bool {
-    let loops = &kernel.nest.loops;
-    let mut l = level as isize;
-    loop {
-        if l < 0 {
+    /// Sizes the innermost run just entered and, unless the plan verified
+    /// the whole iteration box, checks every subscript of every reference
+    /// at both ends of the run.
+    fn start_run(&mut self) {
+        self.next_ref = 0;
+        let Some(l) = self.ivs.len().checked_sub(1) else {
+            // A nest without loops is one point.
+            self.left = 0;
+            let subs = &self.vals[self.plan.rows - self.plan.extents.len()..];
+            self.in_bounds = self.plan.verified
+                || (self.plan.exact
+                    && subs
+                        .iter()
+                        .zip(&self.plan.extents)
+                        .all(|(v, &d)| (0..d).contains(v)));
+            return;
+        };
+        let (lo, hi, step) = (self.ivs[l], self.his[l], self.plan.steps[l]);
+        self.left = match step {
+            1 => hi.abs_diff(lo),
+            _ => hi.abs_diff(lo) / step as u64,
+        };
+        if self.plan.verified {
+            self.in_bounds = true;
+            return;
+        }
+        // `last` lies in `lo..=hi`, so the wrapping products are exact.
+        let last = lo.wrapping_add((self.left as i64).wrapping_mul(step));
+        let rows = self.plan.rows;
+        let subs = rows - self.plan.extents.len()..rows;
+        let at = &self.vals[l * rows + subs.start..l * rows + subs.end];
+        let coef = &self.plan.coef[l * rows + subs.start..l * rows + subs.end];
+        self.in_bounds = self.plan.exact
+            && at
+                .iter()
+                .zip(coef)
+                .zip(&self.plan.extents)
+                .all(|((&v, &c), &d)| {
+                    let range = 0..d;
+                    range.contains(&v.wrapping_add(c.wrapping_mul(lo)))
+                        && range.contains(&v.wrapping_add(c.wrapping_mul(last)))
+                });
+    }
+
+    /// Moves to the next iteration point; `false` once the nest is done.
+    fn next_point(&mut self) -> bool {
+        if self.done {
             return false;
         }
-        let lu = l as usize;
-        let hi = loops[lu].upper.eval(&ivs[..lu]);
-        let next = ivs[lu] + loops[lu].step;
-        if next <= hi {
-            ivs[lu] = next;
-            return descend(kernel, ivs, lu + 1);
+        if self.left > 0 {
+            self.left -= 1;
+            let l = self.ivs.len() - 1;
+            self.ivs[l] += self.plan.steps[l];
+            let stride = &self.plan.stride[l * self.plan.rows..];
+            for (v, &s) in self.cur.iter_mut().zip(stride) {
+                *v = v.wrapping_add(s);
+            }
+            self.next_ref = 0;
+            return true;
         }
-        l -= 1;
+        // The run is over: advance the level enclosing it.
+        let depth = self.ivs.len();
+        if depth < 2 || !self.settle(depth - 2, false) {
+            self.done = true;
+            return false;
+        }
+        true
+    }
+
+    /// Emits reference `next_ref` at the current point.
+    #[inline]
+    fn emit(&mut self) -> MemoryAccess {
+        let r = self.next_ref;
+        self.next_ref += 1;
+        let addr = if self.in_bounds {
+            self.cur[r] as u64
+        } else {
+            self.element_address(r)
+        };
+        let m = &self.plan.refs[r];
+        MemoryAccess {
+            addr,
+            size: m.size,
+            kind: m.kind,
+            array: m.array,
+        }
+    }
+
+    /// The per-event path of a run that failed its bounds check: evaluates
+    /// the subscripts and lets [`DataLayout::element_address`] check them.
+    fn element_address(&self, r: usize) -> u64 {
+        let r = &self.kernel.nest.refs[r];
+        let subs: Vec<i64> = r.subscripts.iter().map(|s| s.eval(&self.ivs)).collect();
+        self.layout.element_address(self.kernel, r.array, &subs)
     }
 }
 
 impl Iterator for TraceGen<'_> {
     type Item = MemoryAccess;
 
+    #[inline]
     fn next(&mut self) -> Option<MemoryAccess> {
-        let ivs = self.ivs.as_mut()?;
-        let refs = &self.kernel.nest.refs;
-        if refs.is_empty() {
-            self.ivs = None;
+        if self.next_ref == self.plan.refs.len() && !self.next_point() {
             return None;
         }
-        let r = &refs[self.next_ref];
-        let subs: Vec<i64> = r.subscripts.iter().map(|s| s.eval(ivs)).collect();
-        let addr = self.layout.element_address(self.kernel, r.array, &subs);
-        let access = MemoryAccess {
-            addr,
-            size: self.kernel.array(r.array).elem_size as u32,
-            kind: r.kind,
-            array: r.array,
-        };
-        self.next_ref += 1;
-        if self.next_ref == refs.len() {
-            self.next_ref = 0;
-            let depth = self.kernel.nest.loops.len();
-            let done = if depth == 0 {
-                true
-            } else {
-                !advance(self.kernel, ivs, depth - 1)
-            };
-            if done {
-                self.ivs = None;
+        Some(self.emit())
+    }
+
+    /// Whole in-bounds runs are emitted straight from the carried
+    /// addresses; everything else goes through [`next`](Self::next)'s
+    /// path.
+    fn fold<B, F>(mut self, init: B, mut f: F) -> B
+    where
+        F: FnMut(B, MemoryAccess) -> B,
+    {
+        let mut acc = init;
+        let nrefs = self.plan.refs.len();
+        loop {
+            if self.in_bounds && self.next_ref == 0 {
+                // The rest of the run: the current point, then `left` more.
+                let l = self.ivs.len().saturating_sub(1);
+                let stride = &self.plan.stride[l * self.plan.rows..];
+                let refs = &self.plan.refs;
+                for point in 0..=self.left {
+                    if point > 0 {
+                        for (v, &s) in self.cur.iter_mut().zip(stride) {
+                            *v = v.wrapping_add(s);
+                        }
+                    }
+                    for (&v, m) in self.cur.iter().zip(refs) {
+                        acc = f(
+                            acc,
+                            MemoryAccess {
+                                addr: v as u64,
+                                size: m.size,
+                                kind: m.kind,
+                                array: m.array,
+                            },
+                        );
+                    }
+                }
+                // The innermost variable is not advanced here: the next
+                // run re-enters its level from the lower bound.
+                self.left = 0;
+                self.next_ref = nrefs;
+            }
+            while self.next_ref < nrefs {
+                acc = f(acc, self.emit());
+            }
+            if !self.next_point() {
+                return acc;
             }
         }
-        Some(access)
     }
 }
 
@@ -173,6 +605,7 @@ impl Iterator for TraceGen<'_> {
 mod tests {
     use super::*;
     use crate::expr::AffineExpr;
+    use crate::layout::Placement;
     use crate::nest::{ArrayDecl, ArrayId, ArrayRef, Bound, Kernel, Loop, LoopNest};
 
     fn simple_1d(n: i64) -> Kernel {
@@ -306,5 +739,90 @@ mod tests {
         let l = DataLayout::natural(&k);
         let addrs: Vec<u64> = TraceGen::new(&k, &l).map(|a| a.addr).collect();
         assert_eq!(addrs, vec![0, 1, 1]);
+    }
+
+    /// `a[i][0]` over three rows of a `[3][1]` array placed at `base` with
+    /// row pitch `pitch`.
+    fn pitched_rows(base: u64, pitch: u64) -> (Kernel, DataLayout) {
+        let a = ArrayDecl::new("a", &[3, 1], 4);
+        let nest = LoopNest {
+            loops: vec![Loop::new(0, 2)],
+            refs: vec![ArrayRef::read(
+                ArrayId(0),
+                vec![AffineExpr::var(0), AffineExpr::constant(0)],
+            )],
+        };
+        let k = Kernel::new("pitched", vec![a], nest);
+        let l = DataLayout::from_placements(
+            &k,
+            vec![Placement {
+                base,
+                row_pitch: pitch,
+            }],
+        );
+        (k, l)
+    }
+
+    #[test]
+    fn huge_but_representable_pitches_still_trace() {
+        let (k, l) = pitched_rows(0, 1 << 61);
+        let addrs: Vec<u64> = TraceGen::new(&k, &l).map(|a| a.addr).collect();
+        assert_eq!(addrs, vec![0, 1 << 61, 1 << 62]);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace address overflow: row pitch of reference 0 to `a`")]
+    fn row_pitch_past_i64_panics_instead_of_wrapping() {
+        // Row 2 would start at 2^64: a u64 walk wraps it onto a[0][0] in
+        // release builds.
+        let (k, l) = pitched_rows(0, 1 << 63);
+        let _ = TraceGen::new(&k, &l);
+    }
+
+    #[test]
+    #[should_panic(expected = "trace address overflow: the address of reference 0")]
+    fn addresses_past_i64_panic_before_the_first_event() {
+        let (k, l) = pitched_rows(i64::MAX as u64 - 4, 4);
+        let _ = TraceGen::new(&k, &l);
+    }
+
+    #[test]
+    fn loopless_kernel_is_one_point() {
+        let a = ArrayDecl::new("a", &[4], 4);
+        let nest = LoopNest {
+            loops: vec![],
+            refs: vec![
+                ArrayRef::read(ArrayId(0), vec![AffineExpr::constant(2)]),
+                ArrayRef::write(ArrayId(0), vec![AffineExpr::constant(3)]),
+            ],
+        };
+        let k = Kernel::new("point", vec![a], nest);
+        let l = DataLayout::natural(&k);
+        let by_next: Vec<(u64, AccessKind)> =
+            TraceGen::new(&k, &l).map(|a| (a.addr, a.kind)).collect();
+        let mut by_fold = Vec::new();
+        TraceGen::new(&k, &l).for_each(|a| by_fold.push((a.addr, a.kind)));
+        assert_eq!(
+            by_next,
+            vec![(8, AccessKind::Read), (12, AccessKind::Write)]
+        );
+        assert_eq!(by_fold, by_next);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscript arity mismatch")]
+    fn unvalidated_arity_mismatch_panics_like_the_naive_walk() {
+        // Built without `Kernel::new`, which would reject it: the
+        // reference gives one subscript to a 2-D array.
+        let k = Kernel {
+            name: "bad".to_string(),
+            arrays: vec![ArrayDecl::new("a", &[2, 2], 4)],
+            nest: LoopNest {
+                loops: vec![Loop::new(0, 1)],
+                refs: vec![ArrayRef::read(ArrayId(0), vec![AffineExpr::var(0)])],
+            },
+        };
+        let l = DataLayout::natural(&k);
+        let _ = TraceGen::new(&k, &l).count();
     }
 }

@@ -205,6 +205,41 @@ fn explore_log_reconciles_with_telemetry() {
 }
 
 #[test]
+fn layout_phase_logs_placement_and_scoring_units() {
+    // MatMult on the paper grid: some (T, L) pairs optimize to a padded
+    // layout, which must be scored against the natural one.
+    let kernel = kernels::matmul(31);
+    let buf = SharedBuf::default();
+    let obs = obs_into(&buf);
+    let explorer = Explorer::default().with_obs(Arc::clone(&obs));
+    let (_, telemetry) = explorer.explore_with_telemetry(&kernel, &DesignSpace::paper());
+    obs.finish();
+
+    let text = buf.take_text();
+    let report = RunReport::from_jsonl(&text).expect("log parses");
+    assert_eq!(report.layout.count, 25, "one place unit per (T, L) pair");
+    assert!(report.score.count > 0, "no score units logged");
+    assert_eq!(report.score.count, telemetry.score_latency.count);
+    assert!(report.to_string().contains("score :"));
+    assert!(telemetry.to_string().contains("latency score"));
+    // Every score unit belongs to the layout phase and names its bank.
+    // Each arbitrated pair is scored twice (natural and optimized), so the
+    // widths sum to an even number of at most two per pair.
+    let mut width = 0;
+    for e in text.lines().map(|l| Event::parse(l).expect("event parses")) {
+        if e.name == "score" {
+            assert_eq!(e.phase, "layout");
+            assert!(e.u64_field("events").is_some_and(|n| n > 0));
+            width += e.u64_field("width").expect("width field");
+        }
+    }
+    assert!(
+        width > 0 && width % 2 == 0 && width <= 50,
+        "widths sum to {width}"
+    );
+}
+
+#[test]
 fn pareto_pruned_log_reconciles_with_telemetry() {
     let kernel = kernels::compress(31);
     let space = DesignSpace::paper();

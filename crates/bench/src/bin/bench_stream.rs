@@ -12,6 +12,13 @@
 //! file grows. The run fails if the peak chunk footprint ever exceeds
 //! the configured chunk capacity.
 //!
+//! Beside the parse+replay rate (`design_events_per_sec`) it reports the
+//! replay layer alone (`replay_design_events_per_sec`): the same grid,
+//! in the sweep's banks of `TRACE_BANK_WIDTH` designs, replayed from
+//! chunks parsed into memory beforehand, one bank after another on one
+//! thread (`replay_workers`). At most `REPLAY_EVENTS` events (the head of
+//! the file) are held, so the probe stays under 64 MiB.
+//!
 //! Results are written to `BENCH_stream.json` in the current directory.
 //!
 //! Regenerate with:
@@ -20,10 +27,10 @@
 //! cargo run --release -p bench --bin bench_stream
 //! ```
 
-use memexplore::{select, TraceWorkload};
+use memexplore::{select, TraceWorkload, TRACE_BANK_WIDTH};
 use memsim::din::{write_din, DinLabel, DinRecord};
 use memsim::synth::{generate, Pattern};
-use memsim::{TraceEvent, DEFAULT_CHUNK_CAPACITY};
+use memsim::{ReplayBank, TraceEvent, DEFAULT_CHUNK_CAPACITY};
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::time::Instant;
@@ -35,6 +42,9 @@ const BATCH: usize = 1 << 20;
 /// so the grid's caches see hits, misses, and writebacks alike.
 const FOOTPRINT: u64 = 4 << 20;
 const HOT_BYTES: u64 = 64 << 10;
+
+/// Most events the replay-only probe parses into memory (64 MiB).
+const REPLAY_EVENTS: usize = 1 << 22;
 
 fn target_bytes() -> u64 {
     let mb: u64 = std::env::var("BENCH_STREAM_MB")
@@ -121,8 +131,41 @@ fn main() {
         chunk_budget
     );
 
+    // Replay alone: parse the head of the file into chunks first, then
+    // time only the bank scans.
+    let mut chunks: Vec<Vec<TraceEvent>> = Vec::new();
+    let mut replay_events = 0usize;
+    let mut source = workload.open().expect("the synthesized trace reopens");
+    while replay_events < REPLAY_EVENTS {
+        let mut chunk = Vec::with_capacity(workload.chunk_capacity());
+        let n = source
+            .fill(&mut chunk, workload.chunk_capacity())
+            .expect("the synthesized trace parses");
+        if n == 0 {
+            break;
+        }
+        replay_events += n;
+        chunks.push(chunk);
+    }
+    drop(source);
+    let configs: Vec<_> = designs
+        .iter()
+        .map(|d| d.cache_config().expect("grid designs are valid"))
+        .collect();
+    let replay_start = Instant::now();
+    for shard in configs.chunks(TRACE_BANK_WIDTH) {
+        let mut bank = ReplayBank::with_options(shard, explorer.evaluator.bus_encoding, false);
+        for chunk in &chunks {
+            bank.feed(chunk);
+        }
+        std::hint::black_box(bank.finish());
+    }
+    let replay_secs = replay_start.elapsed().as_secs_f64();
+    drop(chunks);
+
     let events_per_sec = events as f64 / sweep_secs;
     let design_events_per_sec = events as f64 * designs.len() as f64 / sweep_secs;
+    let replay_design_events_per_sec = replay_events as f64 * designs.len() as f64 / replay_secs;
     let json = format!(
         concat!(
             "{{\n",
@@ -135,6 +178,10 @@ fn main() {
             "  \"sweep_secs\": {:.6},\n",
             "  \"events_per_sec\": {:.1},\n",
             "  \"design_events_per_sec\": {:.1},\n",
+            "  \"replay_events\": {},\n",
+            "  \"replay_secs\": {:.6},\n",
+            "  \"replay_design_events_per_sec\": {:.1},\n",
+            "  \"replay_workers\": 1,\n",
             "  \"workers\": {},\n",
             "  \"chunk_capacity\": {},\n",
             "  \"peak_chunk_bytes_per_worker\": {},\n",
@@ -150,6 +197,9 @@ fn main() {
         sweep_secs,
         events_per_sec,
         design_events_per_sec,
+        replay_events,
+        replay_secs,
+        replay_design_events_per_sec,
         telemetry.workers,
         workload.chunk_capacity(),
         telemetry.peak_chunk_bytes,
@@ -167,6 +217,10 @@ fn main() {
         "{events_per_sec:.0} events/s ({design_events_per_sec:.2e} design-events/s) | \
          peak resident chunk {} B per worker (budget {} B, {} workers)",
         telemetry.peak_chunk_bytes, chunk_budget, telemetry.workers
+    );
+    println!(
+        "replay alone: {replay_events} pre-parsed events in {replay_secs:.3} s \
+         ({replay_design_events_per_sec:.2e} design-events/s)"
     );
     assert_eq!(DEFAULT_CHUNK_CAPACITY, workload.chunk_capacity());
     println!("wrote BENCH_stream.json");

@@ -45,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Designs stepped in lockstep per shard of a streamed sweep. Each shard
 /// re-streams the trace once, so this bounds both the number of passes
@@ -488,17 +488,22 @@ impl Explorer {
             false
         };
         // One full streaming pass over the workload, feeding `bank`.
-        // Returns the events fed, or `None` when the deadline fired
+        // Returns the events fed and the microseconds spent parsing them
+        // (inside `TraceSource::fill`), or `None` when the deadline fired
         // mid-stream (the bank is then abandoned: a partial replay must
         // never produce a record).
-        let stream_into = |bank: &mut ReplayBank| -> Result<Option<u64>, TraceSourceError> {
+        let stream_into = |bank: &mut ReplayBank| -> Result<Option<(u64, u64)>, TraceSourceError> {
             let mut src = workload.open()?;
             let mut buf: Vec<TraceEvent> = Vec::with_capacity(workload.chunk_capacity());
             let mut events = 0u64;
+            let mut parse = Duration::ZERO;
             loop {
+                let fill_start = Instant::now();
                 let n = src.fill(&mut buf, workload.chunk_capacity())?;
+                parse += fill_start.elapsed();
                 if n == 0 {
-                    return Ok(Some(events));
+                    let parse_us = u64::try_from(parse.as_micros()).unwrap_or(u64::MAX);
+                    return Ok(Some((events, parse_us)));
                 }
                 events += n as u64;
                 let bytes = (buf.len() * std::mem::size_of::<TraceEvent>()) as u64;
@@ -525,8 +530,8 @@ impl Explorer {
                         .unwrap_or_else(|e| panic!("invalid design {d}: {e}"));
                     let mut bank =
                         ReplayBank::with_options(&[config], self.evaluator.bus_encoding, false);
-                    let events = match stream_into(&mut bank)? {
-                        Some(events) => events,
+                    let (events, parse_us) = match stream_into(&mut bank)? {
+                        Some(pass) => pass,
                         None => return Ok(None),
                     };
                     scanned.fetch_add(events, Ordering::Relaxed);
@@ -536,11 +541,11 @@ impl Explorer {
                         .evaluate_bank_reports(&[(d, false)], &bank.finish())
                         .pop()
                         .expect("bank of one yields one record");
-                    Ok(Some((record, events)))
+                    Ok(Some((record, events, parse_us)))
                 }))
                 .map_err(panic_message);
                 match result {
-                    Ok(Ok(Some((record, events)))) => {
+                    Ok(Ok(Some((record, events, parse_us)))) => {
                         let dur = unit_start.elapsed();
                         hists.design.record(dur);
                         if let Some(o) = obs {
@@ -550,7 +555,10 @@ impl Explorer {
                                 "sim",
                                 w as u64,
                                 dur,
-                                &[("events", FieldValue::U64(events))],
+                                &[
+                                    ("events", FieldValue::U64(events)),
+                                    ("parse_us", FieldValue::U64(parse_us)),
+                                ],
                             );
                         }
                         Ok(Ok(Some(record)))
@@ -575,7 +583,7 @@ impl Explorer {
             }
             let unit_start = Instant::now();
             let scan = catch_unwind(AssertUnwindSafe(
-                || -> Result<Option<(Vec<Record>, u64)>, TraceSourceError> {
+                || -> Result<Option<(Vec<Record>, u64, u64)>, TraceSourceError> {
                     options.fault.maybe_panic_group(s);
                     let bank_designs: Vec<(CacheDesign, bool)> =
                         members.iter().map(|&i| (designs[i], false)).collect();
@@ -588,8 +596,8 @@ impl Explorer {
                         .collect();
                     let mut bank =
                         ReplayBank::with_options(&configs, self.evaluator.bus_encoding, false);
-                    let events = match stream_into(&mut bank)? {
-                        Some(events) => events,
+                    let (events, parse_us) = match stream_into(&mut bank)? {
+                        Some(pass) => pass,
                         None => return Ok(None),
                     };
                     scanned.fetch_add(events, Ordering::Relaxed);
@@ -597,11 +605,11 @@ impl Explorer {
                     let records = self
                         .evaluator
                         .evaluate_bank_reports(&bank_designs, &bank.finish());
-                    Ok(Some((records, events)))
+                    Ok(Some((records, events, parse_us)))
                 },
             ));
             match scan {
-                Ok(Ok(Some((records, events)))) => {
+                Ok(Ok(Some((records, events, parse_us)))) => {
                     let dur = unit_start.elapsed();
                     hists.scan.record(dur);
                     for (&i, record) in members.iter().zip(records) {
@@ -616,6 +624,7 @@ impl Explorer {
                             dur,
                             &[
                                 ("events", FieldValue::U64(events)),
+                                ("parse_us", FieldValue::U64(parse_us)),
                                 ("width", FieldValue::U64(members.len() as u64)),
                                 ("fresh", FieldValue::U64(fresh as u64)),
                             ],

@@ -51,7 +51,7 @@
 //! ```
 
 use crate::bus::{BusEncoding, BusMonitor, BusStats};
-use crate::cache::Cache;
+use crate::cache::{BulkScratch, Cache};
 use crate::classify::Classifier;
 use crate::config::CacheConfig;
 use crate::sim::{SimReport, TraceEvent};
@@ -77,9 +77,8 @@ impl LineClass {
     /// `-atype` splitting) and drives each address onto the shared CPU bus.
     fn split(&mut self, event: TraceEvent) {
         self.sub_addrs.clear();
-        let size = u64::from(event.size.max(1));
         let first_line = event.addr >> self.shift;
-        let last_line = (event.addr + size - 1) >> self.shift;
+        let last_line = last_line(&event, self.shift);
         if first_line == last_line {
             self.cpu_bus.observe_cpu(event.addr);
             self.sub_addrs.push(event.addr);
@@ -230,30 +229,22 @@ impl Lane {
 pub struct ReplayBank {
     lanes: Vec<Lane>,
     classes: Vec<LineClass>,
-    /// Set once the bank has replayed any write. Writes can leave dirty
-    /// lines behind, and a later read miss evicting a dirty line must
-    /// produce a writeback — so the read-only bulk path is only sound
-    /// while the whole replay history is write-free.
-    saw_write: bool,
     /// Forces the scalar per-access lane loop even where the bulk path
     /// applies — the pre-bulk engine, kept for honest baseline
     /// benchmarking and differential tests.
     scalar_replay: bool,
-    /// Per-chunk line-number stream, reused across chunks and feeds.
+    /// Per-chunk line stream, `(line << 1) | is_write` per sub-access,
+    /// reused across classes, chunks and feeds.
     line_scratch: Vec<u64>,
-    /// Per-set SWAR digest words for [`Cache::run_read_lines`], reused.
-    digest_scratch: Vec<u64>,
-    /// Per-set exact packed-recency words for narrow-tag scans, reused.
-    word_scratch: Vec<u64>,
-    /// Fill addresses of one bulk lane scan, in access order, reused.
-    fill_scratch: Vec<u64>,
+    /// Buffers of [`Cache::run_lines`], reused across lanes and chunks.
+    bulk_scratch: BulkScratch,
     /// Index of the class with the smallest line size — the one whose CPU
     /// bus stays live while per-class accounting is deferred (see
     /// [`cpu_stale`](Self::cpu_stale)).
     cpu_live_class: usize,
     /// While every event replayed so far fits inside one line of *every*
     /// class, all classes observe the identical byte-address sequence and
-    /// their CPU buses are bit-equal. The read-only scan then skips the
+    /// their CPU buses are bit-equal. The chunk scan then skips the
     /// encode/popcount accounting for every class but
     /// [`cpu_live_class`](Self::cpu_live_class); this flag records that
     /// the other classes' monitors lag and must be re-synced (copied from
@@ -315,23 +306,20 @@ impl ReplayBank {
         ReplayBank {
             lanes,
             classes,
-            saw_write: false,
             scalar_replay: false,
             line_scratch: Vec::new(),
-            digest_scratch: Vec::new(),
-            word_scratch: Vec::new(),
-            fill_scratch: Vec::new(),
+            bulk_scratch: BulkScratch::default(),
             cpu_live_class,
             cpu_stale: false,
             cpu_diverged: false,
         }
     }
 
-    /// Disables the bulk read-only lane loop (builder-style): every lane
-    /// takes the scalar per-access path regardless of eligibility. This is
-    /// the engine exactly as it was before bulk replay landed — benchmarks
-    /// time it as the baseline, and the differential tests pit it against
-    /// the bulk path event for event.
+    /// Disables the bulk lane loop (builder-style): every lane takes the
+    /// scalar per-access path regardless of eligibility, and every CPU bus
+    /// keeps live accounting. This is the engine exactly as it was before
+    /// bulk replay landed — benchmarks time it as the baseline, and the
+    /// differential tests pit it against the bulk path event for event.
     pub fn with_scalar_replay(mut self) -> Self {
         self.scalar_replay = true;
         self
@@ -368,8 +356,7 @@ impl ReplayBank {
     pub fn step(&mut self, event: TraceEvent) {
         self.sync_cpu_buses();
         if let Some(live) = self.classes.get(self.cpu_live_class) {
-            let size = u64::from(event.size.max(1));
-            if (event.addr >> live.shift) != ((event.addr + size - 1) >> live.shift) {
+            if (event.addr >> live.shift) != last_line(&event, live.shift) {
                 self.cpu_diverged = true;
             }
         }
@@ -411,115 +398,51 @@ impl ReplayBank {
         }
     }
 
-    /// One internal chunk: routes to the read-only bulk scan when the
-    /// whole replay history (not just this chunk) is write-free, else to
-    /// the general mixed scan. Both produce identical reports; the bulk
-    /// scan is just faster.
-    fn run_chunk(&mut self, events: &[TraceEvent]) {
-        if !self.saw_write && events.iter().any(|e| e.is_write) {
-            self.saw_write = true;
-        }
-        if self.saw_write || self.scalar_replay {
-            self.run_chunk_mixed(events);
-        } else {
-            self.run_chunk_reads(events);
-        }
-    }
-
-    /// Catches every deferred CPU-bus monitor up to the live class. While
-    /// [`cpu_stale`](Self::cpu_stale) is set the monitors are bit-equal by
-    /// construction, so a plain copy of the live state *is* the sequence
-    /// the lagging class would have observed.
-    fn sync_cpu_buses(&mut self) {
-        if self.cpu_stale {
-            let live = self.classes[self.cpu_live_class].cpu_bus;
-            for (i, class) in self.classes.iter_mut().enumerate() {
-                if i != self.cpu_live_class {
-                    class.cpu_bus = live;
-                }
-            }
-            self.cpu_stale = false;
-        }
-    }
-
-    /// The general chunk scan: per-class `(line, is_write)` stream, scalar
-    /// lane loops.
-    fn run_chunk_mixed(&mut self, events: &[TraceEvent]) {
-        self.sync_cpu_buses();
-        let ReplayBank { lanes, classes, .. } = self;
-        let mut stream: Vec<(u64, bool)> = Vec::with_capacity(events.len());
-        for class in classes.iter_mut() {
-            stream.clear();
-            let shift = class.shift;
-            let mut writes = 0u64;
-            for e in events {
-                let size = u64::from(e.size.max(1));
-                let first_line = e.addr >> shift;
-                let last_line = (e.addr + size - 1) >> shift;
-                class.cpu_bus.observe_cpu(e.addr);
-                stream.push((first_line, e.is_write));
-                writes += u64::from(e.is_write);
-                for l in (first_line + 1)..=last_line {
-                    class.cpu_bus.observe_cpu(l << shift);
-                    stream.push((l, e.is_write));
-                    writes += u64::from(e.is_write);
-                }
-            }
-            let reads = stream.len() as u64 - writes;
-            for &i in &class.members {
-                let lane = &mut lanes[i];
-                if lane.line_buffer.is_none() {
-                    for &(line_addr, is_write) in &stream {
-                        lane.access_line_bulk(line_addr, is_write);
-                    }
-                    lane.stats.reads += reads;
-                    lane.stats.writes += writes;
-                } else {
-                    // The buffer's read-hit shortcut changes per-access
-                    // accounting, so buffered lanes take the full path.
-                    for &(line_addr, is_write) in &stream {
-                        lane.access_line(line_addr, is_write);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The read-only chunk scan: the per-class stream drops the write
-    /// flag and packs into a flat `u64` buffer, and eligible lanes (no
-    /// line buffer, no classifier, LRU/FIFO up to 8 ways) resolve it with
-    /// [`Cache::run_read_lines`] — bitwise digest compares instead of a
-    /// per-way probe per event. Ineligible lanes keep the scalar loop
-    /// with `is_write == false`.
+    /// The one chunk scan. Each line-size class builds a flat stream of
+    /// `(line << 1) | is_write` elements (driving the shared CPU bus as it
+    /// goes) and replays it through its member lanes. Eligible lanes (no
+    /// line buffer, no classifier, LRU/FIFO up to 8 ways, either write
+    /// policy) resolve the whole stream with [`Cache::run_lines`];
+    /// ineligible ones keep the scalar per-access loop. Under
+    /// [`with_scalar_replay`](Self::with_scalar_replay) every lane takes
+    /// the scalar loop and every bus keeps live accounting.
     ///
-    /// CPU-bus accounting is deferred where it provably repeats: an event
-    /// that stays inside one line of the *smallest* line size stays inside
-    /// one line of every larger size (any `2^{k+1}` boundary is also a
-    /// `2^k` boundary), so a chunk with no such straddler drives the
-    /// identical byte-address sequence onto every class's bus. The live
-    /// (smallest-line) class is scanned first and keeps real accounting;
-    /// if it saw no straddler the other classes skip the encode/popcount
-    /// work entirely and are marked stale (see
+    /// CPU-bus accounting is deferred where it provably repeats — the bus
+    /// sees addresses, not their direction, so writes change nothing
+    /// here. An event that stays inside one line of the *smallest* line
+    /// size stays inside one line of every larger size (any `2^{k+1}`
+    /// boundary is also a `2^k` boundary), so a chunk with no such
+    /// straddler drives the identical byte-address sequence onto every
+    /// class's bus. The live (smallest-line) class is scanned first and
+    /// keeps real accounting; if it saw no straddler the other classes
+    /// skip the encode/popcount work entirely and are marked stale (see
     /// [`sync_cpu_buses`](Self::sync_cpu_buses)). The first straddler
     /// re-syncs from the live class's pre-chunk state and disables the
     /// optimisation for the rest of the run.
-    fn run_chunk_reads(&mut self, events: &[TraceEvent]) {
+    fn run_chunk(&mut self, events: &[TraceEvent]) {
         if self.classes.is_empty() {
             return;
         }
         let live = self.cpu_live_class;
-        let deferrable = !self.cpu_diverged && self.classes.len() > 1;
+        if self.classes[live].shift == 0 && events.iter().any(|e| last_line(e, 0) >> 63 != 0) {
+            // With 1-byte lines a stream element has no spare bit for the
+            // write flag at the top of the address space: step the chunk.
+            for &e in events {
+                self.step(e);
+            }
+            return;
+        }
+        let deferrable = !self.scalar_replay && !self.cpu_diverged && self.classes.len() > 1;
         let saved = deferrable.then(|| self.classes[live].cpu_bus);
 
-        let spanned = Self::read_class(
+        let spanned = Self::scan_class(
             &mut self.classes[live],
             &mut self.lanes,
             events,
             true,
+            self.scalar_replay,
             &mut self.line_scratch,
-            &mut self.digest_scratch,
-            &mut self.word_scratch,
-            &mut self.fill_scratch,
+            &mut self.bulk_scratch,
         );
         if spanned {
             if let Some(saved) = saved {
@@ -539,15 +462,14 @@ impl ReplayBank {
             if c == live {
                 continue;
             }
-            Self::read_class(
+            Self::scan_class(
                 &mut self.classes[c],
                 &mut self.lanes,
                 events,
                 observe_others,
+                self.scalar_replay,
                 &mut self.line_scratch,
-                &mut self.digest_scratch,
-                &mut self.word_scratch,
-                &mut self.fill_scratch,
+                &mut self.bulk_scratch,
             );
         }
         if !observe_others {
@@ -555,91 +477,73 @@ impl ReplayBank {
         }
     }
 
-    /// One class's share of a read-only chunk: builds the flat line-number
-    /// stream (observing the CPU bus unless the caller has proven this
-    /// class's sequence identical to the live class's) and replays it
-    /// through the class's member lanes. Returns whether any event
-    /// straddled a line boundary of this class.
-    #[allow(clippy::too_many_arguments)]
-    fn read_class(
+    /// Catches every deferred CPU-bus monitor up to the live class. While
+    /// [`cpu_stale`](Self::cpu_stale) is set the monitors are bit-equal by
+    /// construction, so a plain copy of the live state *is* the sequence
+    /// the lagging class would have observed.
+    fn sync_cpu_buses(&mut self) {
+        if self.cpu_stale {
+            let live = self.classes[self.cpu_live_class].cpu_bus;
+            for (i, class) in self.classes.iter_mut().enumerate() {
+                if i != self.cpu_live_class {
+                    class.cpu_bus = live;
+                }
+            }
+            self.cpu_stale = false;
+        }
+    }
+
+    /// One class's share of a chunk: builds the line stream (observing
+    /// the CPU bus unless the caller has proven this class's sequence
+    /// identical to the live class's) and replays it through the class's
+    /// member lanes. Returns whether any event straddled a line boundary
+    /// of this class.
+    fn scan_class(
         class: &mut LineClass,
         lanes: &mut [Lane],
         events: &[TraceEvent],
         observe: bool,
-        line_scratch: &mut Vec<u64>,
-        digest_scratch: &mut Vec<u64>,
-        word_scratch: &mut Vec<u64>,
-        fill_scratch: &mut Vec<u64>,
+        scalar: bool,
+        stream: &mut Vec<u64>,
+        scratch: &mut BulkScratch,
     ) -> bool {
-        line_scratch.clear();
-        line_scratch.reserve(events.len());
-        let shift = class.shift;
-        let mut max_line = 0u64;
-        if observe {
-            for e in events {
-                let size = u64::from(e.size.max(1));
-                let first_line = e.addr >> shift;
-                let last_line = (e.addr + size - 1) >> shift;
-                class.cpu_bus.observe_cpu(e.addr);
-                line_scratch.push(first_line);
-                max_line = max_line.max(last_line);
-                for l in (first_line + 1)..=last_line {
-                    class.cpu_bus.observe_cpu(l << shift);
-                    line_scratch.push(l);
-                }
-            }
+        let (max_line, writes) = if observe {
+            build_stream::<true>(class, events, stream)
         } else {
-            for e in events {
-                let size = u64::from(e.size.max(1));
-                let first_line = e.addr >> shift;
-                let last_line = (e.addr + size - 1) >> shift;
-                line_scratch.push(first_line);
-                max_line = max_line.max(last_line);
-                for l in (first_line + 1)..=last_line {
-                    line_scratch.push(l);
-                }
-            }
-        }
-        let spanned = line_scratch.len() != events.len();
+            build_stream::<false>(class, events, stream)
+        };
+        let spanned = stream.len() != events.len();
         debug_assert!(
             observe || !spanned,
             "deferred bus accounting requires a straddle-free chunk"
         );
-        let reads = line_scratch.len() as u64;
+        let reads = stream.len() as u64 - writes;
         for &i in &class.members {
             let lane = &mut lanes[i];
-            if lane.line_buffer.is_none()
-                && lane.classifier.is_none()
-                && lane.cache.bulk_read_eligible()
-            {
-                let Lane {
-                    cache,
-                    stats,
-                    mem_bus,
-                    ..
-                } = lane;
-                let out = cache.run_read_lines(
-                    line_scratch,
-                    max_line,
-                    digest_scratch,
-                    word_scratch,
-                    fill_scratch,
-                );
-                mem_bus.observe_mem_run(fill_scratch);
-                stats.reads += reads;
-                stats.read_hits += out.hits;
-                stats.fills += out.fills;
-                stats.evictions += out.evictions;
-            } else if lane.line_buffer.is_none() {
-                for &line_addr in line_scratch.iter() {
-                    lane.access_line_bulk(line_addr, false);
+            if lane.line_buffer.is_some() {
+                // The buffer's read-hit shortcut changes per-access
+                // accounting, so buffered lanes take the full path.
+                for &e in stream.iter() {
+                    lane.access_line(e >> 1, e & 1 != 0);
                 }
-                lane.stats.reads += reads;
+                continue;
+            }
+            if !scalar && lane.classifier.is_none() && lane.cache.bulk_eligible() {
+                let out = lane.cache.run_lines(stream, max_line, writes != 0, scratch);
+                lane.mem_bus.observe_mem_run(&scratch.mem);
+                let stats = &mut lane.stats;
+                stats.read_hits += out.hits - out.write_hits;
+                stats.write_hits += out.write_hits;
+                stats.fills += out.fills;
+                stats.writebacks += out.writebacks;
+                stats.evictions += out.evictions;
             } else {
-                for &line_addr in line_scratch.iter() {
-                    lane.access_line(line_addr, false);
+                for &e in stream.iter() {
+                    lane.access_line_bulk(e >> 1, e & 1 != 0);
                 }
             }
+            lane.stats.reads += reads;
+            lane.stats.writes += writes;
         }
         spanned
     }
@@ -722,6 +626,48 @@ impl ReplayBank {
         bank.run_slice(events);
         bank.into_reports()
     }
+}
+
+/// Line number of `event`'s last byte under `2^shift`-byte lines.
+#[inline]
+fn last_line(event: &TraceEvent, shift: u32) -> u64 {
+    (event.addr + u64::from(event.size.max(1)) - 1) >> shift
+}
+
+/// Splits a chunk into `class`'s line stream — one `(line << 1) |
+/// is_write` element per line touched, the Dinero-style `-atype`
+/// splitting — driving each sub-access address onto the class's CPU bus
+/// when `OBSERVE`. Returns the largest line number and the number of
+/// write elements.
+fn build_stream<const OBSERVE: bool>(
+    class: &mut LineClass,
+    events: &[TraceEvent],
+    stream: &mut Vec<u64>,
+) -> (u64, u64) {
+    stream.clear();
+    stream.reserve(events.len());
+    let shift = class.shift;
+    let mut max_line = 0u64;
+    let mut writes = 0u64;
+    for e in events {
+        let w = u64::from(e.is_write);
+        let first_line = e.addr >> shift;
+        let last_line = last_line(e, shift);
+        if OBSERVE {
+            class.cpu_bus.observe_cpu(e.addr);
+        }
+        stream.push((first_line << 1) | w);
+        writes += w;
+        max_line = max_line.max(last_line);
+        for l in (first_line + 1)..=last_line {
+            if OBSERVE {
+                class.cpu_bus.observe_cpu(l << shift);
+            }
+            stream.push((l << 1) | w);
+            writes += w;
+        }
+    }
+    (max_line, writes)
 }
 
 #[cfg(test)]
@@ -950,8 +896,9 @@ mod tests {
     #[test]
     fn one_write_disables_bulk_for_the_rest_of_the_run() {
         // A dirty line left by an early write must still produce its
-        // writeback when a much later read evicts it — the bank may never
-        // return to the bulk path once it has seen a write.
+        // writeback when a much later read evicts it. The name predates
+        // write-aware bulk replay: every chunk here now stays on the bulk
+        // path, so this pins a writeback across a long clean stretch of it.
         let configs = [CacheConfig::new(16, 8, 1).unwrap()];
         let mut bank = ReplayBank::new(&configs);
         bank.feed(&[TraceEvent::write(0, 4)]);
@@ -960,6 +907,31 @@ mod tests {
         bank.feed(&[TraceEvent::read(16, 4)]); // evicts the dirty line
         let report = &bank.finish()[0];
         assert_eq!(report.stats.writebacks, 1);
+    }
+
+    #[test]
+    fn one_byte_lines_at_the_top_of_the_address_space_match_stepping() {
+        // A 1-byte line number at or above 2^63 leaves no spare bit for the
+        // stream's write flag; such chunks must still replay exactly.
+        let configs = [
+            CacheConfig::new(16, 1, 2).unwrap(),
+            CacheConfig::new(16, 4, 2).unwrap(),
+        ];
+        let top = 1u64 << 63;
+        let trace: Vec<TraceEvent> = (0..64u64)
+            .map(|i| match i % 4 {
+                0 => TraceEvent::write(top | (i * 16 % 64), 1),
+                1 => TraceEvent::read(i * 16 % 64, 1),
+                _ => TraceEvent::read(top | (i * 8 % 64), 2),
+            })
+            .collect();
+        let reports = ReplayBank::simulate_slice(&configs, &trace);
+        for (config, report) in configs.iter().zip(&reports) {
+            let lone = Simulator::simulate_slice(*config, &trace);
+            assert_eq!(lone.stats, report.stats, "{config}");
+            assert_eq!(lone.cpu_bus, report.cpu_bus, "{config}");
+            assert_eq!(lone.mem_bus, report.mem_bus, "{config}");
+        }
     }
 
     #[test]

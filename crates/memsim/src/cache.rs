@@ -56,13 +56,20 @@ pub struct Cache {
     stamps: Vec<u64>,
     /// Dirty flags, parallel to `keys`.
     dirty: Vec<bool>,
+    /// Set once a write-back-allocate write may have left a dirty line;
+    /// cleared only by [`flush`](Self::flush). While it is clear, a
+    /// read-only bulk scan can skip dirty bookkeeping altogether.
+    maybe_dirty: bool,
     /// Tree-PLRU direction bits (bit per internal node), one word per set,
     /// used when the policy is [`Replacement::Plru`].
     plru_bits: Vec<u64>,
     /// `line.trailing_zeros()` — precomputed, the geometry is validated.
-    line_shift: u32,
+    /// The two shifts are bytes so that they and
+    /// [`maybe_dirty`](Self::maybe_dirty) share one word: every sweep
+    /// lane embeds a `Cache`.
+    line_shift: u8,
     /// `num_sets.trailing_zeros()` — shift between line number and tag.
-    sets_shift: u32,
+    sets_shift: u8,
     /// `num_sets - 1` — mask from line number to set index.
     set_mask: u64,
     clock: u64,
@@ -78,13 +85,14 @@ impl Cache {
         };
         let lines = config.num_sets() * config.assoc();
         Cache {
-            line_shift: config.line().trailing_zeros(),
-            sets_shift: config.num_sets().trailing_zeros(),
+            line_shift: config.line().trailing_zeros() as u8,
+            sets_shift: config.num_sets().trailing_zeros() as u8,
             set_mask: config.num_sets() as u64 - 1,
             config,
             keys: vec![0; lines],
             stamps: vec![0; lines],
             dirty: vec![false; lines],
+            maybe_dirty: false,
             plru_bits: vec![0; config.num_sets()],
             clock: 0,
             rng,
@@ -98,13 +106,14 @@ impl Cache {
 
     /// `line.trailing_zeros()` — the shift from byte address to line number.
     pub fn line_shift(&self) -> u32 {
-        self.line_shift
+        u32::from(self.line_shift)
     }
 
     /// Invalidates every line, returning the cache to its initial state.
     pub fn flush(&mut self) {
         self.keys.iter_mut().for_each(|k| *k = 0);
         self.dirty.iter_mut().for_each(|d| *d = false);
+        self.maybe_dirty = false;
         self.plru_bits.iter_mut().for_each(|b| *b = 0);
         self.clock = 0;
     }
@@ -140,6 +149,10 @@ impl Cache {
         let replacement = self.config.replacement;
         let write_policy = self.config.write_policy;
         let clock = self.clock;
+        let dirties = is_write && write_policy == WritePolicy::WriteBackAllocate;
+        if dirties {
+            self.maybe_dirty = true;
+        }
 
         let base = set_idx * assoc;
         let set = &self.keys[base..base + assoc];
@@ -149,7 +162,7 @@ impl Cache {
             if replacement == Replacement::Lru {
                 self.stamps[base + way_idx] = clock;
             }
-            if is_write && write_policy == WritePolicy::WriteBackAllocate {
+            if dirties {
                 self.dirty[base + way_idx] = true;
             }
             if replacement == Replacement::Plru {
@@ -196,8 +209,7 @@ impl Cache {
         let victim = base + victim_idx;
         let old_key = self.keys[victim];
         let (writeback, evicted) = if old_key != 0 {
-            let evicted_line = ((old_key >> 1) << self.sets_shift) | set_idx as u64;
-            let evicted_base = evicted_line << self.line_shift;
+            let evicted_base = line_base(old_key, set_idx, self.sets_shift, self.line_shift);
             (
                 self.dirty[victim].then_some(evicted_base),
                 Some(evicted_base),
@@ -208,7 +220,7 @@ impl Cache {
 
         self.keys[victim] = key;
         self.stamps[victim] = clock;
-        self.dirty[victim] = is_write && write_policy == WritePolicy::WriteBackAllocate;
+        self.dirty[victim] = dirties;
         if replacement == Replacement::Plru {
             touch_plru(&mut self.plru_bits[set_idx], victim_idx, assoc);
         }
@@ -221,111 +233,247 @@ impl Cache {
         }
     }
 
-    /// Whether [`run_read_lines`](Self::run_read_lines) reproduces this
-    /// cache's canonical behaviour. The bulk path specializes the two
+    /// Whether [`run_lines`](Self::run_lines) reproduces this cache's
+    /// canonical behaviour. The bulk path specializes the two
     /// stamp-ordered policies (LRU and FIFO) up to 8 ways — the widest
-    /// associativity whose per-way tag digests fit one `u64` word. PLRU
-    /// and seeded-random lanes keep the scalar loop: their replacement
-    /// state (tree bits, RNG draws) is advanced per access and gains
-    /// nothing from the packed probe.
-    pub(crate) fn bulk_read_eligible(&self) -> bool {
+    /// associativity whose per-way tag digests fit one `u64` word — under
+    /// either write policy. PLRU and seeded-random lanes keep the scalar
+    /// loop: their replacement state (tree bits, RNG draws) is advanced
+    /// per access and gains nothing from the packed probe.
+    pub(crate) fn bulk_eligible(&self) -> bool {
         matches!(
             self.config.replacement,
             Replacement::Lru | Replacement::Fifo
         ) && matches!(self.config.assoc(), 1 | 2 | 4 | 8)
     }
 
-    /// Replays a read-only stream of line numbers through the cache in one
-    /// tight scan — the bulk-lane fast path of
+    /// Replays a stream of line accesses through the cache in one tight
+    /// scan — the bulk-lane fast path of
     /// [`ReplayBank`](crate::ReplayBank).
     ///
-    /// Equivalent to calling [`access_line`](Self::access_line) with
-    /// `is_write == false` for each element, under two preconditions the
-    /// bank enforces (debug-asserted here):
+    /// Each element is `(line << 1) | is_write`; `max_line` bounds the
+    /// stream's line numbers and `has_writes` says whether any element
+    /// carries the write flag. The scan is equivalent to calling
+    /// [`access_line`](Self::access_line) on each element in turn,
+    /// provided [`bulk_eligible`](Self::bulk_eligible) holds
+    /// (debug-asserted).
     ///
-    /// * [`bulk_read_eligible`](Self::bulk_read_eligible) holds, and
-    /// * the cache holds **no dirty lines** (the bank routes every stream
-    ///   through the scalar path once it has seen a single write), so a
-    ///   read miss can never trigger a writeback.
+    /// Every memory-side transfer is appended to `scratch.mem` in scalar
+    /// order — an access's fill, then the writeback of the dirty line it
+    /// evicted — so the caller drives the memory bus from it in one
+    /// predictable scan after the loop. Counters come back in bulk; the
+    /// caller adds the read/write totals itself (a property of the
+    /// stream, not the lane).
     ///
-    /// Each fill's line-aligned byte address is appended to `fill_scratch`
-    /// in access order — the caller drives the memory-side bus from it in
-    /// one predictable scan after the loop. Counters come back in bulk;
-    /// the caller adds the read total itself (a property of the stream,
-    /// not the lane).
+    /// Each tier is monomorphized on whether dirty state can matter: a
+    /// write in the stream, or a dirty line possibly left by an earlier
+    /// one. A read-only stream through a clean cache — every kernel
+    /// trace — carries no dirty bookkeeping at all; carrying it anyway
+    /// slows kernel-trace replay by about half (DESIGN.md §4m).
     ///
     /// Direct-mapped lanes skip the `stamps`/`clock` bookkeeping entirely:
     /// with one way per set the victim is always way 0 and the stamp array
     /// is never read back, for this or any later access. Set-associative
-    /// lanes maintain `stamps` and `clock` exactly as the scalar path
-    /// does, probing via a per-set SWAR digest word (8 bits per way:
-    /// valid bit + 7 tag bits) rebuilt from the canonical arrays once per
-    /// call — hits and invalid ways resolve with bitwise compares instead
-    /// of a per-way scan.
-    pub(crate) fn run_read_lines(
+    /// lanes take the exact packed-recency tier when every tag fits 15
+    /// bits, else a per-set SWAR digest word (8 bits per way: valid bit +
+    /// 7 tag bits) probing the canonical arrays — hits and invalid ways
+    /// resolve with bitwise compares instead of a per-way scan.
+    pub(crate) fn run_lines(
         &mut self,
-        lines: &[u64],
+        stream: &[u64],
         max_line: u64,
-        digest_scratch: &mut Vec<u64>,
-        word_scratch: &mut Vec<u64>,
-        fill_scratch: &mut Vec<u64>,
-    ) -> BulkReadOutcome {
-        debug_assert!(self.bulk_read_eligible());
+        has_writes: bool,
+        scratch: &mut BulkScratch,
+    ) -> BulkOutcome {
+        debug_assert!(self.bulk_eligible());
+        self.maybe_dirty |=
+            has_writes && self.config.write_policy == WritePolicy::WriteBackAllocate;
+        if has_writes || self.maybe_dirty {
+            self.run_lines_with::<true>(stream, max_line, scratch)
+        } else {
+            self.run_lines_with::<false>(stream, max_line, scratch)
+        }
+    }
+
+    /// [`run_lines`](Self::run_lines) with the dirty-state question
+    /// settled at compile time: `W == false` promises a read-only stream
+    /// and an all-clean cache, so no read miss can ever write back.
+    fn run_lines_with<const W: bool>(
+        &mut self,
+        stream: &[u64],
+        max_line: u64,
+        scratch: &mut BulkScratch,
+    ) -> BulkOutcome {
         debug_assert!(
-            self.dirty.iter().all(|&d| !d),
-            "bulk read replay requires an all-clean cache"
+            W || self.dirty.iter().all(|&d| !d),
+            "clean bulk replay requires an all-clean cache"
         );
-        fill_scratch.clear();
-        let mut out = BulkReadOutcome::default();
+        let BulkScratch {
+            digests,
+            words,
+            mem,
+        } = scratch;
+        mem.clear();
+        let mut out = BulkOutcome::default();
+        // When every tag in the stream and in the cache fits 15 bits, a
+        // set's whole state — keys *and* recency order — packs into exact
+        // 16-bit way entries (one u64 word for 2/4 ways, a word pair for
+        // 8), and the probe needs no confirming key load and the miss no
+        // stamp scan. Wider tags (real `.din` address streams) take the
+        // 7-bit-digest probe, which accelerates but never replaces the
+        // canonical arrays. The exact tier checks the resident keys as it
+        // packs them and declines, leaving the cache untouched, if a line
+        // left by an earlier wide-tag scan is too wide.
+        let narrow = (max_line >> self.sets_shift) < (1 << 15);
+        let assoc = self.config.assoc();
+        let packed = match (narrow, assoc) {
+            (_, 1) => {
+                self.run_lines_direct::<W>(stream, mem, &mut out);
+                true
+            }
+            (true, 2) => self.run_lines_exact::<2, W>(stream, words, mem, &mut out),
+            (true, 4) => self.run_lines_exact::<4, W>(stream, words, mem, &mut out),
+            (true, 8) => self.run_lines_exact8::<W>(stream, words, mem, &mut out),
+            _ => false,
+        };
+        if !packed {
+            match assoc {
+                2 => self.run_lines_swar::<2, W>(stream, digests, mem, &mut out),
+                4 => self.run_lines_swar::<4, W>(stream, digests, mem, &mut out),
+                8 => self.run_lines_swar::<8, W>(stream, digests, mem, &mut out),
+                _ => unreachable!("bulk_eligible gates associativity"),
+            }
+        }
+        out.fills = mem.len() as u64 - out.writebacks;
+        out
+    }
+
+    /// Direct-mapped bulk scan: the set's one key is the whole state. The
+    /// dirty flag lives in the canonical `dirty` array.
+    fn run_lines_direct<const W: bool>(
+        &mut self,
+        stream: &[u64],
+        mem: &mut Vec<u64>,
+        out: &mut BulkOutcome,
+    ) {
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
-        let assoc = self.config.assoc();
-
-        if assoc == 1 {
-            let keys = &mut self.keys[..];
-            // The extra `& (len - 1)` is a no-op (sets are a power of
-            // two) that lets the compiler prove the index in bounds.
-            let idx_mask = keys.len() - 1;
-            for &line in lines {
-                let set = (line & set_mask) as usize & idx_mask;
-                let key = ((line >> sets_shift) << 1) | 1;
-                let old = keys[set];
+        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
+        let keys = &mut self.keys[..];
+        let dirty = &mut self.dirty[..];
+        // The extra `& (len - 1)` is a no-op (sets are a power of two)
+        // that lets the compiler prove the index in bounds.
+        let idx_mask = keys.len() - 1;
+        for &e in stream {
+            let line = e >> 1;
+            let set = (line & set_mask) as usize & idx_mask;
+            let key = ((line >> sets_shift) << 1) | 1;
+            let old = keys[set];
+            if !W {
                 keys[set] = key;
                 if old == key {
                     out.hits += 1;
                 } else {
                     out.evictions += u64::from(old != 0);
-                    fill_scratch.push(line << line_shift);
+                    mem.push(line << line_shift);
+                }
+                continue;
+            }
+            let dirty_in = e & write_back;
+            if old == key {
+                out.hits += 1;
+                out.write_hits += e & 1;
+                dirty[set] |= dirty_in != 0;
+                continue;
+            }
+            if e & 1 > write_back {
+                continue; // write-through no-allocate miss: memory only
+            }
+            keys[set] = key;
+            out.evictions += u64::from(old != 0);
+            mem.push(line << line_shift);
+            let writeback = u64::from(dirty[set]);
+            out.writebacks += writeback;
+            push_if(mem, line_base(old, set, sets_shift, line_shift), writeback);
+            dirty[set] = dirty_in != 0;
+        }
+        self.clock += stream.len() as u64;
+    }
+
+    /// Packs every set for the exact tier, `stride` words per set: its
+    /// ways newest-first — recency order for LRU, fill order for FIFO —
+    /// as 16-bit entries, slot `i` at bits `16 * (i % 4)` of word `i / 4`,
+    /// and under `W` slot `i`'s dirty flag at bit `i` of the set's last
+    /// word. Invalid ways (key 0, stamp 0) sink to the oldest slots; valid
+    /// stamps are ≥ 1 and unique within a set. Returns `false` if a
+    /// resident key does not fit its entry (a line left by an earlier
+    /// wide-tag scan); the cache itself is never touched.
+    fn pack_sets<const A: usize, const W: bool>(
+        &self,
+        words: &mut Vec<u64>,
+        stride: usize,
+    ) -> bool {
+        let (key_sets, _) = self.keys.as_chunks::<A>();
+        let (stamp_sets, _) = self.stamps.as_chunks::<A>();
+        let (dirty_sets, _) = self.dirty.as_chunks::<A>();
+        words.clear();
+        words.resize(key_sets.len() * stride, 0);
+        let mut resident = 0;
+        for (((keys, stamps), dirty), set_words) in key_sets
+            .iter()
+            .zip(stamp_sets)
+            .zip(dirty_sets)
+            .zip(words.chunks_exact_mut(stride))
+        {
+            // Newest-first insertion sort of the way indices by stamp.
+            let mut order: [(u64, usize); A] = [(0, 0); A];
+            for (j, &stamp) in stamps.iter().enumerate() {
+                let entry = (stamp, j);
+                let mut k = j;
+                while k > 0 && order[k - 1].0 < entry.0 {
+                    order[k] = order[k - 1];
+                    k -= 1;
+                }
+                order[k] = entry;
+            }
+            for (i, &(_, j)) in order.iter().enumerate() {
+                resident |= keys[j];
+                set_words[i / 4] |= keys[j] << (16 * (i % 4));
+                if W {
+                    set_words[stride - 1] |= u64::from(dirty[j]) << i;
                 }
             }
-            out.fills = fill_scratch.len() as u64;
-            self.clock += lines.len() as u64;
-            return out;
         }
+        resident <= 0xffff
+    }
 
-        // When every tag in the stream fits 15 bits, a set's whole state —
-        // keys *and* recency order — packs into exact 16-bit way entries
-        // (one u64 word for 2/4 ways, a word pair for 8), and the probe
-        // needs no confirming key load and the miss no stamp scan. Wider
-        // tags (real `.din` address streams) take the 7-bit-digest probe,
-        // which accelerates but never replaces the canonical arrays.
-        let narrow = (max_line >> sets_shift) < (1 << 15);
-        match (narrow, assoc) {
-            (true, 2) => {
-                self.run_read_lines_exact::<2>(lines, word_scratch, fill_scratch, &mut out)
+    /// Writes packed sets back to the canonical arrays — the inverse of
+    /// [`pack_sets`](Self::pack_sets) up to way order: slot `i` becomes
+    /// way `i` with stamp `clock − i` (and, under `W`, slot `i`'s dirty
+    /// flag). This keeps newest-first stamp order; a set's valid slots
+    /// never outnumber its accesses, so valid stamps stay ≥ 1 and future
+    /// fills (stamped > clock) stay newest.
+    fn unpack_sets<const A: usize, const W: bool>(&mut self, words: &[u64], stride: usize) {
+        let clock = self.clock;
+        let (key_sets, _) = self.keys.as_chunks_mut::<A>();
+        let (stamp_sets, _) = self.stamps.as_chunks_mut::<A>();
+        let (dirty_sets, _) = self.dirty.as_chunks_mut::<A>();
+        for (((keys, stamps), dirty), set_words) in key_sets
+            .iter_mut()
+            .zip(stamp_sets)
+            .zip(dirty_sets)
+            .zip(words.chunks_exact(stride))
+        {
+            for i in 0..A {
+                let key = (set_words[i / 4] >> (16 * (i % 4))) & 0xffff;
+                keys[i] = key;
+                stamps[i] = if key == 0 { 0 } else { clock - i as u64 };
+                if W {
+                    dirty[i] = (set_words[stride - 1] >> i) & 1 != 0;
+                }
             }
-            (true, 4) => {
-                self.run_read_lines_exact::<4>(lines, word_scratch, fill_scratch, &mut out)
-            }
-            (true, 8) => self.run_read_lines_exact8(lines, word_scratch, fill_scratch, &mut out),
-            (_, 2) => self.run_read_lines_swar::<2>(lines, digest_scratch, fill_scratch, &mut out),
-            (_, 4) => self.run_read_lines_swar::<4>(lines, digest_scratch, fill_scratch, &mut out),
-            (_, 8) => self.run_read_lines_swar::<8>(lines, digest_scratch, fill_scratch, &mut out),
-            _ => unreachable!("bulk_read_eligible gates associativity"),
         }
-        out.fills = fill_scratch.len() as u64;
-        out
     }
 
     /// Exact packed-recency bulk scan, monomorphized per associativity:
@@ -342,215 +490,244 @@ impl Cache {
     ///   of `(word << 16) | key`; a zero entry was an invalid way (no
     ///   eviction). No stamp scan, no invalid-way scan.
     ///
-    /// Words are rebuilt from the canonical `keys`/`stamps` arrays at scan
-    /// start (sorting each set's ways newest-first) and written back at
-    /// scan end: slot `i` becomes way `i` with stamp `clock − i`. Ways are
-    /// interchangeable — sets carry no way identity, only membership and
-    /// stamp *order*, both of which the write-back preserves exactly — so
-    /// a later scalar scan, digest scan, or rebuilt exact scan continues
-    /// bit-identically.
-    fn run_read_lines_exact<const A: usize>(
+    /// With dirty state in play (`W`) each set owns a second word: an
+    /// `A`-bit dirty mask in the same slot order (bit `i` = slot `i`),
+    /// permuted in lockstep with the entries — a hit moves its bit to the
+    /// front, a miss shifts the mask and the bit falling off the top says
+    /// whether the victim writes back. The entries keep all 16 bits, so
+    /// the 15-bit tag eligibility is the same as for a clean scan.
+    ///
+    /// Words are rebuilt from the canonical `keys`/`stamps`/`dirty` arrays
+    /// at scan start (sorting each set's ways newest-first) and written
+    /// back at scan end: slot `i` becomes way `i` with stamp `clock − i`
+    /// and slot `i`'s dirty bit. Ways are interchangeable — sets carry no
+    /// way identity, only membership, stamp *order* and per-line dirty
+    /// state, all of which the write-back preserves exactly — so a later
+    /// scalar scan, digest scan, or rebuilt exact scan continues
+    /// bit-identically. Returns `false`, having changed nothing, when a
+    /// resident key does not fit its 16-bit entry.
+    fn run_lines_exact<const A: usize, const W: bool>(
         &mut self,
-        lines: &[u64],
-        word_scratch: &mut Vec<u64>,
-        fill_scratch: &mut Vec<u64>,
-        out: &mut BulkReadOutcome,
-    ) {
+        stream: &[u64],
+        words: &mut Vec<u64>,
+        mem: &mut Vec<u64>,
+        out: &mut BulkOutcome,
+    ) -> bool {
         debug_assert_eq!(A, self.config.assoc());
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
-        let sets = self.config.num_sets();
         let is_lru = self.config.replacement == Replacement::Lru;
+        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
         let word_mask: u64 = if 16 * A == 64 {
             u64::MAX
         } else {
             (1u64 << (16 * A)) - 1
         };
+        let stride = 1 + usize::from(W);
 
-        word_scratch.clear();
-        word_scratch.resize(sets, 0);
-        for (s, word) in word_scratch.iter_mut().enumerate() {
-            let base = s * A;
-            // Newest-first insertion sort of the set's valid ways; invalid
-            // ways (key 0) have stamp 0 and sink to the top slots as zero
-            // entries. Valid stamps are ≥ 1 and unique within a set.
-            let mut order: [(u64, u64); A] = [(0, 0); A];
-            for j in 0..A {
-                let entry = (self.stamps[base + j], self.keys[base + j]);
-                let mut k = j;
-                while k > 0 && order[k - 1].0 < entry.0 {
-                    order[k] = order[k - 1];
-                    k -= 1;
-                }
-                order[k] = entry;
-            }
-            for (i, &(_, key)) in order.iter().enumerate() {
-                *word |= key << (16 * i);
-            }
+        if !self.pack_sets::<A, W>(words, stride) {
+            return false;
         }
 
-        let words = &mut word_scratch[..];
-        let idx_mask = words.len() - 1;
-        let fills_before = fill_scratch.len();
-        for &line in lines {
+        let words = &mut words[..];
+        let idx_mask = words.len() / stride - 1;
+        let fills_before = mem.len();
+        for &e in stream {
+            let line = e >> 1;
             let set = (line & set_mask) as usize & idx_mask;
+            let at = set * stride;
             let key = ((line >> sets_shift) << 1) | 1;
-            let w = words[set];
+            let dirty_in = e & write_back;
+            let w = words[at];
             let x = w ^ (key * EXACT16_LO);
             let zeros = x.wrapping_sub(EXACT16_LO) & !x & EXACT16_HI & word_mask;
             if zeros != 0 {
+                if W {
+                    out.hits += 1;
+                    out.write_hits += e & 1;
+                }
                 // Slot 0 is already MRU — skip the reorder store so the
                 // next probe of this set needs no forwarded load.
                 if is_lru && zeros & 0x8000 == 0 {
                     let slot = (zeros.trailing_zeros() / 16) as usize;
                     let below = (1u64 << (16 * slot)) - 1;
-                    words[set] = (w & !((below << 16) | 0xffff)) | ((w & below) << 16) | key;
+                    words[at] = (w & !((below << 16) | 0xffff)) | ((w & below) << 16) | key;
+                    if W {
+                        words[at + 1] = mask_to_front(words[at + 1], slot, dirty_in);
+                    }
+                } else if W {
+                    words[at + 1] |= dirty_in << (zeros.trailing_zeros() / 16);
                 }
                 continue;
             }
+            if W && e & 1 > write_back {
+                continue; // write-through no-allocate miss: memory only
+            }
             let evicted = (w >> (16 * (A - 1))) & 0xffff;
             out.evictions += u64::from(evicted != 0);
-            words[set] = ((w << 16) & word_mask) | key;
-            fill_scratch.push(line << line_shift);
-        }
-        // Hits are the complement of the misses this scan appended.
-        out.hits += (lines.len() - (fill_scratch.len() - fills_before)) as u64;
-
-        // Write back: slot i → way i. `clock − i` keeps newest-first stamp
-        // order; a set's valid slots never outnumber its accesses, so
-        // valid stamps stay ≥ 1 and future fills (stamped > clock) stay
-        // newest.
-        self.clock += lines.len() as u64;
-        for (s, &word) in word_scratch.iter().enumerate() {
-            let base = s * A;
-            for i in 0..A {
-                let key = (word >> (16 * i)) & 0xffff;
-                self.keys[base + i] = key;
-                self.stamps[base + i] = if key == 0 { 0 } else { self.clock - i as u64 };
+            words[at] = ((w << 16) & word_mask) | key;
+            mem.push(line << line_shift);
+            if W {
+                let d = words[at + 1];
+                let writeback = d >> (A - 1);
+                out.writebacks += writeback;
+                push_if(
+                    mem,
+                    line_base(evicted, set, sets_shift, line_shift),
+                    writeback,
+                );
+                words[at + 1] = ((d << 1) & ((1 << A) - 1)) | dirty_in;
             }
         }
+        if !W {
+            // Hits are the complement of the misses this scan appended.
+            out.hits += (stream.len() - (mem.len() - fills_before)) as u64;
+        }
+
+        self.clock += stream.len() as u64;
+        self.unpack_sets::<A, W>(words, stride);
+        true
     }
 
-    /// [`run_read_lines_exact`](Self::run_read_lines_exact) for 8-way
-    /// sets: the recency sequence spans a *pair* of u64 words — `lo`
-    /// holds slots 0–3 (newest first), `hi` slots 4–7 — kept as two
-    /// plain u64s rather than one u128 so every store forwards cleanly
-    /// to the next probe of the same set. A miss shifts both words with
-    /// `lo`'s top entry carrying into `hi`; an LRU hit in `hi` removes
-    /// the entry there and pushes `lo`'s top entry down as it reinserts
-    /// the key at slot 0.
-    fn run_read_lines_exact8(
+    /// [`run_lines_exact`](Self::run_lines_exact) for 8-way sets: the
+    /// recency sequence spans a *pair* of u64 words — `lo` holds slots
+    /// 0–3 (newest first), `hi` slots 4–7 — kept as two plain u64s rather
+    /// than one u128 so every store forwards cleanly to the next probe of
+    /// the same set. A miss shifts both words with `lo`'s top entry
+    /// carrying into `hi`; an LRU hit in `hi` removes the entry there and
+    /// pushes `lo`'s top entry down as it reinserts the key at slot 0.
+    /// With dirty state in play the set's third word is its 8-bit dirty
+    /// mask, permuted over the global slot numbers 0–7.
+    fn run_lines_exact8<const W: bool>(
         &mut self,
-        lines: &[u64],
-        word_scratch: &mut Vec<u64>,
-        fill_scratch: &mut Vec<u64>,
-        out: &mut BulkReadOutcome,
-    ) {
+        stream: &[u64],
+        words: &mut Vec<u64>,
+        mem: &mut Vec<u64>,
+        out: &mut BulkOutcome,
+    ) -> bool {
         const A: usize = 8;
         debug_assert_eq!(A, self.config.assoc());
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
-        let sets = self.config.num_sets();
         let is_lru = self.config.replacement == Replacement::Lru;
+        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
+        let stride = 2 + usize::from(W);
 
-        word_scratch.clear();
-        word_scratch.resize(sets * 2, 0);
-        for s in 0..sets {
-            let base = s * A;
-            let mut order: [(u64, u64); A] = [(0, 0); A];
-            for j in 0..A {
-                let entry = (self.stamps[base + j], self.keys[base + j]);
-                let mut k = j;
-                while k > 0 && order[k - 1].0 < entry.0 {
-                    order[k] = order[k - 1];
-                    k -= 1;
-                }
-                order[k] = entry;
-            }
-            for (i, &(_, key)) in order.iter().enumerate() {
-                word_scratch[s * 2 + i / 4] |= key << (16 * (i % 4));
-            }
+        if !self.pack_sets::<A, W>(words, stride) {
+            return false;
         }
 
-        let words = &mut word_scratch[..];
-        let idx_mask = words.len() / 2 - 1;
-        let fills_before = fill_scratch.len();
-        for &line in lines {
+        let words = &mut words[..];
+        let idx_mask = words.len() / stride - 1;
+        let fills_before = mem.len();
+        for &e in stream {
+            let line = e >> 1;
             let set = (line & set_mask) as usize & idx_mask;
+            let at = set * stride;
             let key = ((line >> sets_shift) << 1) | 1;
-            let lo = words[set * 2];
-            let hi = words[set * 2 + 1];
+            let dirty_in = e & write_back;
+            let lo = words[at];
+            let hi = words[at + 1];
             let splat = key * EXACT16_LO;
             let xl = lo ^ splat;
             let zl = xl.wrapping_sub(EXACT16_LO) & !xl & EXACT16_HI;
             if zl != 0 {
+                if W {
+                    out.hits += 1;
+                    out.write_hits += e & 1;
+                }
                 // Slot 0 is already MRU — skip the reorder store so the
                 // next probe of this set needs no forwarded load.
                 if is_lru && zl & 0x8000 == 0 {
                     let slot = (zl.trailing_zeros() / 16) as usize;
                     let below = (1u64 << (16 * slot)) - 1;
-                    words[set * 2] = (lo & !((below << 16) | 0xffff)) | ((lo & below) << 16) | key;
+                    words[at] = (lo & !((below << 16) | 0xffff)) | ((lo & below) << 16) | key;
+                    if W {
+                        words[at + 2] = mask_to_front(words[at + 2], slot, dirty_in);
+                    }
+                } else if W {
+                    words[at + 2] |= dirty_in << (zl.trailing_zeros() / 16);
                 }
                 continue;
             }
             let xh = hi ^ splat;
             let zh = xh.wrapping_sub(EXACT16_LO) & !xh & EXACT16_HI;
             if zh != 0 {
+                let slot = (zh.trailing_zeros() / 16) as usize;
+                if W {
+                    out.hits += 1;
+                    out.write_hits += e & 1;
+                }
                 if is_lru {
-                    let slot = (zh.trailing_zeros() / 16) as usize;
                     let below = (1u64 << (16 * slot)) - 1;
                     // The key leaves `hi`; lo's oldest entry slides down
                     // into hi's slot 0 as the key re-enters lo at slot 0.
-                    words[set * 2 + 1] =
+                    words[at + 1] =
                         (hi & !((below << 16) | 0xffff)) | ((hi & below) << 16) | (lo >> 48);
-                    words[set * 2] = (lo << 16) | key;
+                    words[at] = (lo << 16) | key;
+                    if W {
+                        words[at + 2] = mask_to_front(words[at + 2], 4 + slot, dirty_in);
+                    }
+                } else if W {
+                    words[at + 2] |= dirty_in << (4 + slot);
                 }
                 continue;
             }
+            if W && e & 1 > write_back {
+                continue; // write-through no-allocate miss: memory only
+            }
             let evicted = hi >> 48;
             out.evictions += u64::from(evicted != 0);
-            words[set * 2 + 1] = (hi << 16) | (lo >> 48);
-            words[set * 2] = (lo << 16) | key;
-            fill_scratch.push(line << line_shift);
-        }
-        out.hits += (lines.len() - (fill_scratch.len() - fills_before)) as u64;
-
-        self.clock += lines.len() as u64;
-        for s in 0..sets {
-            let base = s * A;
-            for i in 0..A {
-                let key = (word_scratch[s * 2 + i / 4] >> (16 * (i % 4))) & 0xffff;
-                self.keys[base + i] = key;
-                self.stamps[base + i] = if key == 0 { 0 } else { self.clock - i as u64 };
+            words[at + 1] = (hi << 16) | (lo >> 48);
+            words[at] = (lo << 16) | key;
+            mem.push(line << line_shift);
+            if W {
+                let d = words[at + 2];
+                let writeback = d >> (A - 1);
+                out.writebacks += writeback;
+                push_if(
+                    mem,
+                    line_base(evicted, set, sets_shift, line_shift),
+                    writeback,
+                );
+                words[at + 2] = ((d << 1) & 0xff) | dirty_in;
             }
         }
+        if !W {
+            out.hits += (stream.len() - (mem.len() - fills_before)) as u64;
+        }
+
+        self.clock += stream.len() as u64;
+        self.unpack_sets::<A, W>(words, stride);
+        true
     }
 
-    /// Set-associative bulk scan, monomorphized per associativity: each
-    /// set's ways pack into
-    /// one SWAR digest word (8 bits per way: valid marker + 7 tag bits),
-    /// rebuilt from the canonical arrays once per call, so a probe is one
-    /// load plus bitwise compares instead of eight key loads.
-    fn run_read_lines_swar<const A: usize>(
+    /// Set-associative bulk scan for wide tags, monomorphized per
+    /// associativity: each set's ways pack into one SWAR digest word (8
+    /// bits per way: valid marker + 7 tag bits), rebuilt from the
+    /// canonical arrays once per call, so a probe is one load plus
+    /// bitwise compares instead of eight key loads. Keys, stamps and
+    /// dirty flags stay in the canonical arrays.
+    fn run_lines_swar<const A: usize, const W: bool>(
         &mut self,
-        lines: &[u64],
-        digest_scratch: &mut Vec<u64>,
-        fill_scratch: &mut Vec<u64>,
-        out: &mut BulkReadOutcome,
+        stream: &[u64],
+        digests: &mut Vec<u64>,
+        mem: &mut Vec<u64>,
+        out: &mut BulkOutcome,
     ) {
-        let assoc = A;
-        debug_assert_eq!(assoc, self.config.assoc());
+        debug_assert_eq!(A, self.config.assoc());
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
         let sets = self.config.num_sets();
-        digest_scratch.clear();
-        digest_scratch.resize(sets, 0);
-        for (s, word) in digest_scratch.iter_mut().enumerate() {
-            let base = s * assoc;
-            for j in 0..assoc {
+        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
+        digests.clear();
+        digests.resize(sets, 0);
+        for (s, word) in digests.iter_mut().enumerate() {
+            let base = s * A;
+            for j in 0..A {
                 let k = self.keys[base + j];
                 if k != 0 {
                     *word |= digest_byte(k) << (8 * j);
@@ -561,14 +738,17 @@ impl Cache {
         let is_lru = self.config.replacement == Replacement::Lru;
         let keys = &mut self.keys[..];
         let stamps = &mut self.stamps[..];
-        let digests = &mut digest_scratch[..];
+        let dirty = &mut self.dirty[..];
+        let digests = &mut digests[..];
         let idx_mask = digests.len() - 1;
         let mut clock = self.clock;
-        for &line in lines {
+        for &e in stream {
             clock += 1;
+            let line = e >> 1;
             let set = (line & set_mask) as usize & idx_mask;
             let key = ((line >> sets_shift) << 1) | 1;
-            let base = set * assoc;
+            let dirty_in = e & write_back;
+            let base = set * A;
             let d = digests[set];
             // Splat the probe byte across all 8 lanes; zero bytes of the
             // XOR mark candidate ways (7-bit digest collisions are
@@ -582,6 +762,9 @@ impl Cache {
                     if is_lru {
                         stamps[base + j] = clock;
                     }
+                    if W {
+                        dirty[base + j] |= dirty_in != 0;
+                    }
                     hit = true;
                     break;
                 }
@@ -589,7 +772,13 @@ impl Cache {
             }
             if hit {
                 out.hits += 1;
+                if W {
+                    out.write_hits += e & 1;
+                }
                 continue;
+            }
+            if W && e & 1 > write_back {
+                continue; // write-through no-allocate miss: memory only
             }
             // Miss: first invalid way (a clear 0x80 bit), else the
             // stamp-minimal way — identical victim choice to the scalar
@@ -601,7 +790,7 @@ impl Cache {
                 out.evictions += 1;
                 let mut v = 0;
                 let mut best = stamps[base];
-                for j in 1..assoc {
+                for j in 1..A {
                     if stamps[base + j] < best {
                         best = stamps[base + j];
                         v = j;
@@ -609,10 +798,17 @@ impl Cache {
                 }
                 v
             };
+            let old = keys[base + victim];
             keys[base + victim] = key;
             stamps[base + victim] = clock;
             digests[set] = (d & !(0xffu64 << (8 * victim))) | (digest_byte(key) << (8 * victim));
-            fill_scratch.push(line << line_shift);
+            mem.push(line << line_shift);
+            if W {
+                let writeback = u64::from(dirty[base + victim]);
+                out.writebacks += writeback;
+                push_if(mem, line_base(old, set, sets_shift, line_shift), writeback);
+                dirty[base + victim] = dirty_in != 0;
+            }
         }
         self.clock = clock;
     }
@@ -633,13 +829,55 @@ impl Cache {
     }
 }
 
-/// Counters accumulated by one [`Cache::run_read_lines`] scan. Read
+/// Counters accumulated by one [`Cache::run_lines`] scan. `hits` covers
+/// reads and writes (`write_hits` of them are writes); read and write
 /// totals are a property of the stream and stay with the caller.
 #[derive(Clone, Copy, Default, Debug)]
-pub(crate) struct BulkReadOutcome {
+pub(crate) struct BulkOutcome {
     pub hits: u64,
+    pub write_hits: u64,
     pub fills: u64,
+    pub writebacks: u64,
     pub evictions: u64,
+}
+
+/// Reusable buffers of [`Cache::run_lines`], owned by the caller so one
+/// allocation serves every lane and every chunk.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BulkScratch {
+    /// Per-set SWAR digest words of the wide-tag tier.
+    digests: Vec<u64>,
+    /// Per-set packed-recency words (and dirty masks) of the exact tier.
+    words: Vec<u64>,
+    /// Memory-side transfers of the last scan — fills and writebacks, in
+    /// access order.
+    pub mem: Vec<u64>,
+}
+
+/// Line-aligned byte address of the line stored as `key` in set `set`.
+#[inline]
+fn line_base(key: u64, set: usize, sets_shift: u8, line_shift: u8) -> u64 {
+    (((key >> 1) << sets_shift) | set as u64) << line_shift
+}
+
+/// Appends `addr` to `mem` when `keep` is 1 and not when it is 0, without
+/// a data-dependent branch (whether a victim is dirty is a coin flip on
+/// write-heavy traces).
+#[inline]
+fn push_if(mem: &mut Vec<u64>, addr: u64, keep: u64) {
+    mem.push(addr);
+    let len = mem.len() - 1 + keep as usize;
+    mem.truncate(len);
+}
+
+/// Moves bit `slot` of a slot-ordered mask to slot 0 (OR-ing in `bit`),
+/// shifting the slots in front of it back by one — the dirty-mask twin of
+/// an LRU move-to-front on the packed entries.
+#[inline]
+fn mask_to_front(mask: u64, slot: usize, bit: u64) -> u64 {
+    let below = (1u64 << slot) - 1;
+    let moved = ((mask >> slot) & 1) | bit;
+    (mask & !((below << 1) | 1)) | ((mask & below) << 1) | moved
 }
 
 /// `0x01` repeated — the SWAR splat multiplier.

@@ -6,9 +6,13 @@
 //! vs shifts, per-byte splitting vs arithmetic line walks — so agreement
 //! on every counter across random traces is strong evidence both address
 //! paths are right.
+//!
+//! The bulk lane scans of a [`ReplayBank`] are checked against the same
+//! reference in `bank_differential.rs`; the wide-then-narrow tier switch
+//! is pinned here.
 
 use memsim::reference::ReferenceCache;
-use memsim::{CacheConfig, Replacement, Simulator, TraceEvent, WritePolicy};
+use memsim::{CacheConfig, Replacement, ReplayBank, Simulator, TraceEvent, WritePolicy};
 use proptest::prelude::*;
 
 /// Random traces with unaligned, line-spanning, and zero-size accesses.
@@ -120,4 +124,25 @@ fn empty_trace_yields_zeroed_stats() {
     assert_eq!(optimized, reference);
     assert_eq!(optimized.accesses(), 0);
     assert_eq!(optimized.miss_rate(), 0.0);
+}
+
+#[test]
+fn wide_resident_line_keeps_a_narrow_chunk_exact() {
+    // A wide-tag line left resident by one chunk must not be truncated
+    // into a 16-bit packed entry when the next chunk's own tags are
+    // narrow: line 0 would then alias the wide line and hit.
+    let cfg = CacheConfig::new(1024, 16, 2).expect("valid");
+    let trace = [
+        TraceEvent::read(1 << 36, 4),
+        TraceEvent::read(0, 4),
+        TraceEvent::read(1024, 4),
+        TraceEvent::read(2048, 4),
+    ];
+    let mut bank = ReplayBank::new(&[cfg]);
+    for event in trace.chunks(1) {
+        bank.feed(event);
+    }
+    let report = bank.finish().pop().expect("one lane");
+    assert_eq!(report.stats, ReferenceCache::simulate(cfg, trace));
+    assert_eq!(report.stats.read_hits, 0);
 }

@@ -10,7 +10,7 @@ use loopir::kernels;
 use memexplore::obs::{Event, EventKind, FieldValue};
 use memexplore::{
     CheckpointPolicy, DesignSpace, Engine, Explorer, Obs, ObsConfig, ObsSink, RunReport,
-    SweepOptions,
+    SweepOptions, TraceWorkload,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -326,4 +326,44 @@ fn supervised_log_reconciles_with_telemetry_and_survives_resume() {
     assert_eq!(report2.designs_done as usize, designs.len());
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn din_sweep_logs_parse_time_within_each_scan_unit() {
+    // A write-bearing `.din` trace: every scan unit re-streams it, and the
+    // time spent parsing inside `TraceSource::fill` is part of that unit.
+    let text: String = (0..20_000u64)
+        .map(|i| {
+            format!(
+                "{} {:x}\n",
+                if i % 4 == 3 { 1 } else { 0 },
+                (i * 52) % 65_536
+            )
+        })
+        .collect();
+    let workload = TraceWorkload::from_text("obs.din", text).expect("valid trace");
+    let designs = TraceWorkload::design_space().designs();
+    let buf = SharedBuf::default();
+    let obs = obs_into(&buf);
+    let explorer = Explorer::default().with_obs(Arc::clone(&obs));
+    let (_, telemetry) = explorer
+        .explore_trace(&workload, &designs)
+        .expect("streamed sweep succeeds");
+    obs.finish();
+
+    let mut scans = 0;
+    for e in buf
+        .take_text()
+        .lines()
+        .map(|l| Event::parse(l).expect("event parses"))
+    {
+        if e.phase == "simulate" && e.name == "scan" {
+            scans += 1;
+            let parse_us = e.u64_field("parse_us").expect("parse_us field");
+            let dur_us = e.u64_field("dur_us").expect("dur_us field");
+            assert!(parse_us <= dur_us, "parse {parse_us} us > unit {dur_us} us");
+            assert_eq!(e.u64_field("events"), Some(20_000));
+        }
+    }
+    assert_eq!(scans, telemetry.fused_groups);
 }

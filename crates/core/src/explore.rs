@@ -1,29 +1,31 @@
 //! The MemExplore sweep.
 //!
 //! The sweep engine is *trace-once, simulate-many*: each distinct access
-//! trace is materialized exactly once into a shared [`TraceArena`] and
-//! every `(T, L, S, B)` design point replays an immutable slice of it.
-//! A trace depends on the off-chip layout (a function of cache size `T`
-//! and line size `L`) and on the tiling `B` (tiling reorders the loop
-//! nest), so traces are keyed by deduplicated layout contents plus `B`:
-//! all associativities `S` — and all `(T, L)` pairs that optimize to the
-//! same layout — share one buffer. Replay work is then fanned out over a
-//! work-stealing pool of scoped threads (a shared atomic next-job index —
-//! no static chunking, so skewed costs cannot strand idle workers). The
-//! default [`Engine::Fused`] makes the work unit a *trace group*: one
-//! arena slice plus the bank of all designs keyed to it, streamed once
-//! through a `memsim::ReplayBank` that steps every design in lockstep, so
-//! trace consumption is O(events) per group instead of O(events ×
-//! designs). [`Engine::PerDesign`] keeps one design per steal as the
-//! differential reference. Records are written into per-design slots
-//! either way, so the returned order is the deterministic sweep order
-//! regardless of scheduling or engine.
+//! trace is materialized exactly once and every `(T, L, S, B)` design
+//! point replays it. A trace depends on the off-chip layout (a function
+//! of cache size `T` and line size `L`) and on the tiling `B` (tiling
+//! reorders the loop nest), so traces are keyed by deduplicated layout
+//! contents plus `B`: all associativities `S` — and all `(T, L)` pairs
+//! that optimize to the same layout — share one trace, and the designs
+//! sharing it form a *trace group*. Traces are delta-compressed before
+//! replay, and the [sweep runner](crate::sweep) fans the groups out over
+//! a work-stealing pool of scoped threads (a shared atomic next-job index
+//! — no static chunking, so skewed costs cannot strand idle workers).
+//! With the default [`Engine::Fused`] each group is one unit, streamed
+//! once through a `memsim::ReplayBank` that steps every design in
+//! lockstep, so trace consumption is O(events) per group instead of
+//! O(events × designs); [`Engine::PerDesign`] makes every design its own
+//! unit. Records are written into per-design slots either way, so the
+//! returned order is the deterministic sweep order regardless of
+//! scheduling or engine.
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::checkpoint::CheckpointError;
 use crate::metrics::{read_trace, CacheDesign, Evaluator, Record};
-use crate::obs::{FieldValue, LatencyHistogram, Obs, Span};
+use crate::obs::{LatencyHistogram, Obs, Span};
+use crate::supervisor::SweepOptions;
+use crate::sweep::{Feed, Unit};
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
 use loopir::{DataLayout, Kernel};
@@ -34,11 +36,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// How often the fused bank reports scanned-event progress to the
-/// observability counters (events per tick). Coarse enough that the
-/// per-chunk overhead vanishes, fine enough that the progress line moves.
-pub(crate) const OBS_TICK_EVENTS: usize = 1 << 16;
 
 /// The swept parameter ranges (all powers of two, per the paper's
 /// `Algorithm MemExplore`).
@@ -295,19 +292,11 @@ pub fn pow2_range(lo: usize, hi: usize) -> Vec<usize> {
 /// ran them. Returns each worker's busy time. With one worker the tasks
 /// run inline on the calling thread (still in index order pulled from the
 /// same counter), so serial and parallel sweeps share a single code path.
-pub(crate) fn steal_loop<F: Fn(usize, usize) + Sync>(
-    workers: usize,
-    jobs: usize,
-    run: F,
-) -> Vec<Duration> {
-    try_steal_loop(workers, jobs, run)
-        .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"))
-}
-
-/// Fallible [`steal_loop`]: a panicking worker is *joined*, the remaining
-/// workers drain the queue, and the first panic's payload comes back as
-/// `Err` — the coordinating thread never double-panics and callers can
-/// surface the failure as a typed [`ExploreError`].
+///
+/// A panicking worker is *joined*, the remaining workers drain the queue,
+/// and the first panic's payload comes back as `Err` — the coordinating
+/// thread never double-panics and callers can surface the failure as a
+/// typed [`ExploreError`].
 pub(crate) fn try_steal_loop<F: Fn(usize, usize) + Sync>(
     workers: usize,
     jobs: usize,
@@ -431,31 +420,37 @@ impl Default for Explorer {
     }
 }
 
-/// The shared preparation of a sweep: the layout phase (one off-chip
-/// placement per distinct `(T, L)` pair) and the trace phase (one
-/// materialized trace per distinct (deduplicated layout, tiling) key,
-/// interned into a [`TraceArena`]). Both the plain sweep and the
-/// supervised sweep run phases 3–4 over one of these.
+/// The prepared inputs of a kernel sweep's simulate phase, built by
+/// [`Explorer::prepare`]: the layout phase (one off-chip placement per
+/// distinct `(T, L)` pair), the trace phase (one trace per distinct
+/// (deduplicated layout, tiling) key), then per trace group the classify
+/// phase (closed-form records where the analytic fast path qualifies) and
+/// the compress phase (a [`CompressedTrace`] for every group that must
+/// replay). The raw arena is dropped once compressed.
 pub(crate) struct SweepPlan {
-    /// Distinct `(T, L)` pairs in first-appearance order.
-    pub pairs: Vec<(usize, usize)>,
-    /// `(T, L)` → index into [`pairs`](Self::pairs).
+    /// Distinct `(T, L)` pair → its index in first-appearance order.
     pub pair_index: HashMap<(usize, usize), usize>,
     /// Conflict-free flag per pair (belongs to the pair, not the layout:
     /// pairs with equal layout contents can differ here).
     pub conflict_free: Vec<bool>,
-    /// Unique-layout id per pair (layouts deduplicated by value).
-    pub layout_id: Vec<usize>,
-    /// Distinct (layout id, tiling) trace keys in first-appearance order.
-    pub keys: Vec<(usize, u64)>,
-    /// Trace key → index into [`keys`](Self::keys).
-    pub key_index: HashMap<(usize, u64), usize>,
-    /// The shared trace storage, one immutable slice per key.
-    pub arena: TraceArena<(usize, u64)>,
-    /// Wall time of the layout phase.
+    /// `groups[k]` lists the indices of every design replaying trace key
+    /// `k`, in sweep order.
+    pub groups: Vec<Vec<usize>>,
+    /// Events in each group's trace.
+    pub group_events: Vec<usize>,
+    /// Closed-form records of each analytic-exact group.
+    pub known: Vec<Option<Vec<Record>>>,
+    /// Compressed trace of each group that must replay.
+    pub ztraces: Vec<Option<CompressedTrace>>,
+    /// Events generated by the trace phase (each exactly once).
+    pub events_generated: u64,
+    /// Compressed bytes of every replayed trace.
+    pub compressed_bytes: u64,
+    /// Wall time of each preparation phase.
     pub layout_time: Duration,
-    /// Wall time of the trace phase.
     pub trace_time: Duration,
+    pub classify_time: Duration,
+    pub compress_time: Duration,
 }
 
 impl SweepPlan {
@@ -464,42 +459,37 @@ impl SweepPlan {
         self.conflict_free[self.pair_index[&(d.cache_size, d.line)]]
     }
 
-    /// The trace key a design replays.
-    pub fn key_of(&self, d: &CacheDesign) -> (usize, u64) {
-        (
-            self.layout_id[self.pair_index[&(d.cache_size, d.line)]],
-            d.tiling,
-        )
+    /// One unit per trace group: its known records or its compressed trace.
+    pub fn units(&self) -> Vec<Unit<'_>> {
+        self.groups
+            .iter()
+            .enumerate()
+            .map(|(g, members)| {
+                let feed = match (&self.known[g], &self.ztraces[g]) {
+                    (Some(records), _) => Feed::Known {
+                        records: records.clone(),
+                        events: self.group_events[g],
+                    },
+                    (None, Some(ztrace)) => Feed::Compressed(ztrace),
+                    (None, None) => unreachable!("must-replay groups were compressed"),
+                };
+                Unit::bank(members.clone(), feed)
+            })
+            .collect()
     }
 
-    /// The arena slice a design replays.
-    pub fn trace_of(&self, d: &CacheDesign) -> &[TraceEvent] {
-        self.arena
-            .get(&self.key_of(d))
-            .expect("trace phase interned every key")
+    /// Writes the preparation phases' counters and timings into `t`.
+    pub fn fill(&self, t: &mut SweepTelemetry) {
+        t.layouts_computed = self.pair_index.len();
+        t.traces_generated = self.groups.len();
+        t.trace_events_generated = self.events_generated;
+        t.arena_bytes = self.events_generated * std::mem::size_of::<TraceEvent>() as u64;
+        t.arena_compressed_bytes = self.compressed_bytes;
+        t.layout_time = self.layout_time;
+        t.trace_time = self.trace_time;
+        t.classify_time = self.classify_time;
+        t.compress_time = self.compress_time;
     }
-
-    /// Trace groups over `designs`: `groups[k]` lists the indices of every
-    /// design replaying key `k`, in sweep order — the fused engine's units
-    /// of work.
-    pub fn groups(&self, designs: &[CacheDesign]) -> Vec<Vec<usize>> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.keys.len()];
-        for (i, d) in designs.iter().enumerate() {
-            groups[self.key_index[&self.key_of(d)]].push(i);
-        }
-        groups
-    }
-}
-
-/// The fused engine's prepared work units: trace groups with their event
-/// counts, the closed-form records of every analytic-exact group, and the
-/// compressed trace of every must-simulate group. Built between the trace
-/// and simulate phases; once it exists the raw arena can be dropped.
-struct FusedPrep {
-    groups: Vec<Vec<usize>>,
-    group_events: Vec<usize>,
-    analytic_records: Vec<Option<Vec<Record>>>,
-    ztraces: Vec<Option<CompressedTrace>>,
 }
 
 impl Explorer {
@@ -565,21 +555,23 @@ impl Explorer {
 
     /// The trace-once, simulate-many engine behind every sweep.
     ///
-    /// Four phases, the first three work-stealing over scoped threads:
+    /// Six phases, all but the last work-stealing over scoped threads:
     ///
     /// 1. **layout** — one off-chip placement per distinct `(T, L)` pair
     ///    (placement does not depend on `S` or `B`);
     /// 2. **trace** — one access trace per distinct (layout value, `B`)
     ///    key, assembled into a shared [`TraceArena`] in first-appearance
     ///    order;
-    /// 3. **simulate** — with [`Engine::Fused`] the work unit is a *trace
-    ///    group* (one arena slice plus the bank of designs keyed to it):
-    ///    workers steal groups and a `memsim::ReplayBank` streams the
-    ///    slice once, stepping every design in lockstep. With
-    ///    [`Engine::PerDesign`] workers steal individual designs and each
-    ///    re-scans its slice. Either way, records scatter into per-design
-    ///    slots;
-    /// 4. **select** — slots are collected into sweep order.
+    /// 3. **classify** — trace groups the analytic fast path resolves
+    ///    exactly get their records in closed form;
+    /// 4. **compress** — every other group's trace is delta-compressed
+    ///    and the raw arena is dropped;
+    /// 5. **simulate** — the [sweep runner](crate::sweep) steals units: a
+    ///    trace group (with [`Engine::Fused`]) whose compressed trace is
+    ///    decoded block by block into one `memsim::ReplayBank` stepping
+    ///    every member in lockstep, or a single design (with
+    ///    [`Engine::PerDesign`]). Records scatter into per-design slots;
+    /// 6. **select** — slots are collected into sweep order.
     pub fn explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
@@ -589,10 +581,9 @@ impl Explorer {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the layout and trace phases over `designs` and interns the
-    /// result — the part of the sweep shared by the plain and supervised
-    /// engines. A worker panic here is a whole-phase failure (layouts and
-    /// traces are inputs to *every* design), so it propagates as
+    /// Runs the layout, trace, classify, and compress phases over
+    /// `designs`. A worker panic here is a whole-phase failure (layouts
+    /// and traces are inputs to *every* design), so it propagates as
     /// [`ExploreError::WorkerPanic`] rather than being isolated per unit.
     pub(crate) fn prepare(
         &self,
@@ -602,6 +593,8 @@ impl Explorer {
         hists: &SweepHists,
     ) -> Result<SweepPlan, ExploreError> {
         let obs = self.obs.as_deref();
+        let phase_panic =
+            |phase: &'static str| move |message| ExploreError::WorkerPanic { phase, message };
         // Phase 1: off-chip layouts, one per distinct (T, L), deduplicated
         // by value.
         let phase_start = Instant::now();
@@ -623,10 +616,7 @@ impl Explorer {
             Some(hists),
             &mut unique_layouts,
         )
-        .map_err(|message| ExploreError::WorkerPanic {
-            phase: "layout",
-            message,
-        })?;
+        .map_err(phase_panic("layout"))?;
         let (layout_id, conflict_free): (Vec<usize>, Vec<bool>) =
             arbitrated.pairs.into_iter().unzip();
         let layout_time = phase_start.elapsed();
@@ -635,7 +625,7 @@ impl Explorer {
         // tiling — not on (T, L) directly — and distinct (T, L) pairs often
         // optimize to identical layouts, so traces are keyed by (layout
         // id, B). Tiling reorders the loop nest, so the tiled kernel is
-        // shared per B.
+        // shared per B. Each key's designs form one trace group.
         let phase_start = Instant::now();
         let span = Span::begin(obs, "trace");
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
@@ -646,12 +636,15 @@ impl Explorer {
         }
         let mut key_index: HashMap<(usize, u64), usize> = HashMap::new();
         let mut keys: Vec<(usize, u64)> = Vec::new();
-        for d in designs {
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for (i, d) in designs.iter().enumerate() {
             let id = layout_id[pair_index[&(d.cache_size, d.line)]];
-            key_index.entry((id, d.tiling)).or_insert_with(|| {
+            let g = *key_index.entry((id, d.tiling)).or_insert_with(|| {
                 keys.push((id, d.tiling));
+                groups.push(Vec::new());
                 keys.len() - 1
             });
+            groups[g].push(i);
         }
         let trace_slots: Vec<OnceLock<Vec<TraceEvent>>> =
             keys.iter().map(|_| OnceLock::new()).collect();
@@ -659,10 +652,7 @@ impl Explorer {
             let (id, b) = keys[i];
             let _ = trace_slots[i].set(read_trace(&tiled[&b], &unique_layouts[id]));
         })
-        .map_err(|message| ExploreError::WorkerPanic {
-            phase: "trace",
-            message,
-        })?;
+        .map_err(phase_panic("trace"))?;
         let arena: TraceArena<(usize, u64)> = TraceArena::assemble(
             keys.iter().copied().zip(
                 trace_slots
@@ -672,310 +662,126 @@ impl Explorer {
         );
         drop(span);
         let trace_time = phase_start.elapsed();
+        let traces: Vec<&[TraceEvent]> = keys
+            .iter()
+            .map(|key| arena.get(key).expect("trace phase interned every key"))
+            .collect();
+
+        // Phases 2b/2c: classify each trace group as analytic-exact vs
+        // must-replay, then delta-compress the traces the must-replay
+        // groups will replay. Both run in their own windows so the
+        // simulate phase stays a pure replay measurement; only the block
+        // decode rides inside it.
+        let phase_start = Instant::now();
+        let conflict_free_of =
+            |i: usize| conflict_free[pair_index[&(designs[i].cache_size, designs[i].line)]];
+        let known = self.classify(kernel, workers, designs, conflict_free_of, &groups, &traces)?;
+        let classify_time = phase_start.elapsed();
+
+        let phase_start = Instant::now();
+        let span = Span::begin(obs, "compress");
+        let ztrace_slots: Vec<OnceLock<Option<CompressedTrace>>> =
+            groups.iter().map(|_| OnceLock::new()).collect();
+        try_steal_loop(workers, groups.len(), |_w, g| {
+            let ztrace = known[g]
+                .is_none()
+                .then(|| CompressedTrace::encode(traces[g]));
+            let _ = ztrace_slots[g].set(ztrace);
+        })
+        .map_err(phase_panic("compress"))?;
+        let ztraces: Vec<Option<CompressedTrace>> = ztrace_slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("compress phase filled every slot"))
+            .collect();
+        let events_generated = arena.events().len() as u64;
+        let group_events = traces.iter().map(|t| t.len()).collect();
+        drop(traces);
+        drop(arena);
+        drop(span);
+        let compress_time = phase_start.elapsed();
 
         Ok(SweepPlan {
-            pairs,
             pair_index,
             conflict_free,
-            layout_id,
-            keys,
-            key_index,
-            arena,
+            groups,
+            group_events,
+            known,
+            compressed_bytes: ztraces
+                .iter()
+                .flatten()
+                .map(|z| z.compressed_bytes() as u64)
+                .sum(),
+            ztraces,
+            events_generated,
             layout_time,
             trace_time,
+            classify_time,
+            compress_time,
         })
     }
 
+    /// The classify phase: trace group `g` (design indices sharing
+    /// `traces[g]`) gets its closed-form records when the analytic fast
+    /// path resolves every member exactly, else `None`. All `None` when
+    /// the fast path is disabled, and under [`Engine::PerDesign`], whose
+    /// sweeps stay a pure replay of every design.
+    pub(crate) fn classify(
+        &self,
+        kernel: &Kernel,
+        workers: usize,
+        designs: &[CacheDesign],
+        conflict_free: impl Fn(usize) -> bool + Sync,
+        groups: &[Vec<usize>],
+        traces: &[&[TraceEvent]],
+    ) -> Result<Vec<Option<Vec<Record>>>, ExploreError> {
+        if !self.analytic || self.evaluator.scalar_replay || self.engine == Engine::PerDesign {
+            return Ok(vec![None; groups.len()]);
+        }
+        let span = Span::begin(self.obs.as_deref(), "classify");
+        let footprint = kernel_footprint_bytes(kernel);
+        let slots: Vec<OnceLock<Vec<Record>>> = groups.iter().map(|_| OnceLock::new()).collect();
+        try_steal_loop(workers, groups.len(), |_w, g| {
+            let lanes: Vec<(CacheDesign, bool)> = groups[g]
+                .iter()
+                .map(|&i| (designs[i], conflict_free(i)))
+                .collect();
+            if let Some(records) = try_group_records(&self.evaluator, footprint, &lanes, traces[g])
+            {
+                let _ = slots[g].set(records);
+            }
+        })
+        .map_err(|message| ExploreError::WorkerPanic {
+            phase: "classify",
+            message,
+        })?;
+        drop(span);
+        Ok(slots.into_iter().map(OnceLock::into_inner).collect())
+    }
+
     /// Fallible [`explore_designs_with_telemetry`](Self::explore_designs_with_telemetry):
-    /// a worker panic in any phase surfaces as a typed
-    /// [`ExploreError`] instead of a process abort. For *per-unit* panic
-    /// isolation (quarantine, fallback, checkpointing), use the supervised
-    /// sweep in [`supervisor`](crate::supervisor).
+    /// the supervised sweep with default options, so a panicking trace
+    /// group is retried one design at a time; a design that panics even
+    /// alone surfaces as a typed [`ExploreError`] instead of a process
+    /// abort. For quarantine, checkpointing, and deadlines, use
+    /// [`explore_supervised`](Self::explore_supervised).
     pub fn try_explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
         designs: &[CacheDesign],
     ) -> Result<(Vec<Record>, SweepTelemetry), ExploreError> {
-        let sweep_start = Instant::now();
-        let workers = self.worker_count(designs.len());
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-        let hists = SweepHists::default();
-        let mut plan = self.prepare(kernel, designs, workers, &hists)?;
-        let events_generated = plan.arena.events().len() as u64;
-
-        // Phases 2b/2c (fused engine only): classify each trace group as
-        // analytic-exact vs must-simulate, then delta-compress the traces
-        // the must-simulate groups will replay and drop the raw arena.
-        // Both run in their own windows (`classify_time`, `compress_time`)
-        // so the simulate phase stays a pure replay measurement; only the
-        // block decode rides inside it.
-        let mut classify_time = Duration::ZERO;
-        let mut compress_time = Duration::ZERO;
-        let mut analytic_groups = 0usize;
-        let mut arena_bytes = 0u64;
-        let mut arena_compressed_bytes = 0u64;
-        let mut fused_prep: Option<FusedPrep> = None;
-        if self.engine == Engine::Fused {
-            let groups = plan.groups(designs);
-            let group_events: Vec<usize> = (0..groups.len())
-                .map(|g| {
-                    plan.arena
-                        .get(&plan.keys[g])
-                        .expect("trace phase interned every key")
-                        .len()
-                })
-                .collect();
-
-            let phase_start = Instant::now();
-            let analytic_slots: Vec<OnceLock<Option<Vec<Record>>>> =
-                groups.iter().map(|_| OnceLock::new()).collect();
-            if self.analytic && !self.evaluator.scalar_replay {
-                let span = Span::begin(obs, "classify");
-                let footprint = kernel_footprint_bytes(kernel);
-                try_steal_loop(workers, groups.len(), |_w, g| {
-                    let trace = plan
-                        .arena
-                        .get(&plan.keys[g])
-                        .expect("trace phase interned every key");
-                    let bank: Vec<(CacheDesign, bool)> = groups[g]
-                        .iter()
-                        .map(|&i| (designs[i], plan.conflict_free_of(&designs[i])))
-                        .collect();
-                    let _ = analytic_slots[g].set(try_group_records(
-                        &self.evaluator,
-                        footprint,
-                        &bank,
-                        trace,
-                    ));
-                })
-                .map_err(|message| ExploreError::WorkerPanic {
-                    phase: "classify",
-                    message,
-                })?;
-                drop(span);
-            }
-            let analytic_records: Vec<Option<Vec<Record>>> = analytic_slots
-                .into_iter()
-                .map(|s| s.into_inner().flatten())
-                .collect();
-            analytic_groups = analytic_records.iter().filter(|r| r.is_some()).count();
-            classify_time = phase_start.elapsed();
-
-            let phase_start = Instant::now();
-            let span = Span::begin(obs, "compress");
-            let ztrace_slots: Vec<OnceLock<Option<CompressedTrace>>> =
-                groups.iter().map(|_| OnceLock::new()).collect();
-            try_steal_loop(workers, groups.len(), |_w, g| {
-                let _ = ztrace_slots[g].set(if analytic_records[g].is_some() {
-                    None
-                } else {
-                    Some(CompressedTrace::encode(
-                        plan.arena
-                            .get(&plan.keys[g])
-                            .expect("trace phase interned every key"),
-                    ))
-                });
-            })
-            .map_err(|message| ExploreError::WorkerPanic {
-                phase: "compress",
-                message,
-            })?;
-            let ztraces: Vec<Option<CompressedTrace>> = ztrace_slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("compress phase filled every slot"))
-                .collect();
-            arena_bytes = events_generated * std::mem::size_of::<TraceEvent>() as u64;
-            arena_compressed_bytes = ztraces
-                .iter()
-                .flatten()
-                .map(|z| z.compressed_bytes() as u64)
-                .sum();
-            // The raw arena is no longer needed: analytic groups are
-            // already resolved and the rest replay from compressed form.
-            plan.arena = TraceArena::new();
-            drop(span);
-            compress_time = phase_start.elapsed();
-
-            fused_prep = Some(FusedPrep {
-                groups,
-                group_events,
-                analytic_records,
-                ztraces,
+        let outcome = self.explore_supervised(kernel, designs, &SweepOptions::default())?;
+        if let Some(e) = outcome.errors.into_iter().next() {
+            return Err(ExploreError::WorkerPanic {
+                phase: "simulate",
+                message: e.message,
             });
         }
-
-        // Phase 3: simulate. The conflict-free flag rides with each design
-        // (it belongs to the design's own (T, L) pair, which can differ
-        // within a trace group even though the layout contents agree).
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "simulate");
-        let record_slots: Vec<OnceLock<Record>> = designs.iter().map(|_| OnceLock::new()).collect();
-        let replayed = AtomicUsize::new(0);
-        let scanned = AtomicUsize::new(0);
-        let (worker_busy, fused_groups, max_bank_width) = match self.engine {
-            Engine::Fused => {
-                // Trace groups: every design keyed to the same slice forms
-                // one bank. Analytic groups scatter their precomputed
-                // records; the rest stream their compressed trace once
-                // through a lockstep replay bank.
-                let FusedPrep {
-                    groups,
-                    group_events,
-                    analytic_records,
-                    ztraces,
-                } = fused_prep.take().expect("fused prep ran for this engine");
-                let max_width = groups.iter().map(Vec::len).max().unwrap_or(0);
-                let busy = try_steal_loop(workers, groups.len(), |w, g| {
-                    let members = &groups[g];
-                    let events = group_events[g];
-                    replayed.fetch_add(events * members.len(), Ordering::Relaxed);
-                    let unit_start = Instant::now();
-                    if let Some(records) = &analytic_records[g] {
-                        for (&i, record) in members.iter().zip(records) {
-                            let _ = record_slots[i].set(record.clone());
-                        }
-                        let dur = unit_start.elapsed();
-                        if let Some(o) = obs {
-                            o.counters.add_done(members.len() as u64);
-                            o.unit(
-                                "simulate",
-                                "analytic",
-                                w as u64,
-                                dur,
-                                &[
-                                    ("events", FieldValue::U64(events as u64)),
-                                    ("width", FieldValue::U64(members.len() as u64)),
-                                    ("fresh", FieldValue::U64(members.len() as u64)),
-                                ],
-                            );
-                        }
-                        return;
-                    }
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    let ztrace = ztraces[g]
-                        .as_ref()
-                        .expect("must-simulate groups were compressed");
-                    let bank: Vec<(CacheDesign, bool)> = members
-                        .iter()
-                        .map(|&i| (designs[i], plan.conflict_free_of(&designs[i])))
-                        .collect();
-                    let records = match obs {
-                        Some(o) => self.evaluator.evaluate_bank_with_ztrace(
-                            &bank,
-                            ztrace,
-                            Some(&|n| o.counters.add_events(n)),
-                        ),
-                        None => self
-                            .evaluator
-                            .evaluate_bank_with_ztrace(&bank, ztrace, None),
-                    };
-                    let dur = unit_start.elapsed();
-                    hists.scan.record(dur);
-                    for (&i, record) in members.iter().zip(records) {
-                        let _ = record_slots[i].set(record);
-                    }
-                    if let Some(o) = obs {
-                        o.counters.add_done(members.len() as u64);
-                        o.unit(
-                            "simulate",
-                            "scan",
-                            w as u64,
-                            dur,
-                            &[
-                                ("events", FieldValue::U64(events as u64)),
-                                ("width", FieldValue::U64(members.len() as u64)),
-                                ("fresh", FieldValue::U64(members.len() as u64)),
-                            ],
-                        );
-                    }
-                });
-                (busy, groups.len(), max_width)
-            }
-            Engine::PerDesign => {
-                let busy = try_steal_loop(workers, designs.len(), |w, i| {
-                    let d = designs[i];
-                    let trace = plan.trace_of(&d);
-                    replayed.fetch_add(trace.len(), Ordering::Relaxed);
-                    scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                    let unit_start = Instant::now();
-                    let _ = record_slots[i].set(self.evaluator.evaluate_with_trace(
-                        d,
-                        trace,
-                        plan.conflict_free_of(&d),
-                    ));
-                    let dur = unit_start.elapsed();
-                    hists.design.record(dur);
-                    if let Some(o) = obs {
-                        o.counters.add_done(1);
-                        o.counters.add_events(trace.len() as u64);
-                        o.unit(
-                            "simulate",
-                            "sim",
-                            w as u64,
-                            dur,
-                            &[("events", FieldValue::U64(trace.len() as u64))],
-                        );
-                    }
-                });
-                (busy, 0, 0)
-            }
-        };
-        drop(span);
-        let worker_busy = worker_busy.map_err(|message| ExploreError::WorkerPanic {
-            phase: "simulate",
-            message,
-        })?;
-        let simulate_time = phase_start.elapsed();
-
-        // Phase 4: collect records back into sweep order.
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "select");
-        let records: Vec<Record> = record_slots
+        let records = outcome
+            .records
             .into_iter()
-            .map(|s| s.into_inner().expect("simulate phase filled every slot"))
+            .map(|r| r.expect("no errors and no deadline leaves every slot filled"))
             .collect();
-        drop(span);
-        let select_time = phase_start.elapsed();
-
-        let mut telemetry = SweepTelemetry {
-            designs_evaluated: designs.len(),
-            layouts_computed: plan.pairs.len(),
-            traces_generated: plan.keys.len(),
-            trace_events_generated: events_generated,
-            trace_events_replayed: replayed.into_inner() as u64,
-            trace_events_scanned: scanned.into_inner() as u64,
-            fused_groups,
-            max_bank_width,
-            analytic_groups,
-            simulated_groups: fused_groups - analytic_groups,
-            arena_bytes,
-            arena_compressed_bytes,
-            workers,
-            layout_time: plan.layout_time,
-            trace_time: plan.trace_time,
-            classify_time,
-            compress_time,
-            simulate_time,
-            select_time,
-            total_time: sweep_start.elapsed(),
-            worker_busy,
-            ..SweepTelemetry::default()
-        };
-        hists.fill(&mut telemetry);
-        // Busy time is measured strictly inside the simulate window, so
-        // the true (unclamped) utilization can only exceed 1 by clock
-        // noise; anything more means busy-time overcounting.
-        debug_assert!(
-            telemetry.worker_utilization() <= 1.05,
-            "worker busy time overcounted: utilization {}",
-            telemetry.worker_utilization()
-        );
-        Ok((records, telemetry))
+        Ok((records, outcome.telemetry))
     }
 }
 
@@ -1094,10 +900,11 @@ mod tests {
     fn steal_loop_visits_every_job_exactly_once() {
         for workers in [1, 3, 8] {
             let hits: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-            let busy = steal_loop(workers, hits.len(), |w, i| {
+            let busy = try_steal_loop(workers, hits.len(), |w, i| {
                 assert!(w < workers);
                 hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            })
+            .expect("no job panics");
             assert!(!busy.is_empty() && busy.len() <= workers);
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "job {i} ({workers} workers)");

@@ -55,6 +55,7 @@ pub mod select;
 pub mod shard;
 pub mod spm;
 pub mod supervisor;
+mod sweep;
 pub mod telemetry;
 pub mod workload;
 

@@ -301,61 +301,9 @@ impl Evaluator {
         designs: &[(CacheDesign, bool)],
         trace: &[TraceEvent],
     ) -> Vec<Record> {
-        let configs: Vec<CacheConfig> = designs
-            .iter()
-            .map(|(design, _)| {
-                design
-                    .cache_config()
-                    .unwrap_or_else(|e| panic!("invalid design {design}: {e}"))
-            })
-            .collect();
-        let mut bank = ReplayBank::with_options(&configs, self.bus_encoding, false);
-        if self.scalar_replay {
-            bank = bank.with_scalar_replay();
-        }
+        let mut bank = self.replay_bank(designs);
         bank.run_slice(trace);
-        bank.into_reports()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
-    }
-
-    /// [`evaluate_bank_with_trace`](Self::evaluate_bank_with_trace) with a
-    /// progress hook: `tick(n)` is called after roughly every `every`
-    /// trace events scanned (and once at the end with the remainder), so
-    /// an observability layer can meter throughput mid-scan. Records are
-    /// bit-identical to the untracked variant — bank state persists across
-    /// chunk boundaries, so chunked replay is the same computation.
-    pub fn evaluate_bank_with_trace_ticked(
-        &self,
-        designs: &[(CacheDesign, bool)],
-        trace: &[TraceEvent],
-        every: usize,
-        tick: &(dyn Fn(u64) + Sync),
-    ) -> Vec<Record> {
-        let configs: Vec<CacheConfig> = designs
-            .iter()
-            .map(|(design, _)| {
-                design
-                    .cache_config()
-                    .unwrap_or_else(|e| panic!("invalid design {design}: {e}"))
-            })
-            .collect();
-        let mut bank = ReplayBank::with_options(&configs, self.bus_encoding, false);
-        if self.scalar_replay {
-            bank = bank.with_scalar_replay();
-        }
-        bank.run_slice_ticked(trace, every, tick);
-        bank.into_reports()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
+        self.evaluate_bank_reports(designs, &bank.finish())
     }
 
     /// [`evaluate_bank_with_trace`](Self::evaluate_bank_with_trace)
@@ -371,6 +319,25 @@ impl Evaluator {
         ztrace: &CompressedTrace,
         tick: Option<&(dyn Fn(u64) + Sync)>,
     ) -> Vec<Record> {
+        let mut bank = self.replay_bank(designs);
+        ztrace.replay(|block| {
+            bank.feed(block);
+            if let Some(tick) = tick {
+                tick(block.len() as u64);
+            }
+        });
+        self.evaluate_bank_reports(designs, &bank.finish())
+    }
+
+    /// A fresh [`ReplayBank`] stepping every design of `designs` — the
+    /// shared head of every bank evaluation; finish it with
+    /// [`evaluate_bank_reports`](Self::evaluate_bank_reports).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`evaluate`](Self::evaluate), for any design in
+    /// the bank.
+    pub(crate) fn replay_bank(&self, designs: &[(CacheDesign, bool)]) -> ReplayBank {
         let configs: Vec<CacheConfig> = designs
             .iter()
             .map(|(design, _)| {
@@ -383,27 +350,14 @@ impl Evaluator {
         if self.scalar_replay {
             bank = bank.with_scalar_replay();
         }
-        ztrace.replay(|block| {
-            bank.feed(block);
-            if let Some(tick) = tick {
-                tick(block.len() as u64);
-            }
-        });
-        bank.finish()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
+        bank
     }
 
     /// Converts finished [`memsim::SimReport`]s of a bank scan into
     /// [`Record`]s, in input order — the public tail of the evaluation
-    /// pipeline for callers that drive the replay themselves (the
-    /// streaming sweep feeds a [`ReplayBank`] chunk by chunk and finishes
-    /// it here, so its records share the exact cycle/energy model path of
-    /// [`evaluate_bank_with_trace`](Self::evaluate_bank_with_trace)).
+    /// pipeline for callers that drive the replay themselves (the sweep
+    /// runner feeds a [`ReplayBank`] block by block or chunk by chunk and
+    /// finishes it here, so every sweep shares one cycle/energy model path).
     ///
     /// # Panics
     ///

@@ -56,30 +56,31 @@
 //! floor is unreachable, so the pruner does not bother scanning for a
 //! dominator there.
 //!
-//! With [`Engine::Fused`] (the default) each wave's survivors are grouped
-//! by shared trace slice and simulated as one `memsim::ReplayBank` per
-//! group — the pruner drops designs from a bank *before* the scan starts,
-//! so fused lockstep only steps lanes that must be measured. Prune
+//! Each wave's survivors are grouped by shared trace slice and submitted
+//! to the [sweep runner](crate::sweep): with [`Engine::Fused`](crate::Engine::Fused)
+//! (the default) as one `memsim::ReplayBank` per group — the pruner drops
+//! designs from a bank *before* the scan starts, so fused lockstep only
+//! steps lanes that must be measured. Prune
 //! decisions are order-independent predicates over the already-evaluated
 //! record list (which grows only at wave boundaries in both engines), so
 //! banking within a wave changes neither the prune set nor the frontier:
 //! both stay bit-identical to the per-design engine.
 
-use crate::analytic::{kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
-use crate::explore::{steal_loop, DesignSpace, Engine, Explorer, SweepHists, OBS_TICK_EVENTS};
+use crate::explore::{DesignSpace, Explorer};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
 use crate::select::pareto3;
+use crate::supervisor::{SweepOptions, SweepOutcome};
+use crate::sweep::{Feed, Sweep, Unit};
 use crate::telemetry::SweepTelemetry;
 use analysis::{MinCacheReport, TraceFootprint};
 use loopir::transform::tile_all;
 use loopir::{DataLayout, Kernel};
 use memsim::{BusMonitor, TraceEvent};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 /// Per-trace quantities the bounds are built from: the exact split-access
 /// count, the compulsory-miss floor, and the exact average address-bus
@@ -144,16 +145,11 @@ impl Explorer {
         kernel: &Kernel,
         space: &DesignSpace,
     ) -> (Vec<Record>, SweepTelemetry) {
-        let sweep_start = Instant::now();
         let designs = space.designs();
         let workers = self.worker_count(designs.len());
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-        let hists = SweepHists::default();
+        let options = SweepOptions::default();
+        let mut sweep = Sweep::begin(self, &designs, &options, workers, 0)
+            .expect("a sweep without a checkpoint policy resumes nothing");
 
         // Caches shared across groups. Layouts are deduplicated by value
         // (distinct (T, L) pairs frequently optimize to the same layout),
@@ -167,11 +163,7 @@ impl Explorer {
         let mut min_cache: HashMap<usize, u64> = HashMap::new();
 
         let mut evaluated: Vec<Record> = Vec::new();
-        let mut telemetry = SweepTelemetry {
-            workers,
-            ..SweepTelemetry::default()
-        };
-        let mut worker_busy: Vec<Duration> = Vec::new();
+        let mut prep = SweepTelemetry::default();
 
         // Process runs of equal cache size in sweep order.
         let mut group_start = 0;
@@ -181,7 +173,7 @@ impl Explorer {
             while group_end < designs.len() && designs[group_end].cache_size == t {
                 group_end += 1;
             }
-            let group = &designs[group_start..group_end];
+            let group = group_start..group_end;
             group_start = group_end;
 
             // Layouts for this group's new (T, L) pairs, computed in
@@ -189,7 +181,7 @@ impl Explorer {
             let phase_start = Instant::now();
             let new_pairs: Vec<(usize, usize)> = {
                 let mut seen = Vec::new();
-                for d in group {
+                for d in &designs[group.clone()] {
                     let key = (d.cache_size, d.line);
                     if !pair_layout.contains_key(&key) && !seen.contains(&key) {
                         seen.push(key);
@@ -202,21 +194,21 @@ impl Explorer {
                 kernel,
                 &new_pairs,
                 workers,
-                obs,
-                Some(&hists),
+                self.obs.as_deref(),
+                Some(&sweep.hists),
                 &mut unique_layouts,
             )
             .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
             for (pair, id) in new_pairs.iter().zip(arbitrated.pairs) {
                 pair_layout.insert(*pair, id);
             }
-            telemetry.layouts_computed += new_pairs.len();
-            telemetry.layout_time += phase_start.elapsed();
+            prep.layouts_computed += new_pairs.len();
+            prep.layout_time += phase_start.elapsed();
 
             // Bound inputs per (layout id, L): scan the untiled trace once.
             // The trace is materialized here (and kept — the bases replay
             // it), so bound preparation shares the trace-once discipline.
-            for d in group {
+            for d in &designs[group.clone()] {
                 let (id, _) = pair_layout[&(d.cache_size, d.line)];
                 if bounds.contains_key(&(id, d.line)) {
                     continue;
@@ -225,11 +217,11 @@ impl Explorer {
                 if let std::collections::hash_map::Entry::Vacant(slot) = traces.entry((id, 1)) {
                     let base = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
                     let trace = read_trace(base, &unique_layouts[id]);
-                    telemetry.traces_generated += 1;
-                    telemetry.trace_events_generated += trace.len() as u64;
+                    prep.traces_generated += 1;
+                    prep.trace_events_generated += trace.len() as u64;
                     slot.insert(trace);
                 }
-                telemetry.trace_time += trace_start.elapsed();
+                prep.trace_time += trace_start.elapsed();
                 let scan_start = Instant::now();
                 let trace = &traces[&(id, 1)];
                 let fp =
@@ -243,17 +235,16 @@ impl Explorer {
                         add_bs,
                     },
                 );
-                telemetry.bound_time += scan_start.elapsed();
+                prep.bound_time += scan_start.elapsed();
             }
 
             // Two waves: bases (S=1, B=1) first so the rest of the group
             // can be pruned against them, then the remaining designs.
             let is_base = |d: &CacheDesign| d.assoc == 1 && d.tiling == 1;
             for wave in 0..2 {
-                let members: Vec<CacheDesign> = group
-                    .iter()
-                    .copied()
-                    .filter(|d| is_base(d) == (wave == 0))
+                let members: Vec<usize> = group
+                    .clone()
+                    .filter(|&i| is_base(&designs[i]) == (wave == 0))
                     .collect();
                 if members.is_empty() {
                     continue;
@@ -261,20 +252,21 @@ impl Explorer {
 
                 // Bound check (serial — it only scans the evaluated list).
                 let phase_start = Instant::now();
-                let bound_span = Span::begin(obs, "bound");
+                let bound_span = Span::begin(self.obs.as_deref(), "bound");
                 let wave_size = members.len();
-                let survivors: Vec<CacheDesign> = members
+                let survivors: Vec<usize> = members
                     .into_iter()
-                    .filter(|d| {
+                    .filter(|&i| {
+                        let d = &designs[i];
                         let min_pow2 = min_cache_for(kernel, &mut min_cache, d.line);
                         !self.is_pruned(d, &pair_layout, &bounds, min_pow2, &evaluated)
                     })
                     .collect();
                 let pruned_here = wave_size - survivors.len();
-                telemetry.designs_pruned += pruned_here;
+                prep.designs_pruned += pruned_here;
                 drop(bound_span);
                 if pruned_here > 0 {
-                    if let Some(o) = obs {
+                    if let Some(o) = self.obs.as_deref() {
                         o.counters
                             .pruned
                             .fetch_add(pruned_here as u64, Ordering::Relaxed);
@@ -289,195 +281,107 @@ impl Explorer {
                         );
                     }
                 }
-                telemetry.bound_time += phase_start.elapsed();
+                prep.bound_time += phase_start.elapsed();
 
                 // Materialize any traces the survivors still need.
                 let phase_start = Instant::now();
-                for d in &survivors {
-                    let (id, _) = pair_layout[&(d.cache_size, d.line)];
-                    if traces.contains_key(&(id, d.tiling)) {
+                let key_of = |i: usize| {
+                    let d = &designs[i];
+                    (pair_layout[&(d.cache_size, d.line)].0, d.tiling)
+                };
+                for &i in &survivors {
+                    let key = key_of(i);
+                    if traces.contains_key(&key) {
                         continue;
                     }
                     let tiled_kernel = tiled
-                        .entry(d.tiling)
-                        .or_insert_with(|| tile_all(kernel, d.tiling));
-                    let trace = read_trace(tiled_kernel, &unique_layouts[id]);
-                    telemetry.traces_generated += 1;
-                    telemetry.trace_events_generated += trace.len() as u64;
-                    traces.insert((id, d.tiling), trace);
+                        .entry(key.1)
+                        .or_insert_with(|| tile_all(kernel, key.1));
+                    let trace = read_trace(tiled_kernel, &unique_layouts[key.0]);
+                    prep.traces_generated += 1;
+                    prep.trace_events_generated += trace.len() as u64;
+                    traces.insert(key, trace);
                 }
-                telemetry.trace_time += phase_start.elapsed();
+                prep.trace_time += phase_start.elapsed();
 
-                // Simulate the wave's survivors with work stealing. The
-                // pruner has already dropped designs from each bank, so
-                // the fused engine only steps lanes that must be measured.
-                let phase_start = Instant::now();
-                let simulate_span = Span::begin(obs, "simulate");
-                let record_slots: Vec<OnceLock<Record>> =
-                    survivors.iter().map(|_| OnceLock::new()).collect();
-                let replayed = AtomicUsize::new(0);
-                let scanned = AtomicUsize::new(0);
-                let busy = match self.engine {
-                    Engine::Fused => {
-                        // Trace groups within the wave: survivors sharing
-                        // one (layout id, tiling) slice form one bank.
-                        let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
-                        let mut groups: Vec<Vec<usize>> = Vec::new();
-                        for (i, d) in survivors.iter().enumerate() {
-                            let (id, _) = pair_layout[&(d.cache_size, d.line)];
-                            let g = *group_of.entry((id, d.tiling)).or_insert_with(|| {
-                                groups.push(Vec::new());
-                                groups.len() - 1
-                            });
-                            groups[g].push(i);
-                        }
-                        telemetry.fused_groups += groups.len();
-                        telemetry.max_bank_width = telemetry
-                            .max_bank_width
-                            .max(groups.iter().map(Vec::len).max().unwrap_or(0));
-                        // The frontier sweep keeps its raw traces resident
-                        // (the bound scans reuse them across cache-size
-                        // groups), so the analytic fast path is applied
-                        // per bank inside the worker — qualifying groups
-                        // skip the replay, everything else streams as
-                        // before.
-                        let analytic_hits = AtomicUsize::new(0);
-                        let footprint = kernel_footprint_bytes(kernel);
-                        let busy = steal_loop(workers, groups.len(), |w, g| {
-                            let members = &groups[g];
-                            let bank: Vec<(CacheDesign, bool)> = members
-                                .iter()
-                                .map(|&i| {
-                                    let d = survivors[i];
-                                    let (_, conflict_free) = pair_layout[&(d.cache_size, d.line)];
-                                    (d, conflict_free)
-                                })
-                                .collect();
-                            let d = survivors[members[0]];
-                            let (id, _) = pair_layout[&(d.cache_size, d.line)];
-                            let trace = &traces[&(id, d.tiling)];
-                            replayed.fetch_add(trace.len() * members.len(), Ordering::Relaxed);
-                            let unit_start = Instant::now();
-                            if self.analytic {
-                                if let Some(records) =
-                                    try_group_records(&self.evaluator, footprint, &bank, trace)
-                                {
-                                    analytic_hits.fetch_add(1, Ordering::Relaxed);
-                                    for (&i, record) in members.iter().zip(records) {
-                                        let _ = record_slots[i].set(record);
-                                    }
-                                    let dur = unit_start.elapsed();
-                                    if let Some(o) = obs {
-                                        o.counters.add_done(members.len() as u64);
-                                        o.unit(
-                                            "simulate",
-                                            "analytic",
-                                            w as u64,
-                                            dur,
-                                            &[
-                                                ("events", FieldValue::U64(trace.len() as u64)),
-                                                ("width", FieldValue::U64(members.len() as u64)),
-                                                ("fresh", FieldValue::U64(members.len() as u64)),
-                                            ],
-                                        );
-                                    }
-                                    return;
-                                }
-                            }
-                            scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                            let records = match obs {
-                                Some(o) => self.evaluator.evaluate_bank_with_trace_ticked(
-                                    &bank,
-                                    trace,
-                                    OBS_TICK_EVENTS,
-                                    &|n| o.counters.add_events(n),
-                                ),
-                                None => self.evaluator.evaluate_bank_with_trace(&bank, trace),
-                            };
-                            let dur = unit_start.elapsed();
-                            hists.scan.record(dur);
-                            for (&i, record) in members.iter().zip(records) {
-                                let _ = record_slots[i].set(record);
-                            }
-                            if let Some(o) = obs {
-                                o.counters.add_done(members.len() as u64);
-                                o.unit(
-                                    "simulate",
-                                    "scan",
-                                    w as u64,
-                                    dur,
-                                    &[
-                                        ("events", FieldValue::U64(trace.len() as u64)),
-                                        ("width", FieldValue::U64(members.len() as u64)),
-                                        ("fresh", FieldValue::U64(members.len() as u64)),
-                                    ],
-                                );
-                            }
-                        });
-                        let hits = analytic_hits.into_inner();
-                        telemetry.analytic_groups += hits;
-                        telemetry.simulated_groups += groups.len() - hits;
-                        busy
-                    }
-                    Engine::PerDesign => steal_loop(workers, survivors.len(), |w, i| {
-                        let d = survivors[i];
-                        let (id, conflict_free) = pair_layout[&(d.cache_size, d.line)];
-                        let trace = &traces[&(id, d.tiling)];
-                        replayed.fetch_add(trace.len(), Ordering::Relaxed);
-                        scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                        let unit_start = Instant::now();
-                        let _ = record_slots[i].set(self.evaluator.evaluate_with_trace(
-                            d,
-                            trace,
-                            conflict_free,
-                        ));
-                        let dur = unit_start.elapsed();
-                        hists.design.record(dur);
-                        if let Some(o) = obs {
-                            o.counters.add_done(1);
-                            o.counters.add_events(trace.len() as u64);
-                            o.unit(
-                                "simulate",
-                                "sim",
-                                w as u64,
-                                dur,
-                                &[("events", FieldValue::U64(trace.len() as u64))],
-                            );
-                        }
-                    }),
+                // Trace groups within the wave: survivors sharing one
+                // (layout id, tiling) slice form one bank. The pruner has
+                // already dropped designs from each bank, so replay only
+                // steps lanes that must be measured; qualifying banks are
+                // resolved in closed form instead.
+                let conflict_free = |i: usize| {
+                    let d = &designs[i];
+                    pair_layout[&(d.cache_size, d.line)].1
                 };
-                drop(simulate_span);
-                telemetry.simulate_time += phase_start.elapsed();
-                telemetry.trace_events_replayed += replayed.into_inner() as u64;
-                telemetry.trace_events_scanned += scanned.into_inner() as u64;
-                for (i, d) in busy.into_iter().enumerate() {
-                    if i < worker_busy.len() {
-                        worker_busy[i] += d;
-                    } else {
-                        worker_busy.push(d);
-                    }
+                let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
+                let mut groups: Vec<Vec<usize>> = Vec::new();
+                let mut group_traces: Vec<&[TraceEvent]> = Vec::new();
+                for &i in &survivors {
+                    let key = key_of(i);
+                    let g = *group_of.entry(key).or_insert_with(|| {
+                        groups.push(Vec::new());
+                        group_traces.push(&traces[&key]);
+                        groups.len() - 1
+                    });
+                    groups[g].push(i);
                 }
-                for slot in record_slots {
-                    evaluated.push(slot.into_inner().expect("simulate slot filled"));
-                }
+                let phase_start = Instant::now();
+                let known = self
+                    .classify(
+                        kernel,
+                        workers,
+                        &designs,
+                        conflict_free,
+                        &groups,
+                        &group_traces,
+                    )
+                    .unwrap_or_else(|e| panic!("{e}"));
+                prep.classify_time += phase_start.elapsed();
+                let units = groups
+                    .into_iter()
+                    .zip(group_traces)
+                    .zip(known)
+                    .map(|((members, trace), known)| {
+                        let feed = match known {
+                            Some(records) => Feed::Known {
+                                records,
+                                events: trace.len(),
+                            },
+                            None => Feed::Slice(trace),
+                        };
+                        Unit::bank(members, feed)
+                    })
+                    .collect();
+                sweep
+                    .run(&self.units(units), conflict_free)
+                    .unwrap_or_else(|e| panic!("sweep worker panicked: {e}"));
+                evaluated.extend(survivors.iter().filter_map(|&i| sweep.record(i).cloned()));
             }
         }
 
+        let SweepOutcome {
+            errors,
+            mut telemetry,
+            ..
+        } = sweep.finish();
+        if let Some(e) = errors.first() {
+            panic!("sweep worker panicked: {}", e.message);
+        }
         let phase_start = Instant::now();
-        let select_span = Span::begin(obs, "select");
+        let select_span = Span::begin(self.obs.as_deref(), "select");
         let frontier = pareto3(&evaluated);
         drop(select_span);
-        telemetry.select_time = phase_start.elapsed();
-        telemetry.designs_evaluated = evaluated.len();
+        telemetry.select_time += phase_start.elapsed();
+        telemetry.total_time += phase_start.elapsed();
+        telemetry.layouts_computed = prep.layouts_computed;
+        telemetry.layout_time = prep.layout_time;
+        telemetry.traces_generated = prep.traces_generated;
+        telemetry.trace_events_generated = prep.trace_events_generated;
+        telemetry.trace_time = prep.trace_time;
+        telemetry.classify_time = prep.classify_time;
+        telemetry.bound_time = prep.bound_time;
+        telemetry.designs_pruned = prep.designs_pruned;
         telemetry.frontier_size = frontier.len();
-        telemetry.worker_busy = worker_busy;
-        telemetry.total_time = sweep_start.elapsed();
-        hists.fill(&mut telemetry);
-        debug_assert!(
-            telemetry.worker_utilization() <= 1.05,
-            "worker busy time overcounted: utilization {}",
-            telemetry.worker_utilization()
-        );
         (frontier, telemetry)
     }
 
@@ -537,6 +441,7 @@ fn min_cache_for(kernel: &Kernel, cache: &mut HashMap<usize, u64>, line: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
     use loopir::kernels;
 
     #[test]
@@ -632,6 +537,35 @@ mod tests {
         assert!(tf.trace_events_scanned <= tf.trace_events_replayed);
         assert_eq!(tp.fused_groups, 0);
         assert_eq!(tp.trace_events_scanned, tp.trace_events_replayed);
+    }
+
+    #[test]
+    fn singleton_trace_groups_are_still_banks() {
+        // One (T, L) pair, one way, three tilings: every trace group has
+        // a single member. Each is still a fused bank (a per-design unit
+        // is not), exactly as every wave group was before the runner.
+        let k = kernels::compress(15);
+        let space = DesignSpace {
+            cache_sizes: vec![64],
+            line_sizes: vec![8],
+            assocs: vec![1],
+            tilings: vec![1, 2, 4],
+            min_lines: 2,
+            ..Default::default()
+        };
+        let (_, tf) = Explorer::default()
+            .with_engine(Engine::Fused)
+            .pareto_pruned(&k, &space);
+        assert!(tf.designs_evaluated > 0);
+        assert_eq!(tf.fused_groups, tf.designs_evaluated);
+        assert_eq!(tf.max_bank_width, 1);
+        assert_eq!(tf.trace_events_scanned, tf.trace_events_replayed);
+        let (_, tp) = Explorer::default()
+            .with_engine(Engine::PerDesign)
+            .pareto_pruned(&k, &space);
+        assert_eq!(tp.designs_evaluated, tf.designs_evaluated);
+        assert_eq!(tp.fused_groups, 0);
+        assert_eq!(tp.max_bank_width, 0);
     }
 
     #[test]

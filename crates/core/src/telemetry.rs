@@ -39,8 +39,9 @@ pub struct SweepTelemetry {
     /// scanned once regardless of bank width, so this is smaller by
     /// [`trace_events_avoided`](Self::trace_events_avoided).
     pub trace_events_scanned: u64,
-    /// Trace groups the fused engine scheduled (one arena slice plus the
-    /// bank of designs replaying it). 0 for the per-design engine.
+    /// Banks the sweep scheduled (a trace group replaying one trace, or
+    /// a `.din` shard). 0 for the per-design engine, whose units are
+    /// single designs.
     pub fused_groups: usize,
     /// Widest design bank stepped in lockstep by the fused engine
     /// (0 for the per-design engine).
@@ -49,12 +50,13 @@ pub struct SweepTelemetry {
     /// bit-identical records, no replay (0 when disabled or when no
     /// group qualified).
     pub analytic_groups: usize,
-    /// Trace groups that replayed through a `memsim::ReplayBank`.
+    /// Banks that replayed through a `memsim::ReplayBank`
+    /// (`fused_groups - analytic_groups`).
     pub simulated_groups: usize,
     /// Raw bytes of the materialized trace arena.
     pub arena_bytes: u64,
-    /// Resident bytes of the delta-compressed replay form (0 when replay
-    /// streamed from the raw arena).
+    /// Resident bytes of the delta-compressed replay form (0 for sweeps
+    /// that replay resident slices or a `.din` stream).
     pub arena_compressed_bytes: u64,
     /// Worker threads used by the sweep.
     pub workers: usize,

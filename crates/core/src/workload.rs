@@ -9,7 +9,7 @@
 //! [`TraceFingerprint`] from one cheap preparation pass, and
 //! [`Explorer::explore_trace`] sweeps a design grid over it by pulling
 //! fixed-capacity chunks through [`memsim::TraceSource`] and feeding them
-//! into incremental [`ReplayBank`] steppers.
+//! into incremental [`memsim::ReplayBank`] steppers.
 //!
 //! Memory stays `O(chunk_capacity × workers)` regardless of trace length:
 //! each worker owns one chunk buffer and one bank of cache models. The
@@ -18,8 +18,8 @@
 //! `⌈designs / TRACE_BANK_WIDTH⌉` times while every design still consumes
 //! every event exactly once (the telemetry's replayed/scanned split).
 //!
-//! Bit-identity: lane state in a [`ReplayBank`] persists across
-//! [`feed`](ReplayBank::feed) calls, so chunked replay is the same
+//! Bit-identity: lane state in a [`memsim::ReplayBank`] persists across
+//! [`feed`](memsim::ReplayBank::feed) calls, so chunked replay is the same
 //! computation as a whole-slice scan for *any* chunk size (see
 //! `memsim::bank`), and records land in write-once slots indexed by
 //! design, so worker count and scheduling cannot reorder or change them.
@@ -28,24 +28,20 @@
 //! the grid has no tiling axis ([`TraceWorkload::design_space`] pins
 //! `B = 1`) and layouts are never computed.
 
-use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError};
-use crate::explore::{panic_message, try_steal_loop, SweepHists};
+use crate::checkpoint::{fnv1a, CheckpointError};
 use crate::metrics::{CacheDesign, Evaluator, Record};
-use crate::obs::{FieldValue, Span};
-use crate::supervisor::{SweepError, SweepOptions, SweepOutcome};
+use crate::supervisor::{push_grid, SweepOptions, SweepOutcome};
+use crate::sweep::{Feed, RunError, Sweep, Unit};
 use crate::telemetry::SweepTelemetry;
 use crate::{DesignSpace, Explorer};
 use memsim::{
-    fingerprint_source, DinSource, ReplayBank, TraceEvent, TraceFingerprint, TraceSource,
-    TraceSourceError, DEFAULT_CHUNK_CAPACITY,
+    fingerprint_source, DinSource, TraceFingerprint, TraceSource, TraceSourceError,
+    DEFAULT_CHUNK_CAPACITY,
 };
 use std::fmt;
 use std::io::{self, BufReader};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Designs stepped in lockstep per shard of a streamed sweep. Each shard
 /// re-streams the trace once, so this bounds both the number of passes
@@ -251,11 +247,7 @@ pub fn trace_sweep_id(
     bytes.extend_from_slice(b"trace\0");
     bytes.extend_from_slice(&workload.fingerprint().digest().to_le_bytes());
     bytes.extend_from_slice(&workload.events().to_le_bytes());
-    for d in designs {
-        for word in [d.cache_size as u64, d.line as u64, d.assoc as u64, d.tiling] {
-            bytes.extend_from_slice(&word.to_le_bytes());
-        }
-    }
+    push_grid(&mut bytes, designs);
     bytes.push(evaluator.bus_encoding as u8);
     bytes.extend_from_slice(evaluator.energy_model.part.name.as_bytes());
     bytes.extend_from_slice(
@@ -297,9 +289,12 @@ impl Explorer {
     }
 
     /// Sweeps `designs` over a streamed external trace under the
-    /// fault-isolation supervisor: panicking shards are retried one
-    /// design at a time (each retry re-streams the trace alone), designs
-    /// that still panic are quarantined into [`SweepError`]s, a
+    /// fault-isolation supervisor. The grid is cut into shards of
+    /// [`TRACE_BANK_WIDTH`] designs, each a unit of the
+    /// [sweep runner](crate::sweep) that re-opens and streams the trace:
+    /// panicking shards are retried one design at a time (each retry
+    /// re-streams the trace alone), designs that still panic are
+    /// quarantined into [`SweepError`](crate::SweepError)s, a
     /// cooperative deadline (checked between chunks) yields a well-formed
     /// partial [`SweepOutcome`], and a [`CheckpointPolicy`]
     /// (crate::CheckpointPolicy) persists/resumes completed records under
@@ -319,435 +314,32 @@ impl Explorer {
         designs: &[CacheDesign],
         options: &SweepOptions,
     ) -> Result<SweepOutcome, TraceError> {
-        let sweep_start = Instant::now();
-        let shards: Vec<Vec<usize>> = (0..designs.len())
-            .collect::<Vec<_>>()
-            .chunks(TRACE_BANK_WIDTH)
-            .map(<[usize]>::to_vec)
+        let shards: Vec<Unit<'_>> = (0..designs.len())
+            .step_by(TRACE_BANK_WIDTH)
+            .map(|start| {
+                let members = (start..designs.len().min(start + TRACE_BANK_WIDTH)).collect();
+                Unit::bank(members, Feed::Stream(workload))
+            })
             .collect();
         let workers = self.worker_count(shards.len());
         let id = trace_sweep_id(workload, designs, &self.evaluator);
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-
-        // Resume: pre-fill output slots from the sidecar file (same
-        // protocol as the kernel supervisor, different sweep id).
-        let record_slots: Vec<OnceLock<Record>> = designs.iter().map(|_| OnceLock::new()).collect();
-        let mut resumed_entries: Vec<(usize, Record)> = Vec::new();
-        if let Some(policy) = options.checkpoint.as_ref().filter(|p| p.resume) {
-            match Checkpoint::read(&policy.path) {
-                Ok(ck) => {
-                    if ck.sweep_id != id {
-                        return Err(CheckpointError::SweepMismatch {
-                            expected: id,
-                            found: ck.sweep_id,
-                        }
-                        .into());
-                    }
-                    for (idx, mut record) in ck.entries {
-                        if idx >= designs.len() {
-                            return Err(CheckpointError::BadEntry {
-                                index: idx as u64,
-                                designs: designs.len(),
-                            }
-                            .into());
-                        }
-                        record.design = designs[idx];
-                        let _ = record_slots[idx].set(record.clone());
-                        resumed_entries.push((idx, record));
-                    }
-                }
-                Err(CheckpointError::Io { ref source, .. })
-                    if source.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let records_resumed = resumed_entries.len();
-        if let Some(o) = obs {
-            if records_resumed > 0 {
-                o.counters.add_done(records_resumed as u64);
-                o.point(
-                    "supervise",
-                    "resume",
-                    &[("records", FieldValue::U64(records_resumed as u64))],
-                );
-            }
-        }
-
-        let hists = SweepHists::default();
-        let phase_start = Instant::now();
-        let simulate_span = Span::begin(obs, "simulate");
-        let replayed = AtomicU64::new(0);
-        let scanned = AtomicU64::new(0);
-        let peak_chunk_bytes = AtomicU64::new(0);
-        let retried = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let stop = AtomicBool::new(false);
-        let deadline = options.deadline.map(|d| sweep_start + d);
-        let errors: Mutex<Vec<SweepError>> = Mutex::new(Vec::new());
-        let source_error: Mutex<Option<TraceSourceError>> = Mutex::new(None);
-        let sink = Mutex::new(CheckpointSink {
-            entries: resumed_entries,
-            since_flush: 0,
-            flushes: 0,
-            written: 0,
-            failed: 0,
-        });
-
-        let fail_source = |e: TraceSourceError| {
-            stop.store(true, Ordering::Relaxed);
-            let mut slot = source_error.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        };
-        let quarantine = |e: SweepError| {
-            if let Some(o) = obs {
-                o.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                o.point(
-                    "supervise",
-                    "quarantine",
-                    &[
-                        ("design", FieldValue::U64(e.design_index as u64)),
-                        ("engine", FieldValue::Str(e.engine.to_string())),
-                        ("message", FieldValue::Str(e.message.clone())),
-                    ],
-                );
-            }
-            errors.lock().unwrap_or_else(|p| p.into_inner()).push(e);
-        };
-        let flush_with_id = |sink: &mut CheckpointSink, policy: &crate::CheckpointPolicy| {
-            let nth = sink.flushes;
-            sink.flushes += 1;
-            sink.since_flush = 0;
-            let flush_start = Instant::now();
-            let ok = if options.fault.should_fail_checkpoint(nth) {
-                sink.failed += 1;
-                false
-            } else {
-                let ck = Checkpoint {
-                    sweep_id: id,
-                    entries: sink.entries.clone(),
-                };
-                match ck.write_atomic(&policy.path) {
-                    Ok(()) => {
-                        sink.written += 1;
-                        true
-                    }
-                    Err(_) => {
-                        sink.failed += 1;
-                        false
-                    }
-                }
-            };
-            let dur = flush_start.elapsed();
-            hists.flush.record(dur);
-            if let Some(o) = obs {
-                o.point(
-                    "checkpoint",
-                    "flush",
-                    &[
-                        (
-                            "dur_us",
-                            FieldValue::U64(u64::try_from(dur.as_micros()).unwrap_or(u64::MAX)),
-                        ),
-                        ("ok", FieldValue::U64(u64::from(ok))),
-                        ("records", FieldValue::U64(sink.entries.len() as u64)),
-                    ],
-                );
-            }
-        };
-        let complete = |idx: usize, record: Record| {
-            if record_slots[idx].set(record.clone()).is_ok() {
-                if let Some(policy) = options.checkpoint.as_ref() {
-                    let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                    sink.entries.push((idx, record));
-                    sink.since_flush += 1;
-                    if sink.since_flush >= policy.every.max(1) {
-                        flush_with_id(&mut sink, policy);
-                    }
-                }
-            }
-        };
-        let out_of_time = || {
-            if cancelled.load(Ordering::Relaxed) {
-                return true;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                if !cancelled.swap(true, Ordering::Relaxed) {
-                    if let Some(o) = obs {
-                        o.point("supervise", "deadline_cancel", &[]);
-                    }
-                }
-                return true;
-            }
-            false
-        };
-        // One full streaming pass over the workload, feeding `bank`.
-        // Returns the events fed and the microseconds spent parsing them
-        // (inside `TraceSource::fill`), or `None` when the deadline fired
-        // mid-stream (the bank is then abandoned: a partial replay must
-        // never produce a record).
-        let stream_into = |bank: &mut ReplayBank| -> Result<Option<(u64, u64)>, TraceSourceError> {
-            let mut src = workload.open()?;
-            let mut buf: Vec<TraceEvent> = Vec::with_capacity(workload.chunk_capacity());
-            let mut events = 0u64;
-            let mut parse = Duration::ZERO;
-            loop {
-                let fill_start = Instant::now();
-                let n = src.fill(&mut buf, workload.chunk_capacity())?;
-                parse += fill_start.elapsed();
-                if n == 0 {
-                    let parse_us = u64::try_from(parse.as_micros()).unwrap_or(u64::MAX);
-                    return Ok(Some((events, parse_us)));
-                }
-                events += n as u64;
-                let bytes = (buf.len() * std::mem::size_of::<TraceEvent>()) as u64;
-                peak_chunk_bytes.fetch_max(bytes, Ordering::Relaxed);
-                bank.feed(&buf);
-                if let Some(o) = obs {
-                    o.counters.add_events(n as u64);
-                }
-                if out_of_time() {
-                    return Ok(None);
-                }
-            }
-        };
-        // Per-design retry, shared by the quarantine fallback: re-streams
-        // the whole trace through a bank of one.
-        let simulate_one =
-            |w: usize, i: usize| -> Result<Result<Option<Record>, TraceSourceError>, String> {
-                let unit_start = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    options.fault.maybe_panic_design(i);
-                    let d = designs[i];
-                    let config = d
-                        .cache_config()
-                        .unwrap_or_else(|e| panic!("invalid design {d}: {e}"));
-                    let mut bank =
-                        ReplayBank::with_options(&[config], self.evaluator.bus_encoding, false);
-                    let (events, parse_us) = match stream_into(&mut bank)? {
-                        Some(pass) => pass,
-                        None => return Ok(None),
-                    };
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    replayed.fetch_add(events, Ordering::Relaxed);
-                    let record = self
-                        .evaluator
-                        .evaluate_bank_reports(&[(d, false)], &bank.finish())
-                        .pop()
-                        .expect("bank of one yields one record");
-                    Ok(Some((record, events, parse_us)))
-                }))
-                .map_err(panic_message);
-                match result {
-                    Ok(Ok(Some((record, events, parse_us)))) => {
-                        let dur = unit_start.elapsed();
-                        hists.design.record(dur);
-                        if let Some(o) = obs {
-                            o.counters.add_done(1);
-                            o.unit(
-                                "simulate",
-                                "sim",
-                                w as u64,
-                                dur,
-                                &[
-                                    ("events", FieldValue::U64(events)),
-                                    ("parse_us", FieldValue::U64(parse_us)),
-                                ],
-                            );
-                        }
-                        Ok(Ok(Some(record)))
-                    }
-                    Ok(Ok(None)) => Ok(Ok(None)),
-                    Ok(Err(e)) => Ok(Err(e)),
-                    Err(message) => Err(message),
-                }
-            };
-
-        let worker_busy = try_steal_loop(workers, shards.len(), |w, s| {
-            if out_of_time() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let members = &shards[s];
-            let fresh = members
-                .iter()
-                .filter(|&&i| record_slots[i].get().is_none())
-                .count();
-            if fresh == 0 {
-                return; // whole shard resumed from the checkpoint
-            }
-            let unit_start = Instant::now();
-            let scan = catch_unwind(AssertUnwindSafe(
-                || -> Result<Option<(Vec<Record>, u64, u64)>, TraceSourceError> {
-                    options.fault.maybe_panic_group(s);
-                    let bank_designs: Vec<(CacheDesign, bool)> =
-                        members.iter().map(|&i| (designs[i], false)).collect();
-                    let configs: Vec<memsim::CacheConfig> = bank_designs
-                        .iter()
-                        .map(|(d, _)| {
-                            d.cache_config()
-                                .unwrap_or_else(|e| panic!("invalid design {d}: {e}"))
-                        })
-                        .collect();
-                    let mut bank =
-                        ReplayBank::with_options(&configs, self.evaluator.bus_encoding, false);
-                    let (events, parse_us) = match stream_into(&mut bank)? {
-                        Some(pass) => pass,
-                        None => return Ok(None),
-                    };
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    replayed.fetch_add(events * members.len() as u64, Ordering::Relaxed);
-                    let records = self
-                        .evaluator
-                        .evaluate_bank_reports(&bank_designs, &bank.finish());
-                    Ok(Some((records, events, parse_us)))
-                },
-            ));
-            match scan {
-                Ok(Ok(Some((records, events, parse_us)))) => {
-                    let dur = unit_start.elapsed();
-                    hists.scan.record(dur);
-                    for (&i, record) in members.iter().zip(records) {
-                        complete(i, record);
-                    }
-                    if let Some(o) = obs {
-                        o.counters.add_done(fresh as u64);
-                        o.unit(
-                            "simulate",
-                            "scan",
-                            w as u64,
-                            dur,
-                            &[
-                                ("events", FieldValue::U64(events)),
-                                ("parse_us", FieldValue::U64(parse_us)),
-                                ("width", FieldValue::U64(members.len() as u64)),
-                                ("fresh", FieldValue::U64(fresh as u64)),
-                            ],
-                        );
-                    }
-                }
-                Ok(Ok(None)) => {} // deadline fired mid-stream: partial result
-                Ok(Err(e)) => fail_source(e),
-                Err(payload) => {
-                    // Fallback: re-stream each member alone; only a design
-                    // that also fails there is quarantined.
-                    let _ = panic_message(payload);
-                    let mut retried_here = 0u64;
-                    for &i in members {
-                        if record_slots[i].get().is_some()
-                            || out_of_time()
-                            || stop.load(Ordering::Relaxed)
-                        {
-                            continue;
-                        }
-                        retried.fetch_add(1, Ordering::Relaxed);
-                        retried_here += 1;
-                        match simulate_one(w, i) {
-                            Ok(Ok(Some(record))) => complete(i, record),
-                            Ok(Ok(None)) => {} // deadline
-                            Ok(Err(e)) => fail_source(e),
-                            Err(message) => quarantine(SweepError {
-                                design_index: i,
-                                design: designs[i],
-                                engine: "stream-fallback",
-                                message,
-                            }),
-                        }
-                    }
-                    if let Some(o) = obs {
-                        o.point(
-                            "supervise",
-                            "retry",
-                            &[
-                                ("group", FieldValue::U64(s as u64)),
-                                ("count", FieldValue::U64(retried_here)),
-                            ],
-                        );
-                    }
-                }
-            }
-        });
-        drop(simulate_span);
-        let worker_busy = worker_busy.map_err(|message| TraceError::WorkerPanic { message })?;
-        if let Some(e) = source_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(TraceError::Source(e));
-        }
-        let simulate_time = phase_start.elapsed();
-
-        // Final flush so the sidecar captures the tail of the sweep.
-        let (checkpoints_written, checkpoints_failed) = match options.checkpoint.as_ref() {
-            Some(policy) => {
-                let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                if sink.since_flush > 0 || sink.flushes == 0 {
-                    flush_with_id(&mut sink, policy);
-                }
-                (sink.written, sink.failed)
-            }
-            None => (0, 0),
-        };
-
-        let phase_start = Instant::now();
-        let select_span = Span::begin(obs, "select");
-        let records: Vec<Option<Record>> =
-            record_slots.into_iter().map(OnceLock::into_inner).collect();
-        let mut errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
-        errors.sort_by_key(|e| e.design_index);
-        drop(select_span);
-        let select_time = phase_start.elapsed();
-
-        let max_bank_width = shards.iter().map(Vec::len).max().unwrap_or(0);
-        let mut telemetry = SweepTelemetry {
-            designs_evaluated: records.iter().filter(|r| r.is_some()).count(),
-            layouts_computed: 0,
-            traces_generated: 1,
-            trace_events_generated: workload.events(),
-            trace_events_replayed: replayed.into_inner(),
-            trace_events_scanned: scanned.into_inner(),
-            fused_groups: shards.len(),
-            max_bank_width,
-            workers,
-            simulate_time,
-            select_time,
-            total_time: sweep_start.elapsed(),
-            worker_busy,
-            designs_quarantined: errors.len(),
-            designs_retried: retried.into_inner(),
-            checkpoints_written,
-            checkpoints_failed,
-            records_resumed,
-            cancelled: cancelled.into_inner(),
-            peak_chunk_bytes: peak_chunk_bytes.into_inner(),
-            ..SweepTelemetry::default()
-        };
-        hists.fill(&mut telemetry);
-        Ok(SweepOutcome {
-            records,
-            errors,
-            telemetry,
-        })
+        let mut sweep = Sweep::begin(self, designs, options, workers, id)?;
+        sweep.run(&shards, |_| false).map_err(|e| match e {
+            RunError::Source(e) => TraceError::Source(e),
+            RunError::Panic(message) => TraceError::WorkerPanic { message },
+        })?;
+        let mut outcome = sweep.finish();
+        outcome.telemetry.traces_generated = 1;
+        outcome.telemetry.trace_events_generated = workload.events();
+        Ok(outcome)
     }
-}
-
-/// Mutable checkpoint state shared by workers (see
-/// `supervisor::Sink` — duplicated here because both are private
-/// implementation details of their engines).
-struct CheckpointSink {
-    entries: Vec<(usize, Record)>,
-    since_flush: usize,
-    flushes: usize,
-    written: usize,
-    failed: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use memsim::din::{write_din, DinLabel, DinRecord};
+    use memsim::TraceEvent;
 
     fn din_text(records: &[DinRecord]) -> String {
         let mut buf = Vec::new();
@@ -852,6 +444,11 @@ mod tests {
         assert_eq!(id_a, trace_sweep_id(&a, &grid, &eval));
         assert_ne!(id_a, trace_sweep_id(&b, &grid, &eval));
         assert_ne!(id_a, trace_sweep_id(&a, &grid[..3], &eval));
+        let fifo: Vec<CacheDesign> = grid
+            .iter()
+            .map(|d| d.with_replacement(memsim::Replacement::Fifo))
+            .collect();
+        assert_ne!(id_a, trace_sweep_id(&a, &fifo, &eval));
     }
 
     #[test]

@@ -564,24 +564,6 @@ impl ReplayBank {
         self.into_reports()
     }
 
-    /// [`run_slice`](Self::run_slice) with a progress hook: the slice is
-    /// replayed in chunks of `every` events and `tick(n)` reports each
-    /// chunk's size as it completes. Lane state and the shared CPU buses
-    /// persist across `run_slice` calls, so chunked replay produces
-    /// counters bit-identical to one whole-slice scan — the hook costs one
-    /// extra split per chunk boundary and nothing per event.
-    pub fn run_slice_ticked(
-        &mut self,
-        events: &[TraceEvent],
-        every: usize,
-        tick: &(dyn Fn(u64) + Sync),
-    ) {
-        for chunk in events.chunks(every.max(1)) {
-            self.run_slice(chunk);
-            tick(chunk.len() as u64);
-        }
-    }
-
     /// Lane `i`'s current counters (the run can continue afterwards).
     pub fn stats(&self, i: usize) -> &CacheStats {
         &self.lanes[i].stats

@@ -18,9 +18,8 @@
 //! through [`ReplayBank::feed`](crate::ReplayBank::feed) /
 //! [`finish`](crate::ReplayBank::finish) produces counters bit-identical
 //! to one whole-slice scan, for every chunk capacity ≥ 1 (lane state and
-//! the shared CPU buses persist across `run_slice` calls — see
-//! `ReplayBank::run_slice_ticked`, which has relied on this invariant
-//! since the fused engine landed).
+//! the shared CPU buses persist across `run_slice` calls — the compressed
+//! kernel traces rely on the same invariant at every block boundary).
 //!
 //! A [`TraceFingerprint`] accumulates a streaming 128-bit FNV-1a hash
 //! over the event bytes plus an exact event count, giving external

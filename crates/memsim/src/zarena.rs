@@ -38,6 +38,7 @@
 //! ```
 
 use crate::sim::TraceEvent;
+use std::ops::ControlFlow;
 
 /// Events per independently decodable block. Sized so the decode scratch
 /// (`BLOCK_EVENTS × 16 B = 128 KiB`) stays cache-resident while a bank
@@ -257,6 +258,19 @@ impl CompressedTrace {
     /// (at most [`BLOCK_EVENTS`] events per call), reusing one scratch
     /// buffer for every block.
     pub fn replay(&self, mut consume: impl FnMut(&[TraceEvent])) {
+        let _ = self.try_replay(|block| {
+            consume(block);
+            ControlFlow::<()>::Continue(())
+        });
+    }
+
+    /// [`replay`](Self::replay) that stops early: `consume` returning
+    /// [`ControlFlow::Break`] ends the replay before the next block is
+    /// decoded, and the break value is returned.
+    pub fn try_replay<B>(
+        &self,
+        mut consume: impl FnMut(&[TraceEvent]) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         let mut scratch: Vec<TraceEvent> = Vec::with_capacity(BLOCK_EVENTS.min(self.len));
         let mut remaining = self.len;
         for (b, &start) in self.block_starts.iter().enumerate() {
@@ -306,9 +320,12 @@ impl CompressedTrace {
             }
             debug_assert_eq!(pos, end - start, "block decoded to its recorded end");
             remaining -= count;
-            consume(&scratch);
+            if let ControlFlow::Break(b) = consume(&scratch) {
+                return ControlFlow::Break(b);
+            }
         }
         debug_assert_eq!(remaining, 0);
+        ControlFlow::Continue(())
     }
 
     /// Decodes the whole trace into one vector (tests and small traces;
@@ -360,6 +377,23 @@ mod tests {
         });
         assert_eq!(seen, raw);
         assert_eq!(calls, raw.len().div_ceil(BLOCK_EVENTS));
+    }
+
+    #[test]
+    fn try_replay_stops_before_the_next_block() {
+        let raw = mixed_trace(3 * BLOCK_EVENTS as u64);
+        let z = CompressedTrace::encode(&raw);
+        let mut seen = 0;
+        let flow = z.try_replay(|block| {
+            seen += block.len();
+            if seen >= BLOCK_EVENTS {
+                ControlFlow::Break(seen)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, ControlFlow::Break(BLOCK_EVENTS));
+        assert_eq!(seen, BLOCK_EVENTS);
     }
 
     #[test]

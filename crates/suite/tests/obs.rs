@@ -297,6 +297,17 @@ fn supervised_log_reconciles_with_telemetry_and_survives_resume() {
     assert!(report.flushes_written > 0, "checkpointing must flush");
     assert_eq!(report.flushes_failed, 0);
     assert_eq!(report.flush.count, report.flushes_written);
+    // The supervised sweep runs the same pipeline as the plain one: it
+    // compresses its traces and scans each trace group once.
+    assert!(
+        report
+            .phases
+            .iter()
+            .any(|p| p.name == "compress" && p.spans > 0),
+        "supervised sweep must log a compress phase"
+    );
+    assert!(outcome.telemetry.arena_compressed_bytes > 0);
+    assert_eq!(report.scan.count as usize, outcome.telemetry.fused_groups);
 
     // Resume from the completed checkpoint: every design arrives via the
     // resume event, and the report still reconciles.

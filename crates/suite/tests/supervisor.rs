@@ -293,6 +293,48 @@ mod injected {
         assert_per_design_quarantine(&kernels::sor(31), 42);
     }
 
+    /// A trace group of one design is still a fused bank: `panic_group`
+    /// fires on it, the fallback retries its design, and a design that
+    /// panics in the fallback too is labelled `fallback`, not
+    /// `per-design`.
+    #[test]
+    fn singleton_bank_panic_goes_through_the_fallback() {
+        let k = kernels::compress(31);
+        let designs = DesignSpace {
+            cache_sizes: vec![64],
+            line_sizes: vec![8],
+            assocs: vec![1],
+            tilings: vec![1, 2, 4],
+            min_lines: 2,
+            ..Default::default()
+        }
+        .designs();
+        let clean = clean_records(&k, &designs);
+        let options = SweepOptions {
+            fault: FaultPlan {
+                panic_group: Some(0),
+                panic_design: Some(0),
+                ..FaultPlan::none()
+            },
+            ..SweepOptions::default()
+        };
+        let outcome = Explorer::default()
+            .with_engine(Engine::Fused)
+            .explore_supervised(&k, &designs, &options)
+            .expect("sweep survives the injected panic");
+        let t = &outcome.telemetry;
+        assert_eq!(t.fused_groups, designs.len());
+        assert_eq!(t.max_bank_width, 1);
+        assert_eq!(t.designs_retried, 1);
+        assert_eq!(outcome.errors.len(), 1, "{:?}", outcome.errors);
+        assert_eq!(outcome.errors[0].design_index, 0);
+        assert_eq!(outcome.errors[0].engine, "fallback");
+        assert!(outcome.records[0].is_none());
+        for i in 1..designs.len() {
+            assert_eq!(outcome.records[i].as_ref(), Some(&clean[i]), "design {i}");
+        }
+    }
+
     /// Keys are interned in design order, so trace group 0 always
     /// contains design 0: panicking both the group and design 0's
     /// fallback quarantines exactly design 0 while the rest of the bank

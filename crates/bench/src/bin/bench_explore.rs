@@ -1,6 +1,4 @@
-//! Sweep-engine benchmark: fused one-pass replay vs per-design replay
-//! (plus the historical seed-engine comparison on `compress` and the
-//! scalar-replay baseline on `matmul`).
+//! Sweep-engine benchmark: fused one-pass replay vs per-design replay.
 //!
 //! For each of the paper's five kernels this runs the full
 //! `DesignSpace::paper()` sweep with the fused engine (analytic fast
@@ -10,11 +8,7 @@
 //! speedup. Every kernel is measured at each worker count in
 //! `{1, num_cpus}` — published rows carry a `workers` field so
 //! single-worker numbers can no longer masquerade as the engine's
-//! parallel throughput. On `compress` it additionally times the original
-//! seed engine, and on `matmul` the pre-bulk scalar replay path
-//! (`Evaluator::scalar_replay`), which is PR 3's fused baseline — the
-//! `replay_phase_speedup` of that row is the number the bulk-lane
-//! refactor is pinned on. Each kernel row also carries two per-layer
+//! parallel throughput. Each kernel row also carries two per-layer
 //! rates: `trace_mev_per_s` (trace generation timed alone on one thread,
 //! every paper tiling under the natural layout) and `layouts_per_s`
 //! (`(T, L)` pairs per second of the fused run's layout phase, placement
@@ -29,11 +23,10 @@
 //! cargo run --release -p bench --bin bench_explore
 //! ```
 
-use bench::seed_engine::seed_explore_designs;
 use loopir::transform::tile_all;
 use loopir::{kernels, DataLayout};
 use memexplore::metrics::read_trace;
-use memexplore::{DesignSpace, Engine, Evaluator, Explorer, Record, SweepTelemetry};
+use memexplore::{DesignSpace, Engine, Explorer, Record, SweepTelemetry};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -133,50 +126,6 @@ fn bench_kernel(
     }
 }
 
-/// PR 3's fused baseline on the heaviest kernel: the same fused engine
-/// with `Evaluator::scalar_replay`, which disables the bulk-lane SWAR
-/// path (and, through it, the analytic fast path). The replay-phase
-/// ratio of this row against the current engine is the bulk-replay
-/// speedup the refactor is pinned on.
-struct ScalarBaseline {
-    kernel: String,
-    scalar_secs: f64,
-    scalar_simulate_secs: f64,
-    bulk_simulate_secs: f64,
-    replay_speedup: f64,
-    identical: bool,
-}
-
-fn bench_scalar_baseline(
-    kernel: &loopir::Kernel,
-    designs: &[memexplore::CacheDesign],
-) -> ScalarBaseline {
-    let evaluator = Evaluator {
-        scalar_replay: true,
-        ..Evaluator::default()
-    };
-    let scalar = Explorer::new(evaluator).with_engine(Engine::Fused);
-    let bulk = Explorer::default().with_engine(Engine::Fused);
-
-    let (scalar_secs, (scalar_records, scalar_t)) = best_of(RUNS, || {
-        scalar.explore_designs_with_telemetry(kernel, designs)
-    });
-    let (_, (bulk_records, bulk_t)) = best_of(RUNS, || {
-        bulk.explore_designs_with_telemetry(kernel, designs)
-    });
-
-    let scalar_sim = scalar_t.simulate_time.as_secs_f64();
-    let bulk_sim = bulk_t.simulate_time.as_secs_f64();
-    ScalarBaseline {
-        kernel: kernel.name.clone(),
-        scalar_secs,
-        scalar_simulate_secs: scalar_sim,
-        bulk_simulate_secs: bulk_sim,
-        replay_speedup: scalar_sim / bulk_sim,
-        identical: scalar_records == bulk_records,
-    }
-}
-
 /// Multi-worker numbers on a strided subset of the expansive grid
 /// (`DesignSpace::expansive()` has over a million candidates, so the
 /// exhaustive sweep is infeasible — a fixed-stride sample keeps the
@@ -237,12 +186,7 @@ fn main() {
         }
     }
 
-    // Historical baseline: the pre-refactor seed engine, on compress only
-    // (it regenerates the trace per design, so it is slow on every kernel).
     let kernel = kernels::compress(31);
-    let evaluator = Evaluator::default();
-    let (seed_secs, seed_records) =
-        best_of(RUNS, || seed_explore_designs(&evaluator, &kernel, &designs));
     let compress = &results[0];
     let serial: Vec<Record> = Explorer::default()
         .with_workers(1)
@@ -250,25 +194,11 @@ fn main() {
     let fused_compress = Explorer::default()
         .with_engine(Engine::Fused)
         .explore_designs(&kernel, &designs);
-    let identical_to_seed = fused_compress == seed_records;
     let identical_to_serial = fused_compress == serial;
-
-    // PR 3's fused baseline: scalar (pre-bulk) replay on the heaviest
-    // kernel, whose 3.9 M-event trace dominates the paper sweep.
-    let scalar = bench_scalar_baseline(&kernels::matmul(31), &designs);
 
     let expansive = bench_expansive(num_cpus.max(2));
 
-    let json = render_json(
-        &results,
-        num_cpus,
-        seed_secs,
-        compress.fused_secs,
-        identical_to_seed,
-        identical_to_serial,
-        &scalar,
-        &expansive,
-    );
+    let json = render_json(&results, num_cpus, identical_to_serial, &expansive);
     std::fs::write("BENCH_explore.json", &json).expect("can write BENCH_explore.json");
 
     for r in &results {
@@ -279,19 +209,6 @@ fn main() {
         );
         assert!(r.identical, "{}: engines diverged", r.kernel);
     }
-    println!(
-        "seed engine on {}: {:.3} s ({:.2}x vs fused)",
-        kernel.name,
-        seed_secs,
-        seed_secs / compress.fused_secs
-    );
-    println!(
-        "scalar replay on {}: simulate {:.3} s vs bulk {:.3} s ({:.2}x)",
-        scalar.kernel,
-        scalar.scalar_simulate_secs,
-        scalar.bulk_simulate_secs,
-        scalar.replay_speedup
-    );
     println!("{}", compress.telemetry);
     for r in &results {
         let scan = &r.telemetry.scan_latency;
@@ -302,9 +219,7 @@ fn main() {
             );
         }
     }
-    println!(
-        "records bit-identical to seed engine: {identical_to_seed}, to serial sweep: {identical_to_serial}"
-    );
+    println!("records bit-identical to serial sweep: {identical_to_serial}");
     println!(
         "expansive subset ({} of {} designs) | serial {:.3} s | {} workers {:.3} s | speedup {:.2}x | identical {}",
         expansive.subset,
@@ -317,27 +232,17 @@ fn main() {
     );
     println!("wrote BENCH_explore.json");
 
-    assert!(identical_to_seed, "fused engine diverged from seed engine");
     assert!(identical_to_serial, "parallel sweep diverged from serial");
-    assert!(
-        scalar.identical,
-        "bulk-lane replay diverged from scalar replay"
-    );
     assert!(
         expansive.identical,
         "multi-worker expansive sweep diverged from serial"
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     results: &[KernelResult],
     num_cpus: usize,
-    seed_secs: f64,
-    fused_compress_secs: f64,
-    identical_to_seed: bool,
     identical_to_serial: bool,
-    scalar: &ScalarBaseline,
     expansive: &ExpansiveResult,
 ) -> String {
     let mut kernels_json = String::new();
@@ -383,18 +288,7 @@ fn render_json(
             "  \"num_cpus\": {},\n",
             "  \"engines\": [\"fused\", \"fused-no-analytic\", \"per-design\"],\n",
             "  \"kernels\": [\n{}  ],\n",
-            "  \"seed_engine_secs_compress\": {:.6},\n",
-            "  \"seed_vs_fused_speedup_compress\": {:.3},\n",
-            "  \"records_identical_to_seed\": {},\n",
             "  \"records_identical_to_serial\": {},\n",
-            "  \"scalar_replay_baseline\": {{\n",
-            "    \"kernel\": \"{}\",\n",
-            "    \"scalar_secs\": {:.6},\n",
-            "    \"scalar_simulate_secs\": {:.6},\n",
-            "    \"bulk_simulate_secs\": {:.6},\n",
-            "    \"replay_phase_speedup\": {:.3},\n",
-            "    \"records_identical\": {}\n",
-            "  }},\n",
             "  \"expansive_subset\": {{\n",
             "    \"kernel\": \"Compress\",\n",
             "    \"subset_designs\": {},\n",
@@ -410,16 +304,7 @@ fn render_json(
         RUNS,
         num_cpus,
         kernels_json,
-        seed_secs,
-        seed_secs / fused_compress_secs,
-        identical_to_seed,
         identical_to_serial,
-        scalar.kernel,
-        scalar.scalar_secs,
-        scalar.scalar_simulate_secs,
-        scalar.bulk_simulate_secs,
-        scalar.replay_speedup,
-        scalar.identical,
         expansive.subset,
         expansive.total,
         expansive.workers,

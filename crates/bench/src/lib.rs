@@ -7,7 +7,6 @@
 //! machinery and the ablation studies.
 
 pub mod figures;
-pub mod seed_engine;
 pub mod tables;
 
 pub use tables::Table;

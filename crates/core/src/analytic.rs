@@ -32,15 +32,14 @@ pub fn kernel_footprint_bytes(kernel: &Kernel) -> u64 {
 /// Attempts to resolve a whole trace group in closed form. Returns the
 /// bank's records (input order, bit-identical to replay) when *every*
 /// design classifies analytic-exact; `None` sends the group to the
-/// replay engine. A `scalar_replay` evaluator always declines — it
-/// exists to time the replay engine honestly.
+/// replay engine.
 pub fn try_group_records(
     evaluator: &Evaluator,
     footprint: u64,
     bank: &[(CacheDesign, bool)],
     trace: &[TraceEvent],
 ) -> Option<Vec<Record>> {
-    if bank.is_empty() || evaluator.scalar_replay {
+    if bank.is_empty() {
         return None;
     }
     if bank.iter().any(|(d, _)| (d.cache_size as u64) < footprint) {
@@ -103,20 +102,6 @@ mod tests {
             (CacheDesign::new(4096, 16, 1, 1), false),
             (CacheDesign::new(64, 16, 1, 1), false), // below the footprint
         ];
-        assert!(try_group_records(&eval, footprint, &bank, &trace).is_none());
-    }
-
-    #[test]
-    fn scalar_replay_evaluator_declines() {
-        let k = kernels::matadd(8);
-        let layout = DataLayout::natural(&k);
-        let trace = read_trace(&k, &layout);
-        let eval = Evaluator {
-            scalar_replay: true,
-            ..Evaluator::default()
-        };
-        let footprint = kernel_footprint_bytes(&k);
-        let bank = vec![(CacheDesign::new(4096, 16, 1, 1), false)];
         assert!(try_group_records(&eval, footprint, &bank, &trace).is_none());
     }
 }

@@ -734,7 +734,7 @@ impl Explorer {
         groups: &[Vec<usize>],
         traces: &[&[TraceEvent]],
     ) -> Result<Vec<Option<Vec<Record>>>, ExploreError> {
-        if !self.analytic || self.evaluator.scalar_replay || self.engine == Engine::PerDesign {
+        if !self.analytic || self.engine == Engine::PerDesign {
             return Ok(vec![None; groups.len()]);
         }
         let span = Span::begin(self.obs.as_deref(), "classify");

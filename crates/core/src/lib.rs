@@ -46,7 +46,6 @@ pub mod composite;
 pub mod cycles;
 pub mod explore;
 pub mod fault;
-pub mod hierarchy;
 pub mod metrics;
 pub mod obs;
 pub mod pareto;

@@ -154,9 +154,6 @@ pub struct Evaluator {
     pub placement: PlacementMode,
     /// Address-bus encoding (the paper assumes Gray).
     pub bus_encoding: BusEncoding,
-    /// Forces the fused engine's scalar lane loop (the pre-bulk replay
-    /// path) — for baseline benchmarking and differential tests only.
-    pub scalar_replay: bool,
 }
 
 impl Default for Evaluator {
@@ -168,7 +165,6 @@ impl Default for Evaluator {
             cycle_model: CycleModel,
             placement: PlacementMode::Optimized,
             bus_encoding: BusEncoding::Gray,
-            scalar_replay: false,
         }
     }
 }
@@ -236,35 +232,17 @@ impl Evaluator {
             panic!("invalid design {design}: {e}");
         }
         let (layout, conflict_free) = self.layout_for(kernel, design.cache_size, design.line);
-        self.evaluate_with_layout(kernel, design, &layout, conflict_free)
-    }
-
-    /// Like [`evaluate`](Self::evaluate) but with a precomputed layout
-    /// (tiling and associativity do not change the layout, so sweeps reuse
-    /// one layout per `(T, L)` pair).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`evaluate`](Self::evaluate).
-    pub fn evaluate_with_layout(
-        &self,
-        kernel: &Kernel,
-        design: CacheDesign,
-        layout: &DataLayout,
-        conflict_free: bool,
-    ) -> Record {
-        let tiled = tile_all(kernel, design.tiling);
-        let trace = read_trace(&tiled, layout);
+        let trace = read_trace(&tile_all(kernel, design.tiling), &layout);
         self.evaluate_with_trace(design, &trace, conflict_free)
     }
 
     /// Like [`evaluate`](Self::evaluate) but replaying a pre-materialized
     /// read trace (the tiled kernel's reads under the chosen layout).
     ///
-    /// This is the innermost entry point of the trace-once sweep engine:
-    /// the [`Explorer`](crate::Explorer) materializes each distinct
-    /// `(T, L, B)` trace once into a [`memsim::TraceArena`] and evaluates
-    /// every associativity against the same immutable slice.
+    /// This is the scalar reference replay: one [`Simulator`] steps the
+    /// raw slice, with no bank, compression or bulk scan in between.
+    /// [`Explorer::search`](crate::Explorer::search) evaluates its leaves
+    /// with it, and the sweep oracles compare bank records against it.
     ///
     /// # Panics
     ///
@@ -346,11 +324,7 @@ impl Evaluator {
                     .unwrap_or_else(|e| panic!("invalid design {design}: {e}"))
             })
             .collect();
-        let mut bank = ReplayBank::with_options(&configs, self.bus_encoding, false);
-        if self.scalar_replay {
-            bank = bank.with_scalar_replay();
-        }
-        bank
+        ReplayBank::with_options(&configs, self.bus_encoding, false)
     }
 
     /// Converts finished [`memsim::SimReport`]s of a bank scan into
@@ -458,8 +432,8 @@ impl Evaluator {
 }
 
 /// Materializes the read trace of `kernel` under `layout` — the event
-/// format consumed by [`Evaluator::evaluate_with_trace`] and stored in
-/// sweep [`memsim::TraceArena`]s.
+/// format consumed by [`Evaluator::evaluate_with_trace`] and the bank
+/// evaluators.
 pub fn read_trace(kernel: &Kernel, layout: &DataLayout) -> Vec<TraceEvent> {
     let mut trace = Vec::new();
     TraceGen::new(kernel, layout).for_each(|a| {

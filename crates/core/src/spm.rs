@@ -31,7 +31,7 @@
 //! ```
 
 use crate::explore::{pow2_range, DesignSpace, Explorer};
-use crate::metrics::{CacheDesign, Evaluator, Record};
+use crate::metrics::{CacheDesign, Evaluator};
 use crate::select;
 use loopir::{AccessKind, ArrayId, Kernel, TraceGen};
 use memsim::{Simulator, TraceEvent};
@@ -225,19 +225,6 @@ pub fn best_split(records: &[SpmRecord]) -> Option<&SpmRecord> {
     records
         .iter()
         .min_by(|a, b| a.energy_nj.partial_cmp(&b.energy_nj).expect("finite"))
-}
-
-/// Converts an [`SpmRecord`] into a plain [`Record`] for the `select`
-/// helpers (trip count unavailable, conflict-free flag dropped).
-pub fn as_record(r: &SpmRecord) -> Record {
-    Record {
-        design: r.cache_design,
-        miss_rate: r.cache_miss_rate,
-        cycles: r.cycles,
-        energy_nj: r.energy_nj,
-        trip_count: 0,
-        conflict_free: false,
-    }
 }
 
 #[cfg(test)]

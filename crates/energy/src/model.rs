@@ -109,11 +109,6 @@ impl DacEnergyModel {
         }
     }
 
-    /// A model with explicit coefficients.
-    pub fn with_params(part: SramPart, params: EnergyParams) -> Self {
-        DacEnergyModel { params, part }
-    }
-
     /// `E_hit` for one access, given the average address-bus switches
     /// `add_bs` (nanojoules).
     pub fn hit_energy_nj(&self, config: &CacheConfig, add_bs: f64) -> f64 {

@@ -4,7 +4,7 @@ use crate::stream::InstructionStream;
 use energy::DacEnergyModel;
 use energy::SramPart;
 use loopir::Kernel;
-use memexplore::{select, CacheDesign, CycleModel, DesignSpace, Explorer, Record};
+use memexplore::{select, CycleModel, DesignSpace, Explorer, Record};
 use memsim::{CacheConfig, Simulator};
 
 /// Performance of one I-cache configuration on one instruction stream.
@@ -166,12 +166,6 @@ pub fn best_joint_split(
                 .partial_cmp(&b.total_energy_nj)
                 .expect("finite")
         })
-}
-
-/// Builds the evaluator-compatible design for an I-cache record (used by
-/// reports).
-pub fn as_design(record: &ICacheRecord) -> CacheDesign {
-    CacheDesign::new(record.config.size(), record.config.line(), 1, 1)
 }
 
 #[cfg(test)]

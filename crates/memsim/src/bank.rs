@@ -230,8 +230,8 @@ pub struct ReplayBank {
     lanes: Vec<Lane>,
     classes: Vec<LineClass>,
     /// Forces the scalar per-access lane loop even where the bulk path
-    /// applies — the pre-bulk engine, kept for honest baseline
-    /// benchmarking and differential tests.
+    /// applies — the reference that the differential tests pit the bulk
+    /// path against.
     scalar_replay: bool,
     /// Per-chunk line stream, `(line << 1) | is_write` per sub-access,
     /// reused across classes, chunks and feeds.
@@ -317,9 +317,8 @@ impl ReplayBank {
 
     /// Disables the bulk lane loop (builder-style): every lane takes the
     /// scalar per-access path regardless of eligibility, and every CPU bus
-    /// keeps live accounting. This is the engine exactly as it was before
-    /// bulk replay landed — benchmarks time it as the baseline, and the
-    /// differential tests pit it against the bulk path event for event.
+    /// keeps live accounting. The differential tests pit this against the
+    /// bulk path event for event; no sweep enables it.
     pub fn with_scalar_replay(mut self) -> Self {
         self.scalar_replay = true;
         self
@@ -876,11 +875,11 @@ mod tests {
     }
 
     #[test]
-    fn one_write_disables_bulk_for_the_rest_of_the_run() {
+    fn early_dirty_line_writes_back_after_a_long_bulk_stretch() {
         // A dirty line left by an early write must still produce its
-        // writeback when a much later read evicts it. The name predates
-        // write-aware bulk replay: every chunk here now stays on the bulk
-        // path, so this pins a writeback across a long clean stretch of it.
+        // writeback when a much later read evicts it. Every chunk here
+        // stays on the bulk path, so this pins a writeback across a long
+        // clean stretch of it.
         let configs = [CacheConfig::new(16, 8, 1).unwrap()];
         let mut bank = ReplayBank::new(&configs);
         bank.feed(&[TraceEvent::write(0, 4)]);

@@ -44,7 +44,6 @@ pub mod cache;
 pub mod classify;
 pub mod config;
 pub mod din;
-pub mod hierarchy;
 pub mod reference;
 pub mod sim;
 pub mod source;
@@ -58,7 +57,6 @@ pub use bus::{gray_encode, BusEncoding, BusMonitor, BusStats};
 pub use cache::{AccessOutcome, Cache};
 pub use classify::{Classifier, MissClass, MissClassCounts};
 pub use config::{CacheConfig, ConfigError, Replacement, WritePolicy};
-pub use hierarchy::{Hierarchy, HierarchyReport};
 pub use sim::{SimReport, Simulator, TraceEvent};
 pub use source::{
     collect_source, din_event, fingerprint_source, DinSource, IterSource, SliceSource,

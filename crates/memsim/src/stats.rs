@@ -70,11 +70,6 @@ impl CacheStats {
         ratio(self.read_misses(), self.reads)
     }
 
-    /// Read hit ratio.
-    pub fn read_hit_rate(&self) -> f64 {
-        ratio(self.read_hits, self.reads)
-    }
-
     /// Merges another run's counters into this one.
     pub fn merge(&mut self, other: &CacheStats) {
         self.reads += other.reads;

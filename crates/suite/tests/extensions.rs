@@ -1,13 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions: scratchpad
-//! partitioning, two-level hierarchies, and the I-cache budget split.
+//! partitioning and the I-cache budget split.
 
 use icache::explore::best_joint_split;
 use icache::stream::InstructionStream;
 use loopir::kernels;
-use memexplore::hierarchy::{evaluate_two_level, explore_two_level, TwoLevelSpace};
 use memexplore::spm::{best_split, choose_arrays, evaluate_split, explore_split};
 use memexplore::{CacheDesign, Evaluator};
-use memsim::CacheConfig;
 
 #[test]
 fn spm_beats_cache_only_for_fir_coefficients() {
@@ -59,34 +57,6 @@ fn spm_assignment_is_stable_and_exact() {
     let large = choose_arrays(&kernel, 8192);
     assert!(!large.arrays.is_empty());
     assert!(large.diverted_reads > 0);
-}
-
-#[test]
-fn hierarchy_sweep_finds_an_l2_that_absorbs_matmul() {
-    let kernel = kernels::matmul(16);
-    let records = explore_two_level(&kernel, &TwoLevelSpace::small(), &Evaluator::default());
-    assert!(
-        records.iter().any(|r| r.global_miss_rate() < 0.05),
-        "some L2 should absorb the 3 KB working set"
-    );
-    // Per-level accounting is exact for every record.
-    for r in &records {
-        assert_eq!(
-            r.report.l1.read_hits + r.report.l2.read_hits + r.report.l2.read_misses(),
-            r.report.l1.reads
-        );
-    }
-}
-
-#[test]
-fn hierarchy_l2_always_wins_cycles() {
-    let kernel = kernels::compress(31);
-    let eval = Evaluator::default();
-    let l1 = CacheConfig::new(64, 8, 1).expect("valid geometry");
-    let l2 = CacheConfig::new(2048, 32, 4).expect("valid geometry");
-    let two = evaluate_two_level(&kernel, l1, l2, &eval);
-    let one = eval.evaluate(&kernel, CacheDesign::new(64, 8, 1, 1));
-    assert!(two.cycles < one.cycles);
 }
 
 #[test]

@@ -241,8 +241,8 @@ impl Evaluator {
     ///
     /// This is the scalar reference replay: one [`Simulator`] steps the
     /// raw slice, with no bank, compression or bulk scan in between.
-    /// [`Explorer::search`](crate::Explorer::search) evaluates its leaves
-    /// with it, and the sweep oracles compare bank records against it.
+    /// [`evaluate`](Self::evaluate) is built on it, and the sweep and
+    /// search oracles compare bank records against it.
     ///
     /// # Panics
     ///
@@ -262,10 +262,11 @@ impl Evaluator {
     }
 
     /// Evaluates a whole bank of designs against one shared trace slice in
-    /// a single scan — the fused engine's work unit (a *trace group*).
+    /// a single scan — the fused engine's work unit (a *trace group*), and
+    /// a certified search's leaf batch.
     ///
-    /// All designs must share the trace, i.e. the same `(T, L)` layout and
-    /// tiling `B`; the sweep groups them that way. Returns one record per
+    /// All designs must share the trace, i.e. the same layout and tiling
+    /// `B`; the sweep and the search group them that way. Returns one record per
     /// design, in input order, each bit-identical to what
     /// [`evaluate_with_trace`](Self::evaluate_with_trace) would produce for
     /// that design alone (see `memsim::ReplayBank` for the argument).

@@ -1215,6 +1215,9 @@ impl RunReport {
                             scan.record(dur);
                             report.designs_done += event.u64_field("fresh").unwrap_or(0);
                         }
+                        "analytic" => {
+                            report.designs_done += event.u64_field("fresh").unwrap_or(0);
+                        }
                         "sim" => {
                             sim.record(dur);
                             report.designs_done += 1;

@@ -58,6 +58,18 @@
 //! only the best-bounded `W` leaves per expansion; the discarded leaves'
 //! minimum bound is folded into `lower_bound`, so a beam search's
 //! certificate stays sound (it can only widen the reported gap).
+//!
+//! # Leaf batches
+//!
+//! Every leaf of one trace key `(layout id, tiling)` replays the same
+//! trace, so leaves are simulated in batches: the first pop of a key
+//! that needs a record evaluates, in one `memsim::ReplayBank` scan, every
+//! open leaf of that key whose bound key still beats the incumbent, and
+//! keeps the records until their own pops. Bank records are bit-identical
+//! to evaluating each design alone, and the best-first loop pops, prunes
+//! and counts exactly as it would without batching, so the incumbent and
+//! its certificate do not change. Records a batch computed but no pop
+//! consumed are counted in `SweepTelemetry::designs_speculative`.
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
@@ -69,9 +81,8 @@ use crate::telemetry::SweepTelemetry;
 use analysis::TraceFootprint;
 use loopir::transform::tile_all;
 use loopir::{DataLayout, Kernel};
-use memsim::TraceEvent;
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -260,7 +271,8 @@ pub struct SearchOutcome {
     /// Leaves discarded by the beam (still covered by `lower_bound`).
     pub beam_discarded: u64,
     /// Sweep-style counters and phase timings (`designs_evaluated` is the
-    /// number of simulations the bounds could not avoid).
+    /// number of simulations the bounds could not avoid;
+    /// `designs_speculative` counts the batched ones never consumed).
     pub telemetry: SweepTelemetry,
 }
 
@@ -343,6 +355,28 @@ struct PairInfo {
     bounds: BoundInputs,
 }
 
+impl PairInfo {
+    /// The design at sweep index `index` of this pair: the order of
+    /// [`DesignSpace::designs`] — associativity, then tiling, then
+    /// replacement policy, then write policy.
+    fn design(&self, space: &DesignSpace, index: usize) -> CacheDesign {
+        let writes = space.write_policies.len();
+        let policies = space.replacements.len() * writes;
+        let offset = index - self.base;
+        let geometry = offset / policies;
+        let (s, tile) = (geometry / self.tilings.len(), geometry % self.tilings.len());
+        let (r, w) = (offset % policies / writes, offset % writes);
+        CacheDesign::new(self.t, self.l, self.assocs[s], self.tilings[tile])
+            .with_replacement(space.replacements[r])
+            .with_write_policy(space.write_policies[w])
+    }
+
+    /// The trace key `(layout id, tiling)` of the design at `index`.
+    fn trace_key(&self, space: &DesignSpace, index: usize) -> (usize, u64) {
+        (self.layout_id, self.design(space, index).tiling)
+    }
+}
+
 /// A heap node: an unexpanded `(T, L)` group or a single bounded leaf.
 struct Node {
     key: Key,
@@ -352,12 +386,130 @@ struct Node {
 enum NodeKind {
     /// Index into the prepared pair table.
     Group(usize),
-    /// A concrete design awaiting simulation.
-    Leaf {
-        design: CacheDesign,
-        index: usize,
-        pair: usize,
-    },
+    /// A concrete design awaiting simulation, from this pair; the key's
+    /// sweep index names the design ([`PairInfo::design`]).
+    Leaf(usize),
+}
+
+/// A bounded leaf from a group expansion, waiting in the heap and, under
+/// its trace key, in [`LeafBatches::open`]. Leaves are the bulk of a
+/// search's memory, so they carry no design: the pair and the key's
+/// sweep index name it.
+struct OpenLeaf {
+    key: Key,
+    pair: usize,
+}
+
+/// The search's leaf evaluator. Leaves of one trace key `(layout id,
+/// tiling)` replay the same trace, whichever `(T, L)` pair they came
+/// from, so the first pop of a key evaluates every open leaf of that key
+/// whose bound still beats the incumbent in one bank scan. Records of
+/// leaves the heap has not popped yet wait in
+/// [`records`](Self::records) until their pop consumes them or prunes
+/// them; a record never consumed is speculative work.
+struct LeafBatches<'a> {
+    explorer: &'a Explorer,
+    kernel: &'a Kernel,
+    space: &'a DesignSpace,
+    pairs: &'a [PairInfo],
+    layouts: &'a [DataLayout],
+    /// The analytic fast path's capacity gate
+    /// ([`kernel_footprint_bytes`]).
+    footprint: u64,
+    /// Tiled kernels by tiling `B`.
+    tiled: HashMap<u64, Kernel>,
+    /// Open leaves not yet batched, by trace key.
+    open: HashMap<(usize, u64), Vec<OpenLeaf>>,
+    /// Batched records awaiting their leaf's pop, by sweep index.
+    records: HashMap<usize, Record>,
+}
+
+impl LeafBatches<'_> {
+    /// Evaluates trace key `trace`'s batch: every open leaf of the key
+    /// whose bound key beats `inc_key`. The others can never beat the
+    /// incumbent again, so they leave the index too (their pop prunes
+    /// them). The trace is generated here and dropped on return; the
+    /// analytic path is tried on the whole batch first, else one
+    /// `ReplayBank` scan replays it. Records are bit-identical to
+    /// evaluating each leaf alone, as the bank and analytic paths
+    /// guarantee.
+    fn evaluate(
+        &mut self,
+        trace: (usize, u64),
+        inc_key: Option<Key>,
+        telemetry: &mut SweepTelemetry,
+        hists: &SweepHists,
+    ) {
+        let batch: Vec<OpenLeaf> = self
+            .open
+            .remove(&trace)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|leaf| inc_key.is_none_or(|k| leaf.key < k))
+            .collect();
+        let designs: Vec<(CacheDesign, bool)> = batch
+            .iter()
+            .map(|leaf| {
+                let pair = &self.pairs[leaf.pair];
+                (pair.design(self.space, leaf.key.index), pair.conflict_free)
+            })
+            .collect();
+        let (layout_id, tiling) = trace;
+        let trace_start = Instant::now();
+        let kernel = self.kernel;
+        let tiled = self
+            .tiled
+            .entry(tiling)
+            .or_insert_with(|| tile_all(kernel, tiling));
+        let events = read_trace(tiled, &self.layouts[layout_id]);
+        telemetry.traces_generated += 1;
+        telemetry.trace_events_generated += events.len() as u64;
+        telemetry.trace_time += trace_start.elapsed();
+
+        let sim_start = Instant::now();
+        let evaluator = &self.explorer.evaluator;
+        let analytic = if self.explorer.analytic {
+            try_group_records(evaluator, self.footprint, &designs, &events)
+        } else {
+            None
+        };
+        let analytic_hit = analytic.is_some();
+        let records =
+            analytic.unwrap_or_else(|| evaluator.evaluate_bank_with_trace(&designs, &events));
+        let dur = sim_start.elapsed();
+        let n = events.len() as u64;
+        let width = designs.len();
+        telemetry.simulate_time += dur;
+        telemetry.fused_groups += 1;
+        telemetry.max_bank_width = telemetry.max_bank_width.max(width);
+        telemetry.trace_events_replayed += n * width as u64;
+        if analytic_hit {
+            telemetry.analytic_groups += 1;
+        } else {
+            telemetry.simulated_groups += 1;
+            telemetry.trace_events_scanned += n;
+            hists.scan.record(dur);
+        }
+        if let Some(o) = self.explorer.obs.as_deref() {
+            o.counters.add_done(width as u64);
+            if !analytic_hit {
+                o.counters.add_events(n);
+            }
+            o.unit(
+                "simulate",
+                if analytic_hit { "analytic" } else { "scan" },
+                0,
+                dur,
+                &[
+                    ("events", FieldValue::U64(n)),
+                    ("width", FieldValue::U64(width as u64)),
+                    ("fresh", FieldValue::U64(width as u64)),
+                ],
+            );
+        }
+        self.records
+            .extend(batch.iter().map(|leaf| leaf.key.index).zip(records));
+    }
 }
 
 impl PartialEq for Node {
@@ -409,7 +561,6 @@ impl Explorer {
         let search_span = Span::begin(obs, "search");
         let mut telemetry = SweepTelemetry::default();
         let hists = SweepHists::default();
-        let footprint = kernel_footprint_bytes(kernel);
 
         // ---- Prepare: pairs, layouts, traces, bound inputs. -------------
         let mut pairs: Vec<PairInfo> = Vec::new();
@@ -479,38 +630,38 @@ impl Explorer {
         telemetry.layouts_computed += pairs.len();
         telemetry.layout_time = phase_start.elapsed();
 
-        // Traces keyed by (layout id, tiling); tiled kernels shared per B.
+        // Bound inputs per (layout id, L), from each layout's untiled
+        // trace; one layout's trace is resident at a time.
+        let mut lines_by_layout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for pair in &pairs {
+            let lines = lines_by_layout.entry(pair.layout_id).or_default();
+            if !lines.contains(&pair.l) {
+                lines.push(pair.l);
+            }
+        }
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
-        let mut traces: HashMap<(usize, u64), Vec<TraceEvent>> = HashMap::new();
         let mut bound_inputs: HashMap<(usize, usize), BoundInputs> = HashMap::new();
-        for pair in &mut pairs {
-            let bkey = (pair.layout_id, pair.l);
-            if let Some(b) = bound_inputs.get(&bkey) {
-                pair.bounds = *b;
-                continue;
-            }
+        for (&layout_id, lines) in &lines_by_layout {
             let trace_start = Instant::now();
-            if let std::collections::hash_map::Entry::Vacant(slot) =
-                traces.entry((pair.layout_id, 1))
-            {
-                let base_kernel = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
-                let trace = read_trace(base_kernel, &unique_layouts[pair.layout_id]);
-                telemetry.traces_generated += 1;
-                telemetry.trace_events_generated += trace.len() as u64;
-                slot.insert(trace);
-            }
+            let base_kernel = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
+            let trace = read_trace(base_kernel, &unique_layouts[layout_id]);
+            telemetry.traces_generated += 1;
+            telemetry.trace_events_generated += trace.len() as u64;
             telemetry.trace_time += trace_start.elapsed();
             let bound_start = Instant::now();
-            let trace = &traces[&(pair.layout_id, 1)];
-            let fp = TraceFootprint::analyze(pair.l as u64, trace.iter().map(|e| (e.addr, e.size)));
-            let b = BoundInputs {
-                accesses: fp.accesses,
-                min_misses: fp.min_misses(),
-                add_bs: exact_add_bs(trace, pair.l, self.evaluator.bus_encoding),
-            };
-            bound_inputs.insert(bkey, b);
-            pair.bounds = b;
+            for &l in lines {
+                let fp = TraceFootprint::analyze(l as u64, trace.iter().map(|e| (e.addr, e.size)));
+                let b = BoundInputs {
+                    accesses: fp.accesses,
+                    min_misses: fp.min_misses(),
+                    add_bs: exact_add_bs(&trace, l, self.evaluator.bus_encoding),
+                };
+                bound_inputs.insert((layout_id, l), b);
+            }
             telemetry.bound_time += bound_start.elapsed();
+        }
+        for pair in &mut pairs {
+            pair.bounds = bound_inputs[&(pair.layout_id, pair.l)];
         }
 
         // ---- Seed the heap with one group node per pair. ----------------
@@ -524,6 +675,17 @@ impl Explorer {
         }
 
         // ---- Best-first loop. -------------------------------------------
+        let mut batches = LeafBatches {
+            explorer: self,
+            kernel,
+            space,
+            pairs: &pairs,
+            layouts: &unique_layouts,
+            footprint: kernel_footprint_bytes(kernel),
+            tiled,
+            open: HashMap::new(),
+            records: HashMap::new(),
+        };
         let mut incumbent: Option<(Record, usize, Key)> = None;
         let mut discarded_lb = f64::INFINITY;
         let mut beam_discarded = 0u64;
@@ -556,7 +718,7 @@ impl Explorer {
             match node.kind {
                 NodeKind::Group(p) => {
                     expansions += 1;
-                    let (kept, pruned_here) = self.expand(
+                    let (mut kept, pruned_here) = self.expand(
                         &pairs[p],
                         p,
                         space,
@@ -564,7 +726,6 @@ impl Explorer {
                         incumbent.as_ref().map(|(_, _, k)| *k),
                     );
                     telemetry.designs_pruned += pruned_here;
-                    let mut kept = kept;
                     if let Some(width) = options.beam {
                         if kept.len() > width {
                             kept.sort_by_key(|a| a.key);
@@ -592,85 +753,42 @@ impl Explorer {
                         );
                     }
                     for leaf in kept {
-                        heap.push(Reverse(leaf));
+                        let trace = pairs[p].trace_key(space, leaf.key.index);
+                        heap.push(Reverse(Node {
+                            key: leaf.key,
+                            kind: NodeKind::Leaf(p),
+                        }));
+                        batches.open.entry(trace).or_default().push(leaf);
                     }
                 }
-                NodeKind::Leaf {
-                    design,
-                    index,
-                    pair,
-                } => {
+                NodeKind::Leaf(p) => {
+                    let index = node.key.index;
                     // The incumbent may have improved since this leaf was
                     // pushed; its bound key is still valid, so re-check.
                     if let Some((_, _, inc_key)) = &incumbent {
                         if node.key >= *inc_key {
                             telemetry.designs_pruned += 1;
+                            if batches.records.remove(&index).is_some() {
+                                telemetry.designs_speculative += 1;
+                            }
                             if let Some(o) = obs {
                                 o.counters.pruned.fetch_add(1, AtomicOrdering::Relaxed);
                             }
                             continue;
                         }
                     }
-                    let info = &pairs[pair];
-                    let trace_start = Instant::now();
-                    if let std::collections::hash_map::Entry::Vacant(slot) =
-                        traces.entry((info.layout_id, design.tiling))
-                    {
-                        let tk = tiled
-                            .entry(design.tiling)
-                            .or_insert_with(|| tile_all(kernel, design.tiling));
-                        let trace = read_trace(tk, &unique_layouts[info.layout_id]);
-                        telemetry.traces_generated += 1;
-                        telemetry.trace_events_generated += trace.len() as u64;
-                        slot.insert(trace);
+                    if !batches.records.contains_key(&index) {
+                        let inc_key = incumbent.as_ref().map(|(_, _, k)| *k);
+                        let trace = pairs[p].trace_key(space, index);
+                        batches.evaluate(trace, inc_key, &mut telemetry, &hists);
                     }
-                    telemetry.trace_time += trace_start.elapsed();
-                    let trace = &traces[&(info.layout_id, design.tiling)];
-                    let sim_start = Instant::now();
-                    // Leaves evaluate one design at a time, so the
-                    // analytic fast path sees a bank of one; qualifying
-                    // leaves skip the replay with bit-identical records.
-                    let analytic_record = if self.analytic {
-                        try_group_records(
-                            &self.evaluator,
-                            footprint,
-                            &[(design, info.conflict_free)],
-                            trace,
-                        )
-                        .map(|mut records| records.remove(0))
-                    } else {
-                        None
-                    };
-                    let analytic_hit = analytic_record.is_some();
-                    let record = analytic_record.unwrap_or_else(|| {
-                        self.evaluator
-                            .evaluate_with_trace(design, trace, info.conflict_free)
-                    });
-                    if analytic_hit {
-                        telemetry.analytic_groups += 1;
-                    } else {
-                        telemetry.simulated_groups += 1;
-                        telemetry.trace_events_scanned += trace.len() as u64;
-                    }
-                    let dur = sim_start.elapsed();
-                    hists.design.record(dur);
-                    telemetry.simulate_time += dur;
+                    // Incumbent keys only fall, so a leaf that beats the
+                    // incumbent now beat it when its trace's batch formed.
+                    let record = batches
+                        .records
+                        .remove(&index)
+                        .expect("a leaf that beats the incumbent was in its trace's batch");
                     telemetry.designs_evaluated += 1;
-                    telemetry.trace_events_replayed += trace.len() as u64;
-                    if let Some(o) = obs {
-                        o.counters.add_done(1);
-                        o.counters.add_events(trace.len() as u64);
-                        o.unit(
-                            "simulate",
-                            "design",
-                            0,
-                            dur,
-                            &[
-                                ("design", FieldValue::Str(record.design.to_string())),
-                                ("index", FieldValue::U64(index as u64)),
-                            ],
-                        );
-                    }
                     let key = objective.key_of(
                         record.energy_nj,
                         record.cycles,
@@ -700,6 +818,7 @@ impl Explorer {
                 }
             }
         }
+        telemetry.designs_speculative += batches.records.len();
 
         // ---- Certificate. -----------------------------------------------
         let open_lb = heap
@@ -725,6 +844,11 @@ impl Explorer {
         if let Some(o) = obs {
             o.point(
                 "search",
+                "pruned",
+                &[("count", FieldValue::U64(telemetry.designs_pruned as u64))],
+            );
+            o.point(
+                "search",
                 "done",
                 &[
                     ("complete", FieldValue::Bool(complete)),
@@ -733,6 +857,10 @@ impl Explorer {
                     (
                         "evaluated",
                         FieldValue::U64(telemetry.designs_evaluated as u64),
+                    ),
+                    (
+                        "speculative",
+                        FieldValue::U64(telemetry.designs_speculative as u64),
                     ),
                     ("lower_bound_bits", FieldValue::U64(lower_bound.to_bits())),
                 ],
@@ -797,7 +925,7 @@ impl Explorer {
         space: &DesignSpace,
         objective: Objective,
         inc_key: Option<Key>,
-    ) -> (Vec<Node>, usize) {
+    ) -> (Vec<OpenLeaf>, usize) {
         let b = pair.bounds;
         let max_hits = b.accesses - b.min_misses;
         let mut kept = Vec::new();
@@ -817,28 +945,21 @@ impl Explorer {
                     * self.evaluator.energy_model.hit_energy_nj(&cfg, add_bs)
                     + b.min_misses as f64
                         * self.evaluator.energy_model.miss_energy_nj(&cfg, add_bs);
-                for &r in &space.replacements {
-                    for &w in &space.write_policies {
-                        let index = pair.base + offset;
-                        offset += 1;
-                        let key = objective.key_of(energy_lb, cycles_lb, pair.t, index);
-                        if let Some(ik) = inc_key {
-                            if key >= ik {
-                                pruned += 1;
-                                continue;
-                            }
+                // One leaf per (replacement, write) policy pair.
+                for _ in 0..space.replacements.len() * space.write_policies.len() {
+                    let index = pair.base + offset;
+                    offset += 1;
+                    let key = objective.key_of(energy_lb, cycles_lb, pair.t, index);
+                    if let Some(ik) = inc_key {
+                        if key >= ik {
+                            pruned += 1;
+                            continue;
                         }
-                        kept.push(Node {
-                            key,
-                            kind: NodeKind::Leaf {
-                                design: CacheDesign::new(pair.t, pair.l, s, tile)
-                                    .with_replacement(r)
-                                    .with_write_policy(w),
-                                index,
-                                pair: pair_idx,
-                            },
-                        });
                     }
+                    kept.push(OpenLeaf {
+                        key,
+                        pair: pair_idx,
+                    });
                 }
             }
         }

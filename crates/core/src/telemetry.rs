@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 6;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 7;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -80,6 +80,11 @@ pub struct SweepTelemetry {
     /// Designs skipped by the admissible branch-and-bound pruner without
     /// simulation (0 for exhaustive sweeps).
     pub designs_pruned: usize,
+    /// Records a certified search computed in a leaf batch but never
+    /// consumed: their leaf was pruned when popped, or the search stopped
+    /// first. Not counted in [`designs_evaluated`](Self::designs_evaluated)
+    /// (0 for sweeps, which consume every record).
+    pub designs_speculative: usize,
     /// Pareto-frontier size, when the sweep extracted one (0 otherwise).
     pub frontier_size: usize,
     /// Wall time spent computing admissible bounds and dominance checks
@@ -163,12 +168,13 @@ impl SweepTelemetry {
     }
 
     /// Mean designs per trace group (1.0 when the sweep ran per-design or
-    /// was empty) — how much lockstep the fused engine achieved.
+    /// was empty) — how much lockstep the fused engine achieved. A
+    /// search's speculative records were bank lanes too.
     pub fn mean_bank_width(&self) -> f64 {
         if self.fused_groups == 0 {
             return 1.0;
         }
-        self.designs_evaluated as f64 / self.fused_groups as f64
+        (self.designs_evaluated + self.designs_speculative) as f64 / self.fused_groups as f64
     }
 
     /// Designs considered by the sweep: simulated plus pruned.
@@ -223,6 +229,7 @@ impl SweepTelemetry {
                 "\"arena_bytes\":{},\"arena_compressed_bytes\":{},",
                 "\"trace_reuse_factor\":{},\"workers\":{},",
                 "\"worker_utilization\":{},\"designs_pruned\":{},",
+                "\"designs_speculative\":{},",
                 "\"prune_rate\":{},\"frontier_size\":{},",
                 "\"designs_quarantined\":{},\"designs_retried\":{},",
                 "\"checkpoints_written\":{},\"checkpoints_failed\":{},",
@@ -258,6 +265,7 @@ impl SweepTelemetry {
             self.workers,
             json_f64(self.worker_utilization(), 3),
             self.designs_pruned,
+            self.designs_speculative,
             json_f64(self.prune_rate(), 3),
             self.frontier_size,
             self.designs_quarantined,
@@ -349,6 +357,13 @@ impl fmt::Display for SweepTelemetry {
                 self.max_bank_width,
                 self.trace_events_scanned,
                 self.trace_events_avoided()
+            )?;
+        }
+        if self.designs_speculative > 0 {
+            writeln!(
+                f,
+                "  speculate: {} batched records never consumed",
+                self.designs_speculative
             )?;
         }
         if self.analytic_groups > 0 {
@@ -559,6 +574,19 @@ mod tests {
         assert!(j.contains("\"fused_groups\":2"));
         assert!(j.contains("\"max_bank_width\":6"));
         crate::obs::parse_json(&j).expect("fused telemetry json parses");
+    }
+
+    #[test]
+    fn speculative_records_count_as_bank_lanes() {
+        let mut t = sample();
+        t.fused_groups = 2;
+        t.designs_speculative = 2;
+        assert!((t.mean_bank_width() - 5.0).abs() < 1e-12);
+        let j = t.to_json();
+        assert!(j.contains("\"designs_speculative\":2"));
+        crate::obs::parse_json(&j).expect("speculative telemetry json parses");
+        assert!(t.to_string().contains("speculate: 2 batched records"));
+        assert!(!sample().to_string().contains("speculate"));
     }
 
     #[test]

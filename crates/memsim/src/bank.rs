@@ -401,8 +401,9 @@ impl ReplayBank {
     /// `(line << 1) | is_write` elements (driving the shared CPU bus as it
     /// goes) and replays it through its member lanes. Eligible lanes (no
     /// line buffer, no classifier, LRU/FIFO up to 8 ways, either write
-    /// policy) resolve the whole stream with [`Cache::run_lines`];
-    /// ineligible ones keep the scalar per-access loop. Under
+    /// policy) resolve the whole stream with [`Cache::run_lines`], unless
+    /// a set-associative lane has more sets than the stream has elements
+    /// ([`Cache::bulk_pays`]); the rest keep the scalar per-access loop. Under
     /// [`with_scalar_replay`](Self::with_scalar_replay) every lane takes
     /// the scalar loop and every bus keeps live accounting.
     ///
@@ -527,7 +528,7 @@ impl ReplayBank {
                 }
                 continue;
             }
-            if !scalar && lane.classifier.is_none() && lane.cache.bulk_eligible() {
+            if !scalar && lane.classifier.is_none() && lane.cache.bulk_pays(stream.len()) {
                 let out = lane.cache.run_lines(stream, max_line, writes != 0, scratch);
                 lane.mem_bus.observe_mem_run(&scratch.mem);
                 let stats = &mut lane.stats;
@@ -888,6 +889,43 @@ mod tests {
         bank.feed(&[TraceEvent::read(16, 4)]); // evicts the dirty line
         let report = &bank.finish()[0];
         assert_eq!(report.stats.writebacks, 1);
+    }
+
+    #[test]
+    fn huge_cache_fed_a_short_chunk_takes_the_scalar_loop() {
+        // 2^20 sets against a 2,000-event chunk: packing every set would
+        // cost more than the chunk's accesses, so the lanes step line by
+        // line and no per-set word is ever allocated.
+        let base = CacheConfig::new(8 << 20, 4, 2).unwrap();
+        let configs = [
+            base.with_replacement(Replacement::Lru),
+            base.with_replacement(Replacement::Fifo),
+        ];
+        let trace: Vec<TraceEvent> = (0..2000u64)
+            .map(|i| {
+                let addr = (i * 4) % 1024 + (i % 3) * (8 << 20);
+                if i % 5 == 0 {
+                    TraceEvent::write(addr, 4)
+                } else {
+                    TraceEvent::read(addr, 4)
+                }
+            })
+            .collect();
+        let mut bulk = ReplayBank::new(&configs);
+        bulk.run_slice(&trace);
+        assert_eq!(bulk.bulk_scratch.set_words_capacity(), 0);
+        let mut scalar = ReplayBank::new(&configs).with_scalar_replay();
+        scalar.run_slice(&trace);
+        for ((config, b), s) in configs
+            .iter()
+            .zip(bulk.into_reports())
+            .zip(scalar.into_reports())
+        {
+            assert!(b.stats.writebacks > 0, "{config}");
+            assert_eq!(b.stats, s.stats, "{config}");
+            assert_eq!(b.cpu_bus, s.cpu_bus, "{config}");
+            assert_eq!(b.mem_bus, s.mem_bus, "{config}");
+        }
     }
 
     #[test]

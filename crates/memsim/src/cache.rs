@@ -60,8 +60,9 @@ pub struct Cache {
     /// cleared only by [`flush`](Self::flush). While it is clear, a
     /// read-only bulk scan can skip dirty bookkeeping altogether.
     maybe_dirty: bool,
-    /// Tree-PLRU direction bits (bit per internal node), one word per set,
-    /// used when the policy is [`Replacement::Plru`].
+    /// Tree-PLRU direction bits (bit per internal node), one word per set
+    /// when the policy is [`Replacement::Plru`]; empty under any other
+    /// policy, which never reads them.
     plru_bits: Vec<u64>,
     /// `line.trailing_zeros()` — precomputed, the geometry is validated.
     /// The two shifts are bytes so that they and
@@ -93,7 +94,10 @@ impl Cache {
             stamps: vec![0; lines],
             dirty: vec![false; lines],
             maybe_dirty: false,
-            plru_bits: vec![0; config.num_sets()],
+            plru_bits: match config.replacement {
+                Replacement::Plru => vec![0; config.num_sets()],
+                _ => Vec::new(),
+            },
             clock: 0,
             rng,
         }
@@ -245,6 +249,18 @@ impl Cache {
             self.config.replacement,
             Replacement::Lru | Replacement::Fifo
         ) && matches!(self.config.assoc(), 1 | 2 | 4 | 8)
+    }
+
+    /// Whether [`run_lines`](Self::run_lines) is worth calling on a
+    /// stream of `len` elements: the lane is
+    /// [`bulk_eligible`](Self::bulk_eligible), and either direct-mapped
+    /// or fed at least one element per set. The set-associative tiers
+    /// rebuild one word per set on every call (and the exact tier writes
+    /// every set back), so a huge cache fed a short chunk would pay for
+    /// all its sets instead of the lines it touches; such a chunk takes
+    /// the scalar per-line loop, which touches only the sets it maps to.
+    pub(crate) fn bulk_pays(&self, len: usize) -> bool {
+        self.bulk_eligible() && (self.config.assoc() == 1 || len >= self.config.num_sets())
     }
 
     /// Replays a stream of line accesses through the cache in one tight
@@ -852,6 +868,14 @@ pub(crate) struct BulkScratch {
     /// Memory-side transfers of the last scan — fills and writebacks, in
     /// access order.
     pub mem: Vec<u64>,
+}
+
+#[cfg(test)]
+impl BulkScratch {
+    /// `u64`s allocated for per-set words by either packed tier.
+    pub(crate) fn set_words_capacity(&self) -> usize {
+        self.digests.capacity() + self.words.capacity()
+    }
 }
 
 /// Line-aligned byte address of the line stored as `key` in set `set`.

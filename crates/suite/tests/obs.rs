@@ -9,8 +9,8 @@
 use loopir::kernels;
 use memexplore::obs::{Event, EventKind, FieldValue};
 use memexplore::{
-    CheckpointPolicy, DesignSpace, Engine, Explorer, Obs, ObsConfig, ObsSink, RunReport,
-    SweepOptions, TraceWorkload,
+    CheckpointPolicy, DesignSpace, Engine, Explorer, Objective, Obs, ObsConfig, ObsSink, RunReport,
+    SearchOptions, SweepOptions, TraceWorkload,
 };
 use proptest::prelude::*;
 use std::io::Write;
@@ -258,6 +258,43 @@ fn pareto_pruned_log_reconciles_with_telemetry() {
         "the paper grid always prunes some designs"
     );
     assert!(report.phases.iter().any(|p| p.name == "bound"));
+}
+
+#[test]
+fn search_log_reconciles_with_telemetry() {
+    let kernel = kernels::sor(31);
+    let buf = SharedBuf::default();
+    let obs = obs_into(&buf);
+    // The weighted objective prunes leaves on the paper grid.
+    let options = SearchOptions {
+        objective: Objective::Weighted {
+            energy_weight: 1.0,
+            cycles_weight: 0.5,
+        },
+        ..Default::default()
+    };
+    let out = Explorer::default().with_obs(Arc::clone(&obs)).search(
+        &kernel,
+        &DesignSpace::paper(),
+        &options,
+    );
+    obs.finish();
+    assert!(out.complete);
+
+    let report = RunReport::from_jsonl(&buf.take_text()).expect("log parses");
+    let t = &out.telemetry;
+    // The log counts every design a bank simulated; telemetry splits them
+    // into the leaves the search consumed and speculative records.
+    assert!(report.designs_done > 0, "no scan units logged");
+    assert_eq!(
+        report.designs_done as usize,
+        t.designs_evaluated + t.designs_speculative
+    );
+    assert_eq!(report.pruned as usize, t.designs_pruned);
+    assert!(report.pruned > 0, "no pruned point logged");
+    assert_eq!(report.scan.count, t.scan_latency.count);
+    assert_eq!(report.scan.count as usize, t.simulated_groups);
+    assert_eq!(t.fused_groups, t.simulated_groups + t.analytic_groups);
 }
 
 #[test]

@@ -16,7 +16,13 @@
 
 use loopir::kernels;
 use loopir::Kernel;
-use memexplore::{select, DesignSpace, Explorer, Objective, SearchOptions};
+use memexplore::obs::Event;
+use memexplore::{
+    select, DesignSpace, Explorer, Objective, Obs, ObsConfig, ObsSink, Record, SearchOptions,
+};
+use memsim::{Replacement, WritePolicy};
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 fn assert_search_oracle(kernel: &Kernel) {
     let space = DesignSpace::paper();
@@ -156,4 +162,139 @@ fn search_matches_exhaustive_minimum_on_sor() {
 #[test]
 fn search_matches_exhaustive_minimum_on_dequant() {
     assert_search_oracle(&kernels::dequant(31));
+}
+
+/// An in-memory JSONL sink for the search's event log.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .expect("no poisoned writers")
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Sweep index of the brute-force optimum: the search's selection key
+/// (objective first, then the other metrics, then cache size) with the
+/// first design in sweep order winning full ties.
+fn brute_force_optimum(records: &[Record], objective: Objective) -> usize {
+    let floats = |r: &Record| match objective {
+        Objective::Energy => [r.energy_nj, r.cycles, 0.0],
+        Objective::Cycles => [r.cycles, r.energy_nj, 0.0],
+        Objective::Weighted { .. } => [objective.cost(r), r.energy_nj, r.cycles],
+    };
+    (0..records.len())
+        .min_by(|&a, &b| {
+            floats(&records[a])
+                .partial_cmp(&floats(&records[b]))
+                .expect("finite metrics")
+                .then(
+                    records[a]
+                        .design
+                        .cache_size
+                        .cmp(&records[b].design.cache_size),
+                )
+        })
+        .expect("non-empty grid")
+}
+
+/// Leaf batches on a grid whose banks mix bulk lanes (LRU and FIFO up to
+/// 8 ways) with scalar ones (PLRU, 16 ways), under both write policies
+/// and tilings up to past the trip count: the incumbent, its sweep index
+/// and its record must equal the brute-force optimum over
+/// `Evaluator::evaluate`, and every bank lane is either consumed or
+/// counted as speculative.
+#[test]
+fn batched_leaves_on_mixed_banks_match_brute_force() {
+    let space = DesignSpace {
+        cache_sizes: vec![64, 256, 1024],
+        line_sizes: vec![4, 16],
+        assocs: vec![1, 2, 4, 8, 16],
+        tilings: vec![1, 2, 3, 64],
+        min_lines: 4,
+        replacements: vec![Replacement::Lru, Replacement::Fifo, Replacement::Plru],
+        write_policies: vec![
+            WritePolicy::WriteBackAllocate,
+            WritePolicy::WriteThroughNoAllocate,
+        ],
+    };
+    let designs = space.designs();
+    for kernel in [kernels::compress(12), kernels::matmul(6)] {
+        let evaluator = Explorer::default().evaluator;
+        let records: Vec<Record> = designs
+            .iter()
+            .map(|&d| evaluator.evaluate(&kernel, d))
+            .collect();
+        let objectives = [
+            Objective::Energy,
+            Objective::Cycles,
+            Objective::Weighted {
+                energy_weight: 1.0,
+                cycles_weight: 0.5,
+            },
+        ];
+        for objective in objectives {
+            let label = format!("{}/{objective}", kernel.name);
+            let best = brute_force_optimum(&records, objective);
+            match objective {
+                Objective::Energy => {
+                    assert_eq!(
+                        select::min_energy(&records),
+                        Some(&records[best]),
+                        "{label}"
+                    )
+                }
+                Objective::Cycles => {
+                    assert_eq!(
+                        select::min_cycles(&records),
+                        Some(&records[best]),
+                        "{label}"
+                    )
+                }
+                Objective::Weighted { .. } => {}
+            }
+
+            let buf = SharedBuf::default();
+            let obs = Obs::new(ObsConfig {
+                log: Some(ObsSink::Writer(Box::new(buf.clone()))),
+                progress: false,
+                run_id: Some("search-oracle".to_string()),
+            })
+            .expect("in-memory obs hub");
+            let out = Explorer::default().with_obs(Arc::clone(&obs)).search(
+                &kernel,
+                &space,
+                &SearchOptions {
+                    objective,
+                    ..Default::default()
+                },
+            );
+            obs.finish();
+            assert!(out.complete, "{label}");
+            assert_eq!(out.incumbent_index, Some(best), "{label}");
+            assert_eq!(out.incumbent.as_ref(), Some(&records[best]), "{label}");
+
+            let text = String::from_utf8(buf.0.lock().expect("log").clone()).expect("UTF-8");
+            let mut width = 0;
+            for event in text.lines().map(|l| Event::parse(l).expect("event parses")) {
+                if event.name == "scan" || event.name == "analytic" {
+                    width += event.u64_field("width").expect("bank width") as usize;
+                }
+            }
+            let t = &out.telemetry;
+            assert_eq!(
+                t.designs_evaluated + t.designs_speculative,
+                width,
+                "{label}: every bank lane is consumed or speculative"
+            );
+            assert!(t.max_bank_width > 1, "{label}: leaves were not batched");
+        }
+    }
 }

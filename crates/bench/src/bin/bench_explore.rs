@@ -8,11 +8,14 @@
 //! speedup. Every kernel is measured at each worker count in
 //! `{1, num_cpus}` — published rows carry a `workers` field so
 //! single-worker numbers can no longer masquerade as the engine's
-//! parallel throughput. Each kernel row also carries two per-layer
+//! parallel throughput. Each kernel row also carries three per-layer
 //! rates: `trace_mev_per_s` (trace generation timed alone on one thread,
-//! every paper tiling under the natural layout) and `layouts_per_s`
-//! (`(T, L)` pairs per second of the fused run's layout phase, placement
-//! and arbitration included). Everything is written to `BENCH_explore.json`
+//! every paper tiling under the natural layout), `replay_design_events_per_s`
+//! (bank replay timed alone on one thread: every trace group of the
+//! paper grid, its trace materialized beforehand, so neither layout nor
+//! generation is in the window) and `layouts_per_s` (`(T, L)` pairs per
+//! second of the fused run's layout phase, placement and arbitration
+//! included). Everything is written to `BENCH_explore.json`
 //! in the current directory. Each configuration is timed over several
 //! runs and the best run is reported, which filters scheduler noise
 //! without external tooling.
@@ -26,7 +29,8 @@
 use loopir::transform::tile_all;
 use loopir::{kernels, DataLayout};
 use memexplore::metrics::read_trace;
-use memexplore::{DesignSpace, Engine, Explorer, Record, SweepTelemetry};
+use memexplore::{CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record, SweepTelemetry};
+use memsim::TraceEvent;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -58,6 +62,8 @@ struct KernelResult {
     identical: bool,
     /// Trace-generation throughput in isolation (see [`trace_mev_per_s`]).
     trace_mev_per_s: f64,
+    /// Bank-replay throughput in isolation (see [`replay_rate`]).
+    replay: ReplayRate,
     /// `(T, L)` pairs placed and arbitrated per second of the fused run's
     /// layout phase.
     layouts_per_s: f64,
@@ -83,11 +89,78 @@ fn trace_mev_per_s(kernel: &loopir::Kernel) -> f64 {
     events as f64 / secs / 1e6
 }
 
+/// A trace group's designs with their conflict-free flags.
+type Lanes = Vec<(CacheDesign, bool)>;
+
+/// The replay layer alone on a fixed input.
+#[derive(Clone, Copy)]
+struct ReplayRate {
+    /// Events per design times designs, summed over the trace groups.
+    design_events: u64,
+    /// Best-of-[`RUNS`] time to replay every group once.
+    secs: f64,
+}
+
+/// One layer timed in isolation on a fixed input: the paper grid's trace
+/// groups, each a bank of the designs sharing a (layout, tiling) trace,
+/// replayed on one thread through `Evaluator::evaluate_bank_with_trace`.
+/// Layouts come from `Evaluator::layout_for` and every group's trace is
+/// materialized before the clock starts, so the window holds bank replay
+/// and the record tail only.
+fn replay_rate(kernel: &loopir::Kernel, designs: &[CacheDesign]) -> ReplayRate {
+    let evaluator = Evaluator::default();
+    let mut layouts: Vec<DataLayout> = Vec::new();
+    let mut pairs: Vec<((usize, usize), (usize, bool))> = Vec::new();
+    let mut groups: Vec<((usize, u64), Lanes)> = Vec::new();
+    for &d in designs {
+        let pair = (d.cache_size, d.line);
+        let (id, conflict_free) = match pairs.iter().find(|(p, _)| *p == pair) {
+            Some(&(_, placed)) => placed,
+            None => {
+                let (layout, conflict_free) = evaluator.layout_for(kernel, d.cache_size, d.line);
+                let id = layouts
+                    .iter()
+                    .position(|l| *l == layout)
+                    .unwrap_or_else(|| {
+                        layouts.push(layout);
+                        layouts.len() - 1
+                    });
+                pairs.push((pair, (id, conflict_free)));
+                (id, conflict_free)
+            }
+        };
+        let key = (id, d.tiling);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, lanes)) => lanes.push((d, conflict_free)),
+            None => groups.push((key, vec![(d, conflict_free)])),
+        }
+    }
+    let inputs: Vec<(Lanes, Vec<TraceEvent>)> = groups
+        .into_iter()
+        .map(|((id, b), lanes)| (lanes, read_trace(&tile_all(kernel, b), &layouts[id])))
+        .collect();
+    let design_events = inputs
+        .iter()
+        .map(|(lanes, trace)| (lanes.len() * trace.len()) as u64)
+        .sum();
+    let (secs, _) = best_of(RUNS, || {
+        inputs
+            .iter()
+            .map(|(lanes, trace)| evaluator.evaluate_bank_with_trace(lanes, trace).len())
+            .sum::<usize>()
+    });
+    ReplayRate {
+        design_events,
+        secs,
+    }
+}
+
 fn bench_kernel(
     kernel: &loopir::Kernel,
     designs: &[memexplore::CacheDesign],
     workers: usize,
     trace_mev_per_s: f64,
+    replay: ReplayRate,
 ) -> KernelResult {
     let fused = Explorer::default()
         .with_engine(Engine::Fused)
@@ -121,6 +194,7 @@ fn bench_kernel(
         total_speedup: per_secs / fused_secs,
         identical: fused_records == per_records && fused_records == na_records,
         trace_mev_per_s,
+        replay,
         layouts_per_s: fused_t.layouts_computed as f64 / fused_t.layout_time.as_secs_f64(),
         telemetry: fused_t,
     }
@@ -181,8 +255,9 @@ fn main() {
     let mut results: Vec<KernelResult> = Vec::new();
     for kernel in kernels::all_paper_kernels() {
         let trace_rate = trace_mev_per_s(&kernel);
+        let replay = replay_rate(&kernel, &designs);
         for &workers in &worker_counts {
-            results.push(bench_kernel(&kernel, &designs, workers, trace_rate));
+            results.push(bench_kernel(&kernel, &designs, workers, trace_rate, replay));
         }
     }
 
@@ -203,9 +278,10 @@ fn main() {
 
     for r in &results {
         println!(
-            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | no-analytic {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x | trace {:.1} Mev/s | {:.0} layouts/s",
+            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | no-analytic {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x | trace {:.1} Mev/s | replay {:.2e} design-events/s | {:.0} layouts/s",
             r.kernel, r.designs, r.workers, r.fused_secs, r.no_analytic_secs, r.per_design_secs,
-            r.replay_speedup, r.total_speedup, r.trace_mev_per_s, r.layouts_per_s
+            r.replay_speedup, r.total_speedup, r.trace_mev_per_s,
+            r.replay.design_events as f64 / r.replay.secs, r.layouts_per_s
         );
         assert!(r.identical, "{}: engines diverged", r.kernel);
     }
@@ -261,6 +337,9 @@ fn render_json(
                 "      \"total_speedup\": {:.3},\n",
                 "      \"records_identical\": {},\n",
                 "      \"trace_mev_per_s\": {:.1},\n",
+                "      \"replay_design_events\": {},\n",
+                "      \"replay_secs\": {:.6},\n",
+                "      \"replay_design_events_per_s\": {:.1},\n",
                 "      \"layouts_per_s\": {:.1},\n",
                 "      \"telemetry\": {}\n",
                 "    }}{}"
@@ -275,6 +354,9 @@ fn render_json(
             r.total_speedup,
             r.identical,
             r.trace_mev_per_s,
+            r.replay.design_events,
+            r.replay.secs,
+            r.replay.design_events as f64 / r.replay.secs,
             r.layouts_per_s,
             r.telemetry.to_json(),
             if i + 1 < results.len() { ",\n" } else { "\n" }

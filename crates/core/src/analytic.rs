@@ -1,6 +1,6 @@
 //! The analytic fast path: trace groups resolved in closed form.
 //!
-//! The fused engine's unit of work is a trace group — one arena slice
+//! The fused engine's unit of work is a trace group — one kernel trace
 //! plus the bank of designs replaying it. [`try_group_records`] attempts
 //! to produce that bank's records *without* replay, using the exact
 //! per-class calculator in [`analysis::exact`]: if the group's trace is
@@ -14,7 +14,10 @@
 //! capacity heuristic: the attempt is only made when every design in the
 //! bank could hold the kernel's whole array footprint. Smaller caches
 //! essentially never classify exact (the paper grids never do), and the
-//! gate keeps the fast path free for them. The `--no-analytic` escape
+//! gate keeps the fast path free for them. Sweeps, Pareto waves and
+//! search batches check [`gate_admits`] before materializing a group's
+//! trace, so a group the gate refuses is only ever streamed from its
+//! compiled plan. The `--no-analytic` escape
 //! hatch ([`Explorer::analytic`](crate::Explorer)) disables the attempt
 //! entirely.
 
@@ -29,6 +32,14 @@ pub fn kernel_footprint_bytes(kernel: &Kernel) -> u64 {
     kernel.arrays.iter().map(|a| a.byte_size() as u64).sum()
 }
 
+/// The capacity gate of [`try_group_records`]: whether it can return
+/// records for `bank` at all, i.e. the bank is non-empty and every design
+/// could hold the kernel's whole `footprint`. Only a group that passes
+/// needs its trace materialized.
+pub fn gate_admits(footprint: u64, bank: &[(CacheDesign, bool)]) -> bool {
+    !bank.is_empty() && bank.iter().all(|(d, _)| d.cache_size as u64 >= footprint)
+}
+
 /// Attempts to resolve a whole trace group in closed form. Returns the
 /// bank's records (input order, bit-identical to replay) when *every*
 /// design classifies analytic-exact; `None` sends the group to the
@@ -39,10 +50,7 @@ pub fn try_group_records(
     bank: &[(CacheDesign, bool)],
     trace: &[TraceEvent],
 ) -> Option<Vec<Record>> {
-    if bank.is_empty() {
-        return None;
-    }
-    if bank.iter().any(|(d, _)| (d.cache_size as u64) < footprint) {
+    if !gate_admits(footprint, bank) {
         return None;
     }
     let mut profiles: Vec<(usize, ClassProfile)> = Vec::new();

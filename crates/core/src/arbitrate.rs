@@ -14,11 +14,11 @@
 //! through direct-mapped [`ReplayBank`]s over all the pairs that need it.
 
 use crate::explore::{try_steal_loop, SweepHists};
-use crate::metrics::{Evaluator, PlacementMode};
+use crate::metrics::{Evaluator, PlacementMode, PlanSource, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Obs, Span};
 use analysis::placement::{optimize_layout, PlacementReport};
-use loopir::{AccessKind, DataLayout, Kernel, TraceGen};
-use memsim::{CacheConfig, ReplayBank, TraceEvent};
+use loopir::{DataLayout, Kernel};
+use memsim::{CacheConfig, ReplayBank, TraceEvent, TraceSource};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -28,23 +28,11 @@ use std::time::{Duration, Instant};
 /// never share one.
 const SCORE_BANK_LINES: usize = 1 << 16;
 
-/// Events per chunk streamed into the scoring banks (64 KiB): the phase
-/// holds one such buffer per worker, never a whole trace.
-const SCORE_CHUNK_EVENTS: usize = 1 << 12;
-
-/// What the layout phase decided for a list of `(T, L)` pairs.
-pub(crate) struct Arbitrated {
-    /// Per pair, in input order: the index of its layout in the
-    /// deduplicated layout list, and whether the §4.1 conflict-free
-    /// guarantee applies to it.
-    pub pairs: Vec<(usize, bool)>,
-    /// Per-worker busy time over the phase's units.
-    pub worker_busy: Vec<Duration>,
-}
-
 /// Places every `(T, L)` pair of `pairs`, arbitrates each optimized layout
 /// against the natural one, and deduplicates the winners by value into
 /// `unique` (appending layouts it does not hold yet, in pair order).
+/// Returns, per pair in input order, the index of its layout in `unique`
+/// and whether the §4.1 conflict-free guarantee applies to it.
 ///
 /// Emits one `place` unit per pair and one `score` unit per scoring bank
 /// (fields `events` and `width`) under a `layout` span.
@@ -60,13 +48,13 @@ pub(crate) fn arbitrate_layouts(
     obs: Option<&Obs>,
     hists: Option<&SweepHists>,
     unique: &mut Vec<DataLayout>,
-) -> Result<Arbitrated, String> {
+) -> Result<Vec<(usize, bool)>, String> {
     let _span = Span::begin(obs, "layout");
 
     // Placement, one unit per pair.
     let slots: Vec<OnceLock<Option<PlacementReport>>> =
         pairs.iter().map(|_| OnceLock::new()).collect();
-    let place_busy = try_steal_loop(workers, pairs.len(), |w, i| {
+    try_steal_loop(workers, pairs.len(), |w, i| {
         let (t, l) = pairs[i];
         let start = Instant::now();
         let _ = slots[i].set(match evaluator.placement {
@@ -122,9 +110,9 @@ pub(crate) fn arbitrate_layouts(
         contested[i] = true;
     }
 
-    // Scoring, one unit per candidate: its read trace is generated once
-    // and streamed chunk by chunk through all of its banks, so no trace is
-    // ever materialized.
+    // Scoring, one unit per candidate: its read trace is walked once from
+    // its compiled plan and streamed chunk by chunk through all of its
+    // banks, so no trace is ever materialized.
     let banks: Vec<Vec<Vec<usize>>> = members
         .iter()
         .map(|m| {
@@ -144,7 +132,7 @@ pub(crate) fn arbitrate_layouts(
         .collect();
     let candidate_misses: Vec<OnceLock<Vec<Vec<u64>>>> =
         banks.iter().map(|_| OnceLock::new()).collect();
-    let score_busy = try_steal_loop(workers, candidates.len(), |w, c| {
+    try_steal_loop(workers, candidates.len(), |w, c| {
         let mut scoring: Vec<(ReplayBank, Duration)> = banks[c]
             .iter()
             .map(|bank_pairs| {
@@ -165,25 +153,20 @@ pub(crate) fn arbitrate_layouts(
             return;
         }
         let mut events = 0u64;
-        let mut chunk: Vec<TraceEvent> = Vec::with_capacity(SCORE_CHUNK_EVENTS);
-        let mut feed = |chunk: &mut Vec<TraceEvent>| {
+        let mut chunk: Vec<TraceEvent> = Vec::with_capacity(PLAN_CHUNK_EVENTS);
+        let mut source = PlanSource::new(kernel, candidates[c]);
+        while source
+            .fill(&mut chunk, PLAN_CHUNK_EVENTS)
+            .expect("a plan source never fails")
+            > 0
+        {
             for (bank, busy) in &mut scoring {
                 let start = Instant::now();
-                bank.feed(chunk);
+                bank.feed(&chunk);
                 *busy += start.elapsed();
             }
             events += chunk.len() as u64;
-            chunk.clear();
-        };
-        TraceGen::new(kernel, candidates[c]).for_each(|a| {
-            if a.kind == AccessKind::Read {
-                chunk.push(TraceEvent::read(a.addr, a.size));
-                if chunk.len() == SCORE_CHUNK_EVENTS {
-                    feed(&mut chunk);
-                }
-            }
-        });
-        feed(&mut chunk);
+        }
         let mut misses = Vec::with_capacity(scoring.len());
         for (bank, busy) in &scoring {
             misses.push(
@@ -238,17 +221,7 @@ pub(crate) fn arbitrate_layouts(
             (id, conflict_free)
         })
         .collect();
-    let mut worker_busy = place_busy;
-    for (i, d) in score_busy.into_iter().enumerate() {
-        match worker_busy.get_mut(i) {
-            Some(busy) => *busy += d,
-            None => worker_busy.push(d),
-        }
-    }
-    Ok(Arbitrated {
-        pairs: arbitrated,
-        worker_busy,
-    })
+    Ok(arbitrated)
 }
 
 #[cfg(test)]
@@ -300,7 +273,7 @@ mod tests {
                     &mut unique,
                 )
                 .expect("no worker panics");
-                for (&(t, l), &(id, conflict_free)) in pairs.iter().zip(&arbitrated.pairs) {
+                for (&(t, l), &(id, conflict_free)) in pairs.iter().zip(&arbitrated) {
                     let (layout, cf) = per_pair(&kernel, t, l);
                     assert_eq!(unique[id], layout, "{} at ({t}, {l})", kernel.name);
                     assert_eq!(conflict_free, cf, "{} at ({t}, {l})", kernel.name);

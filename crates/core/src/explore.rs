@@ -1,39 +1,40 @@
 //! The MemExplore sweep.
 //!
-//! The sweep engine is *trace-once, simulate-many*: each distinct access
-//! trace is materialized exactly once and every `(T, L, S, B)` design
-//! point replays it. A trace depends on the off-chip layout (a function
-//! of cache size `T` and line size `L`) and on the tiling `B` (tiling
-//! reorders the loop nest), so traces are keyed by deduplicated layout
-//! contents plus `B`: all associativities `S` — and all `(T, L)` pairs
-//! that optimize to the same layout — share one trace, and the designs
-//! sharing it form a *trace group*. Traces are delta-compressed before
-//! replay, and the [sweep runner](crate::sweep) fans the groups out over
+//! The sweep engine is *compile-once, simulate-many*: each distinct
+//! access trace is compiled once into a `loopir::TraceGen` plan and every
+//! `(T, L, S, B)` design point replays it. A trace depends on the
+//! off-chip layout (a function of cache size `T` and line size `L`) and
+//! on the tiling `B` (tiling reorders the loop nest), so traces are keyed
+//! by deduplicated layout contents plus `B`: all associativities `S` —
+//! and all `(T, L)` pairs that optimize to the same layout — share one
+//! trace, and the designs sharing it form a *trace group*. No trace is
+//! materialized: the [sweep runner](crate::sweep) walks a group's plan in
+//! 4,096-event chunks straight into its bank, and fans the groups out over
 //! a work-stealing pool of scoped threads (a shared atomic next-job index
 //! — no static chunking, so skewed costs cannot strand idle workers).
-//! With the default [`Engine::Fused`] each group is one unit, streamed
-//! once through a `memsim::ReplayBank` that steps every design in
-//! lockstep, so trace consumption is O(events) per group instead of
-//! O(events × designs); [`Engine::PerDesign`] makes every design its own
-//! unit. Records are written into per-design slots either way, so the
+//! With the default [`Engine::Fused`] each group is one unit: one walk of
+//! the plan through a `memsim::ReplayBank` that steps every design in
+//! lockstep, so generation and trace consumption are O(events) per group
+//! instead of O(events × designs); [`Engine::PerDesign`] makes every
+//! design its own unit, each walking the plan afresh. Records are written into per-design slots either way, so the
 //! returned order is the deterministic sweep order regardless of
 //! scheduling or engine.
 
-use crate::analytic::{kernel_footprint_bytes, try_group_records};
+use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::checkpoint::CheckpointError;
-use crate::metrics::{read_trace, CacheDesign, Evaluator, Record};
+use crate::metrics::{collect_reads, CacheDesign, Evaluator, Record};
 use crate::obs::{LatencyHistogram, Obs, Span};
 use crate::supervisor::SweepOptions;
 use crate::sweep::{Feed, Unit};
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
-use loopir::{DataLayout, Kernel};
-use memsim::{CompressedTrace, Replacement, TraceArena, TraceEvent, WritePolicy};
+use loopir::{DataLayout, Kernel, TraceGen};
+use memsim::{Replacement, WritePolicy};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -192,14 +193,14 @@ impl DesignSpace {
 /// the work-stealing queue partitions the replay work.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Engine {
-    /// The work unit is a **trace group**: one arena slice plus the bank
-    /// of every design replaying it, evaluated by a fused one-pass replay
-    /// (`memsim::ReplayBank`) that streams the slice once while stepping
-    /// all cache states in lockstep.
+    /// The work unit is a **trace group**: one compiled trace plan plus
+    /// the bank of every design replaying it, evaluated by a fused
+    /// one-pass replay (`memsim::ReplayBank`) that walks the plan once
+    /// while stepping all cache states in lockstep.
     #[default]
     Fused,
-    /// The work unit is a single design; each one re-scans its shared
-    /// arena slice. Kept as the reference implementation for differential
+    /// The work unit is a single design; each one walks its group's plan
+    /// on its own. Kept as the reference implementation for differential
     /// tests and perf comparisons.
     PerDesign,
 }
@@ -422,11 +423,10 @@ impl Default for Explorer {
 
 /// The prepared inputs of a kernel sweep's simulate phase, built by
 /// [`Explorer::prepare`]: the layout phase (one off-chip placement per
-/// distinct `(T, L)` pair), the trace phase (one trace per distinct
-/// (deduplicated layout, tiling) key), then per trace group the classify
-/// phase (closed-form records where the analytic fast path qualifies) and
-/// the compress phase (a [`CompressedTrace`] for every group that must
-/// replay). The raw arena is dropped once compressed.
+/// distinct `(T, L)` pair) and the trace groups, one per distinct
+/// (deduplicated layout, tiling) key, with the tiled kernels and layouts
+/// their plans compile from. [`Explorer::compile_plans`] then runs the
+/// trace and classify phases over it.
 pub(crate) struct SweepPlan {
     /// Distinct `(T, L)` pair → its index in first-appearance order.
     pub pair_index: HashMap<(usize, usize), usize>,
@@ -436,21 +436,14 @@ pub(crate) struct SweepPlan {
     /// `groups[k]` lists the indices of every design replaying trace key
     /// `k`, in sweep order.
     pub groups: Vec<Vec<usize>>,
-    /// Events in each group's trace.
-    pub group_events: Vec<usize>,
-    /// Closed-form records of each analytic-exact group.
-    pub known: Vec<Option<Vec<Record>>>,
-    /// Compressed trace of each group that must replay.
-    pub ztraces: Vec<Option<CompressedTrace>>,
-    /// Events generated by the trace phase (each exactly once).
-    pub events_generated: u64,
-    /// Compressed bytes of every replayed trace.
-    pub compressed_bytes: u64,
-    /// Wall time of each preparation phase.
-    pub layout_time: Duration,
-    pub trace_time: Duration,
-    pub classify_time: Duration,
-    pub compress_time: Duration,
+    /// Trace key `(layout id, B)` of each group.
+    keys: Vec<(usize, u64)>,
+    /// The kernel tiled by each `B` of the grid.
+    tiled: HashMap<u64, Kernel>,
+    /// The deduplicated layouts, by layout id.
+    layouts: Vec<DataLayout>,
+    /// Wall time of the layout phase.
+    layout_time: Duration,
 }
 
 impl SweepPlan {
@@ -459,37 +452,69 @@ impl SweepPlan {
         self.conflict_free[self.pair_index[&(d.cache_size, d.line)]]
     }
 
-    /// One unit per trace group: its known records or its compressed trace.
-    pub fn units(&self) -> Vec<Unit<'_>> {
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(g, members)| {
-                let feed = match (&self.known[g], &self.ztraces[g]) {
-                    (Some(records), _) => Feed::Known {
-                        records: records.clone(),
-                        events: self.group_events[g],
-                    },
-                    (None, Some(ztrace)) => Feed::Compressed(ztrace),
-                    (None, None) => unreachable!("must-replay groups were compressed"),
-                };
-                Unit::bank(members.clone(), feed)
-            })
-            .collect()
-    }
-
-    /// Writes the preparation phases' counters and timings into `t`.
+    /// Writes the layout phase's counters and timing into `t`.
     pub fn fill(&self, t: &mut SweepTelemetry) {
         t.layouts_computed = self.pair_index.len();
-        t.traces_generated = self.groups.len();
-        t.trace_events_generated = self.events_generated;
-        t.arena_bytes = self.events_generated * std::mem::size_of::<TraceEvent>() as u64;
-        t.arena_compressed_bytes = self.compressed_bytes;
         t.layout_time = self.layout_time;
+    }
+}
+
+/// A trace group the classify phase resolved in closed form.
+#[derive(Clone)]
+pub(crate) struct Resolved {
+    /// One record per member, in member order.
+    pub records: Vec<Record>,
+    /// Events in the group's trace.
+    pub events: usize,
+}
+
+/// The trace and classify phases' output over a [`SweepPlan`]: one
+/// compiled, not yet walked trace plan per group, and the closed-form
+/// records of every group the analytic fast path resolved.
+pub(crate) struct GroupFeeds<'p> {
+    plans: Vec<TraceGen<'p>>,
+    known: Vec<Option<Resolved>>,
+    /// Events of the traces the classify phase materialized.
+    events_materialized: u64,
+    trace_time: Duration,
+    classify_time: Duration,
+}
+
+impl GroupFeeds<'_> {
+    /// One unit per trace group of `groups` (the plan's).
+    pub fn units(&self, groups: &[Vec<usize>]) -> Vec<Unit<'_>> {
+        group_units(groups, self.known.clone(), &self.plans)
+    }
+
+    /// Writes the trace and classify phases' counters and timings into
+    /// `t`, on top of the simulate phase's generated events.
+    pub fn fill(&self, t: &mut SweepTelemetry) {
+        t.traces_generated = self.plans.len();
+        t.trace_events_generated += self.events_materialized;
         t.trace_time = self.trace_time;
         t.classify_time = self.classify_time;
-        t.compress_time = self.compress_time;
     }
+}
+
+/// One bank unit per trace group: the closed-form records the classify
+/// phase resolved for it, else its compiled plan.
+pub(crate) fn group_units<'p>(
+    groups: &[Vec<usize>],
+    known: Vec<Option<Resolved>>,
+    plans: &'p [TraceGen<'_>],
+) -> Vec<Unit<'p>> {
+    groups
+        .iter()
+        .zip(known)
+        .zip(plans)
+        .map(|((members, known), plan)| {
+            let feed = match known {
+                Some(Resolved { records, events }) => Feed::Known { records, events },
+                None => Feed::Plan(plan),
+            };
+            Unit::bank(members.clone(), feed)
+        })
+        .collect()
 }
 
 impl Explorer {
@@ -553,25 +578,27 @@ impl Explorer {
         self.explore_designs_with_telemetry(kernel, &space.designs())
     }
 
-    /// The trace-once, simulate-many engine behind every sweep.
+    /// The compile-once, simulate-many engine behind every sweep.
     ///
-    /// Six phases, all but the last work-stealing over scoped threads:
+    /// Five phases, all but the last work-stealing over scoped threads:
     ///
     /// 1. **layout** — one off-chip placement per distinct `(T, L)` pair
     ///    (placement does not depend on `S` or `B`);
-    /// 2. **trace** — one access trace per distinct (layout value, `B`)
-    ///    key, assembled into a shared [`TraceArena`] in first-appearance
-    ///    order;
-    /// 3. **classify** — trace groups the analytic fast path resolves
-    ///    exactly get their records in closed form;
-    /// 4. **compress** — every other group's trace is delta-compressed
-    ///    and the raw arena is dropped;
-    /// 5. **simulate** — the [sweep runner](crate::sweep) steals units: a
-    ///    trace group (with [`Engine::Fused`]) whose compressed trace is
-    ///    decoded block by block into one `memsim::ReplayBank` stepping
-    ///    every member in lockstep, or a single design (with
-    ///    [`Engine::PerDesign`]). Records scatter into per-design slots;
-    /// 6. **select** — slots are collected into sweep order.
+    /// 2. **trace** — one compiled `loopir::TraceGen` plan per distinct
+    ///    (layout value, `B`) key; nothing is generated yet;
+    /// 3. **classify** — a trace group that passes the analytic fast
+    ///    path's capacity gate has its trace materialized and, if the
+    ///    fast path resolves it exactly, gets its records in closed form.
+    ///    No other group's trace is ever held whole (none on the paper
+    ///    grid);
+    /// 4. **simulate** — the [sweep runner](crate::sweep) steals units: a
+    ///    trace group (with [`Engine::Fused`]) whose plan is walked in
+    ///    4,096-event chunks straight into one `memsim::ReplayBank`
+    ///    stepping every member in lockstep, or a single design (with
+    ///    [`Engine::PerDesign`]) walking the plan alone. Trace generation
+    ///    happens here (`SweepTelemetry::generate_time`), and a deadline
+    ///    stops it between chunks. Records scatter into per-design slots;
+    /// 5. **select** — slots are collected into sweep order.
     pub fn explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
@@ -581,9 +608,9 @@ impl Explorer {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs the layout, trace, classify, and compress phases over
-    /// `designs`. A worker panic here is a whole-phase failure (layouts
-    /// and traces are inputs to *every* design), so it propagates as
+    /// Runs the layout phase over `designs` and groups them by trace key.
+    /// A worker panic here is a whole-phase failure (layouts are inputs
+    /// to *every* design), so it propagates as
     /// [`ExploreError::WorkerPanic`] rather than being isolated per unit.
     pub(crate) fn prepare(
         &self,
@@ -592,11 +619,7 @@ impl Explorer {
         workers: usize,
         hists: &SweepHists,
     ) -> Result<SweepPlan, ExploreError> {
-        let obs = self.obs.as_deref();
-        let phase_panic =
-            |phase: &'static str| move |message| ExploreError::WorkerPanic { phase, message };
-        // Phase 1: off-chip layouts, one per distinct (T, L), deduplicated
-        // by value.
+        // Off-chip layouts, one per distinct (T, L), deduplicated by value.
         let phase_start = Instant::now();
         let mut pair_index: HashMap<(usize, usize), usize> = HashMap::new();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -606,38 +629,36 @@ impl Explorer {
                 pairs.len() - 1
             });
         }
-        let mut unique_layouts: Vec<DataLayout> = Vec::new();
+        let mut layouts: Vec<DataLayout> = Vec::new();
         let arbitrated = arbitrate_layouts(
             &self.evaluator,
             kernel,
             &pairs,
             workers,
-            obs,
+            self.obs.as_deref(),
             Some(hists),
-            &mut unique_layouts,
+            &mut layouts,
         )
-        .map_err(phase_panic("layout"))?;
-        let (layout_id, conflict_free): (Vec<usize>, Vec<bool>) =
-            arbitrated.pairs.into_iter().unzip();
+        .map_err(|message| ExploreError::WorkerPanic {
+            phase: "layout",
+            message,
+        })?;
+        let (layout_id, conflict_free): (Vec<usize>, Vec<bool>) = arbitrated.into_iter().unzip();
         let layout_time = phase_start.elapsed();
 
-        // Phase 2: traces. A trace depends on the layout *contents* and the
-        // tiling — not on (T, L) directly — and distinct (T, L) pairs often
-        // optimize to identical layouts, so traces are keyed by (layout
-        // id, B). Tiling reorders the loop nest, so the tiled kernel is
-        // shared per B. Each key's designs form one trace group.
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "trace");
+        // A trace depends on the layout *contents* and the tiling — not on
+        // (T, L) directly — and distinct (T, L) pairs often optimize to
+        // identical layouts, so traces are keyed by (layout id, B). Tiling
+        // reorders the loop nest, so the tiled kernel is shared per B.
+        // Each key's designs form one trace group.
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
-        for d in designs {
-            tiled
-                .entry(d.tiling)
-                .or_insert_with(|| tile_all(kernel, d.tiling));
-        }
         let mut key_index: HashMap<(usize, u64), usize> = HashMap::new();
         let mut keys: Vec<(usize, u64)> = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         for (i, d) in designs.iter().enumerate() {
+            tiled
+                .entry(d.tiling)
+                .or_insert_with(|| tile_all(kernel, d.tiling));
             let id = layout_id[pair_index[&(d.cache_size, d.line)]];
             let g = *key_index.entry((id, d.tiling)).or_insert_with(|| {
                 keys.push((id, d.tiling));
@@ -646,85 +667,75 @@ impl Explorer {
             });
             groups[g].push(i);
         }
-        let trace_slots: Vec<OnceLock<Vec<TraceEvent>>> =
-            keys.iter().map(|_| OnceLock::new()).collect();
-        try_steal_loop(workers, keys.len(), |_w, i| {
-            let (id, b) = keys[i];
-            let _ = trace_slots[i].set(read_trace(&tiled[&b], &unique_layouts[id]));
-        })
-        .map_err(phase_panic("trace"))?;
-        let arena: TraceArena<(usize, u64)> = TraceArena::assemble(
-            keys.iter().copied().zip(
-                trace_slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("trace phase filled every slot")),
-            ),
-        );
-        drop(span);
-        let trace_time = phase_start.elapsed();
-        let traces: Vec<&[TraceEvent]> = keys
-            .iter()
-            .map(|key| arena.get(key).expect("trace phase interned every key"))
-            .collect();
-
-        // Phases 2b/2c: classify each trace group as analytic-exact vs
-        // must-replay, then delta-compress the traces the must-replay
-        // groups will replay. Both run in their own windows so the
-        // simulate phase stays a pure replay measurement; only the block
-        // decode rides inside it.
-        let phase_start = Instant::now();
-        let conflict_free_of =
-            |i: usize| conflict_free[pair_index[&(designs[i].cache_size, designs[i].line)]];
-        let known = self.classify(kernel, workers, designs, conflict_free_of, &groups, &traces)?;
-        let classify_time = phase_start.elapsed();
-
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "compress");
-        let ztrace_slots: Vec<OnceLock<Option<CompressedTrace>>> =
-            groups.iter().map(|_| OnceLock::new()).collect();
-        try_steal_loop(workers, groups.len(), |_w, g| {
-            let ztrace = known[g]
-                .is_none()
-                .then(|| CompressedTrace::encode(traces[g]));
-            let _ = ztrace_slots[g].set(ztrace);
-        })
-        .map_err(phase_panic("compress"))?;
-        let ztraces: Vec<Option<CompressedTrace>> = ztrace_slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("compress phase filled every slot"))
-            .collect();
-        let events_generated = arena.events().len() as u64;
-        let group_events = traces.iter().map(|t| t.len()).collect();
-        drop(traces);
-        drop(arena);
-        drop(span);
-        let compress_time = phase_start.elapsed();
-
         Ok(SweepPlan {
             pair_index,
             conflict_free,
             groups,
-            group_events,
-            known,
-            compressed_bytes: ztraces
-                .iter()
-                .flatten()
-                .map(|z| z.compressed_bytes() as u64)
-                .sum(),
-            ztraces,
-            events_generated,
+            keys,
+            tiled,
+            layouts,
             layout_time,
+        })
+    }
+
+    /// The trace phase, then the classify phase, over `plan`: each trace
+    /// key's plan is compiled (not walked), then every group the analytic
+    /// fast path resolves gets its records in closed form. A compile
+    /// panic (`trace address overflow`) is a whole-phase
+    /// [`ExploreError::WorkerPanic`] with phase `trace`: every design of
+    /// the group would fail the same way.
+    pub(crate) fn compile_plans<'p>(
+        &self,
+        kernel: &Kernel,
+        designs: &[CacheDesign],
+        workers: usize,
+        plan: &'p SweepPlan,
+    ) -> Result<GroupFeeds<'p>, ExploreError> {
+        let phase_start = Instant::now();
+        let span = Span::begin(self.obs.as_deref(), "trace");
+        let slots: Vec<OnceLock<TraceGen<'p>>> =
+            plan.keys.iter().map(|_| OnceLock::new()).collect();
+        try_steal_loop(workers, plan.keys.len(), |_w, g| {
+            let (id, b) = plan.keys[g];
+            let _ = slots[g].set(TraceGen::new(&plan.tiled[&b], &plan.layouts[id]));
+        })
+        .map_err(|message| ExploreError::WorkerPanic {
+            phase: "trace",
+            message,
+        })?;
+        let plans: Vec<TraceGen<'p>> = slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("trace phase compiled every key"))
+            .collect();
+        drop(span);
+        let trace_time = phase_start.elapsed();
+
+        let phase_start = Instant::now();
+        let (known, events_materialized) = self.classify(
+            kernel,
+            workers,
+            designs,
+            |i| plan.conflict_free_of(&designs[i]),
+            &plan.groups,
+            &plans,
+        )?;
+        Ok(GroupFeeds {
+            plans,
+            known,
+            events_materialized,
             trace_time,
-            classify_time,
-            compress_time,
+            classify_time: phase_start.elapsed(),
         })
     }
 
     /// The classify phase: trace group `g` (design indices sharing
-    /// `traces[g]`) gets its closed-form records when the analytic fast
-    /// path resolves every member exactly, else `None`. All `None` when
-    /// the fast path is disabled, and under [`Engine::PerDesign`], whose
-    /// sweeps stay a pure replay of every design.
+    /// `plans[g]`) gets its closed-form records when the analytic fast
+    /// path resolves every member exactly, else `None`. Only a group that
+    /// passes the fast path's capacity gate ([`gate_admits`]) has its
+    /// trace materialized; the second value counts those traces' events.
+    /// All `None` when the fast path is disabled, and under
+    /// [`Engine::PerDesign`], whose sweeps stay a pure replay of every
+    /// design.
     pub(crate) fn classify(
         &self,
         kernel: &Kernel,
@@ -732,22 +743,30 @@ impl Explorer {
         designs: &[CacheDesign],
         conflict_free: impl Fn(usize) -> bool + Sync,
         groups: &[Vec<usize>],
-        traces: &[&[TraceEvent]],
-    ) -> Result<Vec<Option<Vec<Record>>>, ExploreError> {
+        plans: &[TraceGen<'_>],
+    ) -> Result<(Vec<Option<Resolved>>, u64), ExploreError> {
         if !self.analytic || self.engine == Engine::PerDesign {
-            return Ok(vec![None; groups.len()]);
+            return Ok((groups.iter().map(|_| None).collect(), 0));
         }
         let span = Span::begin(self.obs.as_deref(), "classify");
         let footprint = kernel_footprint_bytes(kernel);
-        let slots: Vec<OnceLock<Vec<Record>>> = groups.iter().map(|_| OnceLock::new()).collect();
+        let materialized = AtomicU64::new(0);
+        let slots: Vec<OnceLock<Resolved>> = groups.iter().map(|_| OnceLock::new()).collect();
         try_steal_loop(workers, groups.len(), |_w, g| {
             let lanes: Vec<(CacheDesign, bool)> = groups[g]
                 .iter()
                 .map(|&i| (designs[i], conflict_free(i)))
                 .collect();
-            if let Some(records) = try_group_records(&self.evaluator, footprint, &lanes, traces[g])
-            {
-                let _ = slots[g].set(records);
+            if !gate_admits(footprint, &lanes) {
+                return;
+            }
+            let trace = collect_reads(plans[g].clone());
+            materialized.fetch_add(trace.len() as u64, Ordering::Relaxed);
+            if let Some(records) = try_group_records(&self.evaluator, footprint, &lanes, &trace) {
+                let _ = slots[g].set(Resolved {
+                    records,
+                    events: trace.len(),
+                });
             }
         })
         .map_err(|message| ExploreError::WorkerPanic {
@@ -755,7 +774,10 @@ impl Explorer {
             message,
         })?;
         drop(span);
-        Ok(slots.into_iter().map(OnceLock::into_inner).collect())
+        Ok((
+            slots.into_iter().map(OnceLock::into_inner).collect(),
+            materialized.into_inner(),
+        ))
     }
 
     /// Fallible [`explore_designs_with_telemetry`](Self::explore_designs_with_telemetry):

@@ -8,7 +8,7 @@ use loopir::transform::tile_all;
 use loopir::{AccessKind, DataLayout, Kernel, TraceGen};
 use memsim::{
     BusEncoding, CacheConfig, CompressedTrace, Replacement, ReplayBank, Simulator, TraceEvent,
-    WritePolicy,
+    TraceSource, TraceSourceError, WritePolicy,
 };
 use std::fmt;
 
@@ -210,7 +210,7 @@ impl Evaluator {
             &mut unique,
         )
         .unwrap_or_else(|message| panic!("{message}"));
-        let (_, conflict_free) = arbitrated.pairs[0];
+        let (_, conflict_free) = arbitrated[0];
         let layout = unique.pop().expect("one pair yields one layout");
         (layout, conflict_free)
     }
@@ -292,6 +292,10 @@ impl Evaluator {
     /// count. Records are bit-identical to the uncompressed variant — the
     /// bank's chunk-invariance contract covers block boundaries exactly as
     /// it covers chunk boundaries.
+    ///
+    /// No sweep calls this any more (they stream each trace from its
+    /// compiled plan, see [`PlanSource`]). It stays for memxbench's traced
+    /// `paper_sweep` run, which re-stages the old compressed pipeline.
     pub fn evaluate_bank_with_ztrace(
         &self,
         designs: &[(CacheDesign, bool)],
@@ -331,8 +335,8 @@ impl Evaluator {
     /// Converts finished [`memsim::SimReport`]s of a bank scan into
     /// [`Record`]s, in input order — the public tail of the evaluation
     /// pipeline for callers that drive the replay themselves (the sweep
-    /// runner feeds a [`ReplayBank`] block by block or chunk by chunk and
-    /// finishes it here, so every sweep shares one cycle/energy model path).
+    /// runner feeds a [`ReplayBank`] chunk by chunk and finishes it here,
+    /// so every sweep shares one cycle/energy model path).
     ///
     /// # Panics
     ///
@@ -436,13 +440,78 @@ impl Evaluator {
 /// format consumed by [`Evaluator::evaluate_with_trace`] and the bank
 /// evaluators.
 pub fn read_trace(kernel: &Kernel, layout: &DataLayout) -> Vec<TraceEvent> {
+    collect_reads(TraceGen::new(kernel, layout))
+}
+
+/// The read events of a compiled plan's whole walk.
+pub(crate) fn collect_reads(gen: TraceGen<'_>) -> Vec<TraceEvent> {
     let mut trace = Vec::new();
-    TraceGen::new(kernel, layout).for_each(|a| {
+    gen.for_each(|a| {
         if a.kind == AccessKind::Read {
             trace.push(TraceEvent::read(a.addr, a.size));
         }
     });
     trace
+}
+
+/// Events per chunk a [`PlanSource`] is pulled in by the sweep runner,
+/// search batches and layout scoring (64 KiB of events): each holds one
+/// such buffer, never a whole kernel trace.
+pub const PLAN_CHUNK_EVENTS: usize = 1 << 12;
+
+/// A kernel's read trace as a [`TraceSource`]: its compiled
+/// [`TraceGen`] plan walked chunk by chunk, writes dropped, nothing
+/// materialized. The chunks of any capacity concatenate to
+/// [`read_trace`], and a source never fails.
+///
+/// # Example
+///
+/// ```
+/// use loopir::{kernels, DataLayout};
+/// use memexplore::metrics::{read_trace, PlanSource};
+/// use memsim::collect_source;
+///
+/// let k = kernels::matmul(6);
+/// let layout = DataLayout::natural(&k);
+/// let mut source = PlanSource::new(&k, &layout);
+/// assert_eq!(collect_source(&mut source, 7).unwrap(), read_trace(&k, &layout));
+/// ```
+pub struct PlanSource<'a> {
+    gen: TraceGen<'a>,
+}
+
+impl<'a> PlanSource<'a> {
+    /// Compiles `kernel` under `layout`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceGen::new`] does: with `trace address overflow` when the
+    /// nest's addresses do not fit an `i64`.
+    pub fn new(kernel: &'a Kernel, layout: &'a DataLayout) -> Self {
+        PlanSource::from_plan(TraceGen::new(kernel, layout))
+    }
+
+    /// Walks an already compiled plan from wherever it stands (the
+    /// start, for a clone of a fresh generator).
+    pub fn from_plan(gen: TraceGen<'a>) -> Self {
+        PlanSource { gen }
+    }
+}
+
+impl TraceSource for PlanSource<'_> {
+    /// # Panics
+    ///
+    /// As [`TraceGen`] iteration does, when a subscript leaves its array.
+    fn fill(
+        &mut self,
+        buf: &mut Vec<TraceEvent>,
+        capacity: usize,
+    ) -> Result<usize, TraceSourceError> {
+        buf.clear();
+        Ok(self.gen.fill(buf, capacity.max(1), |a| {
+            (a.kind == AccessKind::Read).then(|| TraceEvent::read(a.addr, a.size))
+        }))
+    }
 }
 
 #[cfg(test)]

@@ -56,8 +56,10 @@
 //! floor is unreachable, so the pruner does not bother scanning for a
 //! dominator there.
 //!
-//! Each wave's survivors are grouped by shared trace slice and submitted
-//! to the [sweep runner](crate::sweep): with [`Engine::Fused`](crate::Engine::Fused)
+//! Each wave's survivors are grouped by shared trace key and submitted
+//! to the [sweep runner](crate::sweep), each group's trace streamed from
+//! its compiled plan (never held whole unless the analytic gate admits
+//! the group): with [`Engine::Fused`](crate::Engine::Fused)
 //! (the default) as one `memsim::ReplayBank` per group — the pruner drops
 //! designs from a bank *before* the scan starts, so fused lockstep only
 //! steps lanes that must be measured. Prune
@@ -67,18 +69,18 @@
 //! both stay bit-identical to the per-design engine.
 
 use crate::arbitrate::arbitrate_layouts;
-use crate::explore::{DesignSpace, Explorer};
+use crate::explore::{group_units, DesignSpace, Explorer};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
 use crate::select::pareto3;
 use crate::supervisor::{SweepOptions, SweepOutcome};
-use crate::sweep::{Feed, Sweep, Unit};
+use crate::sweep::Sweep;
 use crate::telemetry::SweepTelemetry;
 use analysis::{MinCacheReport, TraceFootprint};
 use loopir::transform::tile_all;
-use loopir::{DataLayout, Kernel};
+use loopir::{DataLayout, Kernel, TraceGen};
 use memsim::{BusMonitor, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -93,6 +95,30 @@ pub(crate) struct BoundInputs {
     pub(crate) min_misses: u64,
     /// Exact `Add_bs` of the untiled trace at this line size.
     pub(crate) add_bs: f64,
+}
+
+/// The bound inputs of a layout at each line size of `lines`, in order,
+/// from `untiled`'s trace under it, which is materialized once and
+/// dropped on return. Also returns that trace's length.
+pub(crate) fn layout_bounds(
+    untiled: &Kernel,
+    layout: &DataLayout,
+    lines: &[usize],
+    encoding: memsim::BusEncoding,
+) -> (Vec<BoundInputs>, u64) {
+    let trace = read_trace(untiled, layout);
+    let inputs = lines
+        .iter()
+        .map(|&l| {
+            let fp = TraceFootprint::analyze(l as u64, trace.iter().map(|e| (e.addr, e.size)));
+            BoundInputs {
+                accesses: fp.accesses,
+                min_misses: fp.min_misses(),
+                add_bs: exact_add_bs(&trace, l, encoding),
+            }
+        })
+        .collect();
+    (inputs, trace.len() as u64)
 }
 
 /// Exact average CPU-bus switching for `trace` at line size `line`,
@@ -153,11 +179,11 @@ impl Explorer {
 
         // Caches shared across groups. Layouts are deduplicated by value
         // (distinct (T, L) pairs frequently optimize to the same layout),
-        // traces are keyed by (layout id, B) exactly as in the exhaustive
-        // engine, and bound inputs by (layout id, L).
+        // and bound inputs are keyed by (layout id, L). Traces are keyed
+        // by (layout id, B) exactly as in the exhaustive engine, compiled
+        // per wave and streamed, never kept.
         let mut pair_layout: HashMap<(usize, usize), (usize, bool)> = HashMap::new();
         let mut unique_layouts: Vec<DataLayout> = Vec::new();
-        let mut traces: HashMap<(usize, u64), Vec<TraceEvent>> = HashMap::new();
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
         let mut bounds: HashMap<(usize, usize), BoundInputs> = HashMap::new();
         let mut min_cache: HashMap<usize, u64> = HashMap::new();
@@ -199,42 +225,39 @@ impl Explorer {
                 &mut unique_layouts,
             )
             .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
-            for (pair, id) in new_pairs.iter().zip(arbitrated.pairs) {
+            for (pair, id) in new_pairs.iter().zip(arbitrated) {
                 pair_layout.insert(*pair, id);
             }
             prep.layouts_computed += new_pairs.len();
             prep.layout_time += phase_start.elapsed();
 
-            // Bound inputs per (layout id, L): scan the untiled trace once.
-            // The trace is materialized here (and kept — the bases replay
-            // it), so bound preparation shares the trace-once discipline.
+            // Bound inputs per (layout id, L) this group still lacks, one
+            // untiled trace per layout for all of its new line sizes.
+            let mut lines_by_layout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
             for d in &designs[group.clone()] {
                 let (id, _) = pair_layout[&(d.cache_size, d.line)];
                 if bounds.contains_key(&(id, d.line)) {
                     continue;
                 }
-                let trace_start = Instant::now();
-                if let std::collections::hash_map::Entry::Vacant(slot) = traces.entry((id, 1)) {
-                    let base = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
-                    let trace = read_trace(base, &unique_layouts[id]);
-                    prep.traces_generated += 1;
-                    prep.trace_events_generated += trace.len() as u64;
-                    slot.insert(trace);
+                let lines = lines_by_layout.entry(id).or_default();
+                if !lines.contains(&d.line) {
+                    lines.push(d.line);
                 }
-                prep.trace_time += trace_start.elapsed();
+            }
+            for (id, lines) in lines_by_layout {
                 let scan_start = Instant::now();
-                let trace = &traces[&(id, 1)];
-                let fp =
-                    TraceFootprint::analyze(d.line as u64, trace.iter().map(|e| (e.addr, e.size)));
-                let add_bs = exact_add_bs(trace, d.line, self.evaluator.bus_encoding);
-                bounds.insert(
-                    (id, d.line),
-                    BoundInputs {
-                        accesses: fp.accesses,
-                        min_misses: fp.min_misses(),
-                        add_bs,
-                    },
+                let base = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
+                let (inputs, events) = layout_bounds(
+                    base,
+                    &unique_layouts[id],
+                    &lines,
+                    self.evaluator.bus_encoding,
                 );
+                prep.traces_generated += 1;
+                prep.trace_events_generated += events;
+                for (l, b) in lines.into_iter().zip(inputs) {
+                    bounds.insert((id, l), b);
+                }
                 prep.bound_time += scan_start.elapsed();
             }
 
@@ -283,75 +306,46 @@ impl Explorer {
                 }
                 prep.bound_time += phase_start.elapsed();
 
-                // Materialize any traces the survivors still need.
-                let phase_start = Instant::now();
-                let key_of = |i: usize| {
-                    let d = &designs[i];
-                    (pair_layout[&(d.cache_size, d.line)].0, d.tiling)
-                };
-                for &i in &survivors {
-                    let key = key_of(i);
-                    if traces.contains_key(&key) {
-                        continue;
-                    }
-                    let tiled_kernel = tiled
-                        .entry(key.1)
-                        .or_insert_with(|| tile_all(kernel, key.1));
-                    let trace = read_trace(tiled_kernel, &unique_layouts[key.0]);
-                    prep.traces_generated += 1;
-                    prep.trace_events_generated += trace.len() as u64;
-                    traces.insert(key, trace);
-                }
-                prep.trace_time += phase_start.elapsed();
-
                 // Trace groups within the wave: survivors sharing one
-                // (layout id, tiling) slice form one bank. The pruner has
-                // already dropped designs from each bank, so replay only
-                // steps lanes that must be measured; qualifying banks are
-                // resolved in closed form instead.
+                // (layout id, tiling) key form one bank, replaying the
+                // key's compiled plan. The pruner has already dropped
+                // designs from each bank, so replay only steps lanes that
+                // must be measured; qualifying banks are resolved in
+                // closed form instead.
+                let phase_start = Instant::now();
                 let conflict_free = |i: usize| {
                     let d = &designs[i];
                     pair_layout[&(d.cache_size, d.line)].1
                 };
                 let mut group_of: HashMap<(usize, u64), usize> = HashMap::new();
                 let mut groups: Vec<Vec<usize>> = Vec::new();
-                let mut group_traces: Vec<&[TraceEvent]> = Vec::new();
+                let mut keys: Vec<(usize, u64)> = Vec::new();
                 for &i in &survivors {
-                    let key = key_of(i);
+                    let d = &designs[i];
+                    let key = (pair_layout[&(d.cache_size, d.line)].0, d.tiling);
                     let g = *group_of.entry(key).or_insert_with(|| {
                         groups.push(Vec::new());
-                        group_traces.push(&traces[&key]);
+                        keys.push(key);
                         groups.len() - 1
                     });
                     groups[g].push(i);
+                    tiled
+                        .entry(key.1)
+                        .or_insert_with(|| tile_all(kernel, key.1));
                 }
-                let phase_start = Instant::now();
-                let known = self
-                    .classify(
-                        kernel,
-                        workers,
-                        &designs,
-                        conflict_free,
-                        &groups,
-                        &group_traces,
-                    )
-                    .unwrap_or_else(|e| panic!("{e}"));
-                prep.classify_time += phase_start.elapsed();
-                let units = groups
-                    .into_iter()
-                    .zip(group_traces)
-                    .zip(known)
-                    .map(|((members, trace), known)| {
-                        let feed = match known {
-                            Some(records) => Feed::Known {
-                                records,
-                                events: trace.len(),
-                            },
-                            None => Feed::Slice(trace),
-                        };
-                        Unit::bank(members, feed)
-                    })
+                let plans: Vec<TraceGen<'_>> = keys
+                    .iter()
+                    .map(|&(id, b)| TraceGen::new(&tiled[&b], &unique_layouts[id]))
                     .collect();
+                prep.traces_generated += plans.len();
+                prep.trace_time += phase_start.elapsed();
+                let phase_start = Instant::now();
+                let (known, materialized) = self
+                    .classify(kernel, workers, &designs, conflict_free, &groups, &plans)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                prep.trace_events_generated += materialized;
+                prep.classify_time += phase_start.elapsed();
+                let units = group_units(&groups, known, &plans);
                 sweep
                     .run(&self.units(units), conflict_free)
                     .unwrap_or_else(|e| panic!("sweep worker panicked: {e}"));
@@ -376,7 +370,7 @@ impl Explorer {
         telemetry.layouts_computed = prep.layouts_computed;
         telemetry.layout_time = prep.layout_time;
         telemetry.traces_generated = prep.traces_generated;
-        telemetry.trace_events_generated = prep.trace_events_generated;
+        telemetry.trace_events_generated += prep.trace_events_generated;
         telemetry.trace_time = prep.trace_time;
         telemetry.classify_time = prep.classify_time;
         telemetry.bound_time = prep.bound_time;

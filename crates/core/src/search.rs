@@ -71,19 +71,20 @@
 //! its certificate do not change. Records a batch computed but no pop
 //! consumed are counted in `SweepTelemetry::designs_speculative`.
 
-use crate::analytic::{kernel_footprint_bytes, try_group_records};
+use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::explore::{DesignSpace, Explorer, SweepHists};
-use crate::metrics::{read_trace, CacheDesign, Record};
+use crate::metrics::{collect_reads, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Span};
-use crate::pareto::{exact_add_bs, BoundInputs};
+use crate::pareto::{layout_bounds, BoundInputs};
+use crate::sweep::stream_into;
 use crate::telemetry::SweepTelemetry;
-use analysis::TraceFootprint;
 use loopir::transform::tile_all;
-use loopir::{DataLayout, Kernel};
+use loopir::{DataLayout, Kernel, TraceGen};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::str::FromStr;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::time::{Duration, Instant};
@@ -428,11 +429,11 @@ impl LeafBatches<'_> {
     /// Evaluates trace key `trace`'s batch: every open leaf of the key
     /// whose bound key beats `inc_key`. The others can never beat the
     /// incumbent again, so they leave the index too (their pop prunes
-    /// them). The trace is generated here and dropped on return; the
-    /// analytic path is tried on the whole batch first, else one
-    /// `ReplayBank` scan replays it. Records are bit-identical to
-    /// evaluating each leaf alone, as the bank and analytic paths
-    /// guarantee.
+    /// them). The key's plan is compiled here; when the analytic gate
+    /// admits the batch its trace is materialized and the analytic path
+    /// tried first, else one `ReplayBank` scan streams the plan chunk by
+    /// chunk. Records are bit-identical to evaluating each leaf alone, as
+    /// the bank and analytic paths guarantee.
     fn evaluate(
         &mut self,
         trace: (usize, u64),
@@ -461,23 +462,34 @@ impl LeafBatches<'_> {
             .tiled
             .entry(tiling)
             .or_insert_with(|| tile_all(kernel, tiling));
-        let events = read_trace(tiled, &self.layouts[layout_id]);
+        let plan = TraceGen::new(tiled, &self.layouts[layout_id]);
         telemetry.traces_generated += 1;
-        telemetry.trace_events_generated += events.len() as u64;
         telemetry.trace_time += trace_start.elapsed();
 
         let sim_start = Instant::now();
         let evaluator = &self.explorer.evaluator;
-        let analytic = if self.explorer.analytic {
-            try_group_records(evaluator, self.footprint, &designs, &events)
-        } else {
-            None
-        };
+        let mut analytic = None;
+        let mut n = 0;
+        if self.explorer.analytic && gate_admits(self.footprint, &designs) {
+            let events = collect_reads(plan.clone());
+            n = events.len() as u64;
+            telemetry.trace_events_generated += n;
+            analytic = try_group_records(evaluator, self.footprint, &designs, &events);
+        }
         let analytic_hit = analytic.is_some();
-        let records =
-            analytic.unwrap_or_else(|| evaluator.evaluate_bank_with_trace(&designs, &events));
+        let records = analytic.unwrap_or_else(|| {
+            let mut bank = evaluator.replay_bank(&designs);
+            let mut source = PlanSource::from_plan(plan);
+            let pass = stream_into(&mut bank, &mut source, PLAN_CHUNK_EVENTS, |_| {
+                ControlFlow::Continue(())
+            })
+            .expect("a plan source never fails");
+            n = pass.events;
+            telemetry.trace_events_generated += n;
+            telemetry.generate_time += pass.fill_time;
+            evaluator.evaluate_bank_reports(&designs, &bank.finish())
+        });
         let dur = sim_start.elapsed();
-        let n = events.len() as u64;
         let width = designs.len();
         telemetry.simulate_time += dur;
         telemetry.fused_groups += 1;
@@ -622,11 +634,10 @@ impl Explorer {
             &mut unique_layouts,
         )
         .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
-        for (pair, (id, conflict_free)) in pairs.iter_mut().zip(arbitrated.pairs) {
+        for (pair, (id, conflict_free)) in pairs.iter_mut().zip(arbitrated) {
             pair.layout_id = id;
             pair.conflict_free = conflict_free;
         }
-        let worker_busy = arbitrated.worker_busy;
         telemetry.layouts_computed += pairs.len();
         telemetry.layout_time = phase_start.elapsed();
 
@@ -642,20 +653,17 @@ impl Explorer {
         let mut tiled: HashMap<u64, Kernel> = HashMap::new();
         let mut bound_inputs: HashMap<(usize, usize), BoundInputs> = HashMap::new();
         for (&layout_id, lines) in &lines_by_layout {
-            let trace_start = Instant::now();
-            let base_kernel = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
-            let trace = read_trace(base_kernel, &unique_layouts[layout_id]);
-            telemetry.traces_generated += 1;
-            telemetry.trace_events_generated += trace.len() as u64;
-            telemetry.trace_time += trace_start.elapsed();
             let bound_start = Instant::now();
-            for &l in lines {
-                let fp = TraceFootprint::analyze(l as u64, trace.iter().map(|e| (e.addr, e.size)));
-                let b = BoundInputs {
-                    accesses: fp.accesses,
-                    min_misses: fp.min_misses(),
-                    add_bs: exact_add_bs(&trace, l, self.evaluator.bus_encoding),
-                };
+            let base_kernel = tiled.entry(1).or_insert_with(|| tile_all(kernel, 1));
+            let (inputs, events) = layout_bounds(
+                base_kernel,
+                &unique_layouts[layout_id],
+                lines,
+                self.evaluator.bus_encoding,
+            );
+            telemetry.traces_generated += 1;
+            telemetry.trace_events_generated += events;
+            for (&l, b) in lines.iter().zip(inputs) {
                 bound_inputs.insert((layout_id, l), b);
             }
             telemetry.bound_time += bound_start.elapsed();
@@ -832,8 +840,10 @@ impl Explorer {
         let lower_bound = inc_cost.min(open_lb).min(discarded_lb);
         let complete = (incumbent.is_some() || candidates == 0) && lower_bound >= inc_cost;
 
+        // The simulate line reports the batches, which run one at a time
+        // on this thread: one worker, busy for all of it.
+        telemetry.worker_busy = vec![telemetry.simulate_time];
         telemetry.workers = workers;
-        telemetry.worker_busy = worker_busy;
         telemetry.cancelled = cancelled;
         telemetry.total_time = start.elapsed();
         hists.fill(&mut telemetry);
@@ -1131,6 +1141,22 @@ mod tests {
         assert!(loose.lower_bound <= exact.incumbent_cost() + 1e-9);
         assert!(Objective::Energy.cost(&best) >= exact.incumbent_cost());
         assert!(loose.telemetry.designs_evaluated <= exact.telemetry.designs_evaluated);
+    }
+
+    #[test]
+    fn search_utilization_is_its_batches_on_one_worker() {
+        let out = search_with(
+            &kernels::compress(16),
+            &DesignSpace::paper(),
+            &SearchOptions::default(),
+        );
+        let t = &out.telemetry;
+        assert!(t.simulated_groups > 0);
+        // The simulate line's busy time is the batches' own, not the
+        // layout phase's.
+        assert_eq!(t.worker_busy.iter().sum::<Duration>(), t.simulate_time);
+        let u = t.worker_utilization();
+        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
     }
 
     #[test]

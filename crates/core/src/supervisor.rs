@@ -182,10 +182,12 @@ pub(crate) fn push_grid(bytes: &mut Vec<u8>, designs: &[CacheDesign]) {
 
 impl Explorer {
     /// Runs the kernel sweep under the fault-isolation supervisor. The
-    /// layout, trace, classify, and compress phases are shared inputs to
-    /// every design, so a panic there is still a whole-sweep
-    /// [`ExploreError`]; from the simulate phase on, failures degrade per
-    /// unit of work as described in the module docs.
+    /// layout, trace, and classify phases are shared inputs to every
+    /// design, so a panic there (a `trace address overflow` while
+    /// compiling a plan, say) is still a whole-sweep [`ExploreError`];
+    /// from the simulate phase on, failures degrade per unit of work as
+    /// described in the module docs. Every replay, retry included, walks
+    /// its group's compiled plan afresh.
     pub fn explore_supervised(
         &self,
         kernel: &Kernel,
@@ -196,8 +198,9 @@ impl Explorer {
         let id = sweep_id(kernel, designs, &self.evaluator);
         let mut sweep = Sweep::begin(self, designs, options, workers, id)?;
         let plan = self.prepare(kernel, designs, workers, &sweep.hists)?;
+        let feeds = self.compile_plans(kernel, designs, workers, &plan)?;
         sweep
-            .run(&self.units(plan.units()), |i| {
+            .run(&self.units(feeds.units(&plan.groups)), |i| {
                 plan.conflict_free_of(&designs[i])
             })
             .map_err(|e| ExploreError::WorkerPanic {
@@ -206,6 +209,7 @@ impl Explorer {
             })?;
         let mut outcome = sweep.finish();
         plan.fill(&mut outcome.telemetry);
+        feeds.fill(&mut outcome.telemetry);
         Ok(outcome)
     }
 }

@@ -4,21 +4,23 @@
 //! sweeps differ only in where their trace events come from. Each cuts
 //! its design grid into [`Unit`]s — a set of member design indices plus
 //! one [`Feed`]: records that are already known (analytic-exact groups),
-//! or one way to step a `memsim::ReplayBank` (a compressed kernel trace
-//! decoded block by block, a resident slice, or a re-opened `.din`
-//! stream read chunk by chunk). A [`Sweep`] then owns, once:
+//! or a `memsim::TraceSource` to step a `memsim::ReplayBank` with (a
+//! kernel's compiled trace plan, or a re-opened `.din` stream). Both
+//! sources go through one loop, [`stream_into`], in chunks: no kernel
+//! trace is ever held whole on this path. A [`Sweep`] then owns, once:
 //!
 //! * checkpoint resume, periodic flush, and the final flush;
 //! * the cooperative deadline, checked at unit starts and between
-//!   decoded blocks or stream chunks;
+//!   chunks, so a fired deadline stops generation or parsing too;
 //! * [`catch_unwind`] per unit: a panicking bank is retried one design
 //!   at a time (the fallback), and a design that panics alone is
 //!   quarantined into a [`SweepError`];
 //! * the [`FaultPlan`](crate::FaultPlan) hooks: `panic_group` keyed by
 //!   unit index, `panic_design` by design index;
-//! * the obs `scan`, `sim`, and `analytic` unit events (with `parse_us`
-//!   on stream units), the latency histograms, the replayed/scanned
-//!   counters, and the select phase collecting records into sweep order.
+//! * the obs `scan`, `sim`, and `analytic` unit events (with `gen_us`
+//!   on plan units and `parse_us` on stream units), the latency
+//!   histograms, the generated/replayed/scanned counters, and the select
+//!   phase collecting records into sweep order.
 //!
 //! [`Engine::PerDesign`] only means "units of width one, marked
 //! per-design" ([`Explorer::units`]). A per-design unit logs `sim` rather
@@ -32,13 +34,14 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::explore::{panic_message, try_steal_loop, SweepHists};
-use crate::metrics::{CacheDesign, Record};
+use crate::metrics::{CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Span};
 use crate::supervisor::{CheckpointPolicy, SweepError, SweepOptions, SweepOutcome};
 use crate::telemetry::SweepTelemetry;
 use crate::workload::TraceWorkload;
 use crate::{Engine, Explorer};
-use memsim::{CompressedTrace, TraceEvent, TraceSourceError};
+use loopir::TraceGen;
+use memsim::{ReplayBank, TraceEvent, TraceSource, TraceSourceError};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,13 +55,57 @@ pub(crate) enum Feed<'a> {
     /// Records already known (an analytic-exact trace group), one per
     /// member, over a trace of `events` events.
     Known { records: Vec<Record>, events: usize },
-    /// A delta-compressed kernel trace, decoded block by block straight
-    /// into the bank.
-    Compressed(&'a CompressedTrace),
-    /// A resident trace slice.
-    Slice(&'a [TraceEvent]),
+    /// A kernel's compiled trace plan, not yet walked: every replay walks
+    /// a clone of it from the start, chunk by chunk.
+    Plan(&'a TraceGen<'a>),
     /// An external trace, re-opened and streamed chunk by chunk.
     Stream(&'a TraceWorkload),
+}
+
+/// What one [`stream_into`] pass did.
+pub(crate) struct Streamed {
+    /// Events fed to the bank.
+    pub events: u64,
+    /// Time inside `TraceSource::fill`.
+    pub fill_time: Duration,
+    /// False when `after` stopped the pass before the source ran dry.
+    pub complete: bool,
+}
+
+/// Feeds `source` through `bank` in chunks of `capacity` events until the
+/// source runs dry, calling `after` with each chunk once the bank has it;
+/// the pass stops there when `after` breaks. One chunk buffer is resident
+/// at a time.
+///
+/// # Errors
+///
+/// The source's first failure.
+pub(crate) fn stream_into(
+    bank: &mut ReplayBank,
+    source: &mut dyn TraceSource,
+    capacity: usize,
+    mut after: impl FnMut(&[TraceEvent]) -> ControlFlow<()>,
+) -> Result<Streamed, TraceSourceError> {
+    let mut buf: Vec<TraceEvent> = Vec::with_capacity(capacity);
+    let mut pass = Streamed {
+        events: 0,
+        fill_time: Duration::ZERO,
+        complete: false,
+    };
+    loop {
+        let fill_start = Instant::now();
+        let n = source.fill(&mut buf, capacity)?;
+        pass.fill_time += fill_start.elapsed();
+        if n == 0 {
+            pass.complete = true;
+            return Ok(pass);
+        }
+        pass.events += n as u64;
+        bank.feed(&buf);
+        if after(&buf).is_break() {
+            return Ok(pass);
+        }
+    }
 }
 
 /// One unit of simulate-phase work: member design indices (into the
@@ -126,8 +173,9 @@ impl fmt::Display for RunError {
 struct Pass {
     records: Vec<Record>,
     events: u64,
-    /// Microseconds inside `TraceSource::fill` (stream feeds only).
-    parse_us: Option<u64>,
+    /// Microseconds inside `TraceSource::fill`, logged as `gen_us` for a
+    /// plan and `parse_us` for a stream.
+    fill_us: (&'static str, u64),
 }
 
 /// Checkpoint state shared by workers. Held only for pushes and flushes —
@@ -163,6 +211,10 @@ pub(crate) struct Sweep<'a> {
     source_error: Mutex<Option<TraceSourceError>>,
     replayed: AtomicU64,
     scanned: AtomicU64,
+    /// Events walked out of compiled plans, abandoned passes included.
+    generated: AtomicU64,
+    /// Nanoseconds inside plan fills, summed over workers.
+    generate_ns: AtomicU64,
     retried: AtomicUsize,
     peak_chunk_bytes: AtomicU64,
     cancelled: AtomicBool,
@@ -252,6 +304,8 @@ impl<'a> Sweep<'a> {
             source_error: Mutex::new(None),
             replayed: AtomicU64::new(0),
             scanned: AtomicU64::new(0),
+            generated: AtomicU64::new(0),
+            generate_ns: AtomicU64::new(0),
             retried: AtomicUsize::new(0),
             peak_chunk_bytes: AtomicU64::new(0),
             cancelled: AtomicBool::new(false),
@@ -327,6 +381,7 @@ impl<'a> Sweep<'a> {
 
         let mut telemetry = SweepTelemetry {
             designs_evaluated: records.iter().filter(|r| r.is_some()).count(),
+            trace_events_generated: self.generated.into_inner(),
             trace_events_replayed: self.replayed.into_inner(),
             trace_events_scanned: self.scanned.into_inner(),
             fused_groups: self.banks,
@@ -335,6 +390,7 @@ impl<'a> Sweep<'a> {
             simulated_groups: self.banks - self.analytic_banks,
             workers: self.workers,
             simulate_time: self.simulate_time,
+            generate_time: Duration::from_nanos(self.generate_ns.into_inner()),
             select_time,
             total_time: self.start.elapsed(),
             worker_busy: self.worker_busy,
@@ -498,8 +554,8 @@ impl<'a> Sweep<'a> {
     }
 
     /// One pass of `feed` through a fresh bank of `members`. `None` when
-    /// the deadline fired between blocks or chunks: the bank is abandoned,
-    /// since a partial replay must never produce a record.
+    /// the deadline fired between chunks: the bank is abandoned, since a
+    /// partial replay must never produce a record.
     fn replay(
         &self,
         members: &[usize],
@@ -510,60 +566,40 @@ impl<'a> Sweep<'a> {
             members.iter().map(|&i| (self.designs[i], cf(i))).collect();
         let evaluator = &self.explorer.evaluator;
         let mut bank = evaluator.replay_bank(&lanes);
-        let obs = self.explorer.obs.as_deref();
-        let mut feed_block = |block: &[TraceEvent]| {
-            bank.feed(block);
-            if let Some(o) = obs {
-                o.counters.add_events(block.len() as u64);
-            }
-        };
-        let (events, parse_us) = match feed {
+        let (mut source, capacity, fill_field): (Box<dyn TraceSource + '_>, usize, _) = match feed {
             Feed::Known { .. } => unreachable!("known records never replay"),
-            Feed::Slice(trace) => {
-                feed_block(trace);
-                (trace.len() as u64, None)
-            }
-            Feed::Compressed(ztrace) => {
-                let flow = ztrace.try_replay(|block| {
-                    if self.halted() {
-                        return ControlFlow::Break(());
-                    }
-                    feed_block(block);
-                    ControlFlow::Continue(())
-                });
-                if flow.is_break() {
-                    return Ok(None);
-                }
-                (ztrace.len() as u64, None)
-            }
-            Feed::Stream(workload) => {
-                let mut src = workload.open()?;
-                let mut buf: Vec<TraceEvent> = Vec::with_capacity(workload.chunk_capacity());
-                let mut events = 0u64;
-                let mut parse = Duration::ZERO;
-                loop {
-                    let fill_start = Instant::now();
-                    let n = src.fill(&mut buf, workload.chunk_capacity())?;
-                    parse += fill_start.elapsed();
-                    if n == 0 {
-                        break;
-                    }
-                    events += n as u64;
-                    let bytes = (buf.len() * std::mem::size_of::<TraceEvent>()) as u64;
-                    self.peak_chunk_bytes.fetch_max(bytes, Ordering::Relaxed);
-                    feed_block(&buf);
-                    if self.halted() {
-                        return Ok(None);
-                    }
-                }
-                let parse_us = u64::try_from(parse.as_micros()).unwrap_or(u64::MAX);
-                (events, Some(parse_us))
-            }
+            Feed::Plan(plan) => (
+                Box::new(PlanSource::from_plan((*plan).clone())),
+                PLAN_CHUNK_EVENTS,
+                "gen_us",
+            ),
+            Feed::Stream(workload) => (workload.open()?, workload.chunk_capacity(), "parse_us"),
         };
+        let obs = self.explorer.obs.as_deref();
+        let pass = stream_into(&mut bank, source.as_mut(), capacity, |chunk| {
+            if let Some(o) = obs {
+                o.counters.add_events(chunk.len() as u64);
+            }
+            let bytes = std::mem::size_of_val(chunk) as u64;
+            self.peak_chunk_bytes.fetch_max(bytes, Ordering::Relaxed);
+            match self.halted() {
+                true => ControlFlow::Break(()),
+                false => ControlFlow::Continue(()),
+            }
+        })?;
+        if matches!(feed, Feed::Plan(_)) {
+            self.generated.fetch_add(pass.events, Ordering::Relaxed);
+            let ns = u64::try_from(pass.fill_time.as_nanos()).unwrap_or(u64::MAX);
+            self.generate_ns.fetch_add(ns, Ordering::Relaxed);
+        }
+        if !pass.complete {
+            return Ok(None);
+        }
+        let fill_us = u64::try_from(pass.fill_time.as_micros()).unwrap_or(u64::MAX);
         Ok(Some(Pass {
             records: evaluator.evaluate_bank_reports(&lanes, &bank.finish()),
-            events,
-            parse_us,
+            events: pass.events,
+            fill_us: (fill_field, fill_us),
         }))
     }
 
@@ -588,10 +624,11 @@ impl<'a> Sweep<'a> {
         }
         if let Some(o) = self.explorer.obs.as_deref() {
             o.counters.add_done(fresh as u64);
-            let mut fields = vec![("events", FieldValue::U64(pass.events))];
-            if let Some(parse_us) = pass.parse_us {
-                fields.push(("parse_us", FieldValue::U64(parse_us)));
-            }
+            let (fill_field, fill_us) = pass.fill_us;
+            let mut fields = vec![
+                ("events", FieldValue::U64(pass.events)),
+                (fill_field, FieldValue::U64(fill_us)),
+            ];
             if bank {
                 fields.push(("width", FieldValue::U64(width)));
                 fields.push(("fresh", FieldValue::U64(fresh as u64)));

@@ -2,11 +2,11 @@
 //!
 //! [`SweepTelemetry`] is filled in by
 //! [`Explorer::explore_with_telemetry`](crate::Explorer::explore_with_telemetry)
-//! and reports what the trace-once engine actually did: how many layouts
-//! and traces were materialized, how many simulated events were served
-//! from the shared [`memsim::TraceArena`] instead of regenerated, where
-//! the wall time went per phase, and how evenly the work-stealing workers
-//! were loaded. The `memx explore --telemetry` flag and the
+//! and reports what the sweep engine actually did: how many layouts were
+//! placed and trace plans compiled, how many events were generated from
+//! the plans and how many each scan served to a whole bank of designs,
+//! where the wall time went per phase, and how evenly the work-stealing
+//! workers were loaded. The `memx explore --telemetry` flag and the
 //! `bench_explore` harness both print it; `BENCH_explore.json` embeds the
 //! [`to_json`](SweepTelemetry::to_json) form.
 
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 7;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 8;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -25,15 +25,20 @@ pub struct SweepTelemetry {
     pub designs_evaluated: usize,
     /// Distinct `(T, L)` off-chip layouts computed.
     pub layouts_computed: usize,
-    /// Distinct (layout value, tiling) traces materialized into the arena.
+    /// (layout value, tiling) traces compiled into plans or materialized
+    /// (one per trace group of a sweep; Pareto and search count each
+    /// wave's or batch's plans, and the traces their bounds scan).
     pub traces_generated: usize,
-    /// Total events generated into the arena (each exactly once).
+    /// Events generated from kernel trace plans: every walk of a plan
+    /// (one per bank scan, so per design under the per-design engine)
+    /// plus every materialized trace. For a `.din` sweep, the trace's
+    /// length.
     pub trace_events_generated: u64,
     /// Total events replayed by simulations, counted *logically*: every
     /// design consumes its whole span, so this is events × designs even
     /// when the fused engine scans the span once for many designs.
     pub trace_events_replayed: u64,
-    /// Total events *physically* streamed from the arena. Equal to
+    /// Total events *physically* streamed into banks. Equal to
     /// [`trace_events_replayed`](Self::trace_events_replayed) for the
     /// per-design engine; with the fused engine each trace group is
     /// scanned once regardless of bank width, so this is smaller by
@@ -53,24 +58,23 @@ pub struct SweepTelemetry {
     /// Banks that replayed through a `memsim::ReplayBank`
     /// (`fused_groups - analytic_groups`).
     pub simulated_groups: usize,
-    /// Raw bytes of the materialized trace arena.
-    pub arena_bytes: u64,
-    /// Resident bytes of the delta-compressed replay form (0 for sweeps
-    /// that replay resident slices or a `.din` stream).
-    pub arena_compressed_bytes: u64,
     /// Worker threads used by the sweep.
     pub workers: usize,
     /// Wall time of the layout phase (off-chip placement per `(T, L)`).
     pub layout_time: Duration,
-    /// Wall time of the trace-materialization phase.
+    /// Wall time of the trace phase: compiling each trace key's plan
+    /// (plus, in Pareto and search, materializing the traces their
+    /// bounds scan).
     pub trace_time: Duration,
     /// Wall time classifying trace groups for the analytic fast path
     /// (zero when the fast path is disabled or never gated in).
     pub classify_time: Duration,
-    /// Wall time delta-compressing trace slices for streamed replay.
-    pub compress_time: Duration,
-    /// Wall time of the work-stealing simulation phase.
+    /// Wall time of the work-stealing simulation phase, trace generation
+    /// included.
     pub simulate_time: Duration,
+    /// Time inside the simulation phase spent walking compiled plans into
+    /// chunks, summed over workers (0 for `.din` sweeps).
+    pub generate_time: Duration,
     /// Wall time of result collection into sweep order.
     pub select_time: Duration,
     /// End-to-end wall time of the sweep.
@@ -107,9 +111,9 @@ pub struct SweepTelemetry {
     /// well-formed partial result.
     pub cancelled: bool,
     /// Largest chunk buffer (in bytes of [`memsim::TraceEvent`]) any one
-    /// worker held resident while streaming an external trace — total
-    /// streaming memory is bounded by this times `workers`. 0 for
-    /// arena-based (materialized) sweeps.
+    /// worker held resident while streaming a plan or an external trace —
+    /// total streaming memory is bounded by this times `workers`. 0 when
+    /// nothing replayed.
     pub peak_chunk_bytes: u64,
     /// Shard attempts dispatched by a distributed coordinator, counting
     /// retries and speculative re-dispatches (0 for single-process
@@ -144,8 +148,8 @@ pub struct SweepTelemetry {
 }
 
 impl SweepTelemetry {
-    /// Events served from the arena beyond their first generation —
-    /// the work the trace-once engine avoided.
+    /// Events replayed beyond their generation — the generation work
+    /// that fused banks avoided.
     pub fn trace_events_reused(&self) -> u64 {
         self.trace_events_replayed
             .saturating_sub(self.trace_events_generated)
@@ -226,7 +230,6 @@ impl SweepTelemetry {
                 "\"trace_events_scanned\":{},\"trace_events_avoided\":{},",
                 "\"fused_groups\":{},\"max_bank_width\":{},",
                 "\"analytic_groups\":{},\"simulated_groups\":{},",
-                "\"arena_bytes\":{},\"arena_compressed_bytes\":{},",
                 "\"trace_reuse_factor\":{},\"workers\":{},",
                 "\"worker_utilization\":{},\"designs_pruned\":{},",
                 "\"designs_speculative\":{},",
@@ -239,8 +242,8 @@ impl SweepTelemetry {
                 "\"shards_redispatched\":{},\"shard_entries_deduped\":{},",
                 "\"workers_surviving\":{},",
                 "\"layout_secs\":{},\"trace_secs\":{},",
-                "\"classify_secs\":{},\"compress_secs\":{},",
-                "\"bound_secs\":{},\"simulate_secs\":{},",
+                "\"classify_secs\":{},\"bound_secs\":{},",
+                "\"simulate_secs\":{},\"generate_secs\":{},",
                 "\"select_secs\":{},\"total_secs\":{},",
                 "\"layout_latency\":{},\"score_latency\":{},",
                 "\"design_latency\":{},",
@@ -259,8 +262,6 @@ impl SweepTelemetry {
             self.max_bank_width,
             self.analytic_groups,
             self.simulated_groups,
-            self.arena_bytes,
-            self.arena_compressed_bytes,
             json_f64(self.trace_reuse_factor(), 3),
             self.workers,
             json_f64(self.worker_utilization(), 3),
@@ -283,9 +284,9 @@ impl SweepTelemetry {
             json_f64(self.layout_time.as_secs_f64(), 6),
             json_f64(self.trace_time.as_secs_f64(), 6),
             json_f64(self.classify_time.as_secs_f64(), 6),
-            json_f64(self.compress_time.as_secs_f64(), 6),
             json_f64(self.bound_time.as_secs_f64(), 6),
             json_f64(self.simulate_time.as_secs_f64(), 6),
+            json_f64(self.generate_time.as_secs_f64(), 6),
             json_f64(self.select_time.as_secs_f64(), 6),
             json_f64(self.total_time.as_secs_f64(), 6),
             self.layout_latency.to_json(),
@@ -314,10 +315,10 @@ impl fmt::Display for SweepTelemetry {
         )?;
         writeln!(
             f,
-            "  trace    : {} layout x tiling traces, {} events generated once in {:.1} ms",
+            "  trace    : {} layout x tiling traces in {:.1} ms, {} events generated",
             self.traces_generated,
-            self.trace_events_generated,
-            self.trace_time.as_secs_f64() * 1e3
+            self.trace_time.as_secs_f64() * 1e3,
+            self.trace_events_generated
         )?;
         if self.designs_pruned > 0 || self.bound_time > Duration::ZERO {
             writeln!(
@@ -331,10 +332,11 @@ impl fmt::Display for SweepTelemetry {
         }
         writeln!(
             f,
-            "  simulate : {} events replayed ({:.1}x reuse) in {:.1} ms, {:.0}% worker utilization",
+            "  simulate : {} events replayed ({:.1}x reuse) in {:.1} ms ({:.1} ms generating), {:.0}% worker utilization",
             self.trace_events_replayed,
             self.trace_reuse_factor(),
             self.simulate_time.as_secs_f64() * 1e3,
+            self.generate_time.as_secs_f64() * 1e3,
             self.worker_utilization().min(1.0) * 100.0
         )?;
         for (name, s) in [
@@ -373,16 +375,6 @@ impl fmt::Display for SweepTelemetry {
                 self.analytic_groups,
                 self.simulated_groups,
                 self.classify_time.as_secs_f64() * 1e3
-            )?;
-        }
-        if self.arena_compressed_bytes > 0 {
-            writeln!(
-                f,
-                "  arena    : {} B raw -> {} B compressed ({:.1}x) in {:.1} ms",
-                self.arena_bytes,
-                self.arena_compressed_bytes,
-                self.arena_bytes as f64 / self.arena_compressed_bytes.max(1) as f64,
-                self.compress_time.as_secs_f64() * 1e3
             )?;
         }
         if self.frontier_size > 0 {

@@ -1,10 +1,9 @@
 //! External trace workloads: streamed `.din` sweeps with bounded memory.
 //!
 //! The kernel sweep engines ([`Explorer::explore_designs_with_telemetry`])
-//! materialize every trace into a shared [`memsim::TraceArena`] before any
-//! simulation starts — fine for paper kernels (tens of thousands of
-//! events), hopeless for a multi-gigabyte recorded workload. This module
-//! is the streaming counterpart: a [`TraceWorkload`] names an external
+//! walk each compiled kernel trace plan chunk by chunk through the
+//! [sweep runner](crate::sweep). This module is the `.din` counterpart
+//! on the same runner: a [`TraceWorkload`] names an external
 //! Dinero `.din` trace (file or in-memory text), carries its content
 //! [`TraceFingerprint`] from one cheap preparation pass, and
 //! [`Explorer::explore_trace`] sweeps a design grid over it by pulling

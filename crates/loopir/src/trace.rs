@@ -69,6 +69,11 @@ pub struct MemoryAccess {
 ///     .count();
 /// assert_eq!(reads, 6 * 6 * 2); // a[i][j] and b[i][j]
 /// ```
+///
+/// A generator is cheap to clone, and a clone taken before the first
+/// event is a compiled plan that can be walked again from the start.
+/// [`fill`](Self::fill) pulls the walk in bounded chunks.
+#[derive(Clone)]
 pub struct TraceGen<'a> {
     kernel: &'a Kernel,
     layout: &'a DataLayout,
@@ -95,6 +100,7 @@ pub struct TraceGen<'a> {
 }
 
 /// What one emitted access carries besides its address.
+#[derive(Clone)]
 struct RefMeta {
     size: u32,
     kind: AccessKind,
@@ -109,6 +115,7 @@ struct RefMeta {
 /// out, then each subscript of each reference. Block `m` of the walk's
 /// values only needs the bounds of levels `m..`, and the subscripts only
 /// when runs are checked, so the rows it carries are a prefix.
+#[derive(Clone)]
 struct Plan {
     refs: Vec<RefMeta>,
     /// Number of rows.
@@ -372,6 +379,108 @@ impl<'a> TraceGen<'a> {
         TraceGen::new(kernel, layout)
             .filter(|a| !reads_only || a.kind == AccessKind::Read)
             .collect()
+    }
+
+    /// Appends to `buf` every access that `keep` maps to `Some`, until
+    /// `buf` holds `capacity` items or the nest is exhausted, and returns
+    /// how many it appended: 0 means the trace is over (or `buf` was
+    /// already full).
+    ///
+    /// The walk stops after any access, mid-run too, and the next call
+    /// resumes exactly there, so chunks of any capacity concatenate to the
+    /// trace [`fold`](Iterator::fold) yields. Whole in-bounds runs are
+    /// emitted from the carried addresses as `fold` does; `keep` sees
+    /// every access in order, including the ones it drops.
+    ///
+    /// # Panics
+    ///
+    /// As iteration does, at the same access.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use loopir::{kernels, AccessKind, DataLayout, TraceGen};
+    ///
+    /// let k = kernels::matadd(6);
+    /// let layout = DataLayout::natural(&k);
+    /// let mut gen = TraceGen::new(&k, &layout);
+    /// let mut chunk = Vec::new();
+    /// let mut reads = 0;
+    /// loop {
+    ///     chunk.clear();
+    ///     let n = gen.fill(&mut chunk, 5, |a| (a.kind == AccessKind::Read).then_some(a.addr));
+    ///     if n == 0 {
+    ///         break;
+    ///     }
+    ///     reads += n;
+    /// }
+    /// assert_eq!(reads, 6 * 6 * 2);
+    /// ```
+    pub fn fill<T>(
+        &mut self,
+        buf: &mut Vec<T>,
+        capacity: usize,
+        mut keep: impl FnMut(MemoryAccess) -> Option<T>,
+    ) -> usize {
+        let start = buf.len();
+        let nrefs = self.plan.refs.len();
+        while buf.len() < capacity {
+            if self.next_ref == nrefs && !self.next_point() {
+                break;
+            }
+            if !self.in_bounds || self.next_ref > 0 {
+                // The rest of the current point, access by access.
+                while self.next_ref < nrefs {
+                    if let Some(item) = keep(self.emit()) {
+                        buf.push(item);
+                        if buf.len() == capacity {
+                            return buf.len() - start;
+                        }
+                    }
+                }
+                continue;
+            }
+            // The rest of the run: the current point, then `left` more.
+            let TraceGen {
+                plan,
+                ivs,
+                cur,
+                left,
+                next_ref,
+                ..
+            } = self;
+            let l = ivs.len().saturating_sub(1);
+            let stride = &plan.stride[l * plan.rows..];
+            for point in 0..=*left {
+                if point > 0 {
+                    for (v, &s) in cur.iter_mut().zip(stride) {
+                        *v = v.wrapping_add(s);
+                    }
+                }
+                for (r, (&v, m)) in cur.iter().zip(&plan.refs).enumerate() {
+                    let access = MemoryAccess {
+                        addr: v as u64,
+                        size: m.size,
+                        kind: m.kind,
+                        array: m.array,
+                    };
+                    if let Some(item) = keep(access) {
+                        buf.push(item);
+                        if buf.len() == capacity {
+                            // Stopped inside the run: the current point
+                            // is `point`, with `r + 1` references done.
+                            *left -= point;
+                            *next_ref = r + 1;
+                            return buf.len() - start;
+                        }
+                    }
+                }
+            }
+            // As in `fold`, the next run re-enters the innermost level.
+            *left = 0;
+            *next_ref = nrefs;
+        }
+        buf.len() - start
     }
 
     /// Moves the odometer to the first point of the next non-empty
@@ -807,6 +916,136 @@ mod tests {
             vec![(8, AccessKind::Read), (12, AccessKind::Write)]
         );
         assert_eq!(by_fold, by_next);
+    }
+
+    /// The whole trace pulled through [`TraceGen::fill`] in chunks of
+    /// `capacity`, keeping only the accesses `keep` accepts.
+    fn chunked(
+        k: &Kernel,
+        l: &DataLayout,
+        capacity: usize,
+        keep: impl Fn(&MemoryAccess) -> bool,
+    ) -> Vec<MemoryAccess> {
+        let mut gen = TraceGen::new(k, l);
+        let mut out = Vec::new();
+        let mut chunk = Vec::new();
+        loop {
+            chunk.clear();
+            let n = gen.fill(&mut chunk, capacity, |a| keep(&a).then_some(a));
+            assert_eq!(n, chunk.len());
+            assert!(n <= capacity);
+            if n == 0 {
+                return out;
+            }
+            out.extend_from_slice(&chunk);
+        }
+    }
+
+    #[test]
+    fn fill_resumes_mid_run_at_every_capacity() {
+        let rw = {
+            let a = ArrayDecl::new("a", &[9], 4);
+            let b = ArrayDecl::new("b", &[9], 4);
+            let nest = LoopNest {
+                loops: vec![Loop::new(0, 2), Loop::new(0, 8)],
+                refs: vec![
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::var(1)]),
+                    ArrayRef::write(ArrayId(1), vec![AffineExpr::var(1)]),
+                    ArrayRef::read(ArrayId(1), vec![AffineExpr::var(1)]),
+                ],
+            };
+            Kernel::new("rw", vec![a, b], nest)
+        };
+        let strip = {
+            // Negative lower bound and `min`-capped inner runs.
+            let a = ArrayDecl::new("a", &[12], 4);
+            let nest = LoopNest {
+                loops: vec![
+                    Loop::with_step(-3, 8, 3),
+                    Loop {
+                        lower: Bound::Affine(AffineExpr::var(0) + 3),
+                        upper: Bound::Min(AffineExpr::var(0) + 5, 9),
+                        step: 1,
+                    },
+                ],
+                refs: vec![
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::var(1)]),
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::var(1) + 2]),
+                ],
+            };
+            Kernel::new("strip", vec![a], nest)
+        };
+        for k in [rw, strip, simple_1d(11)] {
+            let l = DataLayout::natural(&k);
+            let all: Vec<MemoryAccess> = TraceGen::new(&k, &l).collect();
+            let reads: Vec<MemoryAccess> = TraceGen::collect_trace(&k, &l, true);
+            for capacity in [1, 2, 3, 7, 4096] {
+                assert_eq!(chunked(&k, &l, capacity, |_| true), all, "{}", k.name);
+                let is_read = |a: &MemoryAccess| a.kind == AccessKind::Read;
+                assert_eq!(chunked(&k, &l, capacity, is_read), reads, "{}", k.name);
+            }
+        }
+    }
+
+    #[test]
+    fn fill_matches_iteration_on_checked_and_loopless_nests() {
+        // `a[j - i]` stays in bounds on every point of the triangle but
+        // not over its box, so each run is checked; `point` has no loops.
+        let tri = {
+            let a = ArrayDecl::new("a", &[4], 1);
+            let nest = LoopNest {
+                loops: vec![
+                    Loop::new(0, 3),
+                    Loop {
+                        lower: Bound::Affine(AffineExpr::var(0)),
+                        upper: Bound::Const(3),
+                        step: 1,
+                    },
+                ],
+                refs: vec![
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::var(1)]),
+                    ArrayRef::read(
+                        ArrayId(0),
+                        vec![AffineExpr::var(1) + AffineExpr::linear(0, -1, 0)],
+                    ),
+                ],
+            };
+            Kernel::new("tri", vec![a], nest)
+        };
+        let point = {
+            let a = ArrayDecl::new("a", &[4], 4);
+            let nest = LoopNest {
+                loops: vec![],
+                refs: vec![
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::constant(2)]),
+                    ArrayRef::write(ArrayId(0), vec![AffineExpr::constant(3)]),
+                ],
+            };
+            Kernel::new("point", vec![a], nest)
+        };
+        for k in [tri, point] {
+            let l = DataLayout::natural(&k);
+            let all: Vec<MemoryAccess> = TraceGen::new(&k, &l).collect();
+            for capacity in [1, 2, 5] {
+                assert_eq!(chunked(&k, &l, capacity, |_| true), all, "{}", k.name);
+            }
+        }
+    }
+
+    #[test]
+    fn fill_stops_at_capacity_and_at_the_end() {
+        let k = simple_1d(5);
+        let l = DataLayout::natural(&k);
+        let mut gen = TraceGen::new(&k, &l);
+        let mut buf = vec![0u64; 2];
+        // A full buffer takes nothing; appending respects what is there.
+        assert_eq!(gen.fill(&mut buf, 2, |a| Some(a.addr)), 0);
+        assert_eq!(gen.fill(&mut buf, 4, |a| Some(a.addr)), 2);
+        assert_eq!(buf, vec![0, 0, 0, 4]);
+        buf.clear();
+        assert_eq!(gen.fill(&mut buf, 8, |a| Some(a.addr)), 3);
+        assert_eq!(buf, vec![8, 12, 16]);
+        assert_eq!(gen.fill(&mut buf, 8, |a| Some(a.addr)), 0);
     }
 
     #[test]

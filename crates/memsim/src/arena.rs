@@ -13,6 +13,11 @@
 //! [`TraceArena::assemble`] them in deterministic key order. The finished
 //! arena is immutable and can be shared by reference across scoped threads.
 //!
+//! The `memexplore` sweep no longer uses it: kernel traces are streamed
+//! from their compiled plans in chunks instead. The arena stays because
+//! memxbench's traced `paper_sweep` run re-stages the old pipeline with
+//! it; it can go once that run reads the engine's own per-layer spans.
+//!
 //! # Example
 //!
 //! ```

@@ -2,7 +2,8 @@
 //! lockstep over a single scan of a shared trace.
 //!
 //! Design-space sweeps evaluate many cache configurations against the same
-//! immutable event stream (see [`TraceArena`](crate::TraceArena)). Replaying
+//! immutable event stream (a kernel trace streamed in chunks, or a `.din`
+//! file). Replaying
 //! the stream once per configuration makes trace *consumption*
 //! O(designs × trace length) even after trace *generation* has been
 //! deduplicated. A [`ReplayBank`] instead owns N independent lanes — one
@@ -381,8 +382,7 @@ impl ReplayBank {
         }
     }
 
-    /// Replays a materialized trace slice (e.g. from a
-    /// [`TraceArena`](crate::TraceArena)) in one scan.
+    /// Replays a materialized trace slice in one scan.
     ///
     /// Class-major fast path: the slice is split once per line-size class
     /// into a flat stream of line numbers (driving the shared CPU bus as

@@ -115,8 +115,7 @@ impl Simulator {
         self.bank.run(events);
     }
 
-    /// Replays a materialized trace slice (e.g. from a
-    /// [`TraceArena`](crate::TraceArena)) without consuming it.
+    /// Replays a materialized trace slice without consuming it.
     ///
     /// A lone simulator replays event by event through the same stepping
     /// core as [`step`](Self::step); the class-major batch replay of

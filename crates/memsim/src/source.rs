@@ -7,12 +7,15 @@
 //! O(chunk × concurrent readers) rather than O(trace). Three
 //! implementations cover the system's workloads:
 //!
-//! * [`SliceSource`] — an in-memory slice (arena traces), chunked by
-//!   subslicing; the zero-cost adapter for the existing path,
+//! * [`SliceSource`] — an in-memory slice, chunked by subslicing,
 //! * [`DinSource`] — a buffered, incrementally parsed `.din` reader
 //!   with typed I/O and parse errors ([`TraceSourceError`]),
-//! * [`IterSource`] — any event iterator (e.g. `loopir::TraceGen`
-//!   mapped to events) without an intermediate collect.
+//! * [`IterSource`] — any event iterator without an intermediate
+//!   collect.
+//!
+//! Kernel traces have their own source downstream,
+//! `memexplore::metrics::PlanSource`, which walks a compiled
+//! `loopir::TraceGen` plan chunk by chunk (`TraceGen::fill`).
 //!
 //! Chunking is *protocol-invariant*: replaying the chunks of any source
 //! through [`ReplayBank::feed`](crate::ReplayBank::feed) /
@@ -99,7 +102,7 @@ pub trait TraceSource {
     ) -> Result<usize, TraceSourceError>;
 }
 
-/// A materialized slice served in chunks (the arena path).
+/// A materialized slice served in chunks.
 pub struct SliceSource<'a> {
     events: &'a [TraceEvent],
     pos: usize,

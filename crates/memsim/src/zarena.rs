@@ -25,6 +25,12 @@
 //! `feed` calls, so block-by-block replay is bit-identical to scanning
 //! the raw slice (see the bank's chunk-invariance contract).
 //!
+//! The `memexplore` sweep no longer compresses: kernel traces are streamed
+//! from their compiled plans in chunks, which is cheaper than encoding and
+//! decoding them. This type stays because memxbench's traced
+//! `paper_sweep` run re-stages the old pipeline with it; it can go once
+//! that run reads the engine's own per-layer spans.
+//!
 //! # Example
 //!
 //! ```

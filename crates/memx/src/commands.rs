@@ -944,8 +944,8 @@ fn run_supervised(
 }
 
 /// [`run_supervised`] for streamed `.din` workloads: same checkpoint /
-/// resume / deadline translation, driving the chunked trace sweep instead
-/// of the arena-based kernel sweep.
+/// resume / deadline translation, driving the `.din` stream sweep instead
+/// of the kernel sweep.
 fn run_trace_supervised(
     explorer: &Explorer,
     workload: &TraceWorkload,

@@ -5,8 +5,8 @@
 //! the `[[example]]` entries of its manifest. `cargo test -p suite`
 //! runs the cross-crate integration suite:
 //!
-//! * `tests/differential.rs` — the trace-once arena engine against the
-//!   naive regenerate-per-design reference, bit for bit.
+//! * `tests/differential.rs` — the sweep engine against the naive
+//!   regenerate-per-design reference, bit for bit.
 //! * `tests/fused_oracle.rs` — the fused one-pass replay engine against
 //!   the per-design engine on every paper kernel, explore and pareto.
 //! * `tests/pareto_oracle.rs` — branch-and-bound pruning against the

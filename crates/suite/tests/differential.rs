@@ -2,11 +2,11 @@
 //! trace-driven simulator, for every kernel in `loopir::kernels`.
 //!
 //! Three layers of checks over `DesignSpace::small()` sweeps run by the
-//! trace-once engine:
+//! sweep engine:
 //!
 //! 1. **conservation** — for every design, hit + miss counts equal the
 //!    materialized trace length exactly (nothing is dropped, duplicated,
-//!    or split by the arena replay path);
+//!    or split by the chunked replay path);
 //! 2. **lower bound** — the analytical model counts compulsory (spatial)
 //!    misses only, so for *single-pass* kernels — whose only reuse is the
 //!    spatial reuse the model already counts — the simulated miss rate
@@ -71,7 +71,7 @@ fn sweep_counts_conserve_trace_length() {
         let records = explorer.explore_designs(&kernel, &designs);
         assert_eq!(records.len(), designs.len());
         for (record, &design) in records.iter().zip(&designs) {
-            // Regenerate the trace independently of the arena.
+            // Regenerate the trace independently of the sweep.
             let (layout, _) = evaluator.layout_for(&kernel, design.cache_size, design.line);
             let tiled = tile_all(&kernel, design.tiling);
             let trace = read_trace(&tiled, &layout);

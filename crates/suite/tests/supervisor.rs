@@ -12,7 +12,10 @@
 use loopir::kernels;
 use loopir::Kernel;
 use memexplore::supervisor::sweep_id;
-use memexplore::{Checkpoint, CheckpointPolicy, DesignSpace, Engine, Explorer, SweepOptions};
+use memexplore::{
+    Checkpoint, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
+    SweepOptions,
+};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -112,6 +115,107 @@ fn generous_deadline_completes_normally() {
         .expect("sweep succeeds");
     assert!(!outcome.telemetry.cancelled);
     assert_eq!(outcome.completed_records(), clean);
+}
+
+/// A deadline that fires while a trace group's plan is being walked
+/// abandons that bank: generation stops at the next chunk boundary and no
+/// member of the group lands a record, while every group that finished
+/// keeps its clean records. The deadline is placed at fractions of a
+/// clean run's simulate phase until one lands inside a group, which the
+/// telemetry shows as generated events beyond the completed scans.
+#[test]
+fn deadline_mid_group_stops_generation_and_lands_no_partial_record() {
+    let kernel = kernels::matmul(31);
+    // One (T, L) pair, so the trace groups are exactly the tilings.
+    let space = DesignSpace {
+        cache_sizes: vec![256],
+        line_sizes: vec![8],
+        assocs: vec![1, 2, 4],
+        tilings: vec![1, 2, 4, 8],
+        min_lines: 1,
+        ..DesignSpace::default()
+    };
+    let designs = space.designs();
+    let explorer = Explorer::default().with_workers(1);
+    let (clean, t) = explorer.explore_designs_with_telemetry(&kernel, &designs);
+    assert_eq!(t.fused_groups, 4);
+    let group_events = t.trace_events_scanned / 4;
+    let prepare = t.layout_time + t.trace_time;
+    let mut landed_mid_group = false;
+    for attempt in 1..=24u32 {
+        let fraction = f64::from(attempt % 8 + 1) / 10.0;
+        let options = SweepOptions {
+            deadline: Some(prepare + t.simulate_time.mul_f64(fraction)),
+            ..SweepOptions::default()
+        };
+        let outcome = explorer
+            .explore_supervised(&kernel, &designs, &options)
+            .expect("a cancelled sweep still returns an outcome");
+        for b in &space.tilings {
+            let group: Vec<&Option<_>> = designs
+                .iter()
+                .zip(&outcome.records)
+                .filter(|(d, _)| d.tiling == *b)
+                .map(|(_, r)| r)
+                .collect();
+            assert!(
+                group.iter().all(|r| r.is_some()) || group.iter().all(|r| r.is_none()),
+                "group B={b} landed a partial record set"
+            );
+        }
+        for (record, clean) in outcome.records.iter().zip(&clean) {
+            if let Some(record) = record {
+                assert_eq!(record, clean);
+            }
+        }
+        let tel = &outcome.telemetry;
+        let abandoned = tel.trace_events_generated - tel.trace_events_scanned;
+        if tel.cancelled && abandoned > 0 {
+            // One worker walks one group at a time, so at most that
+            // group's walk (all of it when the deadline fired after its
+            // last chunk) was abandoned: nothing walked on past it.
+            assert!(
+                abandoned <= group_events,
+                "generation ran on after the deadline: {abandoned} of {group_events} events"
+            );
+            landed_mid_group = true;
+            break;
+        }
+    }
+    assert!(landed_mid_group, "no deadline fired inside a trace group");
+}
+
+/// A kernel whose compiled plan overflows `i64` fails the trace phase as
+/// one typed error: every design of the grid shares the failure, so none
+/// is quarantined on its own.
+#[test]
+fn plan_overflow_is_a_whole_sweep_error_not_quarantine() {
+    use loopir::{AffineExpr, ArrayDecl, ArrayId, ArrayRef, Loop, LoopNest};
+    // Element 2^61 of a 4-byte array lies at byte 2^63, past i64::MAX.
+    let n: i64 = 1 << 61;
+    let kernel = Kernel::new(
+        "huge",
+        vec![ArrayDecl::new("a", &[n as usize + 1], 4)],
+        LoopNest {
+            loops: vec![Loop::new(0, n)],
+            refs: vec![ArrayRef::read(ArrayId(0), vec![AffineExpr::var(0)])],
+        },
+    );
+    // The natural layout has nothing to arbitrate, so the layout phase
+    // never compiles a plan and the trace phase is the first to.
+    let explorer = Explorer::new(Evaluator::default().unoptimized());
+    let designs = DesignSpace::small().designs();
+    match explorer.explore_supervised(&kernel, &designs, &SweepOptions::default()) {
+        Err(ExploreError::WorkerPanic { phase, message }) => {
+            assert_eq!(phase, "trace");
+            assert!(message.starts_with("trace address overflow"), "{message}");
+        }
+        Err(e) => panic!("unexpected error: {e}"),
+        Ok(outcome) => panic!(
+            "expected a trace-phase error, got {} quarantined designs",
+            outcome.errors.len()
+        ),
+    }
 }
 
 /// The named resume regression: a "killed" sweep leaves — by the atomic

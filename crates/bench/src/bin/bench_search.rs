@@ -1,7 +1,7 @@
 //! Certified-search benchmark: bound-guided best-first search vs the
 //! exhaustive sweep.
 //!
-//! Two halves, both written to `BENCH_search.json`:
+//! Three parts, all written to `BENCH_search.json`:
 //!
 //! * **Paper grid** — for every paper kernel and both single objectives,
 //!   run the exhaustive sweep + min-select and the gap-0 search, assert
@@ -13,6 +13,13 @@
 //!   *extrapolated* from the paper grid's measured per-design cost; the
 //!   run asserts the certified gap stays ≤ 1% and the search beats the
 //!   extrapolated sweep by ≥ 10×.
+//! * **Replay throughput** — the replay layer under the big grid: for each
+//!   of its 21 (associativity, replacement) pairs, a 12-lane
+//!   `memsim::ReplayBank` (T ∈ 4/16/64 KiB × L ∈ 16/64 B × both write
+//!   policies) replays MatMult's natural-layout read trace in the search's
+//!   4,096-event chunks, once on the bulk tiers and once under
+//!   `with_scalar_replay`. The run asserts the two banks' reports are
+//!   bit-identical and records design-events/s for each.
 //!
 //! Regenerate with:
 //!
@@ -20,8 +27,10 @@
 //! cargo run --release -p bench --bin bench_search
 //! ```
 
-use loopir::kernels;
+use loopir::{kernels, DataLayout};
+use memexplore::metrics::{read_trace, PLAN_CHUNK_EVENTS};
 use memexplore::{select, DesignSpace, Explorer, Objective, SearchOptions};
+use memsim::{CacheConfig, ReplayBank, TraceEvent, WritePolicy};
 use std::time::Instant;
 
 const RUNS: usize = 3;
@@ -39,6 +48,85 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         }
     }
     best.expect("runs >= 1")
+}
+
+/// Replays `trace` through a bank of `configs` in the search's chunk
+/// size; returns the reports and the bank's scalar lane-events.
+fn replay(
+    configs: &[CacheConfig],
+    trace: &[TraceEvent],
+    scalar: bool,
+) -> (Vec<memsim::SimReport>, u64) {
+    let mut bank = ReplayBank::new(configs);
+    if scalar {
+        bank = bank.with_scalar_replay();
+    }
+    for chunk in trace.chunks(PLAN_CHUNK_EVENTS) {
+        bank.feed(chunk);
+    }
+    let scalar_events = bank.scalar_lane_events();
+    (bank.finish(), scalar_events)
+}
+
+/// The replay-throughput rows: one per (associativity, replacement) pair
+/// of the big grid, bulk tiers against the scalar lane loop.
+fn replay_rows(big_space: &DesignSpace) -> (String, usize, Vec<String>) {
+    let kernel = kernels::matmul(31);
+    let trace = read_trace(&kernel, &DataLayout::natural(&kernel));
+    let mut rows = Vec::new();
+    for &assoc in &big_space.assocs {
+        for &replacement in &big_space.replacements {
+            let mut configs = Vec::new();
+            for size in [4 << 10, 16 << 10, 64 << 10] {
+                for line in [16, 64] {
+                    for &write_policy in &[
+                        WritePolicy::WriteBackAllocate,
+                        WritePolicy::WriteThroughNoAllocate,
+                    ] {
+                        configs.push(
+                            CacheConfig::new(size, line, assoc)
+                                .expect("valid geometry")
+                                .with_replacement(replacement)
+                                .with_write_policy(write_policy),
+                        );
+                    }
+                }
+            }
+            let design_events = (trace.len() * configs.len()) as f64;
+            let (bulk_secs, (bulk, bulk_scalar)) =
+                best_of(RUNS, || replay(&configs, &trace, false));
+            let (scalar_secs, (scalar, _)) = best_of(RUNS, || replay(&configs, &trace, true));
+            for (b, s) in bulk.iter().zip(&scalar) {
+                assert!(
+                    b.stats == s.stats && b.cpu_bus == s.cpu_bus && b.mem_bus == s.mem_bus,
+                    "{}: bulk replay diverged from the scalar loop",
+                    b.config
+                );
+            }
+            let (bulk_rate, scalar_rate) = (design_events / bulk_secs, design_events / scalar_secs);
+            println!(
+                "replay S={assoc:2} {replacement:4} | bulk {:7.1} M design-events/s | scalar {:6.1} M | {:5.2}x | {bulk_scalar} lane-events left scalar",
+                bulk_rate / 1e6,
+                scalar_rate / 1e6,
+                bulk_rate / scalar_rate,
+            );
+            rows.push(format!(
+                concat!(
+                    "      {{\"assoc\": {}, \"replacement\": \"{}\", ",
+                    "\"bulk_design_events_per_s\": {:.0}, ",
+                    "\"scalar_design_events_per_s\": {:.0}, ",
+                    "\"speedup\": {:.2}, \"bulk_scalar_lane_events\": {}}}"
+                ),
+                assoc,
+                replacement,
+                bulk_rate,
+                scalar_rate,
+                bulk_rate / scalar_rate,
+                bulk_scalar,
+            ));
+        }
+    }
+    (kernel.name.clone(), trace.len(), rows)
 }
 
 fn main() {
@@ -151,6 +239,8 @@ fn main() {
         big_speedup,
     );
 
+    let (replay_kernel, replay_events, replay) = replay_rows(&big_space);
+
     let json = format!(
         concat!(
             "{{\n",
@@ -175,6 +265,13 @@ fn main() {
             "    \"extrapolated_exhaustive_secs\": {:.3},\n",
             "    \"speedup_vs_extrapolated\": {:.1},\n",
             "    \"speedup_floor\": {:.1}\n",
+            "  }},\n",
+            "  \"replay\": {{\n",
+            "    \"kernel\": \"{}\",\n",
+            "    \"trace_events\": {},\n",
+            "    \"lanes_per_bank\": 12,\n",
+            "    \"chunk_events\": {},\n",
+            "    \"pairs\": [\n{}\n    ]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -194,6 +291,10 @@ fn main() {
         extrapolated,
         big_speedup,
         BIG_SPEEDUP_FLOOR,
+        replay_kernel,
+        replay_events,
+        PLAN_CHUNK_EVENTS,
+        replay.join(",\n"),
     );
     std::fs::write("BENCH_search.json", &json).expect("can write BENCH_search.json");
     println!("wrote BENCH_search.json");

@@ -15,10 +15,11 @@
 //!   (where applicable) the worker id. Lines are canonical: emitting a
 //!   parsed [`Event`] reproduces the original bytes, which the round-trip
 //!   proptests pin.
-//! * **Latency histograms** ([`LatencyHistogram`]): lock-free log2-bucket
-//!   histograms recorded per unit of work regardless of whether a log is
-//!   configured, summarized into [`SweepTelemetry`](crate::SweepTelemetry)
-//!   as [`LatencySummary`] fields with p50/p95/p99.
+//! * **Latency histograms** ([`LatencyHistogram`]): lock-free log-linear
+//!   histograms (percentiles at most 6.25% above the exact quantile)
+//!   recorded per unit of work regardless of whether a log is configured,
+//!   summarized into [`SweepTelemetry`](crate::SweepTelemetry) as
+//!   [`LatencySummary`] fields with p50/p95/p99.
 //! * **Live progress** ([`ProgressCounters`] + a ticker thread): workers
 //!   bump relaxed atomics on the hot path; a sampling thread renders
 //!   designs done/total, events/s, an ETA, and prune/quarantine counts to
@@ -591,19 +592,56 @@ impl Event {
 // Latency histograms
 // ---------------------------------------------------------------------------
 
-/// A lock-free log2-bucket latency histogram: bucket `b` counts samples
-/// with `2^b ≤ nanos < 2^(b+1)`. Recording is two relaxed atomic adds —
-/// cheap enough for per-unit instrumentation on the sweep hot path.
+/// Linear sub-buckets per power of two: a sample lands in a bucket no
+/// wider than 1/16 of its lower edge, so the bucket's largest value
+/// overstates any sample in it by at most 6.25%.
+const SUB_BUCKETS: u64 = 16;
+/// `log2(SUB_BUCKETS)`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Buckets covering every `u64` nanosecond count: 16 exact buckets for
+/// 0–15 ns, then 16 per power of two from 2^4 to 2^63.
+const LATENCY_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
+
+/// The log-linear bucket of a `ns`-nanosecond sample: values below 16 get
+/// a bucket each; above, the power of two `2^e ≤ ns` picks a group of 16
+/// and the four bits below the leading one pick the bucket in it.
+fn latency_bucket(ns: u64) -> usize {
+    if ns < SUB_BUCKETS {
+        return ns as usize;
+    }
+    let e = 63 - ns.leading_zeros();
+    let sub = (ns >> (e - SUB_BITS)) - SUB_BUCKETS;
+    ((e - SUB_BITS + 1) as u64 * SUB_BUCKETS + sub) as usize
+}
+
+/// The largest nanosecond count [`latency_bucket`] maps to `bucket`.
+fn latency_bucket_max(bucket: usize) -> u64 {
+    let bucket = bucket as u64;
+    if bucket < SUB_BUCKETS {
+        return bucket;
+    }
+    let e = (bucket / SUB_BUCKETS) as u32 + SUB_BITS - 1;
+    let lo = (SUB_BUCKETS + bucket % SUB_BUCKETS) << (e - SUB_BITS);
+    lo + ((1u64 << (e - SUB_BITS)) - 1)
+}
+
+/// A lock-free log-linear latency histogram: nanosecond counts below 16
+/// are exact, and each power-of-two range above splits into 16 equal
+/// buckets (see [`latency_bucket`]), so a reported percentile is at most
+/// 6.25% above the sample it stands for. Recording is two relaxed atomic
+/// adds on a fixed-length array — cheap enough for per-unit
+/// instrumentation on the sweep hot path. The 7.8 KB of buckets live on
+/// the heap, so the structs that embed histograms stay small to move.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; 64],
+    buckets: Box<[AtomicU64]>,
     sum_ns: AtomicU64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum_ns: AtomicU64::new(0),
         }
     }
@@ -618,8 +656,7 @@ impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&self, d: Duration) {
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        let bucket = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[latency_bucket(ns)].fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
@@ -630,7 +667,7 @@ impl LatencyHistogram {
         for (b, c) in self.buckets.iter().enumerate() {
             let c = c.load(Ordering::Relaxed);
             if c > 0 {
-                buckets.push((b as u8, c));
+                buckets.push((b as u16, c));
                 count += c;
             }
         }
@@ -644,21 +681,21 @@ impl LatencyHistogram {
 
 /// An immutable histogram snapshot carried in
 /// [`SweepTelemetry`](crate::SweepTelemetry): sample count, summed time,
-/// and the sparse log2 buckets the percentiles are read from.
+/// and the sparse log-linear buckets the percentiles are read from.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of recorded samples.
     pub count: u64,
     /// Sum of all samples.
     pub total: Duration,
-    /// Sparse `(log2 bucket, count)` pairs, ascending by bucket.
-    pub buckets: Vec<(u8, u64)>,
+    /// Sparse `(log-linear bucket, count)` pairs, ascending by bucket.
+    pub buckets: Vec<(u16, u64)>,
 }
 
 impl LatencySummary {
-    /// The `q`-quantile (`0 < q ≤ 1`), reported as the upper bound of the
-    /// bucket where the cumulative count crosses `q · count` (log2
-    /// buckets bound each sample to within 2×). Zero when empty.
+    /// The `q`-quantile (`0 < q ≤ 1`): the sample of rank `⌈q · count⌉`,
+    /// reported as the largest value of its bucket — never below that
+    /// sample and at most 6.25% above it. Zero when empty.
     pub fn percentile(&self, q: f64) -> Duration {
         if self.count == 0 {
             return Duration::ZERO;
@@ -668,24 +705,23 @@ impl LatencySummary {
         for &(bucket, c) in &self.buckets {
             seen += c;
             if seen >= rank {
-                let upper = 1u128 << (u32::from(bucket) + 1);
-                return Duration::from_nanos(u64::try_from(upper).unwrap_or(u64::MAX));
+                return Duration::from_nanos(latency_bucket_max(usize::from(bucket)));
             }
         }
         Duration::ZERO
     }
 
-    /// Median (bucket upper bound).
+    /// Median (bucket maximum).
     pub fn p50(&self) -> Duration {
         self.percentile(0.50)
     }
 
-    /// 95th percentile (bucket upper bound).
+    /// 95th percentile (bucket maximum).
     pub fn p95(&self) -> Duration {
         self.percentile(0.95)
     }
 
-    /// 99th percentile (bucket upper bound).
+    /// 99th percentile (bucket maximum).
     pub fn p99(&self) -> Duration {
         self.percentile(0.99)
     }
@@ -1130,6 +1166,9 @@ pub struct RunReport {
     /// Designs completed (fresh scan members + lone simulations +
     /// resumed records).
     pub designs_done: u64,
+    /// Lane-events resolved on the banks' scalar lane loop (summed from
+    /// the `scalar` field of `scan` and `sim` units).
+    pub scalar_lane_events: u64,
     /// Records restored from a checkpoint.
     pub records_resumed: u64,
     /// Designs skipped by the pruner.
@@ -1210,6 +1249,7 @@ impl RunReport {
                             None => report.worker_busy.push((w, dur)),
                         }
                     }
+                    report.scalar_lane_events += event.u64_field("scalar").unwrap_or(0);
                     match event.name.as_str() {
                         "scan" => {
                             scan.record(dur);
@@ -1322,12 +1362,25 @@ impl fmt::Display for RunReport {
         )?;
         writeln!(f, "phases:")?;
         for p in &self.phases {
-            writeln!(
+            write!(
                 f,
                 "  {:<10}: {} span(s), {}",
                 p.name,
                 p.spans,
                 fmt_dur(p.total)
+            )?;
+            if p.name == "simulate" {
+                write!(f, ", {} scalar lane-events", self.scalar_lane_events)?;
+            }
+            writeln!(f)?;
+        }
+        let units = self.scan.count + self.sim.count;
+        if units > 0 && !self.phases.iter().any(|p| p.name == "simulate") {
+            // A search replays inside its own span: no simulate span.
+            writeln!(
+                f,
+                "  {:<10}: {} unit(s) inside other spans, {} scalar lane-events",
+                "simulate", units, self.scalar_lane_events
             )?;
         }
         if !self.worker_busy.is_empty() {
@@ -1505,18 +1558,54 @@ mod tests {
     fn histogram_percentiles_bound_samples() {
         let h = LatencyHistogram::new();
         for _ in 0..90 {
-            h.record(Duration::from_nanos(900)); // bucket 9 (512..1024)
+            h.record(Duration::from_nanos(900)); // bucket 896..=927
         }
         for _ in 0..10 {
-            h.record(Duration::from_micros(100)); // ~bucket 16
+            h.record(Duration::from_micros(100)); // bucket 98304..=102399
         }
         let s = h.summary();
         assert_eq!(s.count, 100);
-        assert_eq!(s.p50(), Duration::from_nanos(1024));
-        assert!(s.p99() >= Duration::from_micros(100));
-        assert!(s.p99() <= Duration::from_micros(200));
+        assert_eq!(s.p50(), Duration::from_nanos(927));
+        assert_eq!(s.p99(), Duration::from_nanos(102_399));
         // The summary parses as JSON.
         parse_json(&s.to_json()).expect("summary json");
+    }
+
+    #[test]
+    fn latency_buckets_tile_the_u64_range() {
+        // Every bucket's maximum maps back to it, and the next value
+        // starts the next bucket: the buckets cover 0..=u64::MAX in order
+        // with no gap or overlap.
+        assert_eq!(latency_bucket(u64::MAX), LATENCY_BUCKETS - 1);
+        assert_eq!(latency_bucket_max(LATENCY_BUCKETS - 1), u64::MAX);
+        for b in 0..LATENCY_BUCKETS - 1 {
+            let max = latency_bucket_max(b);
+            assert_eq!(latency_bucket(max), b, "bucket {b}");
+            assert_eq!(latency_bucket(max + 1), b + 1, "bucket {b}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn percentiles_stay_within_a_sixteenth_of_the_exact_quantile(
+            samples in proptest::collection::vec(
+                proptest::prop_oneof![0u64..64, 0u64..1 << 20, 0u64..1 << 40],
+                1..200,
+            ),
+            q in 0.001f64..=1.0,
+        ) {
+            let h = LatencyHistogram::new();
+            for &ns in &samples {
+                h.record(Duration::from_nanos(ns));
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_unstable();
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let exact = u128::from(sorted[rank - 1]);
+            let got = h.summary().percentile(q).as_nanos();
+            proptest::prop_assert!(got >= exact, "{} below exact {}", got, exact);
+            proptest::prop_assert!(16 * got <= 17 * exact, "{} over exact {} by > 6.25%", got, exact);
+        }
     }
 
     #[test]
@@ -1566,9 +1655,16 @@ mod tests {
                         ("events", FieldValue::U64(100)),
                         ("width", FieldValue::U64(5)),
                         ("fresh", FieldValue::U64(5)),
+                        ("scalar", FieldValue::U64(300)),
                     ],
                 );
-                obs.unit("simulate", "sim", 1, Duration::from_micros(7), &[]);
+                obs.unit(
+                    "simulate",
+                    "sim",
+                    1,
+                    Duration::from_micros(7),
+                    &[("scalar", FieldValue::U64(100))],
+                );
                 obs.point(
                     "supervise",
                     "quarantine",
@@ -1615,6 +1711,12 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("quarantined"));
         assert!(rendered.contains("phases:"));
+        assert_eq!(report.scalar_lane_events, 400);
+        let simulate = rendered
+            .lines()
+            .find(|l| l.starts_with("  simulate  : "))
+            .expect("simulate phase line");
+        assert!(simulate.ends_with(", 400 scalar lane-events"), "{simulate}");
     }
 
     #[test]

@@ -477,6 +477,7 @@ impl LeafBatches<'_> {
             analytic = try_group_records(evaluator, self.footprint, &designs, &events);
         }
         let analytic_hit = analytic.is_some();
+        let mut scalar = 0;
         let records = analytic.unwrap_or_else(|| {
             let mut bank = evaluator.replay_bank(&designs);
             let mut source = PlanSource::from_plan(plan);
@@ -487,6 +488,7 @@ impl LeafBatches<'_> {
             n = pass.events;
             telemetry.trace_events_generated += n;
             telemetry.generate_time += pass.fill_time;
+            scalar = bank.scalar_lane_events();
             evaluator.evaluate_bank_reports(&designs, &bank.finish())
         });
         let dur = sim_start.elapsed();
@@ -495,6 +497,7 @@ impl LeafBatches<'_> {
         telemetry.fused_groups += 1;
         telemetry.max_bank_width = telemetry.max_bank_width.max(width);
         telemetry.trace_events_replayed += n * width as u64;
+        telemetry.scalar_lane_events += scalar;
         if analytic_hit {
             telemetry.analytic_groups += 1;
         } else {
@@ -516,6 +519,7 @@ impl LeafBatches<'_> {
                     ("events", FieldValue::U64(n)),
                     ("width", FieldValue::U64(width as u64)),
                     ("fresh", FieldValue::U64(width as u64)),
+                    ("scalar", FieldValue::U64(scalar)),
                 ],
             );
         }

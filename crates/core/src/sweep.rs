@@ -173,6 +173,8 @@ impl fmt::Display for RunError {
 struct Pass {
     records: Vec<Record>,
     events: u64,
+    /// Lane-events the bank resolved on its scalar lane loop.
+    scalar_lane_events: u64,
     /// Microseconds inside `TraceSource::fill`, logged as `gen_us` for a
     /// plan and `parse_us` for a stream.
     fill_us: (&'static str, u64),
@@ -211,6 +213,7 @@ pub(crate) struct Sweep<'a> {
     source_error: Mutex<Option<TraceSourceError>>,
     replayed: AtomicU64,
     scanned: AtomicU64,
+    scalar_lane_events: AtomicU64,
     /// Events walked out of compiled plans, abandoned passes included.
     generated: AtomicU64,
     /// Nanoseconds inside plan fills, summed over workers.
@@ -304,6 +307,7 @@ impl<'a> Sweep<'a> {
             source_error: Mutex::new(None),
             replayed: AtomicU64::new(0),
             scanned: AtomicU64::new(0),
+            scalar_lane_events: AtomicU64::new(0),
             generated: AtomicU64::new(0),
             generate_ns: AtomicU64::new(0),
             retried: AtomicUsize::new(0),
@@ -384,6 +388,7 @@ impl<'a> Sweep<'a> {
             trace_events_generated: self.generated.into_inner(),
             trace_events_replayed: self.replayed.into_inner(),
             trace_events_scanned: self.scanned.into_inner(),
+            scalar_lane_events: self.scalar_lane_events.into_inner(),
             fused_groups: self.banks,
             max_bank_width: self.max_bank_width,
             analytic_groups: self.analytic_banks,
@@ -597,6 +602,7 @@ impl<'a> Sweep<'a> {
         }
         let fill_us = u64::try_from(pass.fill_time.as_micros()).unwrap_or(u64::MAX);
         Ok(Some(Pass {
+            scalar_lane_events: bank.scalar_lane_events(),
             records: evaluator.evaluate_bank_reports(&lanes, &bank.finish()),
             events: pass.events,
             fill_us: (fill_field, fill_us),
@@ -612,6 +618,8 @@ impl<'a> Sweep<'a> {
             .filter(|&&i| self.slots[i].get().is_none())
             .count();
         self.scanned.fetch_add(pass.events, Ordering::Relaxed);
+        self.scalar_lane_events
+            .fetch_add(pass.scalar_lane_events, Ordering::Relaxed);
         self.replayed
             .fetch_add(pass.events * width, Ordering::Relaxed);
         if bank {
@@ -628,6 +636,7 @@ impl<'a> Sweep<'a> {
             let mut fields = vec![
                 ("events", FieldValue::U64(pass.events)),
                 (fill_field, FieldValue::U64(fill_us)),
+                ("scalar", FieldValue::U64(pass.scalar_lane_events)),
             ];
             if bank {
                 fields.push(("width", FieldValue::U64(width)));

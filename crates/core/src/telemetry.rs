@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 8;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 9;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -44,6 +44,11 @@ pub struct SweepTelemetry {
     /// scanned once regardless of bank width, so this is smaller by
     /// [`trace_events_avoided`](Self::trace_events_avoided).
     pub trace_events_scanned: u64,
+    /// Lane-events the banks resolved one access at a time on their
+    /// scalar lane loop (random, classified and line-buffered lanes, and
+    /// lanes fed a chunk shorter than their set count); every other
+    /// lane-event took a bulk tier.
+    pub scalar_lane_events: u64,
     /// Banks the sweep scheduled (a trace group replaying one trace, or
     /// a `.din` shard). 0 for the per-design engine, whose units are
     /// single designs.
@@ -228,6 +233,7 @@ impl SweepTelemetry {
                 "\"traces_generated\":{},\"trace_events_generated\":{},",
                 "\"trace_events_replayed\":{},\"trace_events_reused\":{},",
                 "\"trace_events_scanned\":{},\"trace_events_avoided\":{},",
+                "\"scalar_lane_events\":{},",
                 "\"fused_groups\":{},\"max_bank_width\":{},",
                 "\"analytic_groups\":{},\"simulated_groups\":{},",
                 "\"trace_reuse_factor\":{},\"workers\":{},",
@@ -258,6 +264,7 @@ impl SweepTelemetry {
             self.trace_events_reused(),
             self.trace_events_scanned,
             self.trace_events_avoided(),
+            self.scalar_lane_events,
             self.fused_groups,
             self.max_bank_width,
             self.analytic_groups,
@@ -332,12 +339,13 @@ impl fmt::Display for SweepTelemetry {
         }
         writeln!(
             f,
-            "  simulate : {} events replayed ({:.1}x reuse) in {:.1} ms ({:.1} ms generating), {:.0}% worker utilization",
+            "  simulate : {} events replayed ({:.1}x reuse) in {:.1} ms ({:.1} ms generating), {:.0}% worker utilization, {} scalar lane-events",
             self.trace_events_replayed,
             self.trace_reuse_factor(),
             self.simulate_time.as_secs_f64() * 1e3,
             self.generate_time.as_secs_f64() * 1e3,
-            self.worker_utilization().min(1.0) * 100.0
+            self.worker_utilization().min(1.0) * 100.0,
+            self.scalar_lane_events
         )?;
         for (name, s) in [
             ("latency scan", &self.scan_latency),
@@ -529,6 +537,22 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("latency scan"), "{s}");
         assert!(!s.contains("latency ckpt"), "{s}");
+    }
+
+    #[test]
+    fn scalar_lane_events_render_in_json_and_the_simulate_line() {
+        let mut t = sample();
+        t.scalar_lane_events = 1234;
+        assert!(t.to_json().contains("\"scalar_lane_events\":1234,"));
+        let line = t.to_string();
+        let simulate = line
+            .lines()
+            .find(|l| l.starts_with("  simulate : "))
+            .expect("simulate line");
+        assert!(
+            simulate.ends_with(", 1234 scalar lane-events"),
+            "{simulate}"
+        );
     }
 
     #[test]

@@ -255,6 +255,9 @@ pub struct ReplayBank {
     /// per-class sub-access sequences (and hence buses) genuinely differ
     /// from then on, so deferred accounting is disabled for good.
     cpu_diverged: bool,
+    /// Lane-events resolved one access at a time (see
+    /// [`scalar_lane_events`](Self::scalar_lane_events)).
+    scalar_lane_events: u64,
 }
 
 /// Internal replay chunk: bounds the per-class stream buffer so it stays
@@ -313,6 +316,7 @@ impl ReplayBank {
             cpu_live_class,
             cpu_stale: false,
             cpu_diverged: false,
+            scalar_lane_events: 0,
         }
     }
 
@@ -366,6 +370,7 @@ impl ReplayBank {
             class.split(event);
         }
         for class in classes.iter() {
+            self.scalar_lane_events += (class.sub_addrs.len() * class.members.len()) as u64;
             for &i in &class.members {
                 let lane = &mut lanes[i];
                 for &addr in &class.sub_addrs {
@@ -400,10 +405,12 @@ impl ReplayBank {
     /// The one chunk scan. Each line-size class builds a flat stream of
     /// `(line << 1) | is_write` elements (driving the shared CPU bus as it
     /// goes) and replays it through its member lanes. Eligible lanes (no
-    /// line buffer, no classifier, LRU/FIFO up to 8 ways, either write
-    /// policy) resolve the whole stream with [`Cache::run_lines`], unless
-    /// a set-associative lane has more sets than the stream has elements
-    /// ([`Cache::bulk_pays`]); the rest keep the scalar per-access loop. Under
+    /// line buffer, no classifier, LRU, FIFO or PLRU at 1–64 ways, either
+    /// write policy) resolve the whole stream with [`Cache::run_lines`],
+    /// unless a set-associative lane has more sets than the stream has
+    /// elements ([`Cache::bulk_pays`]); the rest — random lanes among
+    /// them — keep the scalar per-access loop, which
+    /// [`scalar_lane_events`](Self::scalar_lane_events) counts. Under
     /// [`with_scalar_replay`](Self::with_scalar_replay) every lane takes
     /// the scalar loop and every bus keeps live accounting.
     ///
@@ -435,7 +442,7 @@ impl ReplayBank {
         let deferrable = !self.scalar_replay && !self.cpu_diverged && self.classes.len() > 1;
         let saved = deferrable.then(|| self.classes[live].cpu_bus);
 
-        let spanned = Self::scan_class(
+        let (spanned, scalar_events) = Self::scan_class(
             &mut self.classes[live],
             &mut self.lanes,
             events,
@@ -444,6 +451,7 @@ impl ReplayBank {
             &mut self.line_scratch,
             &mut self.bulk_scratch,
         );
+        self.scalar_lane_events += scalar_events;
         if spanned {
             if let Some(saved) = saved {
                 if self.cpu_stale {
@@ -462,7 +470,7 @@ impl ReplayBank {
             if c == live {
                 continue;
             }
-            Self::scan_class(
+            let (_, scalar_events) = Self::scan_class(
                 &mut self.classes[c],
                 &mut self.lanes,
                 events,
@@ -471,6 +479,7 @@ impl ReplayBank {
                 &mut self.line_scratch,
                 &mut self.bulk_scratch,
             );
+            self.scalar_lane_events += scalar_events;
         }
         if !observe_others {
             self.cpu_stale = true;
@@ -497,7 +506,7 @@ impl ReplayBank {
     /// the CPU bus unless the caller has proven this class's sequence
     /// identical to the live class's) and replays it through the class's
     /// member lanes. Returns whether any event straddled a line boundary
-    /// of this class.
+    /// of this class, and the lane-events resolved on the scalar loop.
     fn scan_class(
         class: &mut LineClass,
         lanes: &mut [Lane],
@@ -506,7 +515,7 @@ impl ReplayBank {
         scalar: bool,
         stream: &mut Vec<u64>,
         scratch: &mut BulkScratch,
-    ) -> bool {
+    ) -> (bool, u64) {
         let (max_line, writes) = if observe {
             build_stream::<true>(class, events, stream)
         } else {
@@ -518,11 +527,13 @@ impl ReplayBank {
             "deferred bus accounting requires a straddle-free chunk"
         );
         let reads = stream.len() as u64 - writes;
+        let mut scalar_lanes = 0;
         for &i in &class.members {
             let lane = &mut lanes[i];
             if lane.line_buffer.is_some() {
                 // The buffer's read-hit shortcut changes per-access
                 // accounting, so buffered lanes take the full path.
+                scalar_lanes += 1;
                 for &e in stream.iter() {
                     lane.access_line(e >> 1, e & 1 != 0);
                 }
@@ -538,6 +549,7 @@ impl ReplayBank {
                 stats.writebacks += out.writebacks;
                 stats.evictions += out.evictions;
             } else {
+                scalar_lanes += 1;
                 for &e in stream.iter() {
                     lane.access_line_bulk(e >> 1, e & 1 != 0);
                 }
@@ -545,7 +557,7 @@ impl ReplayBank {
             lane.stats.reads += reads;
             lane.stats.writes += writes;
         }
-        spanned
+        (spanned, scalar_lanes * stream.len() as u64)
     }
 
     /// Feeds one chunk of a streamed trace — the incremental stepper
@@ -562,6 +574,17 @@ impl ReplayBank {
     /// the streaming protocol).
     pub fn finish(self) -> Vec<SimReport> {
         self.into_reports()
+    }
+
+    /// Lane-events resolved one access at a time so far: every
+    /// sub-access of a lane on the scalar lane loop (random, classified
+    /// and line-buffered lanes, lanes whose chunk is too short for their
+    /// set count, everything under
+    /// [`with_scalar_replay`](Self::with_scalar_replay)) and every lane
+    /// access made by [`step`](Self::step). Zero when every lane took a
+    /// bulk tier for every chunk.
+    pub fn scalar_lane_events(&self) -> u64 {
+        self.scalar_lane_events
     }
 
     /// Lane `i`'s current counters (the run can continue afterwards).
@@ -800,13 +823,12 @@ mod tests {
             (512, 8, 8),
             (1024, 16, 16),
             (256, 32, 2),
+            (2048, 8, 64),
         ] {
             let base = CacheConfig::new(size, line, assoc).unwrap();
             configs.push(base.with_replacement(Replacement::Lru));
             configs.push(base.with_replacement(Replacement::Fifo));
-            if assoc.is_power_of_two() && assoc > 1 {
-                configs.push(base.with_replacement(Replacement::Plru));
-            }
+            configs.push(base.with_replacement(Replacement::Plru));
             configs.push(base.with_replacement(Replacement::Random { seed: 11 }));
         }
         configs
@@ -829,6 +851,38 @@ mod tests {
             assert_eq!(b.cpu_bus, s.cpu_bus, "{config}");
             assert_eq!(b.mem_bus, s.mem_bus, "{config}");
         }
+    }
+
+    #[test]
+    fn scalar_lane_events_count_only_the_scalar_loop() {
+        // 64-way PLRU, 16-way FIFO and direct-mapped LRU lanes take bulk
+        // tiers; the random lane, and every lane under scalar replay,
+        // resolve each of the stream's elements one at a time.
+        let trace = revisit_trace(3000);
+        let bulk_lanes = [
+            CacheConfig::new(2048, 8, 64)
+                .unwrap()
+                .with_replacement(Replacement::Plru),
+            CacheConfig::new(1024, 16, 16)
+                .unwrap()
+                .with_replacement(Replacement::Fifo),
+            CacheConfig::new(64, 8, 1).unwrap(),
+        ];
+        let mut bank = ReplayBank::new(&bulk_lanes);
+        bank.run_slice(&trace);
+        assert_eq!(bank.scalar_lane_events(), 0);
+        let random = [CacheConfig::new(512, 8, 4)
+            .unwrap()
+            .with_replacement(Replacement::Random { seed: 5 })];
+        let mut bank = ReplayBank::new(&random);
+        bank.run_slice(&trace);
+        let elements = bank.stats(0).accesses();
+        assert!(elements > trace.len() as u64, "the trace spans lines");
+        assert_eq!(bank.scalar_lane_events(), elements);
+        let mut bank = ReplayBank::new(&bulk_lanes).with_scalar_replay();
+        bank.run_slice(&trace);
+        let total: u64 = (0..bank.len()).map(|i| bank.stats(i).accesses()).sum();
+        assert_eq!(bank.scalar_lane_events(), total);
     }
 
     #[test]

@@ -73,6 +73,11 @@ pub struct Cache {
     sets_shift: u8,
     /// `num_sets - 1` — mask from line number to set index.
     set_mask: u64,
+    /// The replacement policy the cache actually runs. Tree-PLRU over one
+    /// or two ways picks exactly the victims LRU picks (see
+    /// [`new`](Self::new)), so such caches run as direct-mapped or LRU
+    /// caches while [`config`](Self::config) still reports PLRU.
+    policy: Replacement,
     clock: u64,
     rng: Option<StdRng>,
 }
@@ -85,6 +90,13 @@ impl Cache {
             _ => None,
         };
         let lines = config.num_sets() * config.assoc();
+        // A one-way tree has no bits and a two-way tree one bit that
+        // always points away from the last way touched — the LRU way once
+        // both are valid, and an invalid way is taken first either way.
+        let policy = match config.replacement {
+            Replacement::Plru if config.assoc() <= 2 => Replacement::Lru,
+            replacement => replacement,
+        };
         Cache {
             line_shift: config.line().trailing_zeros() as u8,
             sets_shift: config.num_sets().trailing_zeros() as u8,
@@ -94,10 +106,11 @@ impl Cache {
             stamps: vec![0; lines],
             dirty: vec![false; lines],
             maybe_dirty: false,
-            plru_bits: match config.replacement {
+            plru_bits: match policy {
                 Replacement::Plru => vec![0; config.num_sets()],
                 _ => Vec::new(),
             },
+            policy,
             clock: 0,
             rng,
         }
@@ -150,7 +163,7 @@ impl Cache {
         debug_assert!(tag <= u64::MAX >> 1, "tag must leave the marker bit free");
         let key = (tag << 1) | 1;
         let assoc = self.config.assoc();
-        let replacement = self.config.replacement;
+        let replacement = self.policy;
         let write_policy = self.config.write_policy;
         let clock = self.clock;
         let dirties = is_write && write_policy == WritePolicy::WriteBackAllocate;
@@ -238,27 +251,27 @@ impl Cache {
     }
 
     /// Whether [`run_lines`](Self::run_lines) reproduces this cache's
-    /// canonical behaviour. The bulk path specializes the two
-    /// stamp-ordered policies (LRU and FIFO) up to 8 ways — the widest
-    /// associativity whose per-way tag digests fit one `u64` word — under
-    /// either write policy. PLRU and seeded-random lanes keep the scalar
-    /// loop: their replacement state (tree bits, RNG draws) is advanced
-    /// per access and gains nothing from the packed probe.
+    /// canonical behaviour: LRU, FIFO and tree-PLRU lanes at 1–64 ways —
+    /// the widest tree whose node bits fit the one `u64` per set — under
+    /// either write policy. Seeded-random lanes keep the scalar loop
+    /// (their victims are RNG draws made one access at a time), and so do
+    /// caches of more than 64 ways, which no grid builds.
     pub(crate) fn bulk_eligible(&self) -> bool {
         matches!(
-            self.config.replacement,
-            Replacement::Lru | Replacement::Fifo
-        ) && matches!(self.config.assoc(), 1 | 2 | 4 | 8)
+            self.policy,
+            Replacement::Lru | Replacement::Fifo | Replacement::Plru
+        ) && self.config.assoc() <= 64
     }
 
     /// Whether [`run_lines`](Self::run_lines) is worth calling on a
     /// stream of `len` elements: the lane is
     /// [`bulk_eligible`](Self::bulk_eligible), and either direct-mapped
     /// or fed at least one element per set. The set-associative tiers
-    /// rebuild one word per set on every call (and the exact tier writes
-    /// every set back), so a huge cache fed a short chunk would pay for
-    /// all its sets instead of the lines it touches; such a chunk takes
-    /// the scalar per-line loop, which touches only the sets it maps to.
+    /// rebuild one word group per set on every call (and the exact tier
+    /// writes every set back), so a huge cache fed a short chunk would pay
+    /// for all its sets instead of the lines it touches; such a chunk
+    /// takes the scalar per-line loop, which touches only the sets it maps
+    /// to.
     pub(crate) fn bulk_pays(&self, len: usize) -> bool {
         self.bulk_eligible() && (self.config.assoc() == 1 || len >= self.config.num_sets())
     }
@@ -287,13 +300,18 @@ impl Cache {
     /// trace — carries no dirty bookkeeping at all; carrying it anyway
     /// slows kernel-trace replay by about half (DESIGN.md §4m).
     ///
-    /// Direct-mapped lanes skip the `stamps`/`clock` bookkeeping entirely:
-    /// with one way per set the victim is always way 0 and the stamp array
-    /// is never read back, for this or any later access. Set-associative
-    /// lanes take the exact packed-recency tier when every tag fits 15
-    /// bits, else a per-set SWAR digest word (8 bits per way: valid bit +
-    /// 7 tag bits) probing the canonical arrays — hits and invalid ways
-    /// resolve with bitwise compares instead of a per-way scan.
+    /// The tiers, by lane shape:
+    ///
+    /// * **direct-mapped** (PLRU at one way included) skips the
+    ///   `stamps`/`clock` bookkeeping entirely: with one way per set the
+    ///   victim is always way 0 and the stamp array is never read back;
+    /// * **LRU/FIFO at 2–8 ways** (PLRU at two ways included) takes the
+    ///   exact packed-recency tier when every tag fits 15 bits;
+    /// * everything else — wide tags, LRU/FIFO at 16–64 ways and tree-PLRU
+    ///   at 4–64 ways — takes the fixed-way digest probe
+    ///   ([`run_lines_probe`](Self::run_lines_probe)): per-set SWAR digest
+    ///   words (8 bits per way: valid bit + 7 tag bits) resolve hits and
+    ///   invalid ways with bitwise compares instead of a per-way key scan.
     pub(crate) fn run_lines(
         &mut self,
         stream: &[u64],
@@ -324,25 +342,23 @@ impl Cache {
             W || self.dirty.iter().all(|&d| !d),
             "clean bulk replay requires an all-clean cache"
         );
-        let BulkScratch {
-            digests,
-            words,
-            mem,
-        } = scratch;
+        let BulkScratch { words, mem } = scratch;
         mem.clear();
         let mut out = BulkOutcome::default();
-        // When every tag in the stream and in the cache fits 15 bits, a
-        // set's whole state — keys *and* recency order — packs into exact
-        // 16-bit way entries (one u64 word for 2/4 ways, a word pair for
-        // 8), and the probe needs no confirming key load and the miss no
-        // stamp scan. Wider tags (real `.din` address streams) take the
+        // When every tag in the stream and in the cache fits 15 bits, an
+        // LRU/FIFO set's whole state — keys *and* recency order — packs
+        // into exact 16-bit way entries (one u64 word for 2/4 ways, a word
+        // pair for 8), and the probe needs no confirming key load and the
+        // miss no stamp scan. The exact tier checks the resident keys as
+        // it packs them and declines, leaving the cache untouched, if a
+        // line left by an earlier wide-tag scan is too wide. Everything
+        // else — wide tags (real `.din` address streams), 16–64 ways, and
+        // tree-PLRU at 4 ways and up (narrower trees run as LRU), whose
+        // order is the tree and not a packable recency list — takes the
         // 7-bit-digest probe, which accelerates but never replaces the
-        // canonical arrays. The exact tier checks the resident keys as it
-        // packs them and declines, leaving the cache untouched, if a line
-        // left by an earlier wide-tag scan is too wide.
-        let narrow = (max_line >> self.sets_shift) < (1 << 15);
-        let assoc = self.config.assoc();
-        let packed = match (narrow, assoc) {
+        // canonical arrays.
+        let narrow = (max_line >> self.sets_shift) < (1 << 15) && self.policy != Replacement::Plru;
+        let packed = match (narrow, self.config.assoc()) {
             (_, 1) => {
                 self.run_lines_direct::<W>(stream, mem, &mut out);
                 true
@@ -353,10 +369,13 @@ impl Cache {
             _ => false,
         };
         if !packed {
-            match assoc {
-                2 => self.run_lines_swar::<2, W>(stream, digests, mem, &mut out),
-                4 => self.run_lines_swar::<4, W>(stream, digests, mem, &mut out),
-                8 => self.run_lines_swar::<8, W>(stream, digests, mem, &mut out),
+            match self.config.assoc() {
+                2 => self.run_lines_probe::<2, W>(stream, words, mem, &mut out),
+                4 => self.run_lines_probe::<4, W>(stream, words, mem, &mut out),
+                8 => self.run_lines_probe::<8, W>(stream, words, mem, &mut out),
+                16 => self.run_lines_probe::<16, W>(stream, words, mem, &mut out),
+                32 => self.run_lines_probe::<32, W>(stream, words, mem, &mut out),
+                64 => self.run_lines_probe::<64, W>(stream, words, mem, &mut out),
                 _ => unreachable!("bulk_eligible gates associativity"),
             }
         }
@@ -533,7 +552,7 @@ impl Cache {
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
-        let is_lru = self.config.replacement == Replacement::Lru;
+        let is_lru = self.policy == Replacement::Lru;
         let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
         let word_mask: u64 = if 16 * A == 64 {
             u64::MAX
@@ -627,7 +646,7 @@ impl Cache {
         let set_mask = self.set_mask;
         let sets_shift = self.sets_shift;
         let line_shift = self.line_shift;
-        let is_lru = self.config.replacement == Replacement::Lru;
+        let is_lru = self.policy == Replacement::Lru;
         let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
         let stride = 2 + usize::from(W);
 
@@ -720,13 +739,28 @@ impl Cache {
         true
     }
 
-    /// Set-associative bulk scan for wide tags, monomorphized per
-    /// associativity: each set's ways pack into one SWAR digest word (8
-    /// bits per way: valid marker + 7 tag bits), rebuilt from the
-    /// canonical arrays once per call, so a probe is one load plus
-    /// bitwise compares instead of eight key loads. Keys, stamps and
-    /// dirty flags stay in the canonical arrays.
-    fn run_lines_swar<const A: usize, const W: bool>(
+    /// Fixed-way bulk scan, monomorphized per associativity: each set's
+    /// ways pack into SWAR digest words (8 bits per way: valid marker + 7
+    /// tag bits; `A / 8` words per set, one partly used word below 8
+    /// ways), rebuilt from the canonical `keys` once per call, so a probe
+    /// is a few loads plus bitwise compares instead of `A` key loads, and
+    /// digest collisions are resolved against the full key. Ways keep
+    /// their positions, and the canonical `keys`, `stamps`, `dirty` and
+    /// `plru_bits` arrays stay the replacement state.
+    ///
+    /// A hit refreshes the way's stamp under LRU and applies the way's
+    /// (keep, set) mask pair to the set's tree bits under PLRU — the
+    /// path [`touch_plru`] walks, precomputed once per scan. A miss takes
+    /// the first invalid way (a clear valid marker), else the
+    /// stamp-minimal way (LRU, FIFO) or the tree's victim (PLRU) — the
+    /// scalar path's choice exactly — and writes key, stamp, dirty flag,
+    /// tree bits and digest. Nothing needs writing back at scan end, so a
+    /// later chunk on the scalar loop continues bit-identically.
+    ///
+    /// Kept out of line: its 12 instances would otherwise swell the tier
+    /// dispatch that every kernel-trace lane runs through.
+    #[inline(never)]
+    fn run_lines_probe<const A: usize, const W: bool>(
         &mut self,
         stream: &[u64],
         digests: &mut Vec<u64>,
@@ -734,29 +768,40 @@ impl Cache {
         out: &mut BulkOutcome,
     ) {
         debug_assert_eq!(A, self.config.assoc());
-        let set_mask = self.set_mask;
-        let sets_shift = self.sets_shift;
-        let line_shift = self.line_shift;
-        let sets = self.config.num_sets();
-        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
+        let stride = A.div_ceil(8);
+        let used = if A >= 8 { u64::MAX } else { (1 << (8 * A)) - 1 };
+
+        let (key_sets, _) = self.keys.as_chunks::<A>();
         digests.clear();
-        digests.resize(sets, 0);
-        for (s, word) in digests.iter_mut().enumerate() {
-            let base = s * A;
-            for j in 0..A {
-                let k = self.keys[base + j];
+        digests.resize(key_sets.len() * stride, 0);
+        for (keys, set_digests) in key_sets.iter().zip(digests.chunks_exact_mut(stride)) {
+            for (j, &k) in keys.iter().enumerate() {
                 if k != 0 {
-                    *word |= digest_byte(k) << (8 * j);
+                    set_digests[j / 8] |= digest_byte(k) << (8 * (j % 8));
                 }
             }
         }
 
-        let is_lru = self.config.replacement == Replacement::Lru;
+        let set_mask = self.set_mask;
+        let sets_shift = self.sets_shift;
+        let line_shift = self.line_shift;
+        let write_back = u64::from(self.config.write_policy == WritePolicy::WriteBackAllocate);
+        let lru = self.policy == Replacement::Lru;
+        let plru = self.policy == Replacement::Plru;
+        // Way `j`'s tree update under PLRU: `bits & keep | set`.
+        let touch: [(u64, u64); A] = std::array::from_fn(|j| {
+            let (mut keep, mut set) = (u64::MAX, 0);
+            if plru {
+                touch_plru(&mut keep, j, A);
+                touch_plru(&mut set, j, A);
+            }
+            (keep, set)
+        });
         let keys = &mut self.keys[..];
         let stamps = &mut self.stamps[..];
         let dirty = &mut self.dirty[..];
-        let digests = &mut digests[..];
-        let idx_mask = digests.len() - 1;
+        let tree = &mut self.plru_bits[..];
+        let idx_mask = digests.len() / stride - 1;
         let mut clock = self.clock;
         for &e in stream {
             clock += 1;
@@ -765,59 +810,75 @@ impl Cache {
             let key = ((line >> sets_shift) << 1) | 1;
             let dirty_in = e & write_back;
             let base = set * A;
-            let d = digests[set];
-            // Splat the probe byte across all 8 lanes; zero bytes of the
-            // XOR mark candidate ways (7-bit digest collisions are
-            // resolved against the full key).
-            let x = d ^ (digest_byte(key) * SWAR_LO);
-            let mut zeros = x.wrapping_sub(SWAR_LO) & !x & SWAR_HI;
-            let mut hit = false;
-            while zeros != 0 {
-                let j = (zeros.trailing_zeros() / 8) as usize;
-                if keys[base + j] == key {
-                    if is_lru {
-                        stamps[base + j] = clock;
+            let set_digests = &mut digests[set * stride..(set + 1) * stride];
+            // Splat the probe byte; zero bytes of the XOR mark candidate
+            // ways.
+            let splat = digest_byte(key) * SWAR_LO;
+            let mut way = A;
+            'probe: for (i, &w) in set_digests.iter().enumerate() {
+                let x = w ^ splat;
+                let mut zeros = x.wrapping_sub(SWAR_LO) & !x & SWAR_HI & used;
+                while zeros != 0 {
+                    let j = i * 8 + zeros.trailing_zeros() as usize / 8;
+                    if keys[base + j] == key {
+                        way = j;
+                        break 'probe;
                     }
-                    if W {
-                        dirty[base + j] |= dirty_in != 0;
-                    }
-                    hit = true;
-                    break;
+                    zeros &= zeros - 1;
                 }
-                zeros &= zeros - 1;
             }
-            if hit {
+            if way < A {
                 out.hits += 1;
+                if lru {
+                    stamps[base + way] = clock;
+                } else if plru {
+                    let (keep, set_bits) = touch[way];
+                    tree[set] = (tree[set] & keep) | set_bits;
+                }
                 if W {
                     out.write_hits += e & 1;
+                    dirty[base + way] |= dirty_in != 0;
                 }
                 continue;
             }
             if W && e & 1 > write_back {
                 continue; // write-through no-allocate miss: memory only
             }
-            // Miss: first invalid way (a clear 0x80 bit), else the
-            // stamp-minimal way — identical victim choice to the scalar
-            // path for LRU and FIFO.
-            let invalid = !d & SWAR_HI & ((1u128 << (8 * A)) - 1) as u64;
-            let victim = if invalid != 0 {
-                (invalid.trailing_zeros() / 8) as usize
-            } else {
-                out.evictions += 1;
-                let mut v = 0;
-                let mut best = stamps[base];
-                for j in 1..A {
-                    if stamps[base + j] < best {
-                        best = stamps[base + j];
-                        v = j;
-                    }
+            let mut victim = A;
+            for (i, &w) in set_digests.iter().enumerate() {
+                let free = !w & SWAR_HI & used;
+                if free != 0 {
+                    victim = i * 8 + free.trailing_zeros() as usize / 8;
+                    break;
                 }
-                v
-            };
+            }
+            if victim == A {
+                out.evictions += 1;
+                victim = if plru {
+                    plru_victim(tree[set], A)
+                } else {
+                    let ways = &stamps[base..base + A];
+                    let mut v = 0;
+                    let mut best = ways[0];
+                    for (j, &stamp) in ways.iter().enumerate().skip(1) {
+                        if stamp < best {
+                            best = stamp;
+                            v = j;
+                        }
+                    }
+                    v
+                };
+            }
             let old = keys[base + victim];
             keys[base + victim] = key;
             stamps[base + victim] = clock;
-            digests[set] = (d & !(0xffu64 << (8 * victim))) | (digest_byte(key) << (8 * victim));
+            if plru {
+                let (keep, set_bits) = touch[victim];
+                tree[set] = (tree[set] & keep) | set_bits;
+            }
+            let shift = 8 * (victim % 8);
+            let w = &mut set_digests[victim / 8];
+            *w = (*w & !(0xff << shift)) | (digest_byte(key) << shift);
             mem.push(line << line_shift);
             if W {
                 let writeback = u64::from(dirty[base + victim]);
@@ -861,9 +922,10 @@ pub(crate) struct BulkOutcome {
 /// allocation serves every lane and every chunk.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct BulkScratch {
-    /// Per-set SWAR digest words of the wide-tag tier.
-    digests: Vec<u64>,
-    /// Per-set packed-recency words (and dirty masks) of the exact tier.
+    /// Per-set words of the set-associative tiers: packed-recency words
+    /// (and dirty masks) of the exact tier, or SWAR digest words of the
+    /// fixed-way probe tier. Every scan rebuilds them from the canonical
+    /// arrays, so one buffer serves both.
     words: Vec<u64>,
     /// Memory-side transfers of the last scan — fills and writebacks, in
     /// access order.
@@ -874,7 +936,7 @@ pub(crate) struct BulkScratch {
 impl BulkScratch {
     /// `u64`s allocated for per-set words by either packed tier.
     pub(crate) fn set_words_capacity(&self) -> usize {
-        self.digests.capacity() + self.words.capacity()
+        self.words.capacity()
     }
 }
 
@@ -944,22 +1006,16 @@ fn touch_plru(bits: &mut u64, way: usize, assoc: usize) {
     }
 }
 
-/// Follows the PLRU victim pointers from the root to a leaf.
+/// Follows the PLRU victim pointers from the root to a leaf. Nodes are
+/// numbered heap-style (children of `n` are `2n + 1` and `2n + 2`), so
+/// after `log2(assoc)` steps the node index less `assoc − 1` is the way.
 fn plru_victim(bits: u64, assoc: usize) -> usize {
+    debug_assert!(assoc.is_power_of_two());
     let mut node = 0usize;
-    let mut lo = 0usize;
-    let mut hi = assoc;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if bits & (1 << node) != 0 {
-            lo = mid;
-            node = 2 * node + 2;
-        } else {
-            hi = mid;
-            node = 2 * node + 1;
-        }
+    for _ in 0..assoc.trailing_zeros() {
+        node = 2 * node + 1 + ((bits >> node) & 1) as usize;
     }
-    lo
+    node + 1 - assoc
 }
 
 #[cfg(test)]
@@ -1045,6 +1101,62 @@ mod tests {
             let out = c.read(just_read);
             assert_ne!(out.evicted, Some(just_read));
             assert!(c.contains(just_read));
+        }
+    }
+
+    #[test]
+    fn narrow_plru_runs_as_lru_and_matches_the_literal_tree() {
+        // A literal tree-PLRU model over one and two ways — keys plus
+        // direction bits driven by `touch_plru`/`plru_victim` — must pick
+        // the victims of the cache, which runs such trees as LRU.
+        for assoc in [1usize, 2] {
+            let cfg = CacheConfig::new(64, 8, assoc)
+                .unwrap()
+                .with_replacement(Replacement::Plru);
+            let mut c = Cache::new(cfg);
+            assert_eq!(c.config().replacement, Replacement::Plru);
+            let sets = cfg.num_sets();
+            let mut keys = vec![None; sets * assoc];
+            let mut bits = vec![0u64; sets];
+            let mut x = 12345u64;
+            for _ in 0..4000 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let line = (x >> 33) % 40;
+                let set = line as usize % sets;
+                let ways = &mut keys[set * assoc..(set + 1) * assoc];
+                let (hit, way) = match ways.iter().position(|&k| k == Some(line)) {
+                    Some(j) => (true, j),
+                    None => (
+                        false,
+                        ways.iter()
+                            .position(Option::is_none)
+                            .unwrap_or_else(|| plru_victim(bits[set], assoc)),
+                    ),
+                };
+                let evicted = if hit { None } else { ways[way] };
+                ways[way] = Some(line);
+                touch_plru(&mut bits[set], way, assoc);
+                let out = c.read(line * 8);
+                assert_eq!(out.hit, hit, "assoc {assoc}");
+                assert_eq!(out.evicted, evicted.map(|l| l * 8), "assoc {assoc}");
+            }
+        }
+    }
+
+    #[test]
+    fn plru_victim_follows_the_tree_pointers() {
+        // All-zero bits point left at every node, all-one bits right.
+        for assoc in [1usize, 2, 4, 8, 16, 32, 64] {
+            assert_eq!(plru_victim(0, assoc), 0);
+            assert_eq!(plru_victim(u64::MAX, assoc), assoc - 1);
+            // Touching a way points every node on its path away from it.
+            for way in 0..assoc {
+                let mut bits = 0;
+                touch_plru(&mut bits, way, assoc);
+                assert!(assoc == 1 || plru_victim(bits, assoc) != way);
+            }
         }
     }
 

@@ -5,15 +5,20 @@
 //! trace steps every lane — so these properties are the losslessness
 //! argument in executable form: for random traces (unaligned, spanning,
 //! zero-size, empty), random geometry mixes (shared and distinct line
-//! sizes), LRU/FIFO replacement, and both write policies, every counter
-//! of every lane must be bit-identical to a lone simulator fed the same
-//! events, including the degenerate bank-of-one and empty-trace cases.
+//! sizes, 1–64 ways), LRU/FIFO/PLRU replacement, and both write policies,
+//! every counter of every lane must be bit-identical to a lone simulator
+//! fed the same events, including the degenerate bank-of-one and
+//! empty-trace cases.
 //!
 //! The bank's bulk lane scans are also pitted against its own scalar
 //! per-access loop ([`ReplayBank::with_scalar_replay`]) on write-bearing
 //! traces with narrow and wide (up to 2^40) addresses, so every tier —
-//! direct-mapped, exact packed-recency, SWAR digest — replays stores,
-//! dirty evictions and writebacks at every chunking.
+//! direct-mapped, exact packed-recency and the fixed-way SWAR digest
+//! probe, at every associativity from 1 to 64 under LRU, FIFO and PLRU —
+//! replays stores, dirty evictions and writebacks at every chunking. A feed that alternates chunk lengths moves lanes with many
+//! sets between the scalar loop (a chunk shorter than their set count)
+//! and their bulk tier within one run, so each tier must hand its state
+//! to the scalar loop, and take it back, bit for bit.
 
 use memsim::reference::ReferenceCache;
 use memsim::{
@@ -43,29 +48,32 @@ fn arb_trace() -> impl Strategy<Value = Vec<TraceEvent>> {
     })
 }
 
-/// One random valid configuration: power-of-two geometry, LRU or FIFO,
-/// either write policy.
+/// One random valid configuration: power-of-two geometry up to 64 ways
+/// (capped at the line count, so small caches come out fully
+/// associative), LRU, FIFO or PLRU, either write policy.
 fn arb_config() -> impl Strategy<Value = CacheConfig> {
     (
-        2u32..7,
+        2u32..8,
         2u32..5,
-        0u32..4,
-        prop_oneof![Just(Replacement::Lru), Just(Replacement::Fifo)],
+        0u32..7,
+        prop_oneof![
+            Just(Replacement::Lru),
+            Just(Replacement::Fifo),
+            Just(Replacement::Plru)
+        ],
         prop_oneof![
             Just(WritePolicy::WriteBackAllocate),
             Just(WritePolicy::WriteThroughNoAllocate),
         ],
     )
-        .prop_filter_map("valid geometry", |(ts, ls, ss, repl, wp)| {
+        .prop_map(|(ts, ls, ss, repl, wp)| {
             let t = 1usize << (ts + 3); // 32..1024
             let l = 1usize << ls; // 4..16
-            let s = 1usize << ss; // 1..8
-            (l <= t && s <= t / l).then(|| {
-                CacheConfig::new(t, l, s)
-                    .expect("filtered to valid")
-                    .with_replacement(repl)
-                    .with_write_policy(wp)
-            })
+            let s = (1usize << ss).min(t / l); // 1..64
+            CacheConfig::new(t, l, s)
+                .expect("valid geometry")
+                .with_replacement(repl)
+                .with_write_policy(wp)
         })
 }
 
@@ -110,14 +118,18 @@ fn arb_write_trace() -> impl Strategy<Value = Vec<TraceEvent>> {
         })
 }
 
-/// Every bulk tier's lane shape — LRU/FIFO × both write policies × assoc
-/// 1/2/4/8 over two line sizes — plus PLRU and random lanes that stay on
-/// the scalar loop inside the same bank.
+/// Every bulk tier's lane shape — LRU/FIFO/PLRU × both write policies ×
+/// assoc 1–64 — over three geometries: 32 lines of 8 B (up to 32 ways)
+/// and 64 lines of 16 B, small enough that `arb_write_trace`'s hot
+/// region keeps them evicting and writing back, and 256 lines of 16 B,
+/// where 64 ways still leave four sets. A random lane stays on the
+/// scalar loop inside the same bank.
 fn all_tier_lanes() -> Vec<CacheConfig> {
     let mut configs = Vec::new();
-    for (size, line) in [(256usize, 8usize), (1024, 16)] {
-        for assoc in [1usize, 2, 4, 8] {
-            for replacement in [Replacement::Lru, Replacement::Fifo] {
+    for (size, line) in [(256usize, 8usize), (1024, 16), (4096, 16)] {
+        let assocs = [1usize, 2, 4, 8, 16, 32, 64];
+        for &assoc in assocs.iter().filter(|&&a| a <= size / line) {
+            for replacement in [Replacement::Lru, Replacement::Fifo, Replacement::Plru] {
                 for write_policy in [
                     WritePolicy::WriteBackAllocate,
                     WritePolicy::WriteThroughNoAllocate,
@@ -132,9 +144,11 @@ fn all_tier_lanes() -> Vec<CacheConfig> {
             }
         }
     }
-    let base = CacheConfig::new(512, 8, 4).expect("valid geometry");
-    configs.push(base.with_replacement(Replacement::Plru));
-    configs.push(base.with_replacement(Replacement::Random { seed: 3 }));
+    configs.push(
+        CacheConfig::new(512, 8, 4)
+            .expect("valid geometry")
+            .with_replacement(Replacement::Random { seed: 3 }),
+    );
     configs
 }
 
@@ -145,13 +159,29 @@ fn bulk_and_scalar(
     trace: &[TraceEvent],
     chunk: usize,
 ) -> (Vec<memsim::SimReport>, Vec<memsim::SimReport>) {
+    let (bulk, scalar) = feed_both(configs, trace, std::iter::repeat(chunk));
+    (bulk.finish(), scalar.finish())
+}
+
+/// Feeds `trace` through a bulk bank and a scalar-replay bank of the same
+/// lanes, in pieces of the successive lengths `chunks` yields.
+fn feed_both(
+    configs: &[CacheConfig],
+    mut trace: &[TraceEvent],
+    chunks: impl IntoIterator<Item = usize>,
+) -> (ReplayBank, ReplayBank) {
     let mut bulk = ReplayBank::new(configs);
     let mut scalar = ReplayBank::new(configs).with_scalar_replay();
-    for part in trace.chunks(chunk) {
+    for chunk in chunks {
+        if trace.is_empty() {
+            break;
+        }
+        let (part, rest) = trace.split_at(chunk.min(trace.len()));
         bulk.feed(part);
         scalar.feed(part);
+        trace = rest;
     }
-    (bulk.finish(), scalar.finish())
+    (bulk, scalar)
 }
 
 /// Banks of 1..=6 lanes — duplicates allowed, so equal line sizes (and
@@ -251,6 +281,31 @@ proptest! {
         prop_assert_eq!(lone.stats, fused.stats);
         prop_assert_eq!(lone.cpu_bus, fused.cpu_bus);
         prop_assert_eq!(lone.mem_bus, fused.mem_bus);
+    }
+}
+
+proptest! {
+    // Each case replays 9,000 events through 121 lanes twice.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn bulk_lanes_cross_to_the_scalar_loop_and_back(
+        trace in arb_write_trace(),
+    ) {
+        // 9,000 events cycling the body, fed 1, 4,096, 7, 333, 1, … events
+        // at a time: a lane with more than 7 sets (or, past 1 set, more
+        // than 1) leaves its bulk tier for the scalar loop and returns.
+        let long: Vec<TraceEvent> = trace.iter().copied().cycle().take(9_000).collect();
+        let configs = all_tier_lanes();
+        let chunks = [1usize, 4096, 7, 333].into_iter().cycle();
+        let (bulk, scalar) = feed_both(&configs, &long, chunks);
+        let (crossed, total) = (bulk.scalar_lane_events(), scalar.scalar_lane_events());
+        prop_assert!(0 < crossed && crossed < total, "{} of {} scalar", crossed, total);
+        for ((config, b), s) in configs.iter().zip(bulk.finish()).zip(scalar.finish()) {
+            prop_assert_eq!(b.stats, s.stats, "stats for {}", config);
+            prop_assert_eq!(b.cpu_bus, s.cpu_bus, "cpu bus for {}", config);
+            prop_assert_eq!(b.mem_bus, s.mem_bus, "mem bus for {}", config);
+        }
     }
 }
 

@@ -69,10 +69,12 @@ impl CacheDesign {
     ///
     /// # Errors
     ///
-    /// Propagates [`memsim::ConfigError`] for invalid geometry.
+    /// Propagates [`memsim::ConfigError`] for invalid geometry, and for a
+    /// replacement policy the geometry cannot carry (tree-PLRU above 64
+    /// ways).
     pub fn cache_config(&self) -> Result<CacheConfig, memsim::ConfigError> {
         Ok(CacheConfig::new(self.cache_size, self.line, self.assoc)?
-            .with_replacement(self.replacement)
+            .try_with_replacement(self.replacement)?
             .with_write_policy(self.write_policy))
     }
 }
@@ -593,6 +595,20 @@ mod tests {
         let cfg = d.cache_config().unwrap();
         assert_eq!(cfg.replacement, Replacement::Fifo);
         assert_eq!(cfg.write_policy, WritePolicy::WriteBackAllocate);
+    }
+
+    #[test]
+    fn plru_wider_than_64_ways_is_a_config_error() {
+        let d = CacheDesign::new(1024, 4, 128, 1).with_replacement(Replacement::Plru);
+        assert_eq!(
+            d.cache_config(),
+            Err(memsim::ConfigError::PlruTooWide { assoc: 128 })
+        );
+        assert!(d.with_replacement(Replacement::Lru).cache_config().is_ok());
+        assert!(CacheDesign::new(1024, 4, 64, 1)
+            .with_replacement(Replacement::Plru)
+            .cache_config()
+            .is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The cache proper: sets, ways, and replacement state.
 
-use crate::config::{CacheConfig, Replacement, WritePolicy};
+use crate::config::{CacheConfig, ConfigError, Replacement, WritePolicy, PLRU_MAX_WAYS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,6 +85,13 @@ pub struct Cache {
 impl Cache {
     /// Builds an empty (all-invalid) cache.
     pub fn new(config: CacheConfig) -> Self {
+        assert!(
+            config.replacement != Replacement::Plru || config.assoc() <= PLRU_MAX_WAYS,
+            "{}",
+            ConfigError::PlruTooWide {
+                assoc: config.assoc()
+            }
+        );
         let rng = match config.replacement {
             Replacement::Random { seed } => Some(StdRng::seed_from_u64(seed)),
             _ => None,
@@ -1054,6 +1061,31 @@ mod tests {
         assert_eq!(out.evicted, Some(16));
         assert!(c.contains(0));
         assert!(!c.contains(16));
+    }
+
+    #[test]
+    fn plru_wider_than_64_ways_is_refused() {
+        // 1 KiB of 4 B lines is 256 lines, so 128 ways is a valid
+        // geometry; its PLRU tree would need node bits past the u64.
+        let cfg = CacheConfig::new(1024, 4, 128).unwrap();
+        assert_eq!(
+            cfg.try_with_replacement(Replacement::Plru),
+            Err(ConfigError::PlruTooWide { assoc: 128 })
+        );
+        assert!(cfg.try_with_replacement(Replacement::Lru).is_ok());
+        let refused = std::panic::catch_unwind(|| {
+            Cache::new(cfg.with_replacement(Replacement::Plru));
+        })
+        .expect_err("Cache::new refuses a 128-way PLRU set");
+        let message = refused
+            .downcast_ref::<String>()
+            .expect("formatted assertion message");
+        assert_eq!(
+            message,
+            "tree-PLRU replacement supports at most 64 ways, got 128"
+        );
+        let widest = CacheConfig::new(1024, 4, 64).unwrap();
+        assert!(widest.try_with_replacement(Replacement::Plru).is_ok());
     }
 
     #[test]

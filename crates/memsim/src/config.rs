@@ -71,7 +71,16 @@ pub enum ConfigError {
         /// Number of lines (`size / line`).
         lines: usize,
     },
+    /// Tree-PLRU on more than [`PLRU_MAX_WAYS`] ways: a set's tree bits
+    /// live in one `u64`, which holds the 63 nodes of a 64-way tree.
+    PlruTooWide {
+        /// Requested associativity.
+        assoc: usize,
+    },
 }
+
+/// The widest set tree-PLRU replacement supports.
+pub(crate) const PLRU_MAX_WAYS: usize = 64;
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -85,6 +94,10 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyWays { assoc, lines } => {
                 write!(f, "associativity {assoc} exceeds line count {lines}")
             }
+            ConfigError::PlruTooWide { assoc } => write!(
+                f,
+                "tree-PLRU replacement supports at most {PLRU_MAX_WAYS} ways, got {assoc}"
+            ),
         }
     }
 }
@@ -150,6 +163,20 @@ impl CacheConfig {
     pub fn with_replacement(mut self, replacement: Replacement) -> Self {
         self.replacement = replacement;
         self
+    }
+
+    /// [`with_replacement`](Self::with_replacement) for a policy chosen at
+    /// run time: refuses a policy this geometry cannot carry.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::PlruTooWide`] for tree-PLRU on more than
+    /// [`PLRU_MAX_WAYS`] ways.
+    pub fn try_with_replacement(self, replacement: Replacement) -> Result<Self, ConfigError> {
+        if replacement == Replacement::Plru && self.assoc > PLRU_MAX_WAYS {
+            return Err(ConfigError::PlruTooWide { assoc: self.assoc });
+        }
+        Ok(self.with_replacement(replacement))
     }
 
     /// Replaces the write policy (builder-style).

@@ -41,7 +41,7 @@ USAGE:
   memx serve     [--addr HOST:PORT] [--slots N] [--cache-entries N]
                  [--cache-bytes N] [--default-deadline SECS]
                  [--distribute N] [--log-json FILE] [--progress]
-  memx submit    ADDR KERNEL.mx [--job explore|pareto|search]
+  memx submit    ADDR KERNEL.mx|TRACE.din [--job explore|pareto|search]
                  [--part cy7c|lp2m|16m] [--em NJ] [--natural]
                  [--analytical] [--bound-cycles N] [--bound-energy NJ]
                  [--pareto] [--engine fused|per-design]
@@ -534,7 +534,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
         "explore" => {
             let file = args
                 .next()
-                .ok_or_else(|| err("explore needs a kernel file"))?;
+                .ok_or_else(|| err("explore needs a kernel or trace file"))?;
             let mut cmd = Command::Explore {
                 file: file.to_string(),
                 part: "cy7c".to_string(),
@@ -609,7 +609,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
         "pareto" => {
             let file = args
                 .next()
-                .ok_or_else(|| err("pareto needs a kernel file"))?
+                .ok_or_else(|| err("pareto needs a kernel or trace file"))?
                 .to_string();
             let mut part = "cy7c".to_string();
             let mut em_nj = None;
@@ -674,7 +674,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
         "search" => {
             let file = args
                 .next()
-                .ok_or_else(|| err("search needs a kernel file"))?
+                .ok_or_else(|| err("search needs a kernel or trace file"))?
                 .to_string();
             let mut part = "cy7c".to_string();
             let mut em_nj = None;
@@ -835,7 +835,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
             }
             let file = args
                 .next()
-                .ok_or_else(|| err("submit needs a kernel file"))?
+                .ok_or_else(|| err("submit needs a kernel or trace file"))?
                 .to_string();
             let mut job = "explore".to_string();
             let mut part = "cy7c".to_string();
@@ -1698,7 +1698,7 @@ mod tests {
         for (line, needle) in [
             ("submit", "ADDR"),
             ("submit nocolon k.mx", "HOST:PORT"),
-            ("submit h:1", "kernel file"),
+            ("submit h:1", "kernel or trace file"),
             ("submit h:1 k.mx --job simulate", "unknown job"),
             ("submit h:1 k.mx --beam 0", "--beam"),
             ("submit h:1 k.mx --gap -1", "--gap"),

@@ -2,6 +2,7 @@
 //! split by stream (records on stdout, human notes on stderr).
 
 use crate::cli::{Command, ObsFlags, Supervise, USAGE};
+use crate::serve::{JobInput, JobKind, JobSpec};
 use analysis::classes::{partition_cases, partition_classes};
 use analysis::min_cache::MinCacheReport;
 use analysis::placement::optimize_layout;
@@ -9,9 +10,9 @@ use energy::SramPart;
 use loopir::parse::parse_kernel;
 use loopir::{AccessKind, ArrayId, DataLayout, Kernel, TraceGen};
 use memexplore::{
-    select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
-    FaultPlan, Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
-    SearchOutcome, SweepOptions, SweepOutcome, SweepTelemetry, TraceError, TraceWorkload,
+    select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, Explorer, FaultPlan,
+    Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
+    SearchOutcome, SweepOptions, SweepOutcome, SweepTelemetry, TraceError,
 };
 use memsim::din::{write_din, DinLabel, DinRecord};
 use memsim::{
@@ -123,48 +124,27 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             supervise,
             obs,
         } => {
-            let evaluator = make_evaluator(&part, em_nj, natural);
-            if is_din_path(&file) {
-                if analytical {
-                    return Err(RunError::Other(
-                        "`--analytical` needs a kernel: the closed-form miss-rate model \
-                         has no meaning for a recorded `.din` trace"
-                            .into(),
-                    ));
-                }
-                let workload = load_trace(&file)?;
-                explore_trace(
-                    &workload,
-                    evaluator,
-                    bound_cycles,
-                    bound_energy,
-                    pareto,
-                    telemetry,
-                    &engine,
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            } else {
-                let kernel = load(&file)?;
-                explore(
-                    &kernel,
-                    evaluator,
-                    analytical,
-                    bound_cycles,
-                    bound_energy,
-                    pareto,
-                    telemetry,
-                    engine_kind(&engine),
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            }
+            let job = cli_job(JobKind::Explore, &file, analytical, "paper")?;
+            let spec = JobSpec {
+                part,
+                em_nj,
+                natural,
+                deadline_secs: supervise.deadline_secs,
+                analytical,
+                bound_cycles,
+                bound_energy,
+                pareto,
+                engine,
+                ..job
+            };
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                supervise,
+                obs,
+                ..RunCtx::default()
+            };
+            run_job(&spec, &ctx).map(|(out, _)| out)
         }
         Command::Pareto {
             file,
@@ -179,37 +159,25 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             supervise,
             obs,
         } => {
-            let evaluator = make_evaluator(&part, em_nj, natural);
-            if is_din_path(&file) {
-                let workload = load_trace(&file)?;
-                pareto_trace(
-                    &workload,
-                    evaluator,
-                    &format,
-                    telemetry,
-                    &engine,
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            } else {
-                let kernel = load(&file)?;
-                pareto_frontier(
-                    &kernel,
-                    evaluator,
-                    &format,
-                    exhaustive,
-                    telemetry,
-                    engine_kind(&engine),
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            }
+            let job = cli_job(JobKind::Pareto, &file, false, "paper")?;
+            let spec = JobSpec {
+                part,
+                em_nj,
+                natural,
+                deadline_secs: supervise.deadline_secs,
+                engine,
+                format,
+                exhaustive,
+                ..job
+            };
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                supervise,
+                obs,
+                ..RunCtx::default()
+            };
+            run_job(&spec, &ctx).map(|(out, _)| out)
         }
         Command::Search {
             file,
@@ -226,47 +194,26 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             no_analytic,
             obs,
         } => {
-            let evaluator = make_evaluator(&part, em_nj, natural);
-            if is_din_path(&file) {
-                if space == "expansive" {
-                    return Err(RunError::Other(
-                        "`--space expansive` needs a kernel: a `.din` trace sweeps \
-                         the fixed trace grid"
-                            .into(),
-                    ));
-                }
-                let workload = load_trace(&file)?;
-                search_trace(
-                    &workload,
-                    evaluator,
-                    objective,
-                    beam,
-                    deadline_secs,
-                    &format,
-                    telemetry,
-                    !no_analytic,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            } else {
-                let kernel = load(&file)?;
-                search(
-                    &kernel,
-                    evaluator,
-                    objective,
-                    &space,
-                    beam,
-                    gap,
-                    deadline_secs,
-                    &format,
-                    telemetry,
-                    !no_analytic,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            }
+            let job = cli_job(JobKind::Search, &file, false, &space)?;
+            let spec = JobSpec {
+                part,
+                em_nj,
+                natural,
+                deadline_secs,
+                format,
+                objective,
+                space,
+                beam,
+                gap,
+                ..job
+            };
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                obs,
+                ..RunCtx::default()
+            };
+            run_job(&spec, &ctx).map(|(out, _)| out)
         }
         Command::Sweep {
             file,
@@ -286,25 +233,34 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             backoff_ms,
             straggler_ms,
             obs,
-        } => crate::sweep::sweep(&crate::sweep::SweepRequest {
-            file,
-            part,
-            em_nj,
-            natural,
-            bound_cycles,
-            bound_energy,
-            pareto,
-            telemetry,
-            engine,
-            distributed,
-            shards,
-            attach,
-            shard_dir,
-            retry_budget,
-            backoff_ms,
-            straggler_ms,
-            obs,
-        }),
+        } => {
+            let spec = JobSpec {
+                part,
+                em_nj,
+                natural,
+                bound_cycles,
+                bound_energy,
+                pareto,
+                engine,
+                ..JobSpec::new(JobKind::Explore, JobInput::load(&file)?)
+            };
+            let ctx = RunCtx {
+                telemetry,
+                obs,
+                ..RunCtx::default()
+            };
+            let coordinator = crate::sweep::SweepRequest {
+                file,
+                distributed,
+                shards,
+                attach,
+                shard_dir,
+                retry_budget,
+                backoff_ms,
+                straggler_ms,
+            };
+            crate::sweep::sweep(&spec, &ctx, &coordinator)
+        }
         Command::Worker {
             file,
             part,
@@ -316,18 +272,26 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             checkpoint,
             checkpoint_every,
             resume,
-        } => crate::sweep::worker(
-            &file,
-            &part,
-            em_nj,
-            natural,
-            &engine,
-            start,
-            end,
-            &checkpoint,
-            checkpoint_every,
-            resume,
-        ),
+        } => {
+            let spec = JobSpec {
+                part,
+                em_nj,
+                natural,
+                engine,
+                shard_start: start,
+                shard_end: end,
+                ..JobSpec::new(JobKind::Shard, JobInput::load(&file)?)
+            };
+            let checkpoint = CheckpointPolicy {
+                path: PathBuf::from(checkpoint),
+                every: match checkpoint_every {
+                    0 => 32,
+                    n => n,
+                },
+                resume,
+            };
+            crate::sweep::worker(&spec, &file, checkpoint)
+        }
         Command::Serve {
             addr,
             slots,
@@ -523,12 +487,6 @@ pub(crate) fn is_din_path(path: &str) -> bool {
     Path::new(path)
         .extension()
         .is_some_and(|e| e.eq_ignore_ascii_case("din"))
-}
-
-/// Prepares a `.din` workload: one streaming pass fingerprints the trace
-/// (bounded memory however large the file is).
-pub(crate) fn load_trace(path: &str) -> Result<TraceWorkload, RunError> {
-    TraceWorkload::from_path(path).map_err(trace_error)
 }
 
 /// Validates cache geometry at the CLI/parse boundary. Everything
@@ -810,6 +768,21 @@ fn check_space_inputs(
             })
         })
     };
+    // Policy limits, also from the axes alone: every replacement policy
+    // must fit every geometry it is paired with (tree-PLRU stops at 64
+    // ways).
+    for (t, l) in pairs() {
+        for &s in space.assocs.iter().filter(|&&s| s <= t / l) {
+            for &r in &space.replacements {
+                let design = CacheDesign::new(t, l, s, 1).with_replacement(r);
+                if let Err(e) = design.cache_config() {
+                    return Err(RunError::Geometry(format!(
+                        "invalid cache geometry in design space: {design}: {e}"
+                    )));
+                }
+            }
+        }
+    }
     check_feasibility(kernel, pairs())?;
     let max_trip = kernel
         .nest
@@ -920,141 +893,160 @@ fn note_supervised(outcome: &SweepOutcome, total: usize, stderr: &mut String) {
     }
 }
 
-/// Runs the supervised sweep behind `--checkpoint/--resume/--deadline`,
-/// translating CLI flags into [`SweepOptions`] and supervisor events into
-/// stderr notes (stdout stays byte-identical to an unsupervised run).
-fn run_supervised(
-    explorer: &Explorer,
-    kernel: &Kernel,
-    designs: &[CacheDesign],
-    supervise: &Supervise,
-    stderr: &mut String,
-) -> Result<SweepOutcome, RunError> {
-    let options = sweep_options(supervise, stderr)?;
-    let outcome = explorer
-        .explore_supervised(kernel, designs, &options)
-        .map_err(|e| match e {
-            // A rejected checkpoint (unreadable, corrupt, truncated,
-            // or from a different sweep) follows the I/O contract.
-            ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
-            other => RunError::Other(other.to_string().into()),
-        })?;
-    note_supervised(&outcome, designs.len(), stderr);
-    Ok(outcome)
+/// Per-invocation settings of a job run. None of them is part of the
+/// job's identity: they never enter its cache key or its JSON.
+pub(crate) struct RunCtx {
+    /// Print the sweep's telemetry summary (`--telemetry`).
+    pub telemetry: bool,
+    /// Let the analytic fast path resolve trace groups (off with
+    /// `--no-analytic`).
+    pub analytic: bool,
+    /// Checkpoint and resume flags; the deadline is the job's own.
+    pub supervise: Supervise,
+    /// Event log and progress line.
+    pub obs: ObsFlags,
+    /// Sweep worker threads (`None` = one per core).
+    pub workers: Option<usize>,
+    /// In-process shard workers for an explore job over a kernel
+    /// (`memx serve --distribute`; 0 or 1 = undistributed).
+    pub distribute: usize,
 }
 
-/// [`run_supervised`] for streamed `.din` workloads: same checkpoint /
-/// resume / deadline translation, driving the `.din` stream sweep instead
-/// of the kernel sweep.
-fn run_trace_supervised(
-    explorer: &Explorer,
-    workload: &TraceWorkload,
-    designs: &[CacheDesign],
-    supervise: &Supervise,
-    stderr: &mut String,
-) -> Result<SweepOutcome, RunError> {
-    let options = sweep_options(supervise, stderr)?;
-    let outcome = explorer
-        .explore_trace_supervised(workload, designs, &options)
-        .map_err(trace_error)?;
-    note_supervised(&outcome, designs.len(), stderr);
-    Ok(outcome)
-}
-
-/// The streamed sweep has one engine (banked shards over the stream), so
-/// a non-default `--engine` on a `.din` workload is noted and ignored.
-fn warn_trace_engine(engine: &str, stderr: &mut String) {
-    if engine != "fused" {
-        let _ = writeln!(
-            stderr,
-            "warning: --engine {engine} is ignored for `.din` traces \
-             (streamed sweeps are always banked)"
-        );
+impl Default for RunCtx {
+    fn default() -> Self {
+        RunCtx {
+            telemetry: false,
+            analytic: true,
+            supervise: Supervise::default(),
+            obs: ObsFlags::default(),
+            workers: None,
+            distribute: 0,
+        }
     }
 }
 
-/// Runs the exhaustive sweep (`memx explore`). The bool in the result is
-/// the cancellation flag (deadline reached → partial output) — the serve
-/// layer uses it to keep partial results out of the cache.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explore(
-    kernel: &Kernel,
-    evaluator: Evaluator,
-    analytical: bool,
-    bound_cycles: Option<f64>,
-    bound_energy: Option<f64>,
-    pareto: bool,
-    telemetry: bool,
-    engine: Engine,
-    analytic: bool,
-    supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    let space = DesignSpace::paper();
-    let designs = space.designs();
-    check_sweep_inputs(kernel, &designs, &mut stderr)?;
-    let (records, sweep_telemetry) = if analytical {
-        if supervise.is_active() {
-            let _ = writeln!(
-                stderr,
-                "warning: --checkpoint/--deadline are ignored with --analytical (no sweep runs)"
-            );
-        }
-        if obs_flags.is_active() {
-            let _ = writeln!(
-                stderr,
-                "warning: --log-json/--progress are ignored with --analytical (no sweep runs)"
-            );
-        }
-        let records = designs
-            .iter()
-            .map(|&d| evaluator.evaluate_analytical(kernel, d))
-            .collect();
-        (records, None)
-    } else {
-        let obs = build_obs(obs_flags)?;
-        let mut explorer = Explorer::new(evaluator)
-            .with_engine(engine)
-            .with_analytic(analytic);
-        if let Some(w) = workers {
-            explorer = explorer.with_workers(w);
-        }
-        if let Some(o) = &obs {
-            explorer = explorer.with_obs(Arc::clone(o));
-        }
-        let result = if supervise.is_active() {
-            let outcome = run_supervised(&explorer, kernel, &designs, supervise, &mut stderr)?;
-            (outcome.completed_records(), Some(outcome.telemetry))
-        } else {
-            let (records, t) = explorer.explore_with_telemetry(kernel, &space);
-            (records, Some(t))
-        };
-        if let Some(o) = &obs {
-            o.finish();
-        }
-        result
-    };
+/// The job of an explore/pareto/search command line, with every knob at
+/// its default. Kernel-only knobs on a `.din` path are refused before the
+/// file is read.
+fn cli_job(kind: JobKind, file: &str, analytical: bool, space: &str) -> Result<JobSpec, RunError> {
+    crate::serve::refuse_trace_knobs(file, analytical, space)?;
+    Ok(JobSpec::new(kind, JobInput::load(file)?))
+}
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of kernel {} ({})",
-        records.len(),
-        kernel.name,
-        if analytical {
-            "analytical model"
-        } else {
-            "trace-driven simulation"
+/// Runs one job: the single runner behind `memx explore|pareto|search`,
+/// `memx sweep --distributed 0` and every `memx serve` job. The bool in
+/// the result is the cancellation flag (deadline reached → partial
+/// output), which keeps partial results out of the daemon's cache.
+pub(crate) fn run_job(spec: &JobSpec, ctx: &RunCtx) -> Result<(Output, bool), RunError> {
+    let mut stderr = String::new();
+    spec.warn_trace_knobs(&mut stderr);
+    let supervise = Supervise {
+        deadline_secs: spec.deadline_secs,
+        ..ctx.supervise.clone()
+    };
+    let (stdout, cancelled) = match spec.kind {
+        JobKind::Explore => explore(spec, ctx, &supervise, &mut stderr)?,
+        JobKind::Pareto => pareto(spec, ctx, &supervise, &mut stderr)?,
+        JobKind::Search => search(spec, ctx, &supervise, &mut stderr)?,
+        JobKind::Shard => (crate::sweep::shard(spec, ctx, &mut stderr)?, false),
+    };
+    Ok((Output { stdout, stderr }, cancelled))
+}
+
+/// The explorer a job sweeps with, and the obs hub to finish once the
+/// sweep is done (`None` when `--log-json` and `--progress` are off).
+fn job_explorer(spec: &JobSpec, ctx: &RunCtx) -> Result<(Explorer, Option<Arc<Obs>>), RunError> {
+    let obs = build_obs(&ctx.obs)?;
+    let mut explorer = spec.explorer(ctx.workers).with_analytic(ctx.analytic);
+    if let Some(o) = &obs {
+        explorer = explorer.with_obs(Arc::clone(o));
+    }
+    Ok((explorer, obs))
+}
+
+/// Sweeps `designs` over `input`. A kernel with no supervisor flag runs
+/// the plain sweep; everything else runs under the supervisor, with the
+/// flags translated into [`SweepOptions`] and its events into stderr
+/// notes (stdout stays byte-identical to an unsupervised run).
+fn sweep_job(
+    input: &JobInput,
+    explorer: &Explorer,
+    designs: &[CacheDesign],
+    supervise: &Supervise,
+    stderr: &mut String,
+) -> Result<SweepOutcome, RunError> {
+    if let (JobInput::Kernel(kernel), false) = (input, supervise.is_active()) {
+        let (records, telemetry) = explorer.explore_designs_with_telemetry(kernel, designs);
+        return Ok(SweepOutcome {
+            records: records.into_iter().map(Some).collect(),
+            errors: Vec::new(),
+            telemetry,
+        });
+    }
+    let options = sweep_options(supervise, stderr)?;
+    let outcome = input.sweep_supervised(explorer, designs, &options)?;
+    note_supervised(&outcome, designs.len(), stderr);
+    Ok(outcome)
+}
+
+/// `memx explore`: the exhaustive sweep of the input's grid, then the
+/// selection lines.
+fn explore(
+    spec: &JobSpec,
+    ctx: &RunCtx,
+    supervise: &Supervise,
+    stderr: &mut String,
+) -> Result<(String, bool), RunError> {
+    let designs = spec.input.grid();
+    spec.input.check_grid(&designs, stderr)?;
+    let (records, sweep) = match &spec.input {
+        JobInput::Kernel(kernel) if spec.analytical => {
+            if supervise.is_active() {
+                let _ = writeln!(
+                    stderr,
+                    "warning: --checkpoint/--deadline are ignored with --analytical (no sweep runs)"
+                );
+            }
+            if ctx.obs.is_active() {
+                let _ = writeln!(
+                    stderr,
+                    "warning: --log-json/--progress are ignored with --analytical (no sweep runs)"
+                );
+            }
+            let evaluator = make_evaluator(&spec.part, spec.em_nj, spec.natural);
+            let records = designs
+                .iter()
+                .map(|&d| evaluator.evaluate_analytical(kernel, d))
+                .collect();
+            (records, None)
         }
+        // Deadline jobs need the supervisor's cooperative cancellation,
+        // so they keep the undistributed path.
+        JobInput::Kernel(_) if ctx.distribute >= 2 && spec.deadline_secs.is_none() => (
+            crate::sweep::explore_sharded(spec, ctx, &designs, stderr)?,
+            None,
+        ),
+        input => {
+            let (explorer, obs) = job_explorer(spec, ctx)?;
+            let outcome = sweep_job(input, &explorer, &designs, supervise, stderr)?;
+            if let Some(o) = &obs {
+                o.finish();
+            }
+            (outcome.completed_records(), Some(outcome.telemetry))
+        }
+    };
+    let mut out = spec.input.heading(records.len(), spec.analytical);
+    write_selection(
+        &mut out,
+        &records,
+        spec.bound_cycles,
+        spec.bound_energy,
+        spec.pareto,
     );
-    write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
     // The summary goes to stderr, never into the record stream: with
     // `--telemetry` a piped stdout must stay exactly the records.
-    let cancelled = sweep_telemetry.as_ref().is_some_and(|t| t.cancelled);
-    if telemetry {
-        match sweep_telemetry {
+    if ctx.telemetry {
+        match &sweep {
             Some(t) => {
                 let _ = writeln!(stderr, "{t}");
             }
@@ -1066,19 +1058,12 @@ pub(crate) fn explore(
             }
         }
     }
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
+    Ok((out, sweep.is_some_and(|t| t.cancelled)))
 }
 
 /// Writes the `minimum energy :` / `minimum time   :` / bounded-selection
-/// / frontier lines over a completed record set. Shared by the kernel and
-/// trace explore paths so the round-trip smoke can diff their selections
-/// byte-for-byte.
+/// / frontier lines over a completed record set. Shared by every explore
+/// path so the round-trip smoke can diff their selections byte-for-byte.
 pub(crate) fn write_selection(
     out: &mut String,
     records: &[Record],
@@ -1120,63 +1105,6 @@ pub(crate) fn write_selection(
     }
 }
 
-/// `memx explore` over an external `.din` trace: the trace grid (tiling
-/// pinned at 1) is swept by streaming the file in chunks through banked
-/// replay shards, then the selection lines render exactly as for a kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_trace(
-    workload: &TraceWorkload,
-    evaluator: Evaluator,
-    bound_cycles: Option<f64>,
-    bound_energy: Option<f64>,
-    pareto: bool,
-    telemetry: bool,
-    engine: &str,
-    analytic: bool,
-    supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    warn_trace_engine(engine, &mut stderr);
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let outcome = run_trace_supervised(&explorer, workload, &designs, supervise, &mut stderr)?;
-    if let Some(o) = &obs {
-        o.finish();
-    }
-    let records = outcome.completed_records();
-    let sweep = outcome.telemetry;
-    let cancelled = sweep.cancelled;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of trace {} ({} events, streamed)",
-        records.len(),
-        workload.name(),
-        workload.events()
-    );
-    write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
-    if telemetry {
-        let _ = writeln!(stderr, "{sweep}");
-    }
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
-}
-
 /// The one-line record format shared by `explore` and `search` stdout,
 /// so the two commands' `minimum energy :` / `minimum time   :` lines
 /// stay byte-diffable (the CI search smoke job greps exactly that).
@@ -1187,99 +1115,86 @@ pub(crate) fn fmt_record(r: &memexplore::Record) -> String {
     )
 }
 
-/// Runs the certified bound-guided search (`memx search`) and renders the
-/// incumbent plus its gap certificate in the requested format.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search(
-    kernel: &Kernel,
-    evaluator: Evaluator,
-    objective: Objective,
-    space_name: &str,
-    beam: Option<usize>,
-    gap: f64,
-    deadline_secs: Option<f64>,
-    format: &str,
-    telemetry: bool,
-    analytic: bool,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    let space = if space_name == "expansive" {
-        DesignSpace::expansive()
-    } else {
-        DesignSpace::paper()
+/// `memx search`: the certified bound-guided search over a kernel's
+/// grid. The trace grid is small and every design replays the same
+/// recorded stream, so over a trace the search is the exhaustive
+/// streamed sweep plus exact selection.
+fn search(
+    spec: &JobSpec,
+    ctx: &RunCtx,
+    supervise: &Supervise,
+    stderr: &mut String,
+) -> Result<(String, bool), RunError> {
+    let outcome = match &spec.input {
+        JobInput::Kernel(kernel) => {
+            let space = if spec.space == "expansive" {
+                DesignSpace::expansive()
+            } else {
+                DesignSpace::paper()
+            };
+            check_space_inputs(kernel, &space, stderr)?;
+            let (explorer, obs) = job_explorer(spec, ctx)?;
+            let options = SearchOptions {
+                objective: spec.objective,
+                beam: spec.beam,
+                gap: spec.gap,
+                deadline: spec.deadline_secs.map(Duration::from_secs_f64),
+            };
+            let outcome = explorer.search(kernel, &space, &options);
+            if let Some(o) = &obs {
+                o.finish();
+            }
+            if outcome.cancelled {
+                let _ = writeln!(
+                    stderr,
+                    "warning: deadline reached; result is anytime ({} of {} candidates simulated)",
+                    outcome.telemetry.designs_evaluated, outcome.candidates
+                );
+            }
+            outcome
+        }
+        input => {
+            let designs = input.grid();
+            let (explorer, obs) = job_explorer(spec, ctx)?;
+            let sweep = sweep_job(input, &explorer, &designs, supervise, stderr)?;
+            if let Some(o) = &obs {
+                o.finish();
+            }
+            trace_search_outcome(sweep, spec.objective)
+        }
     };
-    check_space_inputs(kernel, &space, &mut stderr)?;
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let options = SearchOptions {
-        objective,
-        beam,
-        gap,
-        deadline: deadline_secs.map(Duration::from_secs_f64),
-    };
-    let outcome = explorer.search(kernel, &space, &options);
-    if let Some(o) = &obs {
-        o.finish();
-    }
-    if outcome.cancelled {
-        let _ = writeln!(
-            stderr,
-            "warning: deadline reached; result is anytime ({} of {} candidates simulated)",
-            outcome.telemetry.designs_evaluated, outcome.candidates
-        );
-    }
-    if telemetry && format != "json" {
+    if ctx.telemetry && spec.format != "json" {
         let _ = writeln!(stderr, "{}", outcome.telemetry);
-        let _ = writeln!(
-            stderr,
-            "search: {} expansions, {} beam-discarded, certified gap {:.6}",
-            outcome.expansions,
-            outcome.beam_discarded,
-            outcome.gap()
-        );
+        if let JobInput::Kernel(_) = spec.input {
+            let _ = writeln!(
+                stderr,
+                "search: {} expansions, {} beam-discarded, certified gap {:.6}",
+                outcome.expansions,
+                outcome.beam_discarded,
+                outcome.gap()
+            );
+        }
     }
-
-    let out = render_search(
-        "kernel",
-        &kernel.name,
-        space_name,
-        &outcome,
-        format,
-        telemetry,
-    );
     Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
+        render_search(spec, &outcome, ctx.telemetry),
         outcome.cancelled,
     ))
 }
 
-/// Renders a [`SearchOutcome`] in the requested format. `subject` is
-/// `"kernel"` or `"trace"`; it names the JSON member and the text heading
-/// so the two search paths emit the same shape.
-fn render_search(
-    subject: &str,
-    name: &str,
-    space_name: &str,
-    outcome: &SearchOutcome,
-    format: &str,
-    telemetry: bool,
-) -> String {
+/// Renders a [`SearchOutcome`] in the job's format. The JSON member and
+/// the text heading name the input, so kernel and trace searches emit
+/// the same shape.
+fn render_search(spec: &JobSpec, outcome: &SearchOutcome, telemetry: bool) -> String {
+    let (subject, name) = spec.input.subject();
+    let space_name = match spec.input {
+        JobInput::Kernel(_) => spec.space.as_str(),
+        JobInput::Trace(_) => "trace",
+    };
     let objective = outcome.objective;
     let evaluated = outcome.telemetry.designs_evaluated;
     let pruned = outcome.telemetry.designs_pruned;
     let mut out = String::new();
-    match format {
+    match spec.format.as_str() {
         "csv" => {
             let _ = writeln!(
                 out,
@@ -1403,88 +1318,30 @@ fn render_search(
     out
 }
 
-/// `memx search` over an external `.din` trace. The trace grid is small
-/// (tiling is pinned at 1) and every design replays the same recorded
-/// stream, so the "search" is an exhaustive streamed sweep followed by
-/// exact selection; the certificate is the incumbent's own cost, which is
-/// trivially tight when the sweep ran to completion.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn search_trace(
-    workload: &TraceWorkload,
-    evaluator: Evaluator,
-    objective: Objective,
-    beam: Option<usize>,
-    deadline_secs: Option<f64>,
-    format: &str,
-    telemetry: bool,
-    analytic: bool,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    if beam.is_some() {
-        let _ = writeln!(
-            stderr,
-            "warning: --beam is ignored for `.din` traces (the trace grid is swept exhaustively)"
-        );
-    }
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let supervise = Supervise {
-        deadline_secs,
-        ..Supervise::default()
-    };
-    let sweep = run_trace_supervised(&explorer, workload, &designs, &supervise, &mut stderr)?;
-    if let Some(o) = &obs {
-        o.finish();
-    }
+/// The search outcome of an exhaustive trace sweep. The sweep needs no
+/// relaxation: a finished sweep certifies the incumbent exactly (gap 0);
+/// a deadline-cut sweep certifies nothing beyond cost >= 0, which every
+/// objective satisfies.
+fn trace_search_outcome(sweep: SweepOutcome, objective: Objective) -> SearchOutcome {
     let cancelled = sweep.telemetry.cancelled;
     let incumbent_index = trace_search_winner(&sweep.records, objective);
     let incumbent = incumbent_index.and_then(|i| sweep.records[i].clone());
-    // The exhaustive sweep needs no relaxation: a finished sweep certifies
-    // the incumbent exactly (gap 0); a deadline-cut sweep certifies
-    // nothing beyond cost >= 0, which every objective satisfies.
     let lower_bound = match (&incumbent, cancelled) {
         (Some(r), false) => objective.cost(r),
         _ => 0.0,
     };
-    let outcome = SearchOutcome {
+    SearchOutcome {
         objective,
         incumbent,
         incumbent_index,
         lower_bound,
         complete: !cancelled && incumbent_index.is_some(),
         cancelled,
-        candidates: designs.len(),
+        candidates: sweep.records.len(),
         expansions: 0,
         beam_discarded: 0,
         telemetry: sweep.telemetry,
-    };
-    if telemetry && format != "json" {
-        let _ = writeln!(stderr, "{}", outcome.telemetry);
     }
-    let out = render_search(
-        "trace",
-        workload.name(),
-        "trace",
-        &outcome,
-        format,
-        telemetry,
-    );
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
 }
 
 /// Selects the best completed record under `objective`, replicating the
@@ -1529,163 +1386,70 @@ fn trace_search_winner(records: &[Option<Record>], objective: Objective) -> Opti
     best.map(|(index, _)| index)
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pareto_frontier(
-    kernel: &Kernel,
-    evaluator: Evaluator,
-    format: &str,
-    exhaustive: bool,
-    telemetry: bool,
-    engine: Engine,
-    analytic: bool,
+/// `memx pareto`: the three-objective frontier of the input's grid.
+fn pareto(
+    spec: &JobSpec,
+    ctx: &RunCtx,
     supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    let space = DesignSpace::paper();
-    let designs = space.designs();
-    check_sweep_inputs(kernel, &designs, &mut stderr)?;
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator)
-        .with_engine(engine)
-        .with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let (frontier, sweep) = if supervise.is_active() {
+    stderr: &mut String,
+) -> Result<(String, bool), RunError> {
+    let designs = spec.input.grid();
+    spec.input.check_grid(&designs, stderr)?;
+    let (explorer, obs) = job_explorer(spec, ctx)?;
+    let (frontier, sweep, engine_label) = match &spec.input {
+        JobInput::Kernel(kernel) if !supervise.is_active() => {
+            let space = DesignSpace::paper();
+            if spec.exhaustive {
+                let (frontier, sweep) = explorer.pareto_exhaustive(kernel, &space);
+                (frontier, sweep, "exhaustive")
+            } else {
+                let (frontier, sweep) = explorer.pareto_pruned(kernel, &space);
+                (frontier, sweep, "pruned")
+            }
+        }
         // The supervised sweep is exhaustive over the grid; the frontier
         // over its completed records is bit-identical to the pruned one
         // when the run is clean (the pareto oracle tests pin that), and
         // well-formed over whatever completed when it is not.
-        let outcome = run_supervised(&explorer, kernel, &designs, supervise, &mut stderr)?;
-        let completed = outcome.completed_records();
-        let frontier = select::pareto3(&completed);
-        let mut t = outcome.telemetry;
-        t.frontier_size = frontier.len();
-        (frontier, t)
-    } else if exhaustive {
-        explorer.pareto_exhaustive(kernel, &space)
-    } else {
-        explorer.pareto_pruned(kernel, &space)
+        input => {
+            let outcome = sweep_job(input, &explorer, &designs, supervise, stderr)?;
+            let frontier = select::pareto3(&outcome.completed_records());
+            let mut sweep = outcome.telemetry;
+            sweep.frontier_size = frontier.len();
+            let label = match input {
+                JobInput::Kernel(_) => "supervised",
+                JobInput::Trace(_) => "streamed",
+            };
+            (frontier, sweep, label)
+        }
     };
     if let Some(o) = &obs {
         o.finish();
     }
-    let cancelled = sweep.cancelled;
     if frontier.is_empty() {
+        let (subject, name) = spec.input.subject();
         let _ = writeln!(
             stderr,
-            "warning: the Pareto frontier of kernel {} is empty (no designs completed)",
-            kernel.name
+            "warning: the Pareto frontier of {subject} {name} is empty (no designs completed)"
         );
     }
-
-    let engine_label = if supervise.is_active() {
-        "supervised"
-    } else if exhaustive {
-        "exhaustive"
-    } else {
-        "pruned"
-    };
-    let out = render_frontier(
-        "kernel",
-        &kernel.name,
-        engine_label,
-        &frontier,
-        &sweep,
-        format,
-        telemetry,
-        &mut stderr,
-    );
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
+    let out = render_frontier(spec, engine_label, &frontier, &sweep, ctx.telemetry, stderr);
+    Ok((out, sweep.cancelled))
 }
 
-/// `memx pareto` over an external `.din` trace: exhaustive streamed sweep
-/// of the trace grid, then the 3-objective frontier renders exactly as for
-/// a kernel (the JSON member is `"trace"` instead of `"kernel"`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pareto_trace(
-    workload: &TraceWorkload,
-    evaluator: Evaluator,
-    format: &str,
-    telemetry: bool,
-    engine: &str,
-    analytic: bool,
-    supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    warn_trace_engine(engine, &mut stderr);
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let outcome = run_trace_supervised(&explorer, workload, &designs, supervise, &mut stderr)?;
-    if let Some(o) = &obs {
-        o.finish();
-    }
-    let completed = outcome.completed_records();
-    let frontier = select::pareto3(&completed);
-    let mut sweep = outcome.telemetry;
-    sweep.frontier_size = frontier.len();
-    let cancelled = sweep.cancelled;
-    if frontier.is_empty() {
-        let _ = writeln!(
-            stderr,
-            "warning: the Pareto frontier of trace {} is empty (no designs completed)",
-            workload.name()
-        );
-    }
-    let out = render_frontier(
-        "trace",
-        workload.name(),
-        "streamed",
-        &frontier,
-        &sweep,
-        format,
-        telemetry,
-        &mut stderr,
-    );
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
-}
-
-/// Renders a Pareto frontier as JSON or CSV. `subject` is `"kernel"` or
-/// `"trace"`; CSV telemetry goes to `stderr` so piped rows stay pure.
-#[allow(clippy::too_many_arguments)]
+/// Renders a Pareto frontier as JSON or CSV. CSV telemetry goes to
+/// `stderr` so piped rows stay pure.
 fn render_frontier(
-    subject: &str,
-    name: &str,
+    spec: &JobSpec,
     engine_label: &str,
     frontier: &[Record],
     sweep: &SweepTelemetry,
-    format: &str,
     telemetry: bool,
     stderr: &mut String,
 ) -> String {
+    let (subject, name) = spec.input.subject();
     let mut out = String::new();
-    if format == "json" {
+    if spec.format == "json" {
         let rows: Vec<String> = frontier
             .iter()
             .map(|r| {
@@ -2638,5 +2402,28 @@ mod tests {
         })
         .expect_err("should fail");
         assert!(e.to_string().contains("cannot read"));
+    }
+
+    #[test]
+    fn plru_wider_than_64_ways_is_an_invalid_geometry() {
+        let kernel = loopir::kernels::compress(31);
+        let plru = memsim::Replacement::Plru;
+        let wide = CacheDesign::new(1024, 4, 128, 1).with_replacement(plru);
+        let e = check_sweep_inputs(&kernel, &[wide], &mut String::new())
+            .expect_err("a 128-way PLRU design is refused");
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("at most 64 ways"), "{e}");
+        let space = DesignSpace {
+            cache_sizes: vec![1024],
+            line_sizes: vec![4],
+            assocs: vec![128],
+            tilings: vec![1],
+            replacements: vec![plru],
+            ..DesignSpace::default()
+        };
+        let e = check_space_inputs(&kernel, &space, &mut String::new())
+            .expect_err("a 128-way PLRU axis is refused");
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(e.to_string().contains("at most 64 ways"), "{e}");
     }
 }

@@ -31,12 +31,15 @@
 //! (`serve`/`job` with duration, cache disposition, status, and queue
 //! depth) flow through the obs layer and surface in `memx report`.
 
-use crate::cli::{ObsFlags, Supervise};
-use crate::commands::{self, Output, RunError};
+use crate::commands::{self, Output, RunCtx, RunError};
 use loopir::parse::parse_kernel;
 use loopir::Kernel;
 use memexplore::obs::{parse_json, push_json_str, Json};
-use memexplore::{CacheKey, FieldValue, Lookup, Objective, Obs, ResultCache, TraceWorkload};
+use memexplore::supervisor::sweep_id;
+use memexplore::{
+    trace_sweep_id, CacheDesign, CacheKey, DesignSpace, Evaluator, ExploreError, Explorer,
+    FieldValue, Lookup, Objective, Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
+};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -91,6 +94,10 @@ impl JobKind {
 }
 
 /// The workload a job sweeps: a parsed kernel or a streamed trace.
+///
+/// This is the one place that knows what differs between the two; every
+/// job kind and every surface (CLI, daemon, shard worker, coordinator)
+/// goes through these methods.
 #[derive(Clone, Debug)]
 pub enum JobInput {
     /// Parsed kernel from the request's inline `.mx` text.
@@ -98,6 +105,178 @@ pub enum JobInput {
     /// Prepared trace from the request's inline `.din` text, swept by
     /// streaming over the fixed trace grid (tiling pinned at 1).
     Trace(TraceWorkload),
+}
+
+impl JobInput {
+    /// Loads a workload file: a Dinero trace (by its `.din` extension),
+    /// prepared by one streaming pass that fingerprints it in bounded
+    /// memory however large it is, or else a loopir kernel.
+    pub(crate) fn load(path: &str) -> Result<JobInput, RunError> {
+        if commands::is_din_path(path) {
+            TraceWorkload::from_path(path)
+                .map(JobInput::Trace)
+                .map_err(commands::trace_error)
+        } else {
+            commands::load(path).map(JobInput::Kernel)
+        }
+    }
+
+    /// The explore grid: the paper grid for a kernel, the trace grid for
+    /// a trace (an external trace cannot be re-tiled).
+    pub(crate) fn grid(&self) -> Vec<CacheDesign> {
+        match self {
+            JobInput::Kernel(_) => DesignSpace::paper().designs(),
+            JobInput::Trace(_) => TraceWorkload::design_space().designs(),
+        }
+    }
+
+    /// Validates a grid before it is swept. A kernel grid must be valid
+    /// and feasible for the kernel; the trace grid is fixed and valid.
+    pub(crate) fn check_grid(
+        &self,
+        designs: &[CacheDesign],
+        stderr: &mut String,
+    ) -> Result<(), RunError> {
+        match self {
+            JobInput::Kernel(kernel) => commands::check_sweep_inputs(kernel, designs, stderr),
+            JobInput::Trace(_) => Ok(()),
+        }
+    }
+
+    /// The sweep id of `designs` over this input: what a checkpoint
+    /// header or a shard's result stream carries, so a stream from
+    /// another workload, slice or evaluator is rejected.
+    pub(crate) fn sweep_id(&self, designs: &[CacheDesign], evaluator: &Evaluator) -> u64 {
+        match self {
+            JobInput::Kernel(kernel) => sweep_id(kernel, designs, evaluator),
+            JobInput::Trace(workload) => trace_sweep_id(workload, designs, evaluator),
+        }
+    }
+
+    /// Sweeps `designs` under the fault-isolation supervisor. Checkpoint
+    /// and trace-source failures are I/O errors (exit 2); a worker panic
+    /// that escapes quarantine is a runtime error (exit 1).
+    pub(crate) fn sweep_supervised(
+        &self,
+        explorer: &Explorer,
+        designs: &[CacheDesign],
+        options: &SweepOptions,
+    ) -> Result<SweepOutcome, RunError> {
+        match self {
+            JobInput::Kernel(kernel) => explorer
+                .explore_supervised(kernel, designs, options)
+                .map_err(|e| match e {
+                    ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
+                    other => RunError::Other(other.to_string().into()),
+                }),
+            JobInput::Trace(workload) => explorer
+                .explore_trace_supervised(workload, designs, options)
+                .map_err(commands::trace_error),
+        }
+    }
+
+    /// `("kernel", name)` or `("trace", name)`: how headings, warnings
+    /// and the JSON member of a rendered result name the workload.
+    pub(crate) fn subject(&self) -> (&'static str, &str) {
+        match self {
+            JobInput::Kernel(kernel) => ("kernel", &kernel.name),
+            JobInput::Trace(workload) => ("trace", workload.name()),
+        }
+    }
+
+    /// The first stdout line of an explore over `count` records.
+    pub(crate) fn heading(&self, count: usize, analytical: bool) -> String {
+        match self {
+            JobInput::Kernel(kernel) => format!(
+                "explored {count} configurations of kernel {} ({})\n",
+                kernel.name,
+                if analytical {
+                    "analytical model"
+                } else {
+                    "trace-driven simulation"
+                }
+            ),
+            JobInput::Trace(workload) => format!(
+                "explored {count} configurations of trace {} ({} events, streamed)\n",
+                workload.name(),
+                workload.events()
+            ),
+        }
+    }
+}
+
+// Kernel-only knobs on a trace input. A streamed `.din` sweep has one
+// engine and no analytical model, and it sweeps the fixed trace grid
+// exhaustively. The two surfaces treat these knobs differently, and
+// the items below are the whole of that difference:
+//
+// * the CLI refuses `--analytical` and `--space expansive` (they would
+//   change what is computed: exit 1, before the file is read), warns on
+//   `--engine` and `--beam` (they only change how), and lets
+//   `--exhaustive` and `--gap` pass without effect;
+// * the JSON API rejects every kernel-only field with a 400.
+
+/// The fields a trace job rejects with a 400.
+const KERNEL_ONLY_FIELDS: [&str; 6] =
+    ["engine", "analytical", "exhaustive", "space", "beam", "gap"];
+
+/// The JSON API's refusal of one of [`KERNEL_ONLY_FIELDS`].
+fn kernel_only_field(key: &str) -> BadRequest {
+    bad(format!(
+        "field `{key}` needs a kernel workload (a streamed `.din` trace \
+         sweeps the fixed trace grid)"
+    ))
+}
+
+/// The CLI's refusals, checked on the path before the `.din` file is read.
+pub(crate) fn refuse_trace_knobs(
+    file: &str,
+    analytical: bool,
+    space: &str,
+) -> Result<(), RunError> {
+    if !commands::is_din_path(file) {
+        return Ok(());
+    }
+    if analytical {
+        return Err(RunError::Other(
+            "`--analytical` needs a kernel: the closed-form miss-rate model \
+             has no meaning for a recorded `.din` trace"
+                .into(),
+        ));
+    }
+    if space == "expansive" {
+        return Err(RunError::Other(
+            "`--space expansive` needs a kernel: a `.din` trace sweeps \
+             the fixed trace grid"
+                .into(),
+        ));
+    }
+    Ok(())
+}
+
+impl JobSpec {
+    /// The CLI's warnings, the first stderr lines of a trace job. A JSON
+    /// trace job cannot set either knob.
+    pub(crate) fn warn_trace_knobs(&self, stderr: &mut String) {
+        use std::fmt::Write as _;
+        if !matches!(self.input, JobInput::Trace(_)) {
+            return;
+        }
+        if self.engine != "fused" {
+            let _ = writeln!(
+                stderr,
+                "warning: --engine {} is ignored for `.din` traces \
+                 (streamed sweeps are always banked)",
+                self.engine
+            );
+        }
+        if self.beam.is_some() {
+            let _ = writeln!(
+                stderr,
+                "warning: --beam is ignored for `.din` traces (the trace grid is swept exhaustively)"
+            );
+        }
+    }
 }
 
 /// A fully validated job request. Defaults mirror the offline CLI, so a
@@ -190,6 +369,49 @@ fn field_keyword<'a>(v: &'a Json, key: &str, allowed: &[&str]) -> Result<&'a str
 }
 
 impl JobSpec {
+    /// A `kind` job over `input` with every knob at its default, which is
+    /// the offline CLI's default.
+    pub(crate) fn new(kind: JobKind, input: JobInput) -> JobSpec {
+        JobSpec {
+            kind,
+            input,
+            part: "cy7c".to_string(),
+            em_nj: None,
+            natural: false,
+            deadline_secs: None,
+            analytical: false,
+            bound_cycles: None,
+            bound_energy: None,
+            pareto: false,
+            engine: "fused".to_string(),
+            format: if kind == JobKind::Search {
+                "text".to_string()
+            } else {
+                "csv".to_string()
+            },
+            exhaustive: false,
+            objective: Objective::Energy,
+            space: "paper".to_string(),
+            beam: None,
+            gap: 0.0,
+            shard_start: 0,
+            shard_end: 0,
+        }
+    }
+
+    /// The explorer this job sweeps with: the evaluator and engine come
+    /// from the job, the worker-thread count from the caller.
+    pub(crate) fn explorer(&self, workers: Option<usize>) -> Explorer {
+        let mut explorer = Explorer::new(commands::make_evaluator(
+            &self.part,
+            self.em_nj,
+            self.natural,
+        ))
+        .with_engine(commands::engine_kind(&self.engine));
+        explorer.workers = workers.map(|w| w.max(1));
+        explorer
+    }
+
     /// Parses and validates a `POST /v1/jobs` body. Every key is checked
     /// against the allowlist for its job kind; anything else is an error,
     /// never a silent default.
@@ -232,43 +454,12 @@ impl JobSpec {
         };
         let is_trace = matches!(input, JobInput::Trace(_));
 
-        let mut spec = JobSpec {
-            kind,
-            input,
-            part: "cy7c".to_string(),
-            em_nj: None,
-            natural: false,
-            deadline_secs: None,
-            analytical: false,
-            bound_cycles: None,
-            bound_energy: None,
-            pareto: false,
-            engine: "fused".to_string(),
-            format: if kind == JobKind::Search {
-                "text".to_string()
-            } else {
-                "csv".to_string()
-            },
-            exhaustive: false,
-            objective: Objective::Energy,
-            space: "paper".to_string(),
-            beam: None,
-            gap: 0.0,
-            shard_start: 0,
-            shard_end: 0,
-        };
+        let mut spec = JobSpec::new(kind, input);
         for (key, value) in pairs {
             let known = match key.as_str() {
                 "command" | "kernel" | "trace" => true,
-                // Kernel-shaped knobs are rejected outright for trace
-                // jobs: a streamed `.din` sweep has one engine, no
-                // analytical model, and sweeps the fixed trace grid
-                // exhaustively, so accepting these would silently lie.
-                "engine" | "analytical" | "exhaustive" | "space" | "beam" | "gap" if is_trace => {
-                    return Err(bad(format!(
-                        "field `{key}` needs a kernel workload (a streamed `.din` trace \
-                         sweeps the fixed trace grid)"
-                    )));
+                key if is_trace && KERNEL_ONLY_FIELDS.contains(&key) => {
+                    return Err(kernel_only_field(key));
                 }
                 "part" => {
                     spec.part = field_keyword(value, "part", &["cy7c", "lp2m", "16m"])?.to_string();
@@ -867,144 +1058,6 @@ fn job_body(status: &str, key: CacheKey, spec_kind: JobKind, output: &Output) ->
     s.into_bytes()
 }
 
-/// Renders a shard job's output: checkpoint wire bytes hex-encoded on
-/// stdout (one line), quarantine lines on stderr.
-fn shard_output(result: (Vec<u8>, Vec<(usize, String)>)) -> (Output, bool) {
-    use std::fmt::Write as _;
-    let (bytes, quarantined) = result;
-    let mut stdout = crate::sweep::hex_encode(&bytes);
-    stdout.push('\n');
-    let mut stderr = String::new();
-    for (idx, message) in &quarantined {
-        let _ = writeln!(stderr, "quarantine {idx} {message}");
-    }
-    (Output { stdout, stderr }, false)
-}
-
-/// Runs one job on the sweep engines. Returns the command output plus the
-/// cancellation flag (deadline reached → partial, uncacheable).
-fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output, bool), RunError> {
-    let evaluator = commands::make_evaluator(&spec.part, spec.em_nj, spec.natural);
-    let supervise = Supervise {
-        deadline_secs: spec.deadline_secs,
-        ..Supervise::default()
-    };
-    let obs_flags = ObsFlags::default();
-    match (&spec.input, spec.kind) {
-        // `--distribute N` routes eligible explore jobs through the shard
-        // coordinator; analytical jobs never sweep, and deadline jobs
-        // need the supervisor's cooperative cancellation, so both keep
-        // the undistributed path.
-        (JobInput::Kernel(kernel), JobKind::Explore)
-            if distribute >= 2 && !spec.analytical && spec.deadline_secs.is_none() =>
-        {
-            crate::sweep::explore_kernel_sharded(
-                kernel,
-                &evaluator,
-                &spec.engine,
-                workers,
-                distribute,
-                spec.bound_cycles,
-                spec.bound_energy,
-                spec.pareto,
-            )
-        }
-        (JobInput::Kernel(kernel), JobKind::Shard) => crate::sweep::kernel_shard_bytes(
-            kernel,
-            &evaluator,
-            &spec.engine,
-            workers,
-            spec.shard_start,
-            spec.shard_end,
-        )
-        .map(shard_output),
-        (JobInput::Trace(workload), JobKind::Shard) => crate::sweep::trace_shard_bytes(
-            workload,
-            &evaluator,
-            workers,
-            spec.shard_start,
-            spec.shard_end,
-        )
-        .map(shard_output),
-        (JobInput::Kernel(kernel), JobKind::Explore) => commands::explore(
-            kernel,
-            evaluator,
-            spec.analytical,
-            spec.bound_cycles,
-            spec.bound_energy,
-            spec.pareto,
-            false,
-            commands::engine_kind(&spec.engine),
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Kernel(kernel), JobKind::Pareto) => commands::pareto_frontier(
-            kernel,
-            evaluator,
-            &spec.format,
-            spec.exhaustive,
-            false,
-            commands::engine_kind(&spec.engine),
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Kernel(kernel), JobKind::Search) => commands::search(
-            kernel,
-            evaluator,
-            spec.objective,
-            &spec.space,
-            spec.beam,
-            spec.gap,
-            spec.deadline_secs,
-            &spec.format,
-            false,
-            true,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Trace(workload), JobKind::Explore) => commands::explore_trace(
-            workload,
-            evaluator,
-            spec.bound_cycles,
-            spec.bound_energy,
-            spec.pareto,
-            false,
-            &spec.engine,
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Trace(workload), JobKind::Pareto) => commands::pareto_trace(
-            workload,
-            evaluator,
-            &spec.format,
-            false,
-            &spec.engine,
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Trace(workload), JobKind::Search) => commands::search_trace(
-            workload,
-            evaluator,
-            spec.objective,
-            spec.beam,
-            spec.deadline_secs,
-            &spec.format,
-            false,
-            true,
-            &obs_flags,
-            Some(workers),
-        ),
-    }
-}
-
 fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io::Result<()> {
     let started = Instant::now();
     let text = match std::str::from_utf8(body) {
@@ -1044,9 +1097,12 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
         Lookup::Miss(flight) => {
             // Leader: fair-FIFO admission, then simulate.
             let queue_depth = shared.gate.acquire();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run_job(&spec, shared.workers_per_job, shared.distribute)
-            }));
+            let ctx = RunCtx {
+                workers: Some(shared.workers_per_job),
+                distribute: shared.distribute,
+                ..RunCtx::default()
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| commands::run_job(&spec, &ctx)));
             shared.gate.release();
             match result {
                 Ok(Ok((output, cancelled))) => {

@@ -29,16 +29,13 @@
 //! Quarantined designs ride alongside as `quarantine <idx> <message>`
 //! lines on the worker's stdout.
 
-use crate::cli::ObsFlags;
-use crate::commands::{self, Output, RunError};
-use loopir::Kernel;
+use crate::commands::{self, Output, RunCtx, RunError};
+use crate::serve::{JobInput, JobSpec};
 use memexplore::obs::{parse_json, Json};
-use memexplore::supervisor::sweep_id;
 use memexplore::{
-    partition, run_sharded, trace_sweep_id, CacheDesign, Checkpoint, CheckpointPolicy,
-    CoordinatorOptions, DesignSpace, Evaluator, ExploreError, Explorer, Record, ShardError,
-    ShardExecutor, ShardHandle, ShardOutput, ShardSpec, SweepOptions, SweepOutcome, SweepTelemetry,
-    TraceWorkload,
+    partition, run_sharded, CacheDesign, Checkpoint, CheckpointPolicy, CoordinatorOptions,
+    Explorer, Record, ShardError, ShardExecutor, ShardHandle, ShardOutput, ShardSpec,
+    ShardedOutcome, SweepOptions, SweepTelemetry, ThreadExecutor,
 };
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -46,45 +43,12 @@ use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command as ProcessCommand, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant, SystemTime};
 
 // ---------------------------------------------------------------------------
-// Workloads
+// Quarantine lines
 // ---------------------------------------------------------------------------
-
-/// The two workload shapes a distributed sweep handles.
-enum Workload {
-    Kernel(Kernel),
-    Trace(TraceWorkload),
-}
-
-fn load_workload(file: &str) -> Result<Workload, RunError> {
-    if commands::is_din_path(file) {
-        commands::load_trace(file).map(Workload::Trace)
-    } else {
-        commands::load(file).map(Workload::Kernel)
-    }
-}
-
-/// The full design grid a workload sweeps — the same grid `memx explore`
-/// uses, so the merged selection is comparable byte-for-byte.
-fn grid_of(workload: &Workload) -> Vec<CacheDesign> {
-    match workload {
-        Workload::Kernel(_) => DesignSpace::paper().designs(),
-        Workload::Trace(_) => TraceWorkload::design_space().designs(),
-    }
-}
-
-/// Sweep id of one slice — what the worker's checkpoint header will
-/// carry, so the coordinator can reject a stream from the wrong shard,
-/// workload, or evaluator.
-fn slice_id(workload: &Workload, slice: &[CacheDesign], evaluator: &Evaluator) -> u64 {
-    match workload {
-        Workload::Kernel(kernel) => sweep_id(kernel, slice, evaluator),
-        Workload::Trace(tw) => trace_sweep_id(tw, slice, evaluator),
-    }
-}
 
 /// Quarantine messages travel as single stdout lines; embedded newlines
 /// would desynchronize the line protocol.
@@ -108,28 +72,19 @@ fn parse_quarantine_lines(text: &str) -> Vec<(usize, String)> {
 // memx worker
 // ---------------------------------------------------------------------------
 
-/// Runs one shard: evaluate `designs[start..end)` of the workload's grid
-/// and stream records into the checkpoint file (the coordinator's wire
-/// format and this shard's crash-recovery journal). Quarantined designs
-/// are reported as `quarantine <local_idx> <message>` stdout lines; the
-/// process still exits 0 — a quarantine is a per-design result, not a
-/// worker failure.
-#[allow(clippy::too_many_arguments)]
-pub fn worker(
+/// Runs one shard: evaluate `[shard_start, shard_end)` of the job's
+/// grid and stream records into the checkpoint file (the coordinator's
+/// wire format and this shard's crash-recovery journal). Quarantined
+/// designs are reported as `quarantine <local_idx> <message>` stdout
+/// lines; the process still exits 0 — a quarantine is a per-design
+/// result, not a worker failure.
+pub(crate) fn worker(
+    spec: &JobSpec,
     file: &str,
-    part: &str,
-    em_nj: Option<f64>,
-    natural: bool,
-    engine: &str,
-    start: usize,
-    end: usize,
-    checkpoint: &str,
-    checkpoint_every: usize,
-    resume: bool,
+    checkpoint: CheckpointPolicy,
 ) -> Result<Output, RunError> {
-    let workload = load_workload(file)?;
-    let evaluator = commands::make_evaluator(part, em_nj, natural);
-    let designs = grid_of(&workload);
+    let designs = spec.input.grid();
+    let (start, end) = (spec.shard_start, spec.shard_end);
     if end > designs.len() {
         return Err(RunError::Io(format!(
             "worker range [{start}..{end}) exceeds the {}-design grid of `{file}`",
@@ -138,22 +93,12 @@ pub fn worker(
     }
     let slice = &designs[start..end];
     let options = SweepOptions {
-        checkpoint: Some(CheckpointPolicy {
-            path: PathBuf::from(checkpoint),
-            every: if checkpoint_every == 0 {
-                32
-            } else {
-                checkpoint_every
-            },
-            resume,
-        }),
+        checkpoint: Some(checkpoint),
         ..SweepOptions::default()
     };
-    let outcome =
-        run_slice(&workload, &evaluator, engine, slice, &options).map_err(|e| match e {
-            SliceError::Checkpoint(message) => RunError::Io(message),
-            SliceError::Other(message) => RunError::Other(message.into()),
-        })?;
+    let outcome = spec
+        .input
+        .sweep_supervised(&spec.explorer(None), slice, &options)?;
     let mut stdout = String::new();
     for e in &outcome.errors {
         let _ = writeln!(
@@ -182,80 +127,29 @@ pub fn worker(
     Ok(Output { stdout, stderr })
 }
 
-/// Failure of one slice sweep, split along the CLI exit-code contract
-/// (checkpoint problems are I/O, exit 2; everything else is runtime).
-enum SliceError {
-    Checkpoint(String),
-    Other(String),
-}
+// ---------------------------------------------------------------------------
+// Slices and merges
+// ---------------------------------------------------------------------------
 
-/// Sweeps one slice of the grid under the fault-isolation supervisor —
-/// the shared engine behind `memx worker`, the coordinator-local
-/// degradation path, and the serve daemon's shard jobs.
-fn run_slice(
-    workload: &Workload,
-    evaluator: &Evaluator,
-    engine: &str,
-    slice: &[CacheDesign],
-    options: &SweepOptions,
-) -> Result<SweepOutcome, SliceError> {
-    match workload {
-        Workload::Kernel(kernel) => Explorer::new(evaluator.clone())
-            .with_engine(commands::engine_kind(engine))
-            .explore_supervised(kernel, slice, options)
-            .map_err(|e| match e {
-                ExploreError::Checkpoint(c) => SliceError::Checkpoint(c.to_string()),
-                other => SliceError::Other(other.to_string()),
-            }),
-        Workload::Trace(tw) => Explorer::new(evaluator.clone())
-            .explore_trace_supervised(tw, slice, options)
-            .map_err(|e| match commands::trace_error(e) {
-                RunError::Io(m) => SliceError::Checkpoint(m),
-                other => SliceError::Other(other.to_string()),
-            }),
-    }
-}
-
-/// [`run_slice`] shaped as a [`ShardOutput`] (local indices, sanitized
-/// quarantine messages) for the coordinator-local and in-process paths.
+/// Sweeps one shard's slice of the grid under the fault-isolation
+/// supervisor, shaped as a [`ShardOutput`] (local indices, sanitized
+/// quarantine messages) — the coordinator-local, in-process and
+/// shard-job path.
 fn run_slice_output(
-    workload: &Workload,
-    evaluator: &Evaluator,
-    engine: &str,
+    input: &JobInput,
+    explorer: &Explorer,
     slice: &[CacheDesign],
-    spec: &ShardSpec,
-    workers: Option<usize>,
+    shard: &ShardSpec,
 ) -> Result<ShardOutput, ShardError> {
-    let options = SweepOptions::default();
-    let outcome = match workload {
-        Workload::Kernel(kernel) => {
-            let mut explorer =
-                Explorer::new(evaluator.clone()).with_engine(commands::engine_kind(engine));
-            if let Some(w) = workers {
-                explorer = explorer.with_workers(w);
-            }
-            explorer.explore_supervised(kernel, slice, &options)
-        }
-        Workload::Trace(tw) => {
-            let mut explorer = Explorer::new(evaluator.clone());
-            if let Some(w) = workers {
-                explorer = explorer.with_workers(w);
-            }
-            explorer
-                .explore_trace_supervised(tw, slice, &options)
-                .map_err(|e| ExploreError::WorkerPanic {
-                    phase: "trace",
-                    message: e.to_string(),
-                })
-        }
-    }
-    .map_err(|e| ShardError::WorkerLost {
-        shard: spec.index,
-        attempt: 0,
-        message: e.to_string(),
-    })?;
+    let outcome = input
+        .sweep_supervised(explorer, slice, &SweepOptions::default())
+        .map_err(|e| ShardError::WorkerLost {
+            shard: shard.index,
+            attempt: 0,
+            message: e.to_string(),
+        })?;
     Ok(ShardOutput {
-        sweep_id: spec.sweep_id,
+        sweep_id: shard.sweep_id,
         entries: outcome
             .records
             .iter()
@@ -268,6 +162,61 @@ fn run_slice_output(
             .map(|e| (e.design_index, sanitize(&e.message)))
             .collect(),
     })
+}
+
+/// Partitions `designs` into `count` contiguous shards, each stamped
+/// with its slice's sweep id.
+fn shard_specs(
+    input: &JobInput,
+    designs: &[CacheDesign],
+    explorer: &Explorer,
+    count: usize,
+) -> Vec<ShardSpec> {
+    let mut specs = partition(designs.len(), count);
+    for spec in &mut specs {
+        spec.sweep_id = input.sweep_id(&designs[spec.start..spec.end], &explorer.evaluator);
+    }
+    specs
+}
+
+/// The records of a sharded sweep in grid order, with a warning line per
+/// quarantined design.
+fn merged_records(
+    outcome: &ShardedOutcome,
+    designs: &[CacheDesign],
+    stderr: &mut String,
+) -> Result<Vec<Record>, RunError> {
+    // Every empty slot must be accounted for by a quarantine; anything
+    // else means a worker returned a validated but incomplete stream,
+    // and silently shrinking the sweep would betray the byte-identity
+    // contract.
+    let quarantined: std::collections::BTreeSet<usize> =
+        outcome.errors.iter().map(|e| e.design_index).collect();
+    let mut records = Vec::with_capacity(designs.len());
+    let mut missing = 0;
+    for (i, slot) in outcome.records.iter().enumerate() {
+        match slot {
+            // Checkpoint entries persist geometry only; the sweep id
+            // matched, so the grid's design is the one each record was
+            // measured for (same fix-up the resume path applies).
+            Some(r) => {
+                let mut r = r.clone();
+                r.design = designs[i];
+                records.push(r);
+            }
+            None if !quarantined.contains(&i) => missing += 1,
+            None => {}
+        }
+    }
+    if missing > 0 {
+        return Err(RunError::Other(
+            format!("distributed sweep lost {missing} designs without a quarantine record").into(),
+        ));
+    }
+    for e in &outcome.errors {
+        let _ = writeln!(stderr, "warning: {e}");
+    }
+    Ok(records)
 }
 
 // ---------------------------------------------------------------------------
@@ -290,28 +239,20 @@ struct ProcessExecutor {
 }
 
 impl ProcessExecutor {
-    fn new(
-        slots: usize,
-        file: &str,
-        part: &str,
-        em_nj: Option<f64>,
-        natural: bool,
-        engine: &str,
-        dir: PathBuf,
-    ) -> Result<Self, RunError> {
+    fn new(slots: usize, file: &str, spec: &JobSpec, dir: PathBuf) -> Result<Self, RunError> {
         let exe = std::env::current_exe()
             .map_err(|e| RunError::Io(format!("cannot locate the memx binary: {e}")))?;
-        let mut flags = vec!["--part".to_string(), part.to_string()];
-        if let Some(em) = em_nj {
+        let mut flags = vec!["--part".to_string(), spec.part.clone()];
+        if let Some(em) = spec.em_nj {
             flags.push("--em".to_string());
             flags.push(em.to_string());
         }
-        if natural {
+        if spec.natural {
             flags.push("--natural".to_string());
         }
-        if engine != "fused" {
+        if spec.engine != "fused" {
             flags.push("--engine".to_string());
-            flags.push(engine.to_string());
+            flags.push(spec.engine.clone());
         }
         Ok(Self {
             exe,
@@ -510,33 +451,27 @@ struct HttpExecutor {
 }
 
 impl HttpExecutor {
-    fn new(
-        addrs: Vec<String>,
-        is_trace: bool,
-        workload_text: &str,
-        part: &str,
-        em_nj: Option<f64>,
-        natural: bool,
-        engine: &str,
-    ) -> Self {
+    fn new(addrs: Vec<String>, spec: &JobSpec, workload_text: &str) -> Self {
         use memexplore::obs::push_json_str;
+        let (subject, _) = spec.input.subject();
         let mut b = String::from("{\"command\":\"shard\",\"");
-        b.push_str(if is_trace { "trace" } else { "kernel" });
+        b.push_str(subject);
         b.push_str("\":");
         push_json_str(&mut b, workload_text);
-        if part != "cy7c" {
+        if spec.part != "cy7c" {
             b.push_str(",\"part\":");
-            push_json_str(&mut b, part);
+            push_json_str(&mut b, &spec.part);
         }
-        if let Some(em) = em_nj {
+        if let Some(em) = spec.em_nj {
             let _ = write!(b, ",\"em_nj\":{em}");
         }
-        if natural {
+        if spec.natural {
             b.push_str(",\"natural\":true");
         }
-        if !is_trace && engine != "fused" {
+        // A trace shard job rejects the field (one engine only).
+        if matches!(spec.input, JobInput::Kernel(_)) && spec.engine != "fused" {
             b.push_str(",\"engine\":");
-            push_json_str(&mut b, engine);
+            push_json_str(&mut b, &spec.engine);
         }
         b.push(',');
         Self {
@@ -687,17 +622,10 @@ impl ShardExecutor for MixedExecutor {
 // memx sweep (the coordinator)
 // ---------------------------------------------------------------------------
 
-/// The `memx sweep` request, mirroring `Command::Sweep`.
-pub struct SweepRequest {
+/// The coordinator knobs of a `memx sweep` command line; the job itself
+/// (an explore) and its run settings come as a `JobSpec` and a `RunCtx`.
+pub(crate) struct SweepRequest {
     pub file: String,
-    pub part: String,
-    pub em_nj: Option<f64>,
-    pub natural: bool,
-    pub bound_cycles: Option<f64>,
-    pub bound_energy: Option<f64>,
-    pub pareto: bool,
-    pub telemetry: bool,
-    pub engine: String,
     pub distributed: usize,
     pub shards: Option<usize>,
     pub attach: Vec<String>,
@@ -705,42 +633,28 @@ pub struct SweepRequest {
     pub retry_budget: u32,
     pub backoff_ms: u64,
     pub straggler_ms: u64,
-    pub obs: ObsFlags,
 }
 
 /// Runs the distributed sweep coordinator. With zero workers
 /// (`--distributed 0` and nothing attached) this is exactly the local
 /// `memx explore` — the graceful-degradation floor made explicit.
-pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
+pub(crate) fn sweep(spec: &JobSpec, ctx: &RunCtx, req: &SweepRequest) -> Result<Output, RunError> {
     let slots = req.distributed + req.attach.len();
     if slots == 0 {
-        return local_only(req);
+        let (mut output, _cancelled) = commands::run_job(spec, ctx)?;
+        output.stderr.insert_str(
+            0,
+            "note: no workers (--distributed 0, none attached); sweeping locally\n",
+        );
+        return Ok(output);
     }
-    let workload = load_workload(&req.file)?;
-    let evaluator = commands::make_evaluator(&req.part, req.em_nj, req.natural);
     let mut stderr = String::new();
-    let designs = grid_of(&workload);
-    match &workload {
-        Workload::Kernel(kernel) => {
-            commands::check_sweep_inputs(kernel, &designs, &mut stderr)?;
-        }
-        Workload::Trace(_) => {
-            if req.engine != "fused" {
-                let _ = writeln!(
-                    stderr,
-                    "warning: --engine {} is ignored for `.din` traces \
-                     (streamed sweeps are always banked)",
-                    req.engine
-                );
-            }
-        }
-    }
-
-    let shard_count = req.shards.unwrap_or_else(|| (2 * slots).max(1));
-    let mut specs = partition(designs.len(), shard_count);
-    for spec in &mut specs {
-        spec.sweep_id = slice_id(&workload, &designs[spec.start..spec.end], &evaluator);
-    }
+    spec.warn_trace_knobs(&mut stderr);
+    let designs = spec.input.grid();
+    spec.input.check_grid(&designs, &mut stderr)?;
+    let explorer = spec.explorer(None);
+    let shard_count = req.shards.unwrap_or(2 * slots);
+    let specs = shard_specs(&spec.input, &designs, &explorer, shard_count);
 
     let (dir, ephemeral) = match &req.shard_dir {
         Some(d) => (PathBuf::from(d), false),
@@ -756,10 +670,7 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
         Some(ProcessExecutor::new(
             req.distributed,
             &req.file,
-            &req.part,
-            req.em_nj,
-            req.natural,
-            &req.engine,
+            spec,
             dir.clone(),
         )?)
     } else {
@@ -770,15 +681,7 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
     } else {
         let text = std::fs::read_to_string(&req.file)
             .map_err(|e| RunError::Io(format!("cannot read `{}`: {e}", req.file)))?;
-        Some(HttpExecutor::new(
-            req.attach.clone(),
-            matches!(workload, Workload::Trace(_)),
-            &text,
-            &req.part,
-            req.em_nj,
-            req.natural,
-            &req.engine,
-        ))
+        Some(HttpExecutor::new(req.attach.clone(), spec, &text))
     };
     let executor = MixedExecutor {
         process,
@@ -786,14 +689,12 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
         next: AtomicUsize::new(0),
     };
 
-    let local = |spec: &ShardSpec| {
+    let local = |shard: &ShardSpec| {
         run_slice_output(
-            &workload,
-            &evaluator,
-            &req.engine,
-            &designs[spec.start..spec.end],
-            spec,
-            None,
+            &spec.input,
+            &explorer,
+            &designs[shard.start..shard.end],
+            shard,
         )
     };
     let options = CoordinatorOptions {
@@ -802,7 +703,7 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
         straggler_after: Duration::from_millis(req.straggler_ms),
         ..CoordinatorOptions::default()
     };
-    let obs = commands::build_obs(&req.obs)?;
+    let obs = commands::build_obs(&ctx.obs)?;
     let t0 = Instant::now();
     let outcome = run_sharded(
         &executor,
@@ -820,64 +721,16 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Checkpoint entries persist geometry only; the sweep id matched, so
-    // the grid's design is the one each record was measured for (same
-    // fix-up the resume path applies).
-    let mut slots_out = outcome.records;
-    for (i, r) in slots_out.iter_mut().enumerate() {
-        if let Some(r) = r {
-            r.design = designs[i];
-        }
-    }
-    // Every empty slot must be accounted for by a quarantine; anything
-    // else means a worker returned a validated but incomplete stream,
-    // and silently shrinking the sweep would betray the byte-identity
-    // contract.
-    let quarantined: std::collections::BTreeSet<usize> =
-        outcome.errors.iter().map(|e| e.design_index).collect();
-    let missing = slots_out
-        .iter()
-        .enumerate()
-        .filter(|(i, r)| r.is_none() && !quarantined.contains(i))
-        .count();
-    if missing > 0 {
-        return Err(RunError::Other(
-            format!("distributed sweep lost {missing} designs without a quarantine record").into(),
-        ));
-    }
-    let records: Vec<Record> = slots_out.iter().filter_map(Clone::clone).collect();
-    for e in &outcome.errors {
-        let _ = writeln!(stderr, "warning: {e}");
-    }
-
-    let mut out = String::new();
-    match &workload {
-        Workload::Kernel(kernel) => {
-            let _ = writeln!(
-                out,
-                "explored {} configurations of kernel {} (trace-driven simulation)",
-                records.len(),
-                kernel.name
-            );
-        }
-        Workload::Trace(tw) => {
-            let _ = writeln!(
-                out,
-                "explored {} configurations of trace {} ({} events, streamed)",
-                records.len(),
-                tw.name(),
-                tw.events()
-            );
-        }
-    }
+    let records = merged_records(&outcome, &designs, &mut stderr)?;
+    let mut out = spec.input.heading(records.len(), false);
     commands::write_selection(
         &mut out,
         &records,
-        req.bound_cycles,
-        req.bound_energy,
-        req.pareto,
+        spec.bound_cycles,
+        spec.bound_energy,
+        spec.pareto,
     );
-    if req.telemetry {
+    if ctx.telemetry {
         let mut t = SweepTelemetry {
             designs_evaluated: records.len(),
             designs_quarantined: outcome.errors.len(),
@@ -894,106 +747,17 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
     })
 }
 
-/// The zero-worker floor: run the ordinary local explore so `--distributed 0`
-/// is usable (and byte-identical) rather than an error.
-fn local_only(req: &SweepRequest) -> Result<Output, RunError> {
-    let evaluator = commands::make_evaluator(&req.part, req.em_nj, req.natural);
-    let supervise = crate::cli::Supervise::default();
-    let (mut output, _cancelled) = match load_workload(&req.file)? {
-        Workload::Kernel(kernel) => commands::explore(
-            &kernel,
-            evaluator,
-            false,
-            req.bound_cycles,
-            req.bound_energy,
-            req.pareto,
-            req.telemetry,
-            commands::engine_kind(&req.engine),
-            true,
-            &supervise,
-            &req.obs,
-            None,
-        )?,
-        Workload::Trace(tw) => commands::explore_trace(
-            &tw,
-            evaluator,
-            req.bound_cycles,
-            req.bound_energy,
-            req.pareto,
-            req.telemetry,
-            &req.engine,
-            true,
-            &supervise,
-            &req.obs,
-            None,
-        )?,
-    };
-    output.stderr.insert_str(
-        0,
-        "note: no workers (--distributed 0, none attached); sweeping locally\n",
-    );
-    Ok(output)
-}
-
 // ---------------------------------------------------------------------------
 // Serve integration: shard jobs and --distribute
 // ---------------------------------------------------------------------------
 
-/// Checkpoint wire bytes plus `(local index, reason)` quarantine lines —
-/// the payload of one shard-job response.
-pub(crate) type ShardBytes = (Vec<u8>, Vec<(usize, String)>);
-
-/// Runs one kernel shard job for the serve daemon: sweep the slice and
-/// return the checkpoint wire bytes plus quarantine lines.
-pub(crate) fn kernel_shard_bytes(
-    kernel: &Kernel,
-    evaluator: &Evaluator,
-    engine: &str,
-    workers: usize,
-    start: usize,
-    end: usize,
-) -> Result<ShardBytes, RunError> {
-    let designs = DesignSpace::paper().designs();
-    shard_bytes(
-        &Workload::Kernel(kernel.clone()),
-        evaluator,
-        engine,
-        workers,
-        start,
-        end,
-        &designs,
-    )
-}
-
-/// [`kernel_shard_bytes`] for inline-trace shard jobs.
-pub(crate) fn trace_shard_bytes(
-    workload: &TraceWorkload,
-    evaluator: &Evaluator,
-    workers: usize,
-    start: usize,
-    end: usize,
-) -> Result<ShardBytes, RunError> {
-    let designs = TraceWorkload::design_space().designs();
-    shard_bytes(
-        &Workload::Trace(workload.clone()),
-        evaluator,
-        "fused",
-        workers,
-        start,
-        end,
-        &designs,
-    )
-}
-
-fn shard_bytes(
-    workload: &Workload,
-    evaluator: &Evaluator,
-    engine: &str,
-    workers: usize,
-    start: usize,
-    end: usize,
-    designs: &[CacheDesign],
-) -> Result<ShardBytes, RunError> {
+/// A shard job (`memx serve`): sweeps `[shard_start, shard_end)` of the
+/// job's grid. The stdout is the checkpoint wire bytes hex-encoded on
+/// one line; quarantines go to `stderr` as `quarantine <idx> <message>`
+/// lines.
+pub(crate) fn shard(spec: &JobSpec, ctx: &RunCtx, stderr: &mut String) -> Result<String, RunError> {
+    let designs = spec.input.grid();
+    let (start, end) = (spec.shard_start, spec.shard_end);
     if end > designs.len() || start >= end {
         return Err(RunError::Other(
             format!(
@@ -1004,111 +768,76 @@ fn shard_bytes(
         ));
     }
     let slice = &designs[start..end];
-    let spec = ShardSpec {
+    let explorer = spec.explorer(ctx.workers);
+    let shard = ShardSpec {
         index: 0,
         start,
         end,
-        sweep_id: slice_id(workload, slice, evaluator),
+        sweep_id: spec.input.sweep_id(slice, &explorer.evaluator),
     };
-    let out = run_slice_output(workload, evaluator, engine, slice, &spec, Some(workers))
+    let out = run_slice_output(&spec.input, &explorer, slice, &shard)
         .map_err(|e| RunError::Other(e.to_string().into()))?;
-    let ck = Checkpoint {
+    for (idx, message) in &out.quarantined {
+        let _ = writeln!(stderr, "quarantine {idx} {message}");
+    }
+    let bytes = Checkpoint {
         sweep_id: out.sweep_id,
         entries: out.entries,
-    };
-    Ok((ck.to_bytes(), out.quarantined))
+    }
+    .to_bytes();
+    let mut stdout = hex_encode(&bytes);
+    stdout.push('\n');
+    Ok(stdout)
 }
 
-/// `memx serve --distribute N`: route an explore job through the shard
-/// coordinator onto `distribute` in-process workers. Output is
-/// byte-identical to the undistributed explore path by the same argument
-/// as `memx sweep` (and pinned by the suite's oracle).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_kernel_sharded(
-    kernel: &Kernel,
-    evaluator: &Evaluator,
-    engine: &str,
-    workers: usize,
-    distribute: usize,
-    bound_cycles: Option<f64>,
-    bound_energy: Option<f64>,
-    pareto: bool,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    let designs = DesignSpace::paper().designs();
-    commands::check_sweep_inputs(kernel, &designs, &mut stderr)?;
-    let mut specs = partition(designs.len(), (2 * distribute).max(1));
-    let workload = Workload::Kernel(kernel.clone());
-    for spec in &mut specs {
-        spec.sweep_id = slice_id(
-            &workload,
-            &designs[spec.start..spec.end],
-            &evaluator.clone(),
-        );
-    }
+/// `memx serve --distribute N`: the records of an explore job, swept
+/// through the shard coordinator on `ctx.distribute` in-process workers.
+/// They are byte-identical to the undistributed sweep's by the same
+/// argument as `memx sweep` (and pinned by the suite's oracle).
+pub(crate) fn explore_sharded(
+    spec: &JobSpec,
+    ctx: &RunCtx,
+    designs: &[CacheDesign],
+    stderr: &mut String,
+) -> Result<Vec<Record>, RunError> {
+    let distribute = ctx.distribute;
+    let workers = ctx.workers.unwrap_or(1);
+    let explorer = spec.explorer(Some(workers));
+    let specs = shard_specs(&spec.input, designs, &explorer, 2 * distribute);
     // Each in-process shard worker gets a share of the job's thread
     // budget so `--distribute` does not oversubscribe the slot's cores.
-    let per_shard = (workers / distribute).max(1);
-    let run_workload = Workload::Kernel(kernel.clone());
-    let run_evaluator = evaluator.clone();
-    let run_engine = engine.to_string();
-    let run_designs = designs.clone();
-    let run: std::sync::Arc<memexplore::shard::ShardFn> =
-        std::sync::Arc::new(move |spec: &ShardSpec| {
-            run_slice_output(
-                &run_workload,
-                &run_evaluator,
-                &run_engine,
-                &run_designs[spec.start..spec.end],
-                spec,
-                Some(per_shard),
-            )
-        });
-    let executor = memexplore::ThreadExecutor::new(distribute, run);
-    let local = |spec: &ShardSpec| {
+    // The executor's threads outlive this call's borrows, so they own
+    // their input.
+    let shard_explorer = spec.explorer(Some(workers / distribute));
+    let shard_input = spec.input.clone();
+    let shard_designs = designs.to_vec();
+    let run: Arc<memexplore::shard::ShardFn> = Arc::new(move |shard: &ShardSpec| {
         run_slice_output(
-            &workload,
-            &evaluator.clone(),
-            engine,
-            &designs[spec.start..spec.end],
-            spec,
-            Some(workers),
+            &shard_input,
+            &shard_explorer,
+            &shard_designs[shard.start..shard.end],
+            shard,
+        )
+    });
+    let executor = ThreadExecutor::new(distribute, run);
+    let local = |shard: &ShardSpec| {
+        run_slice_output(
+            &spec.input,
+            &explorer,
+            &designs[shard.start..shard.end],
+            shard,
         )
     };
     let outcome = run_sharded(
         &executor,
         &specs,
-        &designs,
+        designs,
         &local,
         &CoordinatorOptions::default(),
         None,
     )
     .map_err(|e| RunError::Other(e.to_string().into()))?;
-    let mut slots_out = outcome.records;
-    for (i, r) in slots_out.iter_mut().enumerate() {
-        if let Some(r) = r {
-            r.design = designs[i];
-        }
-    }
-    let records: Vec<Record> = slots_out.iter().filter_map(Clone::clone).collect();
-    for e in &outcome.errors {
-        let _ = writeln!(stderr, "warning: {e}");
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of kernel {} (trace-driven simulation)",
-        records.len(),
-        kernel.name
-    );
-    commands::write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        false,
-    ))
+    merged_records(&outcome, designs, stderr)
 }
 
 // ---------------------------------------------------------------------------

@@ -14,17 +14,41 @@
 //! `c` to 76).
 //!
 //! [`optimize_layout`] implements this as a bounded search. Arrays are
-//! placed in declaration order; for each, every (row pitch, base) pair
-//! within one cache size of padding is scored by how many class byte
-//! footprints (member span plus one line of phase slack, taken modulo the
-//! cache size) collide — with each other or with classes of already-placed
-//! arrays — and the least-colliding, least-padded assignment wins. Later
-//! multi-row arrays must keep their pitch congruent
-//! (mod cache size) with earlier ones so inter-class spacing survives row
-//! boundaries. Unlike a fixed target-line scheme, collision scoring lets
-//! stencil classes (rows `i−1`, `i`, `i+1`, whose spacing is forced to
-//! multiples of the pitch) settle into any equally-spaced conflict-free
-//! arrangement.
+//! placed in declaration order; for each, (row pitch, base) pairs within one
+//! cache size of padding are scored by how many class byte footprints
+//! (member span plus one line of phase slack, taken modulo the cache size)
+//! collide — with each other or with classes of already-placed arrays — and
+//! the least-colliding, least-padded assignment wins. Later multi-row
+//! arrays must keep their pitch congruent (mod cache size) with earlier
+//! ones so inter-class spacing survives row boundaries. Unlike a fixed
+//! target-line scheme, collision scoring lets stencil classes (rows `i−1`,
+//! `i`, `i+1`, whose spacing is forced to multiples of the pitch) settle
+//! into any equally-spaced conflict-free arrangement.
+//!
+//! # Cost
+//!
+//! The search costs what it scores, not what the cache size could offer:
+//!
+//! * Candidates are visited lazily, pitch-major and then base, in
+//!   increasing padding, and the search stops at the first candidate with
+//!   no collision at all. No candidate list is built.
+//! * A congruent pitch `natural + k·elem ≡ r (mod T)` is found in closed
+//!   form: with `g = gcd(elem, T)` the congruence has a solution iff `g`
+//!   divides `r − natural`, and solutions repeat every `T/g` steps, which
+//!   is at least the `⌈T/elem⌉` steps the search may pad. So there is at
+//!   most one congruent pitch; when there is none, every pitch is tried.
+//! * The ranges of earlier arrays are scored against each other once per
+//!   array; a candidate only scores its own ranges, into reused scratch.
+//! * At most [`CANDIDATE_BUDGET`] candidates are scored per array. The
+//!   budget binds only when no candidate is collision-free, which happens
+//!   when the footprints placed so far exceed the cache (pigeonhole) or
+//!   when incompatible patterns cannot be separated; the search then keeps
+//!   the best candidate seen within the budget. Below the budget the result
+//!   is exactly that of scoring every candidate.
+//!
+//! Address arithmetic is checked: a pitch, candidate address or array end
+//! beyond `u64` is [`PlacementError::AddressOverflow`], not a wrapped
+//! layout.
 
 use crate::classes::{partition_classes, RefClass};
 
@@ -33,8 +57,15 @@ use loopir::{ArrayId, DataLayout, Kernel};
 use std::error::Error;
 use std::fmt;
 
+/// Most (row pitch, base) candidates [`optimize_layout`] scores for one
+/// array. A scan that finds a collision-free candidate stops there: on the
+/// shipped example kernels the longest scan over the expansive grid's
+/// `(T, L)` pairs is 16,384 candidates. The budget bounds the scans that
+/// find none (`O((T/elem)²)` candidates otherwise).
+pub const CANDIDATE_BUDGET: u64 = 1 << 20;
+
 /// Errors from [`optimize_layout`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum PlacementError {
     /// The kernel declares no arrays.
     NoArrays,
@@ -45,6 +76,12 @@ pub enum PlacementError {
         /// Line size passed in.
         line: u64,
     },
+    /// A row pitch, element address or array end of this array does not
+    /// fit in 64 bits.
+    AddressOverflow {
+        /// Name of the array being placed.
+        array: String,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -54,6 +91,9 @@ impl fmt::Display for PlacementError {
             PlacementError::BadGeometry { cache_size, line } => {
                 write!(f, "bad cache geometry: size {cache_size}, line {line}")
             }
+            PlacementError::AddressOverflow { array } => {
+                write!(f, "addresses of array `{array}` overflow 64 bits")
+            }
         }
     }
 }
@@ -61,7 +101,7 @@ impl fmt::Display for PlacementError {
 impl Error for PlacementError {}
 
 /// The outcome of a placement optimisation.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PlacementReport {
     /// The optimised layout.
     pub layout: DataLayout,
@@ -98,19 +138,32 @@ fn leader_subscripts(kernel: &Kernel, class: &RefClass, ivs: &[i64]) -> Vec<i64>
         .collect()
 }
 
-/// Computes the byte address of `subs` under a candidate placement.
-fn candidate_address(kernel: &Kernel, array: ArrayId, p: Placement, subs: &[i64]) -> u64 {
+/// Where a class leader sits inside its array: its byte address under a
+/// placement is `base + row · row_pitch + offset`. Panics as
+/// [`DataLayout::element_address`] does on a subscript outside the array,
+/// so such a leader fails the same way whatever the cache geometry.
+fn leader_position(kernel: &Kernel, array: ArrayId, subs: &[i64]) -> Option<(u64, u64)> {
     let a = kernel.array(array);
+    assert_eq!(subs.len(), a.dims.len(), "subscript arity mismatch");
+    for (k, (&s, &d)) in subs.iter().zip(&a.dims).enumerate() {
+        assert!(
+            s >= 0 && (s as usize) < d,
+            "subscript {k} of `{}` out of bounds: {s} not in 0..{d}",
+            a.name
+        );
+    }
+    let elem = a.elem_size as u64;
     if a.dims.len() == 1 {
-        return p.base + subs[0] as u64 * a.elem_size as u64;
+        return Some((0, (subs[0] as u64).checked_mul(elem)?));
     }
     let weights = a.weights();
-    let inner: u64 = subs[1..]
+    let inner = subs[1..]
         .iter()
         .zip(&weights[1..])
-        .map(|(&s, &w)| s as u64 * w as u64)
-        .sum();
-    p.base + subs[0] as u64 * p.row_pitch + inner * a.elem_size as u64
+        .try_fold(0u64, |acc, (&s, &w)| {
+            acc.checked_add((s as u64).checked_mul(w as u64)?)
+        })?;
+    Some((subs[0] as u64, inner.checked_mul(elem)?))
 }
 
 /// A circular byte range `[start, start+len)` on a ring of `n` bytes (the
@@ -146,20 +199,107 @@ impl ByteRange {
 /// many total bytes overlap. The byte term gives the search a gradient when
 /// the ranges cannot all be disjoint (small caches), so it spreads them as
 /// evenly as possible instead of picking an arbitrary tied candidate.
-fn collisions(ranges: &[ByteRange], n: u64) -> (usize, u64) {
-    let mut colliding = vec![false; ranges.len()];
-    let mut overlap_bytes = 0u64;
-    for i in 0..ranges.len() {
-        for j in (i + 1)..ranges.len() {
-            let ov = ranges[i].overlap_len(&ranges[j], n);
-            if ov > 0 {
-                colliding[i] = true;
-                colliding[j] = true;
-                overlap_bytes += ov;
+///
+/// `fixed` are the ranges of already-placed arrays, scored against each
+/// other once per array; [`Scorer::score`] adds one candidate's ranges.
+/// The score equals scoring all ranges together, pair by pair.
+struct Scorer<'a> {
+    fixed: &'a [ByteRange],
+    n: u64,
+    /// Which fixed ranges collide among themselves.
+    fixed_colliding: Vec<bool>,
+    /// Overlap bytes among the fixed ranges.
+    fixed_bytes: u64,
+    /// Per-candidate flags: the fixed ones, then the candidate's.
+    colliding: Vec<bool>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(fixed: &'a [ByteRange], n: u64) -> Self {
+        let mut fixed_colliding = vec![false; fixed.len()];
+        let mut fixed_bytes = 0u64;
+        for i in 0..fixed.len() {
+            for j in (i + 1)..fixed.len() {
+                let ov = fixed[i].overlap_len(&fixed[j], n);
+                if ov > 0 {
+                    fixed_colliding[i] = true;
+                    fixed_colliding[j] = true;
+                    fixed_bytes = fixed_bytes.saturating_add(ov);
+                }
             }
         }
+        Scorer {
+            fixed,
+            n,
+            fixed_colliding,
+            fixed_bytes,
+            colliding: Vec::new(),
+        }
     }
-    (colliding.iter().filter(|&&c| c).count(), overlap_bytes)
+
+    /// `(colliding ranges, overlap bytes)` of the fixed ranges plus `new`.
+    fn score(&mut self, new: &[ByteRange]) -> (usize, u64) {
+        let (n, f) = (self.n, self.fixed.len());
+        self.colliding.clear();
+        self.colliding.extend_from_slice(&self.fixed_colliding);
+        self.colliding.resize(f + new.len(), false);
+        let mut bytes = self.fixed_bytes;
+        for (j, r) in new.iter().enumerate() {
+            for (i, fixed) in self.fixed.iter().enumerate() {
+                let ov = fixed.overlap_len(r, n);
+                if ov > 0 {
+                    self.colliding[i] = true;
+                    self.colliding[f + j] = true;
+                    bytes = bytes.saturating_add(ov);
+                }
+            }
+            for (k, later) in new.iter().enumerate().skip(j + 1) {
+                let ov = r.overlap_len(later, n);
+                if ov > 0 {
+                    self.colliding[f + j] = true;
+                    self.colliding[f + k] = true;
+                    bytes = bytes.saturating_add(ov);
+                }
+            }
+        }
+        (self.colliding.iter().filter(|&&c| c).count(), bytes)
+    }
+}
+
+/// The one pitch step `k < steps` with `natural + k·elem ≡ residue (mod
+/// n)`, if there is one. Solutions of the linear congruence
+/// `k·elem ≡ residue − natural` repeat every `n / gcd(elem, n)` steps,
+/// which is at least `steps = ⌈n/elem⌉`, so at most one lies in range.
+fn congruent_step(natural: u64, elem: u64, n: u64, residue: u64, steps: u64) -> Option<u64> {
+    let (elem, n128) = (elem as u128, n as u128);
+    let target = (residue as u128 + n128 - natural as u128 % n128) % n128;
+    let g = gcd(elem, n128);
+    if !target.is_multiple_of(g) {
+        return None;
+    }
+    let m = n128 / g;
+    let k = (target / g) % m * mod_inverse((elem / g) % m, m) % m;
+    u64::try_from(k).ok().filter(|&k| k < steps)
+}
+
+fn gcd(mut a: u128, mut b: u128) -> u128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Inverse of `a` modulo `m` (`a` and `m` coprime; 0 when `m` is 1).
+fn mod_inverse(a: u128, m: u128) -> u128 {
+    // Extended Euclid on signed values; `m` < 2^64, so they fit in i128.
+    let (mut r0, mut r1) = (m as i128, a as i128);
+    let (mut t0, mut t1) = (0i128, 1i128);
+    while r1 != 0 {
+        let q = r0 / r1;
+        (r0, r1) = (r1, r0 - q * r1);
+        (t0, t1) = (t1, t0 - q * t1);
+    }
+    t0.rem_euclid(m as i128) as u128
 }
 
 /// Optimises the layout of `kernel` for a direct-mapped (or limited-
@@ -170,11 +310,26 @@ fn collisions(ranges: &[ByteRange], n: u64) -> (usize, u64) {
 /// the best-effort layout with the fewest collisions is returned with
 /// `conflict_free = false`.
 ///
+/// Per array, row pitches `natural + k·elem` are tried in increasing `k`
+/// (only the congruent one when an earlier array fixed the residue of a
+/// shared `H`, else all `k < ⌈T/elem⌉`), and for each pitch the bases
+/// `cursor + k·elem` in increasing `k`. A candidate replaces the best so
+/// far only if it scores strictly fewer collisions, or ties with strictly
+/// less padding; the first collision-free candidate ends the scan. The
+/// scan stops after [`CANDIDATE_BUDGET`] candidates, which only happens
+/// when none is collision-free.
+///
 /// # Errors
 ///
-/// [`PlacementError::NoArrays`] for array-less kernels and
+/// [`PlacementError::NoArrays`] for array-less kernels,
 /// [`PlacementError::BadGeometry`] for non-positive or inconsistent cache
-/// geometry.
+/// geometry, and [`PlacementError::AddressOverflow`] when an array's pitch,
+/// a candidate address or the array's end does not fit in 64 bits.
+///
+/// # Panics
+///
+/// Panics as [`DataLayout::element_address`] does when a class leader's
+/// subscripts at the first iteration point lie outside its array.
 pub fn optimize_layout(
     kernel: &Kernel,
     cache_size: u64,
@@ -191,6 +346,15 @@ pub fn optimize_layout(
     // Writes participate: an allocated store occupies a line too.
     let classes = partition_classes(kernel, false);
     let ivs = first_iteration(kernel);
+    // Every class leader's position in its array (checked in class order,
+    // so an out-of-bounds leader panics before any search).
+    let positions: Vec<Option<(u64, u64)>> = classes
+        .iter()
+        .map(|c| leader_position(kernel, c.array, &leader_subscripts(kernel, c, &ivs)))
+        .collect();
+    let overflow = |a: usize| PlacementError::AddressOverflow {
+        array: kernel.arrays[a].name.clone(),
+    };
 
     // Scoring units. Classes of the same array with the same `H` share
     // data: the element a leading row-class fetches is reused by a trailing
@@ -217,6 +381,13 @@ pub fn optimize_layout(
     }
     let mut units: Vec<Unit> = Vec::new();
     {
+        // Span plus element width plus line slack, saturating: any
+        // footprint past the cache protects the whole ring anyway.
+        let footprint = |span: u64, elem: u64| {
+            span.saturating_mul(elem)
+                .saturating_add(elem - 1)
+                .saturating_add(line)
+        };
         let mut grouped: Vec<bool> = vec![false; classes.len()];
         for i in 0..classes.len() {
             if grouped[i] {
@@ -239,7 +410,7 @@ pub fn optimize_layout(
                 .map(|&j| *classes[j].linear_offsets.last().expect("non-empty class"))
                 .max()
                 .expect("non-empty group");
-            let window = (max_off - min_off).unsigned_abs() * elem + elem - 1 + line;
+            let window = footprint(max_off.abs_diff(min_off), elem);
             if window <= cache_size {
                 let leader_class = group
                     .iter()
@@ -256,14 +427,16 @@ pub fn optimize_layout(
                     units.push(Unit {
                         array: classes[j].array,
                         leader_class: j,
-                        footprint: classes[j].element_span().unsigned_abs() * elem + elem - 1
-                            + line,
+                        footprint: footprint(classes[j].element_span().unsigned_abs(), elem),
                     });
                 }
             }
         }
     }
-    let fits = units.iter().map(|u| u.footprint).sum::<u64>() <= cache_size;
+    let fits = units
+        .iter()
+        .try_fold(0u64, |sum, u| sum.checked_add(u.footprint))
+        .is_some_and(|sum| sum <= cache_size);
 
     // Unit indices per array.
     let per_array: Vec<Vec<usize>> = (0..kernel.arrays.len())
@@ -289,80 +462,97 @@ pub fn optimize_layout(
     // a shared pitch there would inflate the small array and wreck its
     // locality.
     let mut residue_by_h: Vec<(Vec<i64>, u64)> = Vec::new();
+    // Reused per candidate.
+    let mut new_ranges: Vec<ByteRange> = Vec::new();
 
     for (aidx, array) in kernel.arrays.iter().enumerate() {
         let elem = array.elem_size as u64;
-        let natural_pitch: u64 = array.dims[1..].iter().map(|&d| d as u64).product::<u64>() * elem;
+        let natural_pitch = array.dims[1..]
+            .iter()
+            .try_fold(elem, |p, &d| p.checked_mul(d as u64))
+            .or(array.dims[1..].contains(&0).then_some(0))
+            .ok_or_else(|| overflow(aidx))?;
         let multi_row = array.dims.len() > 1 && array.dims[0] > 1;
         let unit_ids = &per_array[aidx];
+        let unit_pos: Vec<(u64, u64)> = unit_ids
+            .iter()
+            .map(|&ui| positions[units[ui].leader_class].ok_or_else(|| overflow(aidx)))
+            .collect::<Result<_, _>>()?;
+        let steps = cache_size.div_ceil(elem);
 
-        // Residue this array must honour: the residue of any earlier-placed
-        // array sharing an `H` with one of this array's classes.
-        let required_residue: Option<u64> = unit_ids.iter().find_map(|&ui| {
-            let h = &classes[units[ui].leader_class].h;
-            residue_by_h.iter().find(|(rh, _)| rh == h).map(|(_, r)| *r)
-        });
-        let pitch_candidates: Vec<u64> = if multi_row {
-            (0..cache_size.div_ceil(elem))
-                .map(|k| natural_pitch + k * elem)
-                .filter(|&p| required_residue.is_none_or(|r| p % cache_size == r))
-                .collect()
+        // Pitches `natural_pitch + first_pad + j·elem`, `j < pitch_count`:
+        // every padding step for a free multi-row array, the one congruent
+        // step when an earlier array sharing an `H` fixed the residue (all
+        // steps again if no step is congruent: differing element sizes can
+        // cause this), and the natural pitch alone for a single row.
+        let (first_pad, pitch_count) = if multi_row {
+            let required_residue: Option<u64> = unit_ids.iter().find_map(|&ui| {
+                let h = &classes[units[ui].leader_class].h;
+                residue_by_h.iter().find(|(rh, _)| rh == h).map(|(_, r)| *r)
+            });
+            match required_residue
+                .and_then(|r| congruent_step(natural_pitch, elem, cache_size, r, steps))
+            {
+                Some(k) => (k.checked_mul(elem).ok_or_else(|| overflow(aidx))?, 1),
+                None => (0, steps),
+            }
         } else {
-            vec![natural_pitch.max(elem)]
+            (natural_pitch.max(elem) - natural_pitch, 1)
         };
-        // Fall back to unconstrained pitches if the residue filter emptied
-        // the candidate list (differing element sizes can cause this).
-        let pitch_candidates = if pitch_candidates.is_empty() {
-            (0..cache_size.div_ceil(elem))
-                .map(|k| natural_pitch + k * elem)
-                .collect()
-        } else {
-            pitch_candidates
+        // This array's protected ranges under placement `p`, onto `out`.
+        let push_ranges = |p: Placement, out: &mut Vec<ByteRange>| {
+            for (&ui, &(row, offset)) in unit_ids.iter().zip(&unit_pos) {
+                let addr = row
+                    .checked_mul(p.row_pitch)
+                    .and_then(|a| a.checked_add(offset))
+                    .and_then(|a| a.checked_add(p.base))
+                    .ok_or_else(|| overflow(aidx))?;
+                out.push(ByteRange {
+                    start: addr % cache_size,
+                    len: units[ui].footprint.min(cache_size),
+                });
+            }
+            Ok(())
         };
 
-        // (collision score, padding, placement, protected ranges)
-        type Candidate = ((usize, u64), u64, Placement, Vec<ByteRange>);
-        let mut best: Option<Candidate> = None;
-        'search: for &pitch in &pitch_candidates {
-            for k in 0..cache_size.div_ceil(elem) {
-                let base = base_cursor + k * elem;
-                let p = Placement {
-                    base,
-                    row_pitch: pitch,
-                };
-                let new_ranges: Vec<ByteRange> = unit_ids
-                    .iter()
-                    .map(|&ui| {
-                        let subs =
-                            leader_subscripts(kernel, &classes[units[ui].leader_class], &ivs);
-                        let addr = candidate_address(kernel, ArrayId(aidx), p, &subs);
-                        ByteRange {
-                            start: addr % cache_size,
-                            len: units[ui].footprint.min(cache_size),
-                        }
-                    })
-                    .collect();
-                let mut all: Vec<ByteRange> = fixed_ranges.clone();
-                all.extend(new_ranges.iter().copied());
-                let score = collisions(&all, cache_size);
-                let padding = (base - base_cursor) + (pitch - natural_pitch);
-                let better = match &best {
-                    None => true,
-                    Some((bs, bp, _, _)) => score < *bs || (score == *bs && padding < *bp),
-                };
-                if better {
-                    let zero = score == (0, 0);
-                    best = Some((score, padding, p, new_ranges));
-                    if zero {
+        // Candidate search, pitch-major, stopping at the first zero score.
+        let mut scorer = Scorer::new(&fixed_ranges, cache_size);
+        // (collision score, padding, placement)
+        let mut best: Option<((usize, u64), u64, Placement)> = None;
+        let mut scored = 0u64;
+        'search: for jp in 0..pitch_count {
+            let pitch_pad = jp
+                .checked_mul(elem)
+                .and_then(|pad| pad.checked_add(first_pad))
+                .ok_or_else(|| overflow(aidx))?;
+            let row_pitch = natural_pitch
+                .checked_add(pitch_pad)
+                .ok_or_else(|| overflow(aidx))?;
+            for kb in 0..steps {
+                if scored == CANDIDATE_BUDGET {
+                    break 'search;
+                }
+                scored += 1;
+                let base = kb
+                    .checked_mul(elem)
+                    .and_then(|pad| base_cursor.checked_add(pad))
+                    .ok_or_else(|| overflow(aidx))?;
+                let p = Placement { base, row_pitch };
+                new_ranges.clear();
+                push_ranges(p, &mut new_ranges)?;
+                let score = scorer.score(&new_ranges);
+                let padding = (base - base_cursor).saturating_add(pitch_pad);
+                if best.is_none_or(|(bs, bp, _)| score < bs || (score == bs && padding < bp)) {
+                    best = Some((score, padding, p));
+                    if score == (0, 0) {
                         break 'search;
                     }
                 }
             }
         }
 
-        let (_, _, placement, new_ranges) =
-            best.expect("search space is non-empty for every array");
-        fixed_ranges.extend(new_ranges);
+        let (_, _, placement) = best.expect("search space is non-empty for every array");
+        push_ranges(placement, &mut fixed_ranges)?;
         if multi_row {
             for &ui in unit_ids {
                 let h = &classes[units[ui].leader_class].h;
@@ -374,11 +564,15 @@ pub fn optimize_layout(
         // Advance the cursor past this array.
         let rows = array.dims[0] as u64;
         let end = if array.dims.len() == 1 {
-            placement.base + array.byte_size() as u64
+            rows.checked_mul(elem)
+                .and_then(|size| placement.base.checked_add(size))
         } else {
-            placement.base + (rows - 1) * placement.row_pitch + natural_pitch
+            rows.saturating_sub(1)
+                .checked_mul(placement.row_pitch)
+                .and_then(|span| span.checked_add(natural_pitch))
+                .and_then(|span| placement.base.checked_add(span))
         };
-        base_cursor = end;
+        base_cursor = end.ok_or_else(|| overflow(aidx))?;
         placements.push(placement);
     }
 
@@ -403,7 +597,7 @@ pub fn optimize_layout(
             len: u.footprint.min(cache_size),
         })
         .collect();
-    let (colliding_classes, _) = collisions(&final_ranges, cache_size);
+    let (colliding_classes, _) = Scorer::new(&[], cache_size).score(&final_ranges);
     let padding_bytes = layout.padding_overhead(kernel);
     Ok(PlacementReport {
         layout,
@@ -532,6 +726,111 @@ mod tests {
         let k = kernels::compress(31);
         let r = optimize_layout(&k, 16, 8).unwrap();
         assert!(!r.conflict_free);
+    }
+
+    #[test]
+    fn overflowing_pitch_is_a_typed_error() {
+        // 2^62 elements of 8 bytes: the natural row pitch is 2^65 bytes,
+        // which used to wrap to a pitch of 0.
+        let a = loopir::ArrayDecl::new("a", &[4, 1 << 62], 8);
+        let nest = loopir::LoopNest {
+            loops: vec![loopir::Loop::new(0, 3)],
+            refs: vec![loopir::ArrayRef::read(
+                ArrayId(0),
+                vec![loopir::AffineExpr::var(0), loopir::AffineExpr::constant(0)],
+            )],
+        };
+        let k = Kernel::new("huge", vec![a], nest);
+        assert_eq!(
+            optimize_layout(&k, 1024, 16),
+            Err(PlacementError::AddressOverflow { array: "a".into() })
+        );
+    }
+
+    #[test]
+    fn overflowing_array_end_is_a_typed_error() {
+        // 2^61 elements of 8 bytes end at 2^64, one past the last address.
+        let a = loopir::ArrayDecl::new("a", &[1 << 61], 8);
+        let b = loopir::ArrayDecl::new("b", &[2], 8);
+        let nest = loopir::LoopNest {
+            loops: vec![loopir::Loop::new(0, 1)],
+            refs: vec![
+                loopir::ArrayRef::read(ArrayId(0), vec![loopir::AffineExpr::var(0)]),
+                loopir::ArrayRef::read(ArrayId(1), vec![loopir::AffineExpr::var(0)]),
+            ],
+        };
+        let k = Kernel::new("long", vec![a, b], nest);
+        assert_eq!(
+            optimize_layout(&k, 1024, 16),
+            Err(PlacementError::AddressOverflow { array: "a".into() })
+        );
+    }
+
+    #[test]
+    fn congruent_step_matches_a_scan() {
+        for n in [1u64, 6, 8, 16, 24, 100, 1024] {
+            for elem in [1u64, 2, 3, 4, 6, 8, 12, 200] {
+                for natural in [0u64, 4, 7, 30, 128, 1000] {
+                    let steps = n.div_ceil(elem);
+                    for residue in 0..n {
+                        let scanned: Vec<u64> = (0..steps)
+                            .filter(|&k| (natural + k * elem) % n == residue)
+                            .collect();
+                        assert!(scanned.len() <= 1, "n {n} elem {elem}: {scanned:?}");
+                        assert_eq!(
+                            congruent_step(natural, elem, n, residue, steps),
+                            scanned.first().copied(),
+                            "n {n} elem {elem} natural {natural} residue {residue}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_scores_equal_scoring_all_pairs() {
+        // Naive reference: every pair of the concatenated ranges.
+        fn all_pairs(ranges: &[ByteRange], n: u64) -> (usize, u64) {
+            let mut colliding = vec![false; ranges.len()];
+            let mut bytes = 0;
+            for i in 0..ranges.len() {
+                for j in (i + 1)..ranges.len() {
+                    let ov = ranges[i].overlap_len(&ranges[j], n);
+                    if ov > 0 {
+                        colliding[i] = true;
+                        colliding[j] = true;
+                        bytes += ov;
+                    }
+                }
+            }
+            (colliding.iter().filter(|&&c| c).count(), bytes)
+        }
+        let n = 64;
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        for _ in 0..500 {
+            let mut ranges = |count: u64| -> Vec<ByteRange> {
+                (0..count)
+                    .map(|_| ByteRange {
+                        start: next(n),
+                        len: 1 + next(n + 8),
+                    })
+                    .collect()
+            };
+            let fixed = ranges(3);
+            let new = ranges(2);
+            let mut scorer = Scorer::new(&fixed, n);
+            // Scored twice: the scratch must not leak between candidates.
+            scorer.score(&new);
+            let all: Vec<ByteRange> = fixed.iter().chain(&new).copied().collect();
+            assert_eq!(scorer.score(&new), all_pairs(&all, n));
+        }
     }
 
     #[test]

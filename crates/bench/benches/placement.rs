@@ -1,5 +1,6 @@
 //! Cost of the off-chip assignment search across kernels and geometries,
-//! plus the static analyses it builds on.
+//! up to the expansive grid's 1 and 8 MiB caches (where the search must not
+//! grow with the cache), plus the static analyses it builds on.
 
 use analysis::classes::partition_classes;
 use analysis::min_cache::MinCacheReport;
@@ -26,7 +27,13 @@ fn bench_min_cache(c: &mut Criterion) {
 
 fn bench_placement_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/optimize_layout");
-    for (t, l) in [(64u64, 8u64), (512, 32), (1024, 64)] {
+    for (t, l) in [
+        (64u64, 8u64),
+        (512, 32),
+        (1024, 64),
+        (1 << 20, 64),
+        (8 << 20, 64),
+    ] {
         for kernel in [kernels::compress(31), kernels::matmul(31)] {
             group.bench_function(format!("{}/C{t}L{l}", kernel.name), |b| {
                 b.iter(|| {

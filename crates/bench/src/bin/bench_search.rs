@@ -20,6 +20,15 @@
 //!   4,096-event chunks, once on the bulk tiers and once under
 //!   `with_scalar_replay`. The run asserts the two banks' reports are
 //!   bit-identical and records design-events/s for each.
+//! * **Placement** — the layout phase's first layer on the big grid: per
+//!   shipped `examples/kernels/*.mx`, the total time of
+//!   `analysis::optimize_layout` over the grid's 144 `(T, L)` pairs
+//!   against the eager enumerator it replaced (the test-only oracle in
+//!   `crates/suite/tests/placement_oracle/`), asserting identical reports;
+//!   plus the hostile `Worst` kernel at 64 KiB, whose scan has no
+//!   collision-free candidate and stops at the candidate budget (the
+//!   oracle is not run there: it did not finish within a minute), and its
+//!   scaled-down copy at 4 KiB, which the oracle does finish.
 //!
 //! Regenerate with:
 //!
@@ -27,7 +36,11 @@
 //! cargo run --release -p bench --bin bench_search
 //! ```
 
-use loopir::{kernels, DataLayout};
+#[path = "../../../suite/tests/placement_oracle/mod.rs"]
+mod placement_oracle;
+
+use analysis::placement::{optimize_layout, PlacementError, PlacementReport};
+use loopir::{kernels, parse_kernel, DataLayout, Kernel};
 use memexplore::metrics::{read_trace, PLAN_CHUNK_EVENTS};
 use memexplore::{select, DesignSpace, Explorer, Objective, SearchOptions};
 use memsim::{CacheConfig, ReplayBank, TraceEvent, WritePolicy};
@@ -127,6 +140,123 @@ fn replay_rows(big_space: &DesignSpace) -> (String, usize, Vec<String>) {
         }
     }
     (kernel.name.clone(), trace.len(), rows)
+}
+
+/// Parses a kernel file (paths relative to the repository root).
+fn kernel_file(path: &std::path::Path) -> Kernel {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} (run from the repo root): {e}",
+            path.display()
+        )
+    });
+    parse_kernel(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Total best-of-`RUNS` seconds of placing `kernel` at every pair, and the
+/// reports.
+fn place_all(
+    kernel: &Kernel,
+    pairs: &[(u64, u64)],
+    place: fn(&Kernel, u64, u64) -> Result<PlacementReport, PlacementError>,
+) -> (f64, Vec<PlacementReport>) {
+    best_of(RUNS, || {
+        pairs
+            .iter()
+            .map(|&(t, l)| place(kernel, t, l).expect("placeable"))
+            .collect()
+    })
+}
+
+/// The placement rows: per shipped kernel, lazy budgeted search against
+/// the eager oracle over every `(T, L)` pair of the big grid, then the
+/// hostile kernels.
+fn placement_rows(big_space: &DesignSpace) -> (usize, Vec<String>, Vec<String>) {
+    let mut pairs = Vec::new();
+    for &t in &big_space.cache_sizes {
+        for &l in &big_space.line_sizes {
+            if l <= t && t / l >= big_space.min_lines {
+                pairs.push((t as u64, l as u64));
+            }
+        }
+    }
+    let mut paths: Vec<_> = std::fs::read_dir("examples/kernels")
+        .expect("examples/kernels exists (run from the repo root)")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mx"))
+        .collect();
+    paths.sort();
+    let mut rows = Vec::new();
+    for path in &paths {
+        let kernel = kernel_file(path);
+        let (secs, reports) = place_all(&kernel, &pairs, optimize_layout);
+        let (oracle_secs, oracle) = place_all(&kernel, &pairs, placement_oracle::optimize_layout);
+        assert!(
+            reports == oracle,
+            "{}: placement diverged from the eager oracle",
+            kernel.name
+        );
+        println!(
+            "place {:10} | {} pairs | lazy {:8.2} ms | eager oracle {:8.2} ms | {:6.1}x",
+            kernel.name,
+            pairs.len(),
+            secs * 1e3,
+            oracle_secs * 1e3,
+            oracle_secs / secs,
+        );
+        rows.push(format!(
+            concat!(
+                "      {{\"kernel\": \"{}\", \"pairs\": {}, \"secs\": {:.6}, ",
+                "\"oracle_secs\": {:.6}, \"speedup\": {:.1}, \"reports_identical\": true}}"
+            ),
+            kernel.name,
+            pairs.len(),
+            secs,
+            oracle_secs,
+            oracle_secs / secs,
+        ));
+    }
+    let mut hostile = Vec::new();
+    for (file, t, l, oracle) in [
+        ("worst.mx", 65536u64, 16u64, false),
+        ("worst_small.mx", 4096, 16, true),
+    ] {
+        let kernel = kernel_file(&std::path::Path::new("crates/suite/tests/kernels").join(file));
+        let (secs, report) = place_all(&kernel, &[(t, l)], optimize_layout);
+        assert!(
+            !report[0].conflict_free,
+            "{}: no layout is conflict-free",
+            kernel.name
+        );
+        let oracle_secs = oracle.then(|| {
+            let (secs, want) = place_all(&kernel, &[(t, l)], placement_oracle::optimize_layout);
+            assert!(
+                report == want,
+                "{}: placement diverged from the eager oracle",
+                kernel.name
+            );
+            secs
+        });
+        println!(
+            "place {:10} | T={t} L={l} | lazy {:8.2} ms | eager oracle {}",
+            kernel.name,
+            secs * 1e3,
+            oracle_secs.map_or("not run".to_string(), |s| format!("{:.2} ms", s * 1e3)),
+        );
+        hostile.push(format!(
+            concat!(
+                "      {{\"kernel\": \"{}\", \"cache\": {}, \"line\": {}, \"secs\": {:.6}, ",
+                "\"oracle_secs\": {}, \"conflict_free\": false, \"reports_identical\": {}}}"
+            ),
+            kernel.name,
+            t,
+            l,
+            secs,
+            oracle_secs.map_or("null".to_string(), |s| format!("{s:.6}")),
+            oracle_secs.map_or("null", |_| "true"),
+        ));
+    }
+    (pairs.len(), rows, hostile)
 }
 
 fn main() {
@@ -240,6 +370,7 @@ fn main() {
     );
 
     let (replay_kernel, replay_events, replay) = replay_rows(&big_space);
+    let (place_pairs, place_rows, hostile_rows) = placement_rows(&big_space);
 
     let json = format!(
         concat!(
@@ -272,6 +403,12 @@ fn main() {
             "    \"lanes_per_bank\": 12,\n",
             "    \"chunk_events\": {},\n",
             "    \"pairs\": [\n{}\n    ]\n",
+            "  }},\n",
+            "  \"placement\": {{\n",
+            "    \"pairs_per_kernel\": {},\n",
+            "    \"candidate_budget\": {},\n",
+            "    \"kernels\": [\n{}\n    ],\n",
+            "    \"hostile\": [\n{}\n    ]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -295,6 +432,10 @@ fn main() {
         replay_events,
         PLAN_CHUNK_EVENTS,
         replay.join(",\n"),
+        place_pairs,
+        analysis::placement::CANDIDATE_BUDGET,
+        place_rows.join(",\n"),
+        hostile_rows.join(",\n"),
     );
     std::fs::write("BENCH_search.json", &json).expect("can write BENCH_search.json");
     println!("wrote BENCH_search.json");

@@ -16,7 +16,7 @@
 use crate::explore::{try_steal_loop, SweepHists};
 use crate::metrics::{Evaluator, PlacementMode, PlanSource, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Obs, Span};
-use analysis::placement::{optimize_layout, PlacementReport};
+use analysis::placement::{optimize_layout, PlacementError, PlacementReport};
 use loopir::{DataLayout, Kernel};
 use memsim::{CacheConfig, ReplayBank, TraceEvent, TraceSource};
 use std::sync::OnceLock;
@@ -39,7 +39,9 @@ const SCORE_BANK_LINES: usize = 1 << 16;
 ///
 /// # Errors
 ///
-/// The message of the first worker panic.
+/// The message of the first worker panic, or else of the first pair (in
+/// pair order) whose placement failed, such as an array whose padded
+/// addresses overflow 64 bits.
 pub(crate) fn arbitrate_layouts(
     evaluator: &Evaluator,
     kernel: &Kernel,
@@ -52,17 +54,14 @@ pub(crate) fn arbitrate_layouts(
     let _span = Span::begin(obs, "layout");
 
     // Placement, one unit per pair.
-    let slots: Vec<OnceLock<Option<PlacementReport>>> =
+    let slots: Vec<OnceLock<Result<Option<PlacementReport>, PlacementError>>> =
         pairs.iter().map(|_| OnceLock::new()).collect();
     try_steal_loop(workers, pairs.len(), |w, i| {
         let (t, l) = pairs[i];
         let start = Instant::now();
         let _ = slots[i].set(match evaluator.placement {
-            PlacementMode::Optimized => Some(
-                optimize_layout(kernel, t as u64, l as u64)
-                    .expect("kernels have arrays and geometry is validated"),
-            ),
-            PlacementMode::Natural => None,
+            PlacementMode::Optimized => optimize_layout(kernel, t as u64, l as u64).map(Some),
+            PlacementMode::Natural => Ok(None),
         });
         let dur = start.elapsed();
         if let Some(h) = hists {
@@ -83,8 +82,13 @@ pub(crate) fn arbitrate_layouts(
     })?;
     let placed: Vec<Option<PlacementReport>> = slots
         .into_iter()
-        .map(|s| s.into_inner().expect("placement filled every slot"))
-        .collect();
+        .zip(pairs)
+        .map(|(s, (t, l))| {
+            s.into_inner()
+                .expect("placement filled every slot")
+                .map_err(|e| format!("placement at cache {t} B, line {l} B: {e}"))
+        })
+        .collect::<Result<_, _>>()?;
 
     // Candidates: the natural layout first, then each distinct optimized
     // layout. A pair whose optimized layout *is* the natural one has
@@ -279,6 +283,36 @@ mod tests {
                     assert_eq!(conflict_free, cf, "{} at ({t}, {l})", kernel.name);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn placement_overflow_is_an_error_not_a_panic() {
+        // 2^62 elements of 8 bytes: the natural row pitch overflows u64.
+        let a = loopir::ArrayDecl::new("a", &[4, 1 << 62], 8);
+        let nest = loopir::LoopNest {
+            loops: vec![loopir::Loop::new(0, 3)],
+            refs: vec![loopir::ArrayRef::read(
+                loopir::ArrayId(0),
+                vec![loopir::AffineExpr::var(0), loopir::AffineExpr::constant(0)],
+            )],
+        };
+        let kernel = Kernel::new("huge", vec![a], nest);
+        for workers in [1, 2] {
+            let err = arbitrate_layouts(
+                &Evaluator::default(),
+                &kernel,
+                &[(64, 8), (128, 8)],
+                workers,
+                None,
+                None,
+                &mut Vec::new(),
+            )
+            .expect_err("the pitch overflows");
+            assert_eq!(
+                err,
+                "placement at cache 64 B, line 8 B: addresses of array `a` overflow 64 bits"
+            );
         }
     }
 }

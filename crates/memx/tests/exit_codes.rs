@@ -164,6 +164,28 @@ fn runtime_failures_are_exit_one() {
 }
 
 #[test]
+fn placement_overflow_is_one_error_line_not_a_wrapped_layout() {
+    let scratch = Scratch::new("place-overflow");
+    // 2^62 elements of 8 bytes: the natural row pitch is 2^65 bytes.
+    let huge = scratch.path("huge.mx");
+    std::fs::write(
+        &huge,
+        "kernel Huge\narray a[4][4611686018427387904] elem 8\nfor i = 0 .. 3\n  read a[i][0]\n",
+    )
+    .expect("tempdir writable");
+    let path = huge.to_str().expect("utf8 path");
+    let out = memx(&["place", path, "--cache", "1024", "--line", "16"]);
+    assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
+    assert_one_line_error(&out);
+    assert!(
+        stderr(&out).contains("overflow"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert!(out.stdout.is_empty(), "no layout is printed");
+}
+
+#[test]
 fn bad_geometry_is_exit_two_everywhere() {
     let scratch = Scratch::new("geometry");
     let kernel = scratch.kernel();

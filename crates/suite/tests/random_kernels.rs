@@ -1,5 +1,7 @@
 //! Property-based tests over randomly generated affine kernels.
 
+mod placement_oracle;
+
 use analysis::placement::optimize_layout;
 use loopir::transform::{tile, tile_all};
 use loopir::{
@@ -415,4 +417,67 @@ fn lazy_out_of_bounds_trace_yields_the_oracle_prefix_then_the_same_panic() {
         let _ = TraceGen::new(&kernel, &layout).nth(prefix.len());
     });
     assert_eq!(gen_panic.as_deref(), Some(oracle_panic.as_str()));
+}
+
+/// The `(T, L)` pairs of the expansive grid, in sweep order.
+fn expansive_pairs() -> Vec<(u64, u64)> {
+    let space = memexplore::DesignSpace::expansive();
+    let mut pairs = Vec::new();
+    for &t in &space.cache_sizes {
+        for &l in &space.line_sizes {
+            if l <= t && t / l >= space.min_lines {
+                pairs.push((t as u64, l as u64));
+            }
+        }
+    }
+    pairs
+}
+
+/// `optimize_layout` and the eager oracle agree: the same report, or
+/// both reject the kernel (a class leader outside its array panics).
+fn assert_placement_matches_the_oracle(kernel: &Kernel, t: u64, l: u64) {
+    let got = std::panic::catch_unwind(|| optimize_layout(kernel, t, l));
+    let want = std::panic::catch_unwind(|| placement_oracle::optimize_layout(kernel, t, l));
+    match (got, want) {
+        (Ok(got), Ok(want)) => assert_eq!(got, want, "kernel {kernel} at T={t} L={l}"),
+        (Err(_), Err(_)) => {}
+        (got, want) => panic!(
+            "kernel {kernel} at T={t} L={l}: one side panicked: {:?} vs {:?}",
+            got.is_ok(),
+            want.is_ok()
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Affine kernels can pin two classes of one array at a fixed, too
+    /// short distance, so no candidate is collision-free and both searches
+    /// scan every (pitch, base) pair: at most `(T/4)²` = 65,536 candidates
+    /// up to 1 KiB, which the budget covers (and a debug run can afford).
+    #[test]
+    fn affine_kernel_placement_matches_the_eager_oracle(
+        kernel in arb_affine_kernel(),
+        pair in 0usize..144,
+    ) {
+        let pairs: Vec<(u64, u64)> =
+            expansive_pairs().into_iter().filter(|&(t, _)| t <= 1024).collect();
+        let (t, l) = pairs[pair % pairs.len()];
+        assert_placement_matches_the_oracle(&kernel, t, l);
+    }
+
+    /// The stencil kernels' classes share one `H` per array. Up to 4 KiB
+    /// every scan fits the budget (`(T/4)²` ≤ 2^20 candidates); above it
+    /// the windows (at most 12 × 12 × 4 bytes per array) fit the cache
+    /// with room to spare, so a collision-free candidate ends the scan
+    /// early. Any expansive pair up to 8 MiB, sampled.
+    #[test]
+    fn stencil_kernel_placement_matches_the_eager_oracle(
+        kernel in arb_kernel(),
+        pair in 0usize..144,
+    ) {
+        let (t, l) = expansive_pairs()[pair];
+        assert_placement_matches_the_oracle(&kernel, t, l);
+    }
 }

@@ -329,3 +329,22 @@ fn analysis_seed_placement_report_is_internally_consistent() {
         assert!(report.conflict_free, "T={t} L={l}");
     }
 }
+
+/// `tests/kernels/worst.mx`: two ~40 KB reuse windows that cannot share a
+/// 64 KiB cache, so no candidate layout is collision-free and the scan
+/// over every (pitch, base) pair (2^28 candidates per array) used to run
+/// for minutes. The candidate budget bounds it; the best-effort layout
+/// must still be a valid, non-overlapping one.
+#[test]
+fn hostile_geometry_placement_is_bounded_and_valid() {
+    let path = format!("{}/tests/kernels/worst.mx", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).expect("worst.mx is readable");
+    let kernel = loopir::parse_kernel(&text).expect("worst.mx parses");
+    let report = optimize_layout(&kernel, 65536, 16).expect("placeable");
+    assert!(!report.conflict_free, "{report:?}");
+    assert!(report.colliding_classes > 0, "{report:?}");
+    assert!(
+        report.layout.check_no_overlap(&kernel).is_ok(),
+        "{report:?}"
+    );
+}

@@ -7,6 +7,12 @@
 //!   run the exhaustive sweep + min-select and the gap-0 search, assert
 //!   the incumbents are bit-identical, and record timings and prune
 //!   counts.
+//! * **Expansive search** — per shipped `examples/kernels/*.mx`, the
+//!   exact (gap 0) energy search over `DesignSpace::expansive()` on one
+//!   worker: leaves simulated and pruned, the Belady-MIN floor work
+//!   (trace keys, lines, milliseconds) and the total time. Next to it,
+//!   MatMult's paper-grid cycles search against the paper-grid sweep,
+//!   both on one worker, asserting the same minimum.
 //! * **Big grid** — on `DesignSpace::expansive()` (over a million
 //!   candidates, including the replacement/write-policy axes) run the
 //!   search alone at a 1% gap target. The exhaustive baseline is
@@ -142,6 +148,112 @@ fn replay_rows(big_space: &DesignSpace) -> (String, usize, Vec<String>) {
     (kernel.name.clone(), trace.len(), rows)
 }
 
+/// The shipped example kernels, in path order (run from the repo root).
+fn example_kernels() -> Vec<Kernel> {
+    let mut paths: Vec<_> = std::fs::read_dir("examples/kernels")
+        .expect("examples/kernels exists (run from the repo root)")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "mx"))
+        .collect();
+    paths.sort();
+    paths.iter().map(|p| kernel_file(p)).collect()
+}
+
+/// The expansive-search rows: per example kernel, the exact energy
+/// search on one worker, best of `RUNS`.
+fn expansive_rows(big_space: &DesignSpace) -> Vec<String> {
+    let explorer = Explorer::default().with_workers(1);
+    let mut rows = Vec::new();
+    for kernel in example_kernels() {
+        let (secs, out) = best_of(RUNS, || {
+            explorer.search(&kernel, big_space, &SearchOptions::default())
+        });
+        assert!(
+            out.complete && out.gap() == 0.0,
+            "{}: expansive search not certified",
+            kernel.name
+        );
+        let t = &out.telemetry;
+        let best = out.incumbent.as_ref().expect("complete => incumbent");
+        println!(
+            "expansive {:10} | simulated {:5} pruned {:5} | floors {:3} keys {:9} lines {:7.1} ms | total {:.3} s | {}",
+            kernel.name,
+            t.designs_evaluated,
+            t.designs_pruned,
+            t.floor_units,
+            t.floor_lines,
+            t.floor_time.as_secs_f64() * 1e3,
+            secs,
+            best.design,
+        );
+        rows.push(format!(
+            concat!(
+                "      {{\"kernel\": \"{}\", \"incumbent\": \"{}\", ",
+                "\"designs_simulated\": {}, \"designs_pruned\": {}, ",
+                "\"floor_units\": {}, \"floor_capacities\": {}, \"floor_lines\": {}, ",
+                "\"floor_ms\": {:.3}, \"simulate_ms\": {:.3}, \"total_secs\": {:.6}}}"
+            ),
+            kernel.name,
+            best.design,
+            t.designs_evaluated,
+            t.designs_pruned,
+            t.floor_units,
+            t.floor_capacities,
+            t.floor_lines,
+            t.floor_time.as_secs_f64() * 1e3,
+            t.simulate_time.as_secs_f64() * 1e3,
+            secs,
+        ));
+    }
+    rows
+}
+
+/// MatMult's paper-grid cycles search against the paper-grid sweep plus
+/// `select::min_cycles`, both on one worker, best of `RUNS`.
+fn matmul_cycles_row(space: &DesignSpace) -> String {
+    let explorer = Explorer::default().with_workers(1);
+    let kernel = kernels::matmul(31);
+    let (sweep_secs, best) = best_of(RUNS, || {
+        let records = explorer.explore(&kernel, space);
+        select::min_cycles(&records)
+            .cloned()
+            .expect("non-empty grid")
+    });
+    let options = SearchOptions {
+        objective: Objective::Cycles,
+        ..Default::default()
+    };
+    let (search_secs, out) = best_of(RUNS, || explorer.search(&kernel, space, &options));
+    assert_eq!(
+        out.incumbent.as_ref(),
+        Some(&best),
+        "MatMult cycles: search diverged from the sweep minimum"
+    );
+    let t = &out.telemetry;
+    println!(
+        "paper MatMult cycles (1 worker) | simulated {} pruned {} | floors {:.1} ms | search {:.3} s | sweep {:.3} s",
+        t.designs_evaluated,
+        t.designs_pruned,
+        t.floor_time.as_secs_f64() * 1e3,
+        search_secs,
+        sweep_secs,
+    );
+    format!(
+        concat!(
+            "{{\"kernel\": \"{}\", \"workers\": 1, \"designs\": {}, ",
+            "\"designs_simulated\": {}, \"designs_pruned\": {}, \"floor_ms\": {:.3}, ",
+            "\"search_secs\": {:.6}, \"sweep_secs\": {:.6}, \"incumbent_identical\": true}}"
+        ),
+        kernel.name,
+        space.design_count(),
+        t.designs_evaluated,
+        t.designs_pruned,
+        t.floor_time.as_secs_f64() * 1e3,
+        search_secs,
+        sweep_secs,
+    )
+}
+
 /// Parses a kernel file (paths relative to the repository root).
 fn kernel_file(path: &std::path::Path) -> Kernel {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -180,15 +292,8 @@ fn placement_rows(big_space: &DesignSpace) -> (usize, Vec<String>, Vec<String>) 
             }
         }
     }
-    let mut paths: Vec<_> = std::fs::read_dir("examples/kernels")
-        .expect("examples/kernels exists (run from the repo root)")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "mx"))
-        .collect();
-    paths.sort();
     let mut rows = Vec::new();
-    for path in &paths {
-        let kernel = kernel_file(path);
+    for kernel in example_kernels() {
         let (secs, reports) = place_all(&kernel, &pairs, optimize_layout);
         let (oracle_secs, oracle) = place_all(&kernel, &pairs, placement_oracle::optimize_layout);
         assert!(
@@ -369,6 +474,8 @@ fn main() {
         big_speedup,
     );
 
+    let expansive = expansive_rows(&big_space);
+    let matmul_cycles = matmul_cycles_row(&space);
     let (replay_kernel, replay_events, replay) = replay_rows(&big_space);
     let (place_pairs, place_rows, hostile_rows) = placement_rows(&big_space);
 
@@ -380,6 +487,13 @@ fn main() {
             "  \"paper_grid\": {{\n",
             "    \"designs\": {},\n",
             "    \"kernels\": [\n{}\n    ]\n",
+            "  }},\n",
+            "  \"expansive\": {{\n",
+            "    \"designs\": {},\n",
+            "    \"objective\": \"energy\",\n",
+            "    \"workers\": 1,\n",
+            "    \"kernels\": [\n{}\n    ],\n",
+            "    \"paper_matmul_cycles\": {}\n",
             "  }},\n",
             "  \"big_grid\": {{\n",
             "    \"kernel\": \"{}\",\n",
@@ -415,6 +529,9 @@ fn main() {
         RUNS,
         designs,
         rows.join(",\n"),
+        big_designs,
+        expansive.join(",\n"),
+        matmul_cycles,
         kernel.name,
         big_designs,
         BIG_GAP,

@@ -13,7 +13,7 @@
 //! once (the natural layout is one candidate for every pair) and streamed
 //! through direct-mapped [`ReplayBank`]s over all the pairs that need it.
 
-use crate::explore::{try_steal_loop, SweepHists};
+use crate::explore::{try_steal_loop, ExploreError, SweepHists};
 use crate::metrics::{Evaluator, PlacementMode, PlanSource, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Obs, Span};
 use analysis::placement::{optimize_layout, PlacementError, PlacementReport};
@@ -39,9 +39,10 @@ const SCORE_BANK_LINES: usize = 1 << 16;
 ///
 /// # Errors
 ///
-/// The message of the first worker panic, or else of the first pair (in
-/// pair order) whose placement failed, such as an array whose padded
-/// addresses overflow 64 bits.
+/// [`ExploreError::WorkerPanic`] (phase `layout`) with the message of the
+/// first worker panic, or else [`ExploreError::Placement`] naming the
+/// first pair (in pair order) whose placement failed, such as an array
+/// whose padded addresses overflow 64 bits.
 pub(crate) fn arbitrate_layouts(
     evaluator: &Evaluator,
     kernel: &Kernel,
@@ -50,7 +51,11 @@ pub(crate) fn arbitrate_layouts(
     obs: Option<&Obs>,
     hists: Option<&SweepHists>,
     unique: &mut Vec<DataLayout>,
-) -> Result<Vec<(usize, bool)>, String> {
+) -> Result<Vec<(usize, bool)>, ExploreError> {
+    let panicked = |message| ExploreError::WorkerPanic {
+        phase: "layout",
+        message,
+    };
     let _span = Span::begin(obs, "layout");
 
     // Placement, one unit per pair.
@@ -79,14 +84,17 @@ pub(crate) fn arbitrate_layouts(
                 ],
             );
         }
-    })?;
+    })
+    .map_err(panicked)?;
     let placed: Vec<Option<PlacementReport>> = slots
         .into_iter()
         .zip(pairs)
         .map(|(s, (t, l))| {
             s.into_inner()
                 .expect("placement filled every slot")
-                .map_err(|e| format!("placement at cache {t} B, line {l} B: {e}"))
+                .map_err(|e| {
+                    ExploreError::Placement(format!("placement at cache {t} B, line {l} B: {e}"))
+                })
         })
         .collect::<Result<_, _>>()?;
 
@@ -195,7 +203,8 @@ pub(crate) fn arbitrate_layouts(
             }
         }
         let _ = candidate_misses[c].set(misses);
-    })?;
+    })
+    .map_err(panicked)?;
 
     let mut misses = vec![[0u64; 2]; pairs.len()];
     for (c, slot) in candidate_misses.into_iter().enumerate() {
@@ -309,8 +318,9 @@ mod tests {
                 &mut Vec::new(),
             )
             .expect_err("the pitch overflows");
+            assert!(matches!(err, ExploreError::Placement(_)), "{err:?}");
             assert_eq!(
-                err,
+                err.to_string(),
                 "placement at cache 64 B, line 8 B: addresses of array `a` overflow 64 bits"
             );
         }

@@ -234,6 +234,10 @@ pub enum ExploreError {
     },
     /// Loading or validating a sweep checkpoint failed.
     Checkpoint(CheckpointError),
+    /// A `(T, L)` pair's off-chip placement failed, such as an array
+    /// whose padded addresses overflow 64 bits. The message names the
+    /// pair.
+    Placement(String),
 }
 
 impl fmt::Display for ExploreError {
@@ -243,6 +247,7 @@ impl fmt::Display for ExploreError {
                 write!(f, "sweep worker panicked during {phase} phase: {message}")
             }
             ExploreError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            ExploreError::Placement(message) => write!(f, "{message}"),
         }
     }
 }
@@ -251,7 +256,7 @@ impl Error for ExploreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ExploreError::Checkpoint(e) => Some(e),
-            ExploreError::WorkerPanic { .. } => None,
+            ExploreError::WorkerPanic { .. } | ExploreError::Placement(_) => None,
         }
     }
 }
@@ -611,7 +616,8 @@ impl Explorer {
     /// Runs the layout phase over `designs` and groups them by trace key.
     /// A worker panic here is a whole-phase failure (layouts are inputs
     /// to *every* design), so it propagates as
-    /// [`ExploreError::WorkerPanic`] rather than being isolated per unit.
+    /// [`ExploreError::WorkerPanic`] rather than being isolated per unit;
+    /// a failed placement is [`ExploreError::Placement`].
     pub(crate) fn prepare(
         &self,
         kernel: &Kernel,
@@ -638,11 +644,7 @@ impl Explorer {
             self.obs.as_deref(),
             Some(hists),
             &mut layouts,
-        )
-        .map_err(|message| ExploreError::WorkerPanic {
-            phase: "layout",
-            message,
-        })?;
+        )?;
         let (layout_id, conflict_free): (Vec<usize>, Vec<bool>) = arbitrated.into_iter().unzip();
         let layout_time = phase_start.elapsed();
 

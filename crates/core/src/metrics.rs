@@ -211,7 +211,7 @@ impl Evaluator {
             None,
             &mut unique,
         )
-        .unwrap_or_else(|message| panic!("{message}"));
+        .unwrap_or_else(|e| panic!("{e}"));
         let (_, conflict_free) = arbitrated[0];
         let layout = unique.pop().expect("one pair yields one layout");
         (layout, conflict_free)

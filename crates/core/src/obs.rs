@@ -1173,6 +1173,14 @@ pub struct RunReport {
     pub records_resumed: u64,
     /// Designs skipped by the pruner.
     pub pruned: u64,
+    /// Belady-MIN floor units of a certified search (`floor` events).
+    pub floor_units: u64,
+    /// `(line size, capacity)` floors those units resolved.
+    pub floor_capacities: u64,
+    /// Line accesses those units materialized.
+    pub floor_lines: u64,
+    /// Summed duration of those units.
+    pub floor_time: Duration,
     /// Designs quarantined by the supervisor.
     pub quarantined: u64,
     /// Per-design fallback retries after a fused bank panic.
@@ -1264,6 +1272,12 @@ impl RunReport {
                         }
                         "place" => layout.record(dur),
                         "score" => score.record(dur),
+                        "floor" => {
+                            report.floor_units += 1;
+                            report.floor_capacities += event.u64_field("capacities").unwrap_or(0);
+                            report.floor_lines += event.u64_field("lines").unwrap_or(0);
+                            report.floor_time += dur;
+                        }
                         "flush" => {
                             flush.record(dur);
                             if event.u64_field("ok") == Some(1) {
@@ -1381,6 +1395,16 @@ impl fmt::Display for RunReport {
                 f,
                 "  {:<10}: {} unit(s) inside other spans, {} scalar lane-events",
                 "simulate", units, self.scalar_lane_events
+            )?;
+        }
+        if self.floor_units > 0 {
+            writeln!(
+                f,
+                "floors: {} trace keys, {} capacities, {} lines in {}",
+                self.floor_units,
+                self.floor_capacities,
+                self.floor_lines,
+                fmt_dur(self.floor_time)
             )?;
         }
         if !self.worker_busy.is_empty() {

@@ -69,7 +69,7 @@
 //! both stay bit-identical to the per-design engine.
 
 use crate::arbitrate::arbitrate_layouts;
-use crate::explore::{group_units, DesignSpace, Explorer};
+use crate::explore::{group_units, DesignSpace, ExploreError, Explorer};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
 use crate::select::pareto3;
@@ -147,18 +147,36 @@ impl Explorer {
     /// The exhaustive reference: sweep the whole space, then extract the
     /// three-objective frontier with [`pareto3`]. Telemetry reports the
     /// full sweep plus `frontier_size`.
+    ///
+    /// # Panics
+    ///
+    /// Where [`try_pareto_exhaustive`](Self::try_pareto_exhaustive)
+    /// returns an error.
     pub fn pareto_exhaustive(
         &self,
         kernel: &Kernel,
         space: &DesignSpace,
     ) -> (Vec<Record>, SweepTelemetry) {
-        let (records, mut telemetry) = self.explore_with_telemetry(kernel, space);
+        self.try_pareto_exhaustive(kernel, space)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`pareto_exhaustive`](Self::pareto_exhaustive), with a failed
+    /// sweep as a typed error (see
+    /// [`try_explore_designs_with_telemetry`](Self::try_explore_designs_with_telemetry)).
+    pub fn try_pareto_exhaustive(
+        &self,
+        kernel: &Kernel,
+        space: &DesignSpace,
+    ) -> Result<(Vec<Record>, SweepTelemetry), ExploreError> {
+        let (records, mut telemetry) =
+            self.try_explore_designs_with_telemetry(kernel, &space.designs())?;
         let select_start = Instant::now();
         let frontier = pareto3(&records);
         telemetry.select_time += select_start.elapsed();
         telemetry.frontier_size = frontier.len();
         telemetry.total_time += select_start.elapsed();
-        (frontier, telemetry)
+        Ok((frontier, telemetry))
     }
 
     /// The pruned engine: branch-and-bound over the sweep with admissible
@@ -166,11 +184,28 @@ impl Explorer {
     /// [`pareto_exhaustive`](Self::pareto_exhaustive) (see the module
     /// docs for the argument), usually after simulating a fraction of the
     /// space; `telemetry.designs_pruned` counts the skipped designs.
+    ///
+    /// # Panics
+    ///
+    /// Where [`try_pareto_pruned`](Self::try_pareto_pruned) returns an
+    /// error.
     pub fn pareto_pruned(
         &self,
         kernel: &Kernel,
         space: &DesignSpace,
     ) -> (Vec<Record>, SweepTelemetry) {
+        self.try_pareto_pruned(kernel, space)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`pareto_pruned`](Self::pareto_pruned), with a failed run as a
+    /// typed error: [`ExploreError::Placement`] when a pair's placement
+    /// fails, [`ExploreError::WorkerPanic`] when a worker panics.
+    pub fn try_pareto_pruned(
+        &self,
+        kernel: &Kernel,
+        space: &DesignSpace,
+    ) -> Result<(Vec<Record>, SweepTelemetry), ExploreError> {
         let designs = space.designs();
         let workers = self.worker_count(designs.len());
         let options = SweepOptions::default();
@@ -223,8 +258,7 @@ impl Explorer {
                 self.obs.as_deref(),
                 Some(&sweep.hists),
                 &mut unique_layouts,
-            )
-            .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
+            )?;
             for (pair, id) in new_pairs.iter().zip(arbitrated) {
                 pair_layout.insert(*pair, id);
             }
@@ -340,15 +374,17 @@ impl Explorer {
                 prep.traces_generated += plans.len();
                 prep.trace_time += phase_start.elapsed();
                 let phase_start = Instant::now();
-                let (known, materialized) = self
-                    .classify(kernel, workers, &designs, conflict_free, &groups, &plans)
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let (known, materialized) =
+                    self.classify(kernel, workers, &designs, conflict_free, &groups, &plans)?;
                 prep.trace_events_generated += materialized;
                 prep.classify_time += phase_start.elapsed();
                 let units = group_units(&groups, known, &plans);
-                sweep
-                    .run(&self.units(units), conflict_free)
-                    .unwrap_or_else(|e| panic!("sweep worker panicked: {e}"));
+                sweep.run(&self.units(units), conflict_free).map_err(|e| {
+                    ExploreError::WorkerPanic {
+                        phase: "simulate",
+                        message: e.to_string(),
+                    }
+                })?;
                 evaluated.extend(survivors.iter().filter_map(|&i| sweep.record(i).cloned()));
             }
         }
@@ -358,8 +394,11 @@ impl Explorer {
             mut telemetry,
             ..
         } = sweep.finish();
-        if let Some(e) = errors.first() {
-            panic!("sweep worker panicked: {}", e.message);
+        if let Some(e) = errors.into_iter().next() {
+            return Err(ExploreError::WorkerPanic {
+                phase: "simulate",
+                message: e.message,
+            });
         }
         let phase_start = Instant::now();
         let select_span = Span::begin(self.obs.as_deref(), "select");
@@ -376,7 +415,7 @@ impl Explorer {
         telemetry.bound_time = prep.bound_time;
         telemetry.designs_pruned = prep.designs_pruned;
         telemetry.frontier_size = frontier.len();
-        (frontier, telemetry)
+        Ok((frontier, telemetry))
     }
 
     /// Whether an evaluated record provably strictly dominates the true

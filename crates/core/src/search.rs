@@ -31,6 +31,22 @@
 //!   pair's minimum valid associativity and tiling — every cycle term is
 //!   non-decreasing in both, and the energy terms do not depend on them.
 //!
+//! The compulsory floor is loose: it ignores capacity. So a leaf's bound
+//! is tightened, before any of its trace key's leaves is simulated, with
+//! the **MIN floor** of that key's own line stream. Belady's MIN with
+//! `C = T/L` lines ([`memsim::NextUse`]) misses no more often than any
+//! demand-fetch cache of `C` lines: a set-associative LRU, FIFO or PLRU
+//! cache at any associativity is one such policy, and kernel traces are
+//! reads only, so the write policy never enters. A leaf is then bounded at
+//! `misses = max(m, OPT(C))`, `hits = n − misses`. That raises both
+//! bounds only while both models grow with the miss count —
+//! `E_miss ≥ E_hit` and `cycles_per_miss(L) + B ≥ cycles_per_hit(S)`,
+//! checked per leaf; where either fails, the leaf keeps the compulsory
+//! floor. The floor must come from the key's own `(layout, B)` stream:
+//! tiling reorders the trace, and OPT of the untiled order can exceed a
+//! tiled design's true misses. Group nodes span tilings, so they keep the
+//! compulsory floor.
+//!
 //! # Certification
 //!
 //! Candidates are totally ordered by the *selection key* — exactly the
@@ -70,17 +86,40 @@
 //! and counts exactly as it would without batching, so the incumbent and
 //! its certificate do not change. Records a batch computed but no pop
 //! consumed are counted in `SweepTelemetry::designs_speculative`.
+//!
+//! Leaves enter the heap under the compulsory floor, unless their key's
+//! MIN floor at their `(L, C)` is already known. The first pop of such a
+//! leaf **re-keys** it: when the key's floors lack its `(L, C)`, the key's
+//! plan is walked once per missing line size into a line stream, linked
+//! by next use, and MIN runs once per capacity that the key's open leaves
+//! need. The popped leaf is pruned if its new key loses to the incumbent
+//! and pushed back otherwise, so only floored keys reach a batch. The
+//! batch index keeps no keys: a batch first computes its key's missing
+//! floors, then recomputes each open leaf's floored key and scans only
+//! the leaves that still beat the incumbent. A tiling at least every
+//! loop's trip count traces the untiled nest, so its leaves share the
+//! untiled key's batches and floors. The new keys are still bound keys,
+//! so the certificate argument above is unchanged: only the pop order and
+//! the simulated and pruned counts move. Each floor computation is one
+//! `floor` obs unit (`SweepTelemetry::floor_units`).
+//!
+//! A stream is materialized only when its line-access count `n` (known
+//! exactly from the bound inputs) is at most `FLOOR_LINE_CAP` (2^20);
+//! above it the key's leaves keep the compulsory floor. MIN allocates
+//! O(n) and nothing sized by the address span.
 
 use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
-use crate::explore::{DesignSpace, Explorer, SweepHists};
+use crate::explore::{DesignSpace, ExploreError, Explorer, SweepHists};
 use crate::metrics::{collect_reads, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Span};
 use crate::pareto::{layout_bounds, BoundInputs};
 use crate::sweep::stream_into;
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
-use loopir::{DataLayout, Kernel, TraceGen};
+use loopir::{AccessKind, DataLayout, Kernel, TraceGen};
+use memsim::opt::push_lines;
+use memsim::{NextUse, TraceEvent};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
@@ -392,13 +431,38 @@ enum NodeKind {
     Leaf(usize),
 }
 
-/// A bounded leaf from a group expansion, waiting in the heap and, under
-/// its trace key, in [`LeafBatches::open`]. Leaves are the bulk of a
-/// search's memory, so they carry no design: the pair and the key's
-/// sweep index name it.
+/// A leaf from a group expansion, waiting in the heap and, under its
+/// trace key, in [`LeafBatches::open`]. Leaves are the bulk of a search's
+/// memory, so the index entry carries neither design nor key: the pair
+/// and the sweep index name the design, and its bound key is recomputed
+/// from the floors known at the time ([`LeafBatches::bound_key`]).
 struct OpenLeaf {
-    key: Key,
     pair: usize,
+    index: usize,
+}
+
+/// Most line accesses a trace key's stream may have for its MIN floor to
+/// be computed. Above it the key's leaves keep the compulsory floor, and
+/// no stream is materialized. At the cap a floor unit holds at most 8 MiB
+/// of line numbers, 4 MiB of next-use links, a hash table of at most
+/// 16 MiB (4 bytes a slot, at least half empty) and a 128 KiB bitset.
+const FLOOR_LINE_CAP: u64 = 1 << 20;
+
+/// A MIN floor's identity: trace key `(layout id, tiling)`, line size and
+/// capacity in lines.
+type FloorKey = (usize, u64, usize, usize);
+
+/// The miss count a leaf bound may assume, given the compulsory count and
+/// the MIN floor `opt`. Raising the miss count raises a bound only while
+/// both models grow with misses (`E_miss ≥ E_hit`, and
+/// `cycles_per_miss(L) + B ≥ cycles_per_hit(S)`); otherwise the leaf
+/// keeps the compulsory floor. `opt` is 0 for a stream over the cap.
+fn admissible_misses(compulsory: u64, opt: u64, energy_grows: bool, cycles_grow: bool) -> u64 {
+    if energy_grows && cycles_grow {
+        compulsory.max(opt)
+    } else {
+        compulsory
+    }
 }
 
 /// The search's leaf evaluator. Leaves of one trace key `(layout id,
@@ -408,10 +472,15 @@ struct OpenLeaf {
 /// leaves the heap has not popped yet wait in
 /// [`records`](Self::records) until their pop consumes them or prunes
 /// them; a record never consumed is speculative work.
+///
+/// It also owns the keys' MIN floors: [`floor_open`](Self::floor_open)
+/// walks a key's stream once per line size and runs MIN for every
+/// capacity its open leaves need.
 struct LeafBatches<'a> {
     explorer: &'a Explorer,
     kernel: &'a Kernel,
     space: &'a DesignSpace,
+    objective: Objective,
     pairs: &'a [PairInfo],
     layouts: &'a [DataLayout],
     /// The analytic fast path's capacity gate
@@ -419,16 +488,192 @@ struct LeafBatches<'a> {
     footprint: u64,
     /// Tiled kernels by tiling `B`.
     tiled: HashMap<u64, Kernel>,
-    /// Open leaves not yet batched, by trace key.
+    /// Open leaves not yet batched, by [`stream_key`](Self::stream_key).
     open: HashMap<(usize, u64), Vec<OpenLeaf>>,
     /// Batched records awaiting their leaf's pop, by sweep index.
     records: HashMap<usize, Record>,
+    /// MIN misses by [`FloorKey`] (0 above [`FLOOR_LINE_CAP`]), keyed by
+    /// [`stream_key`](Self::stream_key).
+    floors: HashMap<FloorKey, u64>,
+    /// The largest loop trip count when every loop has constant bounds:
+    /// tilings from it on trace the untiled nest.
+    untiled_from: Option<u64>,
+    /// Scratch of the floor units, kept across them so that the search
+    /// allocates a stream's buffers once: its line stream and links.
+    lines: Vec<u64>,
+    next_use: NextUse,
 }
 
 impl LeafBatches<'_> {
+    /// The stream identity of trace key `(layout id, tiling)`: a tiling at
+    /// least every loop's trip count leaves one iteration in each tile
+    /// loop and the whole range in each element loop, so its trace is the
+    /// untiled one, and its leaves share the untiled key's batches and
+    /// floors.
+    fn stream_key(&self, (layout_id, tiling): (usize, u64)) -> (usize, u64) {
+        match self.untiled_from {
+            Some(trips) if tiling >= trips => (layout_id, 1),
+            _ => (layout_id, tiling),
+        }
+    }
+
+    /// The stream key of the design at sweep index `index` of pair `p`:
+    /// the key its leaf is batched and floored under.
+    fn trace_of(&self, p: usize, index: usize) -> (usize, u64) {
+        self.stream_key(self.pairs[p].trace_key(self.space, index))
+    }
+
+    /// The MIN floor of stream `trace` at `line` and `capacity`, if
+    /// computed.
+    fn known_floor(&self, trace: (usize, u64), line: usize, capacity: usize) -> Option<u64> {
+        let (layout_id, tiling) = self.stream_key(trace);
+        self.floors
+            .get(&(layout_id, tiling, line, capacity))
+            .copied()
+    }
+
+    /// The bound key of the design at sweep index `index` of pair `p`:
+    /// floored when its trace key's MIN floor at the pair's `(L, C)` is
+    /// known, else at the compulsory floor.
+    fn bound_key(&self, p: usize, index: usize) -> Key {
+        let pair = &self.pairs[p];
+        let design = pair.design(self.space, index);
+        let opt = self
+            .known_floor((pair.layout_id, design.tiling), pair.l, pair.t / pair.l)
+            .unwrap_or(0);
+        self.explorer.leaf_key(
+            self.objective,
+            pair,
+            design.assoc,
+            design.tiling,
+            opt,
+            index,
+        )
+    }
+
+    /// The floored bound key of the design at sweep index `index` of pair
+    /// `p`, computing its trace key's floors first if they are missing.
+    fn floored_key(&mut self, p: usize, index: usize, telemetry: &mut SweepTelemetry) -> Key {
+        let (pair, trace) = (&self.pairs[p], self.trace_of(p, index));
+        if self.known_floor(trace, pair.l, pair.t / pair.l).is_none() {
+            self.floor_open(trace, telemetry);
+        }
+        self.bound_key(p, index)
+    }
+
+    /// Computes the MIN floors stream `trace`'s open leaves lack: the
+    /// stream's plan is walked once per missing line size into a line
+    /// stream (none above [`FLOOR_LINE_CAP`]), linked by next use, and
+    /// MIN runs once per missing capacity. Logs one `floor` unit when
+    /// anything was computed.
+    fn floor_open(&mut self, trace: (usize, u64), telemetry: &mut SweepTelemetry) {
+        let Some(open) = self.open.get(&trace) else {
+            return;
+        };
+        // Line size → (bound inputs, capacities) the floors lack.
+        let mut needs: BTreeMap<usize, (BoundInputs, Vec<usize>)> = BTreeMap::new();
+        for leaf in open {
+            let pair = &self.pairs[leaf.pair];
+            let capacity = pair.t / pair.l;
+            if self.known_floor(trace, pair.l, capacity).is_none() {
+                let (_, capacities) = needs.entry(pair.l).or_insert((pair.bounds, Vec::new()));
+                if !capacities.contains(&capacity) {
+                    capacities.push(capacity);
+                }
+            }
+        }
+        if !needs.is_empty() {
+            self.compute_floors(trace, needs, telemetry);
+        }
+    }
+
+    /// Computes MIN floors of stream `trace` (a [`stream_key`](Self::stream_key))
+    /// for `needs` (line size → its bound inputs and capacities) into
+    /// [`floors`](Self::floors).
+    fn compute_floors(
+        &mut self,
+        trace: (usize, u64),
+        needs: BTreeMap<usize, (BoundInputs, Vec<usize>)>,
+        telemetry: &mut SweepTelemetry,
+    ) {
+        let start = Instant::now();
+        let (layout_id, tiling) = trace;
+        let kernel = self.kernel;
+        let tiled = self
+            .tiled
+            .entry(tiling)
+            .or_insert_with(|| tile_all(kernel, tiling));
+        let plan = TraceGen::new(tiled, &self.layouts[layout_id]);
+        let lines = &mut self.lines;
+        // The walk pushes lines itself; `fill` only counts reads in it.
+        let mut reads: Vec<()> = Vec::new();
+        let (mut streamed, mut capacities, mut events) = (0u64, 0u64, 0u64);
+        for (line, (bounds, caps)) in needs {
+            capacities += caps.len() as u64;
+            // Tiling permutes the untiled trace's line multiset, so the
+            // bound inputs' access and distinct-line counts are this
+            // stream's. OPT(C) is the compulsory count `m` once `C ≥ m`,
+            // so only smaller capacities need the stream.
+            let (accesses, distinct) = (bounds.accesses, bounds.min_misses);
+            let linked = accesses <= FLOOR_LINE_CAP && caps.iter().any(|&c| (c as u64) < distinct);
+            if linked {
+                lines.clear();
+                let shift = line.trailing_zeros();
+                let mut gen = plan.clone();
+                // MIN's misses on a prefix never exceed its misses on the
+                // whole stream, so a walk cut at the cap still floors
+                // admissibly.
+                loop {
+                    reads.clear();
+                    let n = gen.fill(&mut reads, PLAN_CHUNK_EVENTS, |a| {
+                        (a.kind == AccessKind::Read)
+                            .then(|| push_lines(lines, TraceEvent::read(a.addr, a.size), shift))
+                    });
+                    events += n as u64;
+                    if n == 0 || lines.len() as u64 >= FLOOR_LINE_CAP {
+                        break;
+                    }
+                }
+                streamed += lines.len() as u64;
+                self.next_use.link(lines);
+            }
+            for capacity in caps {
+                let misses = if linked {
+                    self.next_use.min_misses(capacity)
+                } else if capacity as u64 >= distinct {
+                    distinct
+                } else {
+                    0
+                };
+                self.floors
+                    .insert((layout_id, tiling, line, capacity), misses);
+            }
+        }
+        let dur = start.elapsed();
+        telemetry.traces_generated += 1;
+        telemetry.trace_events_generated += events;
+        telemetry.floor_units += 1;
+        telemetry.floor_capacities += capacities;
+        telemetry.floor_lines += streamed;
+        telemetry.floor_time += dur;
+        if let Some(o) = self.explorer.obs.as_deref() {
+            o.unit(
+                "search",
+                "floor",
+                0,
+                dur,
+                &[
+                    ("lines", FieldValue::U64(streamed)),
+                    ("capacities", FieldValue::U64(capacities)),
+                ],
+            );
+        }
+    }
+
     /// Evaluates trace key `trace`'s batch: every open leaf of the key
-    /// whose bound key beats `inc_key`. The others can never beat the
-    /// incumbent again, so they leave the index too (their pop prunes
+    /// whose floored bound key beats `inc_key` (the key's missing floors
+    /// are computed first). The others can never beat
+    /// the incumbent again, so they leave the index too (their pop prunes
     /// them). The key's plan is compiled here; when the analytic gate
     /// admits the batch its trace is materialized and the analytic path
     /// tried first, else one `ReplayBank` scan streams the plan chunk by
@@ -441,18 +686,19 @@ impl LeafBatches<'_> {
         telemetry: &mut SweepTelemetry,
         hists: &SweepHists,
     ) {
+        self.floor_open(trace, telemetry);
         let batch: Vec<OpenLeaf> = self
             .open
             .remove(&trace)
             .unwrap_or_default()
             .into_iter()
-            .filter(|leaf| inc_key.is_none_or(|k| leaf.key < k))
+            .filter(|leaf| inc_key.is_none_or(|k| self.bound_key(leaf.pair, leaf.index) < k))
             .collect();
         let designs: Vec<(CacheDesign, bool)> = batch
             .iter()
             .map(|leaf| {
                 let pair = &self.pairs[leaf.pair];
-                (pair.design(self.space, leaf.key.index), pair.conflict_free)
+                (pair.design(self.space, leaf.index), pair.conflict_free)
             })
             .collect();
         let (layout_id, tiling) = trace;
@@ -524,7 +770,7 @@ impl LeafBatches<'_> {
             );
         }
         self.records
-            .extend(batch.iter().map(|leaf| leaf.key.index).zip(records));
+            .extend(batch.iter().map(|leaf| leaf.index).zip(records));
     }
 }
 
@@ -560,13 +806,33 @@ impl Explorer {
     /// # Panics
     ///
     /// Panics on an invalid weighted objective
-    /// (see [`Objective::validate`]).
+    /// (see [`Objective::validate`]), and where [`try_search`](Self::try_search)
+    /// returns an error.
     pub fn search(
         &self,
         kernel: &Kernel,
         space: &DesignSpace,
         options: &SearchOptions,
     ) -> SearchOutcome {
+        self.try_search(kernel, space, options)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`search`](Self::search), with a failed layout phase as a typed
+    /// error: [`ExploreError::Placement`] when a pair's placement fails
+    /// (addresses that overflow 64 bits, say), or
+    /// [`ExploreError::WorkerPanic`] when a placement worker panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid weighted objective
+    /// (see [`Objective::validate`]).
+    pub fn try_search(
+        &self,
+        kernel: &Kernel,
+        space: &DesignSpace,
+        options: &SearchOptions,
+    ) -> Result<SearchOutcome, ExploreError> {
         if let Err(e) = options.objective.validate() {
             panic!("{e}");
         }
@@ -636,8 +902,7 @@ impl Explorer {
             obs,
             Some(&hists),
             &mut unique_layouts,
-        )
-        .unwrap_or_else(|message| panic!("sweep worker panicked: {message}"));
+        )?;
         for (pair, (id, conflict_free)) in pairs.iter_mut().zip(arbitrated) {
             pair.layout_id = id;
             pair.conflict_free = conflict_free;
@@ -691,12 +956,23 @@ impl Explorer {
             explorer: self,
             kernel,
             space,
+            objective,
             pairs: &pairs,
             layouts: &unique_layouts,
             footprint: kernel_footprint_bytes(kernel),
             tiled,
             open: HashMap::new(),
             records: HashMap::new(),
+            floors: HashMap::new(),
+            untiled_from: kernel
+                .nest
+                .loops
+                .iter()
+                .map(|l| l.const_trip_count())
+                .collect::<Option<Vec<u64>>>()
+                .and_then(|trips| trips.into_iter().max()),
+            lines: Vec::new(),
+            next_use: NextUse::default(),
         };
         let mut incumbent: Option<(Record, usize, Key)> = None;
         let mut discarded_lb = f64::INFINITY;
@@ -732,17 +1008,17 @@ impl Explorer {
                     expansions += 1;
                     let (mut kept, pruned_here) = self.expand(
                         &pairs[p],
-                        p,
                         space,
                         objective,
                         incumbent.as_ref().map(|(_, _, k)| *k),
+                        &batches,
                     );
                     telemetry.designs_pruned += pruned_here;
                     if let Some(width) = options.beam {
                         if kept.len() > width {
-                            kept.sort_by_key(|a| a.key);
+                            kept.sort();
                             for dropped in kept.drain(width..) {
-                                discarded_lb = discarded_lb.min(dropped.key.floats[0]);
+                                discarded_lb = discarded_lb.min(dropped.floats[0]);
                                 beam_discarded += 1;
                             }
                         }
@@ -764,21 +1040,30 @@ impl Explorer {
                             ],
                         );
                     }
-                    for leaf in kept {
-                        let trace = pairs[p].trace_key(space, leaf.key.index);
+                    for key in kept {
+                        let trace = batches.trace_of(p, key.index);
                         heap.push(Reverse(Node {
-                            key: leaf.key,
+                            key,
                             kind: NodeKind::Leaf(p),
                         }));
-                        batches.open.entry(trace).or_default().push(leaf);
+                        batches.open.entry(trace).or_default().push(OpenLeaf {
+                            pair: p,
+                            index: key.index,
+                        });
                     }
                 }
                 NodeKind::Leaf(p) => {
                     let index = node.key.index;
+                    // A leaf pushed under the compulsory floor is re-keyed
+                    // with its trace key's MIN floor (computed now if
+                    // missing) when popped: a leaf that loses under it is
+                    // pruned, the others go back on the heap, so only
+                    // floored keys reach a batch.
+                    let key = batches.floored_key(p, index, &mut telemetry);
                     // The incumbent may have improved since this leaf was
                     // pushed; its bound key is still valid, so re-check.
                     if let Some((_, _, inc_key)) = &incumbent {
-                        if node.key >= *inc_key {
+                        if key >= *inc_key {
                             telemetry.designs_pruned += 1;
                             if batches.records.remove(&index).is_some() {
                                 telemetry.designs_speculative += 1;
@@ -789,9 +1074,16 @@ impl Explorer {
                             continue;
                         }
                     }
+                    if key != node.key {
+                        heap.push(Reverse(Node {
+                            key,
+                            kind: NodeKind::Leaf(p),
+                        }));
+                        continue;
+                    }
                     if !batches.records.contains_key(&index) {
                         let inc_key = incumbent.as_ref().map(|(_, _, k)| *k);
-                        let trace = pairs[p].trace_key(space, index);
+                        let trace = batches.trace_of(p, index);
                         batches.evaluate(trace, inc_key, &mut telemetry, &hists);
                     }
                     // Incumbent keys only fall, so a leaf that beats the
@@ -881,7 +1173,7 @@ impl Explorer {
             );
         }
         drop(search_span);
-        SearchOutcome {
+        Ok(SearchOutcome {
             objective,
             incumbent,
             incumbent_index,
@@ -892,7 +1184,7 @@ impl Explorer {
             expansions,
             beam_discarded,
             telemetry,
-        }
+        })
     }
 
     /// Admissible group bounds for a pair: the shared bound expressions at
@@ -929,36 +1221,73 @@ impl Explorer {
         (energy_lb, cycles_lb)
     }
 
+    /// Admissible bounds `(energy, cycles)` of a leaf of `pair` at
+    /// associativity `assoc` and tiling `tile`, given its trace key's MIN
+    /// floor `opt` (0 for none): the evaluator's own expressions at
+    /// `misses = max(compulsory, opt)` and `hits = n − misses`, with
+    /// `Add_bs` exact at `B = 1` and 0 otherwise. MIN with `C = T/L`
+    /// lines misses no more often than any demand-fetch cache of `C`
+    /// lines, and kernel traces are reads only, so both bounds stay
+    /// admissible for every associativity and replacement policy.
+    fn leaf_bounds(&self, pair: &PairInfo, assoc: usize, tile: u64, opt: u64) -> (f64, f64) {
+        let b = pair.bounds;
+        let cfg = CacheDesign::new(pair.t, pair.l, assoc, 1)
+            .cache_config()
+            .expect("design spaces only enumerate valid geometry");
+        let add_bs = if tile == 1 { b.add_bs } else { 0.0 };
+        let energy = &self.evaluator.energy_model;
+        let (e_hit, e_miss) = (
+            energy.hit_energy_nj(&cfg, add_bs),
+            energy.miss_energy_nj(&cfg, add_bs),
+        );
+        let cycle_model = &self.evaluator.cycle_model;
+        let (c_hit, c_miss) = (
+            cycle_model.cycles_per_hit(assoc),
+            tile as f64 + cycle_model.cycles_per_miss(pair.l),
+        );
+        let misses = admissible_misses(b.min_misses, opt, e_miss >= e_hit, c_miss >= c_hit);
+        let hits = b.accesses - misses;
+        let cycles_lb = hits as f64 * c_hit + misses as f64 * c_miss;
+        let energy_lb = hits as f64 * e_hit + misses as f64 * e_miss;
+        (energy_lb, cycles_lb)
+    }
+
+    /// The bound key of the leaf at sweep index `index` of `pair`
+    /// ([`leaf_bounds`](Self::leaf_bounds)).
+    fn leaf_key(
+        &self,
+        objective: Objective,
+        pair: &PairInfo,
+        assoc: usize,
+        tile: u64,
+        opt: u64,
+        index: usize,
+    ) -> Key {
+        let (energy_lb, cycles_lb) = self.leaf_bounds(pair, assoc, tile, opt);
+        objective.key_of(energy_lb, cycles_lb, pair.t, index)
+    }
+
     /// Expands a group into bounded leaves in sweep order, pruning every
-    /// leaf whose bound key already loses to the incumbent's key. Returns
-    /// the surviving leaves and the prune count.
+    /// leaf whose bound key already loses to the incumbent's key. A leaf
+    /// whose trace key already has a MIN floor at the pair's `(L, C)` in
+    /// `batches` is bounded with it; the others start at the compulsory
+    /// floor. Returns the surviving leaves' keys and the prune count.
     fn expand(
         &self,
         pair: &PairInfo,
-        pair_idx: usize,
         space: &DesignSpace,
         objective: Objective,
         inc_key: Option<Key>,
-    ) -> (Vec<OpenLeaf>, usize) {
-        let b = pair.bounds;
-        let max_hits = b.accesses - b.min_misses;
+        batches: &LeafBatches,
+    ) -> (Vec<Key>, usize) {
         let mut kept = Vec::new();
         let mut pruned = 0usize;
         let mut offset = 0usize;
+        let capacity = pair.t / pair.l;
         for &s in &pair.assocs {
-            let cycles_per_hit_term = self.evaluator.cycle_model.cycles_per_hit(s);
-            let cfg = CacheDesign::new(pair.t, pair.l, s, 1)
-                .cache_config()
-                .expect("design spaces only enumerate valid geometry");
             for &tile in &pair.tilings {
-                let cycles_lb = max_hits as f64 * cycles_per_hit_term
-                    + b.min_misses as f64
-                        * (tile as f64 + self.evaluator.cycle_model.cycles_per_miss(pair.l));
-                let add_bs = if tile == 1 { b.add_bs } else { 0.0 };
-                let energy_lb = max_hits as f64
-                    * self.evaluator.energy_model.hit_energy_nj(&cfg, add_bs)
-                    + b.min_misses as f64
-                        * self.evaluator.energy_model.miss_energy_nj(&cfg, add_bs);
+                let opt = batches.known_floor((pair.layout_id, tile), pair.l, capacity);
+                let (energy_lb, cycles_lb) = self.leaf_bounds(pair, s, tile, opt.unwrap_or(0));
                 // One leaf per (replacement, write) policy pair.
                 for _ in 0..space.replacements.len() * space.write_policies.len() {
                     let index = pair.base + offset;
@@ -970,10 +1299,7 @@ impl Explorer {
                             continue;
                         }
                     }
-                    kept.push(OpenLeaf {
-                        key,
-                        pair: pair_idx,
-                    });
+                    kept.push(key);
                 }
             }
         }
@@ -1145,6 +1471,95 @@ mod tests {
         assert!(loose.lower_bound <= exact.incumbent_cost() + 1e-9);
         assert!(Objective::Energy.cost(&best) >= exact.incumbent_cost());
         assert!(loose.telemetry.designs_evaluated <= exact.telemetry.designs_evaluated);
+    }
+
+    #[test]
+    fn a_leaf_keeps_the_compulsory_floor_unless_both_models_grow_with_misses() {
+        assert_eq!(admissible_misses(10, 50, true, true), 50);
+        // A stream over the cap has no MIN floor (0): compulsory stays.
+        assert_eq!(admissible_misses(10, 0, true, true), 10);
+        assert_eq!(admissible_misses(10, 50, false, true), 10);
+        assert_eq!(admissible_misses(10, 50, true, false), 10);
+        assert_eq!(admissible_misses(10, 50, false, false), 10);
+
+        let pair = PairInfo {
+            t: 64,
+            l: 8,
+            assocs: vec![1],
+            tilings: vec![1],
+            base: 0,
+            layout_id: 0,
+            conflict_free: true,
+            bounds: BoundInputs {
+                accesses: 100,
+                min_misses: 10,
+                add_bs: 1.0,
+            },
+        };
+        // With the paper's models a higher floor raises both bounds ...
+        let paper = Explorer::default();
+        let (e0, c0) = paper.leaf_bounds(&pair, 1, 1, 0);
+        let (e1, c1) = paper.leaf_bounds(&pair, 1, 1, 50);
+        assert!(e1 > e0 && c1 > c0, "({e0}, {c0}) -> ({e1}, {c1})");
+        // ... but where a miss costs less energy than a hit, more misses
+        // would lower the energy bound, so the leaf keeps the compulsory
+        // floor: its bounds are exactly the unfloored ones.
+        let mut cheap_misses = Explorer::default();
+        cheap_misses.evaluator.energy_model.params.gamma = -1e3;
+        let cfg = CacheDesign::new(64, 8, 1, 1).cache_config().expect("valid");
+        let energy = &cheap_misses.evaluator.energy_model;
+        assert!(energy.miss_energy_nj(&cfg, 1.0) < energy.hit_energy_nj(&cfg, 1.0));
+        assert_eq!(
+            cheap_misses.leaf_bounds(&pair, 1, 1, 50),
+            cheap_misses.leaf_bounds(&pair, 1, 1, 0)
+        );
+    }
+
+    #[test]
+    fn tilings_past_every_trip_count_trace_the_untiled_nest() {
+        // The floors of such keys are shared with the untiled key.
+        for kernel in [kernels::matmul(7), kernels::sor(9), kernels::compress(6)] {
+            let trips: Vec<u64> = kernel
+                .nest
+                .loops
+                .iter()
+                .map(|l| l.const_trip_count().expect("constant bounds"))
+                .collect();
+            let untiled_from = *trips.iter().max().expect("a loop");
+            let layout = DataLayout::natural(&kernel);
+            let untiled = crate::metrics::read_trace(&kernel, &layout);
+            for b in [untiled_from, untiled_from + 1, 3 * untiled_from] {
+                let tiled = crate::metrics::read_trace(&tile_all(&kernel, b), &layout);
+                assert!(tiled == untiled, "{} at B = {b}", kernel.name);
+            }
+        }
+    }
+
+    #[test]
+    fn floors_prune_leaves_and_log_their_work() {
+        let kernel = kernels::sor(31);
+        let space = DesignSpace::paper();
+        let explorer = Explorer::default();
+        let records = explorer.explore(&kernel, &space);
+        let options = SearchOptions {
+            objective: Objective::Weighted {
+                energy_weight: 1.0,
+                cycles_weight: 0.5,
+            },
+            ..Default::default()
+        };
+        let out = explorer.search(&kernel, &space, &options);
+        let oracle = records
+            .iter()
+            .map(|r| options.objective.cost(r))
+            .fold(f64::INFINITY, f64::min);
+        assert!(out.complete);
+        assert_eq!(out.incumbent_cost(), oracle);
+        let t = &out.telemetry;
+        assert!(t.floor_units > 0 && t.floor_capacities >= t.floor_units as u64);
+        assert!(t.floor_lines > 0);
+        assert!(t.designs_pruned > 0);
+        assert!(t.to_string().contains("  floors   : "));
     }
 
     #[test]

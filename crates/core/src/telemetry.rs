@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 9;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 10;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -99,6 +99,19 @@ pub struct SweepTelemetry {
     /// Wall time spent computing admissible bounds and dominance checks
     /// (zero for exhaustive sweeps).
     pub bound_time: Duration,
+    /// Belady-MIN floor computations a certified search ran: one per
+    /// trace key whose open leaves needed floors it did not have yet (a
+    /// key whose later leaves need new capacities is floored again and
+    /// counted again). 0 for sweeps.
+    pub floor_units: usize,
+    /// `(line size, capacity)` floors those units resolved.
+    pub floor_capacities: u64,
+    /// Line accesses the floor units materialized (each stream at most
+    /// the search's floor cap).
+    pub floor_lines: u64,
+    /// Wall time of the floor units: walking the streams, linking next
+    /// uses and running MIN.
+    pub floor_time: Duration,
     /// Designs quarantined by the supervisor after panicking on every
     /// available engine (0 for unsupervised sweeps).
     pub designs_quarantined: usize,
@@ -240,6 +253,8 @@ impl SweepTelemetry {
                 "\"worker_utilization\":{},\"designs_pruned\":{},",
                 "\"designs_speculative\":{},",
                 "\"prune_rate\":{},\"frontier_size\":{},",
+                "\"floor_units\":{},\"floor_capacities\":{},",
+                "\"floor_lines\":{},\"floor_secs\":{},",
                 "\"designs_quarantined\":{},\"designs_retried\":{},",
                 "\"checkpoints_written\":{},\"checkpoints_failed\":{},",
                 "\"records_resumed\":{},\"cancelled\":{},",
@@ -276,6 +291,10 @@ impl SweepTelemetry {
             self.designs_speculative,
             json_f64(self.prune_rate(), 3),
             self.frontier_size,
+            self.floor_units,
+            self.floor_capacities,
+            self.floor_lines,
+            json_f64(self.floor_time.as_secs_f64(), 6),
             self.designs_quarantined,
             self.designs_retried,
             self.checkpoints_written,
@@ -335,6 +354,16 @@ impl fmt::Display for SweepTelemetry {
                 self.designs_considered(),
                 self.prune_rate() * 100.0,
                 self.bound_time.as_secs_f64() * 1e3
+            )?;
+        }
+        if self.floor_units > 0 {
+            writeln!(
+                f,
+                "  floors   : {} trace keys, {} capacities, {} lines in {:.1} ms",
+                self.floor_units,
+                self.floor_capacities,
+                self.floor_lines,
+                self.floor_time.as_secs_f64() * 1e3
             )?;
         }
         writeln!(

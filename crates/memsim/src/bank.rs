@@ -635,7 +635,7 @@ impl ReplayBank {
 
 /// Line number of `event`'s last byte under `2^shift`-byte lines.
 #[inline]
-fn last_line(event: &TraceEvent, shift: u32) -> u64 {
+pub(crate) fn last_line(event: &TraceEvent, shift: u32) -> u64 {
     (event.addr + u64::from(event.size.max(1)) - 1) >> shift
 }
 

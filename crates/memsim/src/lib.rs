@@ -21,6 +21,8 @@
 //! * a [`bank::ReplayBank`] that steps many cache designs in lockstep over
 //!   a single scan of a shared trace (the fused sweep engine's work unit;
 //!   the `Simulator` is a bank of one),
+//! * Belady's MIN over a line stream ([`opt::NextUse`]), the optimal
+//!   replacement floor the certified search bounds leaves with,
 //! * a deliberately naive [`reference::ReferenceCache`] sharing no code
 //!   with the optimized path, for differential testing, and
 //! * Dinero `.din` trace interop ([`din`]).
@@ -44,6 +46,7 @@ pub mod cache;
 pub mod classify;
 pub mod config;
 pub mod din;
+pub mod opt;
 pub mod reference;
 pub mod sim;
 pub mod source;
@@ -57,6 +60,7 @@ pub use bus::{gray_encode, BusEncoding, BusMonitor, BusStats};
 pub use cache::{AccessOutcome, Cache};
 pub use classify::{Classifier, MissClass, MissClassCounts};
 pub use config::{CacheConfig, ConfigError, Replacement, WritePolicy};
+pub use opt::NextUse;
 pub use sim::{SimReport, Simulator, TraceEvent};
 pub use source::{
     collect_source, din_event, fingerprint_source, DinSource, IterSource, SliceSource,

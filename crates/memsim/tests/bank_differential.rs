@@ -19,12 +19,19 @@
 //! sets between the scalar loop (a chunk shorter than their set count)
 //! and their bulk tier within one run, so each tier must hand its state
 //! to the scalar loop, and take it back, bit for bit.
+//!
+//! Belady's MIN ([`NextUse`]) is pitted against every lane too: on a
+//! read-only trace, MIN with `T/L` lines never misses more often than
+//! any lane of that geometry — bulk, scalar, line-buffered or random —
+//! which is what makes it an admissible floor for the certified search.
 
+use memsim::opt::push_lines;
 use memsim::reference::ReferenceCache;
 use memsim::{
-    BusEncoding, CacheConfig, Replacement, ReplayBank, Simulator, TraceEvent, WritePolicy,
+    BusEncoding, CacheConfig, NextUse, Replacement, ReplayBank, Simulator, TraceEvent, WritePolicy,
 };
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Random traces with unaligned, line-spanning, and zero-size accesses;
 /// may be empty.
@@ -192,6 +199,60 @@ fn arb_bank() -> impl Strategy<Value = Vec<CacheConfig>> {
 
 fn arb_encoding() -> impl Strategy<Value = BusEncoding> {
     prop_oneof![Just(BusEncoding::Gray), Just(BusEncoding::Binary)]
+}
+
+/// Read-only traces: either generator's events, every write turned into
+/// a read.
+fn arb_read_trace() -> impl Strategy<Value = Vec<TraceEvent>> {
+    prop_oneof![arb_trace(), arb_write_trace()].prop_map(|trace| {
+        trace
+            .into_iter()
+            .map(|e| TraceEvent {
+                is_write: false,
+                ..e
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    // Each case replays up to 2,100 events through up to 127 lanes three
+    // times.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn belady_min_never_misses_more_than_any_lane(
+        trace in arb_read_trace(),
+        extra in arb_bank(),
+        chunk in prop_oneof![Just(1usize), Just(7), Just(333), Just(4096)],
+    ) {
+        let mut configs = all_tier_lanes();
+        configs.extend(extra);
+        let (bulk, scalar) = bulk_and_scalar(&configs, &trace, chunk);
+        let mut buffered = ReplayBank::new(&configs).with_line_buffers();
+        buffered.run_slice(&trace);
+        let buffered = buffered.into_reports();
+        let mut streams: HashMap<usize, NextUse> = HashMap::new();
+        for (k, config) in configs.iter().enumerate() {
+            let next_use = streams.entry(config.line()).or_insert_with(|| {
+                let shift = config.line().trailing_zeros();
+                let mut lines = Vec::new();
+                for &event in &trace {
+                    push_lines(&mut lines, event, shift);
+                }
+                NextUse::new(&lines)
+            });
+            let opt = next_use.min_misses(config.num_lines());
+            for (engine, reports) in [("bulk", &bulk), ("scalar", &scalar), ("buffered", &buffered)] {
+                let misses = reports[k].stats.read_misses();
+                prop_assert!(
+                    opt <= misses,
+                    "{} lane {} @ chunk {}: MIN {} > {} misses", engine, config, chunk, opt, misses
+                );
+            }
+            prop_assert!(next_use.distinct() <= opt, "MIN below the compulsory floor");
+        }
+    }
 }
 
 proptest! {

@@ -10,8 +10,8 @@ use energy::SramPart;
 use loopir::parse::parse_kernel;
 use loopir::{AccessKind, ArrayId, DataLayout, Kernel, TraceGen};
 use memexplore::{
-    select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, Explorer, FaultPlan,
-    Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
+    select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
+    FaultPlan, Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
     SearchOutcome, SweepOptions, SweepOutcome, SweepTelemetry, TraceError,
 };
 use memsim::din::{write_din, DinLabel, DinRecord};
@@ -478,6 +478,16 @@ pub(crate) fn trace_error(e: TraceError) -> RunError {
         TraceError::Source(e) => source_error(e),
         TraceError::Checkpoint(c) => RunError::Io(c.to_string()),
         panic @ TraceError::WorkerPanic { .. } => RunError::Other(panic.to_string().into()),
+    }
+}
+
+/// A failed kernel run: checkpoint sidecar failures are I/O errors (exit
+/// 2); a failed placement or a worker panic that escapes quarantine is a
+/// runtime failure (exit 1).
+pub(crate) fn explore_error(e: ExploreError) -> RunError {
+    match e {
+        ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
+        other => RunError::Other(other.to_string().into()),
     }
 }
 
@@ -976,7 +986,9 @@ fn sweep_job(
     stderr: &mut String,
 ) -> Result<SweepOutcome, RunError> {
     if let (JobInput::Kernel(kernel), false) = (input, supervise.is_active()) {
-        let (records, telemetry) = explorer.explore_designs_with_telemetry(kernel, designs);
+        let (records, telemetry) = explorer
+            .try_explore_designs_with_telemetry(kernel, designs)
+            .map_err(explore_error)?;
         return Ok(SweepOutcome {
             records: records.into_iter().map(Some).collect(),
             errors: Vec::new(),
@@ -1140,7 +1152,9 @@ fn search(
                 gap: spec.gap,
                 deadline: spec.deadline_secs.map(Duration::from_secs_f64),
             };
-            let outcome = explorer.search(kernel, &space, &options);
+            let outcome = explorer
+                .try_search(kernel, &space, &options)
+                .map_err(explore_error)?;
             if let Some(o) = &obs {
                 o.finish();
             }
@@ -1400,10 +1414,14 @@ fn pareto(
         JobInput::Kernel(kernel) if !supervise.is_active() => {
             let space = DesignSpace::paper();
             if spec.exhaustive {
-                let (frontier, sweep) = explorer.pareto_exhaustive(kernel, &space);
+                let (frontier, sweep) = explorer
+                    .try_pareto_exhaustive(kernel, &space)
+                    .map_err(explore_error)?;
                 (frontier, sweep, "exhaustive")
             } else {
-                let (frontier, sweep) = explorer.pareto_pruned(kernel, &space);
+                let (frontier, sweep) = explorer
+                    .try_pareto_pruned(kernel, &space)
+                    .map_err(explore_error)?;
                 (frontier, sweep, "pruned")
             }
         }

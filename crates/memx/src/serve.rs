@@ -37,8 +37,8 @@ use loopir::Kernel;
 use memexplore::obs::{parse_json, push_json_str, Json};
 use memexplore::supervisor::sweep_id;
 use memexplore::{
-    trace_sweep_id, CacheDesign, CacheKey, DesignSpace, Evaluator, ExploreError, Explorer,
-    FieldValue, Lookup, Objective, Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
+    trace_sweep_id, CacheDesign, CacheKey, DesignSpace, Evaluator, Explorer, FieldValue, Lookup,
+    Objective, Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -165,10 +165,7 @@ impl JobInput {
         match self {
             JobInput::Kernel(kernel) => explorer
                 .explore_supervised(kernel, designs, options)
-                .map_err(|e| match e {
-                    ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
-                    other => RunError::Other(other.to_string().into()),
-                }),
+                .map_err(commands::explore_error),
             JobInput::Trace(workload) => explorer
                 .explore_trace_supervised(workload, designs, options)
                 .map_err(commands::trace_error),

@@ -174,15 +174,26 @@ fn placement_overflow_is_one_error_line_not_a_wrapped_layout() {
     )
     .expect("tempdir writable");
     let path = huge.to_str().expect("utf8 path");
-    let out = memx(&["place", path, "--cache", "1024", "--line", "16"]);
-    assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
-    assert_one_line_error(&out);
-    assert!(
-        stderr(&out).contains("overflow"),
-        "stderr: {}",
-        stderr(&out)
-    );
-    assert!(out.stdout.is_empty(), "no layout is printed");
+    // `place` prints no layout; the sweep commands, which place every
+    // (T, L) pair of their grid first, print no records.
+    for args in [
+        &["place", path, "--cache", "1024", "--line", "16"][..],
+        &["explore", path][..],
+        &["pareto", path][..],
+        &["pareto", path, "--exhaustive"][..],
+        &["search", path][..],
+        &["search", path, "--space", "expansive"][..],
+    ] {
+        let out = memx(args);
+        assert_eq!(exit_code(&out), 1, "{args:?} stderr: {}", stderr(&out));
+        assert_one_line_error(&out);
+        assert!(
+            stderr(&out).contains("overflow"),
+            "{args:?} stderr: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{args:?} prints nothing on stdout");
+    }
 }
 
 #[test]

@@ -295,6 +295,31 @@ fn search_log_reconciles_with_telemetry() {
     assert_eq!(report.scan.count, t.scan_latency.count);
     assert_eq!(report.scan.count as usize, t.simulated_groups);
     assert_eq!(t.fused_groups, t.simulated_groups + t.analytic_groups);
+    // Each trace key's MIN floor work is one `floor` unit.
+    assert!(t.floor_units > 0, "no floor unit ran");
+    assert_eq!(report.floor_units as usize, t.floor_units);
+    assert_eq!(report.floor_capacities, t.floor_capacities);
+    assert_eq!(report.floor_lines, t.floor_lines);
+    assert!(report.floor_time <= t.floor_time);
+    let rendered = report.to_string();
+    assert!(
+        rendered.contains(&format!(
+            "floors: {} trace keys, {} capacities, {} lines in ",
+            t.floor_units, t.floor_capacities, t.floor_lines
+        )),
+        "{rendered}"
+    );
+    let json = memexplore::obs::parse_json(&t.to_json()).expect("telemetry json parses");
+    assert_eq!(
+        json.get("floor_units")
+            .and_then(memexplore::obs::Json::as_u64),
+        Some(t.floor_units as u64)
+    );
+    assert_eq!(
+        json.get("floor_lines")
+            .and_then(memexplore::obs::Json::as_u64),
+        Some(t.floor_lines)
+    );
 }
 
 #[test]

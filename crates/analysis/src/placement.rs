@@ -48,7 +48,8 @@
 //!
 //! Address arithmetic is checked: a pitch, candidate address or array end
 //! beyond `u64` is [`PlacementError::AddressOverflow`], not a wrapped
-//! layout.
+//! layout. A class leader outside its array at the first iteration point
+//! is [`PlacementError::SubscriptOutOfBounds`], not a panic.
 
 use crate::classes::{partition_classes, RefClass};
 
@@ -82,6 +83,18 @@ pub enum PlacementError {
         /// Name of the array being placed.
         array: String,
     },
+    /// A class leader's subscript lies outside its array at the first
+    /// iteration point (e.g. `a[i-1]` with `i` starting at 0).
+    SubscriptOutOfBounds {
+        /// Name of the array.
+        array: String,
+        /// Which subscript (0 = outermost).
+        dim: usize,
+        /// The subscript's value.
+        index: i64,
+        /// The dimension's extent.
+        extent: usize,
+    },
 }
 
 impl fmt::Display for PlacementError {
@@ -94,6 +107,15 @@ impl fmt::Display for PlacementError {
             PlacementError::AddressOverflow { array } => {
                 write!(f, "addresses of array `{array}` overflow 64 bits")
             }
+            PlacementError::SubscriptOutOfBounds {
+                array,
+                dim,
+                index,
+                extent,
+            } => write!(
+                f,
+                "subscript {dim} of `{array}` out of bounds: {index} not in 0..{extent}"
+            ),
         }
     }
 }
@@ -139,22 +161,29 @@ fn leader_subscripts(kernel: &Kernel, class: &RefClass, ivs: &[i64]) -> Vec<i64>
 }
 
 /// Where a class leader sits inside its array: its byte address under a
-/// placement is `base + row · row_pitch + offset`. Panics as
-/// [`DataLayout::element_address`] does on a subscript outside the array,
-/// so such a leader fails the same way whatever the cache geometry.
-fn leader_position(kernel: &Kernel, array: ArrayId, subs: &[i64]) -> Option<(u64, u64)> {
+/// placement is `base + row · row_pitch + offset`, or `None` when that
+/// offset overflows 64 bits. A subscript outside the array is an error
+/// whatever the cache geometry.
+fn leader_position(
+    kernel: &Kernel,
+    array: ArrayId,
+    subs: &[i64],
+) -> Result<Option<(u64, u64)>, PlacementError> {
     let a = kernel.array(array);
     assert_eq!(subs.len(), a.dims.len(), "subscript arity mismatch");
-    for (k, (&s, &d)) in subs.iter().zip(&a.dims).enumerate() {
-        assert!(
-            s >= 0 && (s as usize) < d,
-            "subscript {k} of `{}` out of bounds: {s} not in 0..{d}",
-            a.name
-        );
+    for (dim, (&index, &extent)) in subs.iter().zip(&a.dims).enumerate() {
+        if index < 0 || index as usize >= extent {
+            return Err(PlacementError::SubscriptOutOfBounds {
+                array: a.name.clone(),
+                dim,
+                index,
+                extent,
+            });
+        }
     }
     let elem = a.elem_size as u64;
     if a.dims.len() == 1 {
-        return Some((0, (subs[0] as u64).checked_mul(elem)?));
+        return Ok((subs[0] as u64).checked_mul(elem).map(|o| (0, o)));
     }
     let weights = a.weights();
     let inner = subs[1..]
@@ -162,8 +191,10 @@ fn leader_position(kernel: &Kernel, array: ArrayId, subs: &[i64]) -> Option<(u64
         .zip(&weights[1..])
         .try_fold(0u64, |acc, (&s, &w)| {
             acc.checked_add((s as u64).checked_mul(w as u64)?)
-        })?;
-    Some((subs[0] as u64, inner.checked_mul(elem)?))
+        });
+    Ok(inner
+        .and_then(|i| i.checked_mul(elem))
+        .map(|o| (subs[0] as u64, o)))
 }
 
 /// A circular byte range `[start, start+len)` on a ring of `n` bytes (the
@@ -323,12 +354,9 @@ fn mod_inverse(a: u128, m: u128) -> u128 {
 ///
 /// [`PlacementError::NoArrays`] for array-less kernels,
 /// [`PlacementError::BadGeometry`] for non-positive or inconsistent cache
-/// geometry, and [`PlacementError::AddressOverflow`] when an array's pitch,
-/// a candidate address or the array's end does not fit in 64 bits.
-///
-/// # Panics
-///
-/// Panics as [`DataLayout::element_address`] does when a class leader's
+/// geometry, [`PlacementError::AddressOverflow`] when an array's pitch,
+/// a candidate address or the array's end does not fit in 64 bits, and
+/// [`PlacementError::SubscriptOutOfBounds`] when a class leader's
 /// subscripts at the first iteration point lie outside its array.
 pub fn optimize_layout(
     kernel: &Kernel,
@@ -347,11 +375,11 @@ pub fn optimize_layout(
     let classes = partition_classes(kernel, false);
     let ivs = first_iteration(kernel);
     // Every class leader's position in its array (checked in class order,
-    // so an out-of-bounds leader panics before any search).
+    // so an out-of-bounds leader fails before any search).
     let positions: Vec<Option<(u64, u64)>> = classes
         .iter()
         .map(|c| leader_position(kernel, c.array, &leader_subscripts(kernel, c, &ivs)))
-        .collect();
+        .collect::<Result<_, _>>()?;
     let overflow = |a: usize| PlacementError::AddressOverflow {
         array: kernel.arrays[a].name.clone(),
     };

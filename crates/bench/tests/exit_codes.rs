@@ -40,11 +40,6 @@ fn bench_explore_rejects_unknown_arguments() {
 }
 
 #[test]
-fn bench_pareto_rejects_unknown_arguments() {
-    assert_rejects(env!("CARGO_BIN_EXE_bench_pareto"), "bench_pareto");
-}
-
-#[test]
 fn bench_search_rejects_unknown_arguments() {
     assert_rejects(env!("CARGO_BIN_EXE_bench_search"), "bench_search");
 }

@@ -14,11 +14,10 @@
 //! capacity heuristic: the attempt is only made when every design in the
 //! bank could hold the kernel's whole array footprint. Smaller caches
 //! essentially never classify exact (the paper grids never do), and the
-//! gate keeps the fast path free for them. Sweeps, Pareto waves and
-//! search batches check [`gate_admits`] before materializing a group's
-//! trace, so a group the gate refuses is only ever streamed from its
-//! compiled plan. The `--no-analytic` escape
-//! hatch ([`Explorer::analytic`](crate::Explorer)) disables the attempt
+//! gate keeps the fast path free for them. Sweeps and search batches
+//! check [`gate_admits`] before materializing a group's trace, so a group
+//! the gate refuses is only ever streamed from its compiled plan. The
+//! `--no-analytic` escape hatch ([`Explorer::analytic`](crate::Explorer)) disables the attempt
 //! entirely.
 
 use crate::metrics::{CacheDesign, Evaluator, Record};

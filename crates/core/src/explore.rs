@@ -486,9 +486,22 @@ pub(crate) struct GroupFeeds<'p> {
 }
 
 impl GroupFeeds<'_> {
-    /// One unit per trace group of `groups` (the plan's).
+    /// One bank unit per trace group of `groups` (the plan's): the
+    /// closed-form records the classify phase resolved for it, else its
+    /// compiled plan.
     pub fn units(&self, groups: &[Vec<usize>]) -> Vec<Unit<'_>> {
-        group_units(groups, self.known.clone(), &self.plans)
+        groups
+            .iter()
+            .zip(self.known.clone())
+            .zip(&self.plans)
+            .map(|((members, known), plan)| {
+                let feed = match known {
+                    Some(Resolved { records, events }) => Feed::Known { records, events },
+                    None => Feed::Plan(plan),
+                };
+                Unit::bank(members.clone(), feed)
+            })
+            .collect()
     }
 
     /// Writes the trace and classify phases' counters and timings into
@@ -499,27 +512,6 @@ impl GroupFeeds<'_> {
         t.trace_time = self.trace_time;
         t.classify_time = self.classify_time;
     }
-}
-
-/// One bank unit per trace group: the closed-form records the classify
-/// phase resolved for it, else its compiled plan.
-pub(crate) fn group_units<'p>(
-    groups: &[Vec<usize>],
-    known: Vec<Option<Resolved>>,
-    plans: &'p [TraceGen<'_>],
-) -> Vec<Unit<'p>> {
-    groups
-        .iter()
-        .zip(known)
-        .zip(plans)
-        .map(|((members, known), plan)| {
-            let feed = match known {
-                Some(Resolved { records, events }) => Feed::Known { records, events },
-                None => Feed::Plan(plan),
-            };
-            Unit::bank(members.clone(), feed)
-        })
-        .collect()
 }
 
 impl Explorer {
@@ -738,7 +730,7 @@ impl Explorer {
     /// All `None` when the fast path is disabled, and under
     /// [`Engine::PerDesign`], whose sweeps stay a pure replay of every
     /// design.
-    pub(crate) fn classify(
+    fn classify(
         &self,
         kernel: &Kernel,
         workers: usize,

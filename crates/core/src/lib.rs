@@ -48,7 +48,6 @@ pub mod explore;
 pub mod fault;
 pub mod metrics;
 pub mod obs;
-pub mod pareto;
 pub mod search;
 pub mod select;
 pub mod shard;

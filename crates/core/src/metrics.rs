@@ -2,6 +2,7 @@
 
 use crate::arbitrate::arbitrate_layouts;
 use crate::cycles::CycleModel;
+use crate::explore::ExploreError;
 use energy::DacEnergyModel;
 use energy::SramPart;
 use loopir::transform::tile_all;
@@ -195,12 +196,28 @@ impl Evaluator {
     /// mode places the arrays, then keeps the padded layout unless the
     /// natural one misses strictly less on a direct-mapped `(T, L)` cache,
     /// so the assignment can never lose to doing nothing.
+    ///
+    /// # Panics
+    ///
+    /// Where [`try_layout_for`](Self::try_layout_for) returns an error.
     pub fn layout_for(
         &self,
         kernel: &Kernel,
         cache_size: usize,
         line: usize,
     ) -> (DataLayout, bool) {
+        self.try_layout_for(kernel, cache_size, line)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`layout_for`](Self::layout_for), with a failed placement as
+    /// [`ExploreError::Placement`].
+    pub fn try_layout_for(
+        &self,
+        kernel: &Kernel,
+        cache_size: usize,
+        line: usize,
+    ) -> Result<(DataLayout, bool), ExploreError> {
         let mut unique = Vec::with_capacity(1);
         let arbitrated = arbitrate_layouts(
             self,
@@ -210,11 +227,10 @@ impl Evaluator {
             None,
             None,
             &mut unique,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
+        )?;
         let (_, conflict_free) = arbitrated[0];
         let layout = unique.pop().expect("one pair yields one layout");
-        (layout, conflict_free)
+        Ok((layout, conflict_free))
     }
 
     /// Evaluates `design` on `kernel`.

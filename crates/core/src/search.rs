@@ -1,9 +1,7 @@
 //! Certified bound-guided best-first search over design grids.
 //!
-//! The exhaustive sweep ([`Explorer::explore`]) simulates every candidate;
-//! the pruned Pareto sweep (`pareto.rs`) simulates only frontier
-//! survivors. This module goes one step further for *single-objective*
-//! selection: a best-first branch-and-bound that orders candidates by an
+//! The exhaustive sweep ([`Explorer::explore`]) simulates every candidate.
+//! This module avoids that for *single-objective* selection: a best-first branch-and-bound that orders candidates by an
 //! admissible lower bound on the active objective and simulates a design
 //! only when its bound still beats the incumbent. On the paper grid it
 //! reproduces `select::min_energy` / `select::min_cycles` bit-for-bit; on
@@ -13,20 +11,26 @@
 //!
 //! # Bound construction
 //!
-//! The bounds are the same admissible expressions the Pareto pruner uses
-//! (see `pareto.rs` for the full argument): scanning a `(T, L)` pair's
-//! untiled trace once yields the exact line-level access count `n`, the
-//! distinct-line (compulsory-miss) floor `m`
-//! ([`analysis::TraceFootprint`]), and the exact address-bus switching
-//! `Add_bs`. A cold cache must miss every distinct line once regardless
-//! of size, associativity, tiling or replacement policy — tiling permutes
-//! the address multiset but never changes it (`loopir::transform::tile_all`)
-//! — so evaluating the *same* cycle/energy expressions the evaluator
-//! applies at `(hits = n − m, misses = m)` never overestimates:
+//! For a candidate design we compute, *without simulating it*, admissible
+//! (never-overestimating) lower bounds on its true cycles and energy.
+//! Scanning a `(T, L)` pair's untiled trace once (`layout_bounds`)
+//! yields the exact line-level access count `n`, the distinct-line
+//! (compulsory-miss) floor `m` ([`analysis::TraceFootprint`]), and the
+//! exact address-bus switching `Add_bs`. A cold cache must miss every
+//! distinct line once regardless of size, associativity, tiling or
+//! replacement policy — tiling permutes the address multiset but never
+//! changes it (`loopir::transform::tile_all`) — so the true miss count is
+//! `≥ m` and the true hit count `≤ n − m`. Cycles and energy both grow
+//! with the miss count, so evaluating them at `(hits = n − m, misses = m)`
+//! never overestimates. The bounds use the **same expressions** the
+//! evaluator applies, so a candidate that really reaches the floor has a
+//! bound equal to its true metric *bitwise*, with no floating-point slack
+//! to cross:
 //!
 //! * per-leaf: `CycleModel::cycles_from_counts(n − m, m, S, L, B)` and
-//!   `(n − m)·E_hit + m·E_miss`, with `Add_bs` exact for `B = 1` and
-//!   lower-bounded by 0 otherwise;
+//!   `(n − m)·E_hit + m·E_miss`, with `Add_bs` exact for `B = 1` (the
+//!   scanned trace is the candidate's own) and lower-bounded by 0
+//!   otherwise (switching energy is non-negative);
 //! * per-group (one node per `(T, L)` pair): the same expressions at the
 //!   pair's minimum valid associativity and tiling — every cycle term is
 //!   non-decreasing in both, and the energy terms do not depend on them.
@@ -111,15 +115,17 @@
 use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::explore::{DesignSpace, ExploreError, Explorer, SweepHists};
-use crate::metrics::{collect_reads, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS};
+use crate::metrics::{
+    collect_reads, read_trace, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS,
+};
 use crate::obs::{FieldValue, Span};
-use crate::pareto::{layout_bounds, BoundInputs};
 use crate::sweep::stream_into;
 use crate::telemetry::SweepTelemetry;
+use analysis::TraceFootprint;
 use loopir::transform::tile_all;
 use loopir::{AccessKind, DataLayout, Kernel, TraceGen};
 use memsim::opt::push_lines;
-use memsim::{NextUse, TraceEvent};
+use memsim::{BusMonitor, NextUse, TraceEvent};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
@@ -379,6 +385,61 @@ impl Ord for Key {
         }
         (self.cache, self.index).cmp(&(other.cache, other.index))
     }
+}
+
+/// Per-trace quantities the bounds are built from: the exact split-access
+/// count, the compulsory-miss floor, and the exact average address-bus
+/// switching of the untiled trace.
+#[derive(Clone, Copy, Debug)]
+struct BoundInputs {
+    /// Line-level accesses (`n`) — exactly what the simulator will count.
+    accesses: u64,
+    /// Distinct lines touched (`m`) — admissible lower bound on misses.
+    min_misses: u64,
+    /// Exact `Add_bs` of the untiled trace at this line size.
+    add_bs: f64,
+}
+
+/// The bound inputs of a layout at each line size of `lines`, in order,
+/// from `untiled`'s trace under it, which is materialized once and
+/// dropped on return. Also returns that trace's length.
+fn layout_bounds(
+    untiled: &Kernel,
+    layout: &DataLayout,
+    lines: &[usize],
+    encoding: memsim::BusEncoding,
+) -> (Vec<BoundInputs>, u64) {
+    let trace = read_trace(untiled, layout);
+    let inputs = lines
+        .iter()
+        .map(|&l| {
+            let fp = TraceFootprint::analyze(l as u64, trace.iter().map(|e| (e.addr, e.size)));
+            BoundInputs {
+                accesses: fp.accesses,
+                min_misses: fp.min_misses(),
+                add_bs: exact_add_bs(&trace, l, encoding),
+            }
+        })
+        .collect();
+    (inputs, trace.len() as u64)
+}
+
+/// Exact average CPU-bus switching for `trace` at line size `line`,
+/// replicating the simulator's line splitting and bus observation order
+/// bit-for-bit (see `memsim::Simulator::step`).
+fn exact_add_bs(trace: &[TraceEvent], line: usize, encoding: memsim::BusEncoding) -> f64 {
+    let shift = (line as u64).trailing_zeros();
+    let mut bus = BusMonitor::new(encoding);
+    for e in trace {
+        let size = e.size.max(1) as u64;
+        let first_line = e.addr >> shift;
+        let last_line = (e.addr + size - 1) >> shift;
+        for l in first_line..=last_line {
+            let addr = if l == first_line { e.addr } else { l << shift };
+            bus.observe_cpu(addr);
+        }
+    }
+    bus.cpu().avg_switches()
 }
 
 /// One prepared `(T, L)` pair: its valid axes, sweep-index base, shared
@@ -1620,5 +1681,21 @@ mod tests {
                 ..Default::default()
             },
         );
+    }
+
+    #[test]
+    fn exact_add_bs_matches_the_simulator() {
+        use memsim::{BusEncoding, CacheConfig, Simulator};
+        let k = kernels::compress(15);
+        let layout = loopir::DataLayout::natural(&k);
+        let trace = read_trace(&k, &layout);
+        for line in [4usize, 8, 16] {
+            let ours = exact_add_bs(&trace, line, BusEncoding::Gray);
+            let cfg = CacheConfig::new(64.max(line * 4), line, 1).unwrap();
+            let mut sim = Simulator::with_options(cfg, BusEncoding::Gray, false);
+            sim.run_slice(&trace);
+            let theirs = sim.into_report().cpu_bus.avg_switches();
+            assert_eq!(ours, theirs, "line={line}");
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The sweep runner: the one simulate phase behind every sweep.
 //!
-//! Kernel sweeps (plain or supervised), Pareto waves, and streamed `.din`
-//! sweeps differ only in where their trace events come from. Each cuts
-//! its design grid into [`Unit`]s — a set of member design indices plus
+//! Kernel sweeps (plain or supervised) and streamed `.din` sweeps differ
+//! only in where their trace events come from. Each cuts its design grid
+//! into [`Unit`]s — a set of member design indices plus
 //! one [`Feed`]: records that are already known (analytic-exact groups),
 //! or a `memsim::TraceSource` to step a `memsim::ReplayBank` with (a
 //! kernel's compiled trace plan, or a re-opened `.din` stream). Both
@@ -194,8 +194,7 @@ struct Sink {
 
 /// A sweep's record slots plus everything its simulate phase owns; see
 /// the module docs. [`begin`](Self::begin) resumes, [`run`](Self::run)
-/// simulates one batch of units (Pareto runs one per wave), and
-/// [`finish`](Self::finish) flushes and collects.
+/// simulates the units, and [`finish`](Self::finish) flushes and collects.
 pub(crate) struct Sweep<'a> {
     explorer: &'a Explorer,
     designs: &'a [CacheDesign],
@@ -322,13 +321,9 @@ impl<'a> Sweep<'a> {
         })
     }
 
-    /// The record of design `i`, once simulated or resumed.
-    pub fn record(&self, i: usize) -> Option<&Record> {
-        self.slots[i].get()
-    }
-
     /// Simulates `units` over the work-stealing pool, inside one
-    /// `simulate` span. `conflict_free(i)` is design `i`'s placement flag.
+    /// `simulate` span; called once per sweep. `conflict_free(i)` is
+    /// design `i`'s placement flag.
     pub fn run(
         &mut self,
         units: &[Unit<'_>],
@@ -341,18 +336,13 @@ impl<'a> Sweep<'a> {
             this.run_unit(w, u, &units[u], &conflict_free);
         });
         drop(span);
-        self.simulate_time += phase_start.elapsed();
+        self.simulate_time = phase_start.elapsed();
         for unit in units.iter().filter(|u| !u.per_design) {
             self.banks += 1;
             self.analytic_banks += usize::from(matches!(unit.feed, Feed::Known { .. }));
             self.max_bank_width = self.max_bank_width.max(unit.members.len());
         }
-        for (i, d) in busy.map_err(RunError::Panic)?.into_iter().enumerate() {
-            match self.worker_busy.get_mut(i) {
-                Some(total) => *total += d,
-                None => self.worker_busy.push(d),
-            }
-        }
+        self.worker_busy = busy.map_err(RunError::Panic)?;
         match lock(&self.source_error).take() {
             Some(e) => Err(RunError::Source(e)),
             None => Ok(()),

@@ -26,8 +26,8 @@ pub struct SweepTelemetry {
     /// Distinct `(T, L)` off-chip layouts computed.
     pub layouts_computed: usize,
     /// (layout value, tiling) traces compiled into plans or materialized
-    /// (one per trace group of a sweep; Pareto and search count each
-    /// wave's or batch's plans, and the traces their bounds scan).
+    /// (one per trace group of a sweep; search counts each batch's plans,
+    /// and the traces its bounds scan).
     pub traces_generated: usize,
     /// Events generated from kernel trace plans: every walk of a plan
     /// (one per bank scan, so per design under the per-design engine)
@@ -68,8 +68,7 @@ pub struct SweepTelemetry {
     /// Wall time of the layout phase (off-chip placement per `(T, L)`).
     pub layout_time: Duration,
     /// Wall time of the trace phase: compiling each trace key's plan
-    /// (plus, in Pareto and search, materializing the traces their
-    /// bounds scan).
+    /// (plus, in search, materializing the traces its bounds scan).
     pub trace_time: Duration,
     /// Wall time classifying trace groups for the analytic fast path
     /// (zero when the fast path is disabled or never gated in).
@@ -86,18 +85,19 @@ pub struct SweepTelemetry {
     pub total_time: Duration,
     /// Per-worker busy time during the simulation phase.
     pub worker_busy: Vec<Duration>,
-    /// Designs skipped by the admissible branch-and-bound pruner without
-    /// simulation (0 for exhaustive sweeps).
+    /// Designs a certified search skipped without simulation, because an
+    /// admissible bound already lost (0 for sweeps).
     pub designs_pruned: usize,
     /// Records a certified search computed in a leaf batch but never
     /// consumed: their leaf was pruned when popped, or the search stopped
     /// first. Not counted in [`designs_evaluated`](Self::designs_evaluated)
     /// (0 for sweeps, which consume every record).
     pub designs_speculative: usize,
-    /// Pareto-frontier size, when the sweep extracted one (0 otherwise).
+    /// Pareto-frontier size, when `memx pareto` extracted one from the
+    /// sweep (0 otherwise).
     pub frontier_size: usize,
-    /// Wall time spent computing admissible bounds and dominance checks
-    /// (zero for exhaustive sweeps).
+    /// Wall time a certified search spent computing admissible bounds
+    /// (zero for sweeps).
     pub bound_time: Duration,
     /// Belady-MIN floor computations a certified search ran: one per
     /// trace key whose open leaves needed floors it did not have yet (a

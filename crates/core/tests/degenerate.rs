@@ -1,5 +1,5 @@
-//! Degenerate-configuration edge cases for the evaluator and the Pareto
-//! engines.
+//! Degenerate-configuration edge cases for the evaluator, the sweep
+//! engines and the Pareto frontier over their records.
 //!
 //! The paper grid never reaches these corners (it requires ≥ 4 lines and
 //! kernels always read something), so they get dedicated coverage:
@@ -11,7 +11,7 @@ use loopir::transform::tile_all;
 use loopir::DataLayout;
 use loopir::{kernels, AffineExpr, ArrayDecl, ArrayId, ArrayRef, Kernel, Loop, LoopNest};
 use memexplore::metrics::read_trace;
-use memexplore::{CacheDesign, DesignSpace, Evaluator, Explorer};
+use memexplore::{select, CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record};
 
 /// A kernel that only writes — its read trace is empty.
 fn write_only_kernel() -> Kernel {
@@ -75,10 +75,29 @@ fn empty_read_trace_yields_zeroed_record() {
     assert_eq!(record.energy_nj, 0.0);
 }
 
+/// The Pareto frontier of `kernel` over `space` from each sweep engine,
+/// checked against the frontier of each design evaluated alone.
+fn engine_frontiers(kernel: &Kernel, space: &DesignSpace) -> Vec<Record> {
+    let designs = space.designs();
+    let evaluator = Evaluator::default();
+    let alone: Vec<Record> = designs
+        .iter()
+        .map(|&d| evaluator.evaluate(kernel, d))
+        .collect();
+    let reference = select::pareto3(&alone);
+    for engine in [Engine::Fused, Engine::PerDesign] {
+        let swept = Explorer::default()
+            .with_engine(engine)
+            .explore_designs(kernel, &designs);
+        assert_eq!(select::pareto3(&swept), reference, "{engine:?}");
+    }
+    reference
+}
+
 #[test]
 fn pareto_engines_agree_on_a_degenerate_space() {
     // min_lines == 1 admits T == L; assoc 8 reaches fully associative at
-    // T/L == 8. The pruner must stay exact out here too.
+    // T/L == 8. Banked replay must stay exact out here too.
     let space = DesignSpace {
         cache_sizes: vec![16, 32, 64],
         line_sizes: vec![8, 16],
@@ -87,12 +106,8 @@ fn pareto_engines_agree_on_a_degenerate_space() {
         min_lines: 1,
         ..Default::default()
     };
-    let kernel = kernels::dequant(15);
-    let explorer = Explorer::default();
-    let (exhaustive, _) = explorer.pareto_exhaustive(&kernel, &space);
-    let (pruned, telemetry) = explorer.pareto_pruned(&kernel, &space);
-    assert_eq!(exhaustive, pruned);
-    assert_eq!(telemetry.designs_considered(), space.designs().len());
+    let frontier = engine_frontiers(&kernels::dequant(15), &space);
+    assert!(!frontier.is_empty());
 }
 
 #[test]
@@ -100,11 +115,8 @@ fn pareto_engines_agree_on_an_empty_read_trace() {
     // Every design costs the same (zero), so the frontier collapses to
     // the smallest cache and the engines must agree on which records
     // survive the tie-break.
-    let kernel = write_only_kernel();
-    let space = DesignSpace::small();
-    let explorer = Explorer::default();
-    let (exhaustive, _) = explorer.pareto_exhaustive(&kernel, &space);
-    let (pruned, _) = explorer.pareto_pruned(&kernel, &space);
-    assert_eq!(exhaustive, pruned);
-    assert!(!pruned.is_empty());
+    let frontier = engine_frontiers(&write_only_kernel(), &DesignSpace::small());
+    assert!(!frontier.is_empty());
+    let smallest = DesignSpace::small().cache_sizes[0];
+    assert!(frontier.iter().all(|r| r.design.cache_size == smallest));
 }

@@ -81,6 +81,9 @@ notes, and warnings go to stderr, so piped output stays machine-readable.
 run summary from such a log. `--checkpoint-every 0` selects the default
 flush interval (32 records).
 
+Pareto: `memx pareto` prints the exact frontier of the full sweep;
+`--exhaustive` is accepted and has no effect.
+
 Kernel files use the loopir text format, e.g.:
 
   kernel Compress
@@ -222,9 +225,11 @@ pub enum Command {
         natural: bool,
         /// Output format: `csv` (default) or `json`.
         format: String,
-        /// Run the exhaustive sweep instead of the pruned one.
+        /// `--exhaustive`: accepted and ignored (every frontier comes from
+        /// the exhaustive sweep).
         exhaustive: bool,
-        /// Print sweep telemetry (prune counts, phase times) as comments.
+        /// Print sweep telemetry (phase times, frontier size): on stderr
+        /// with CSV, embedded in the JSON otherwise.
         telemetry: bool,
         /// Simulation engine (`fused`, the default, or `per-design`).
         engine: String,
@@ -379,7 +384,8 @@ pub enum Command {
         engine: String,
         /// pareto/search output format.
         format: Option<String>,
-        /// pareto: exhaustive instead of pruned.
+        /// pareto: `--exhaustive`, sent on; the daemon ignores it on a
+        /// kernel job and rejects it on a trace job.
         exhaustive: bool,
         /// search: objective to minimize.
         objective: Option<Objective>,
@@ -1357,7 +1363,7 @@ mod tests {
     }
 
     #[test]
-    fn pareto_defaults_to_pruned_csv() {
+    fn pareto_defaults_to_csv() {
         match parse_args(&argv("pareto k.mx")).expect("valid") {
             Command::Pareto {
                 format,

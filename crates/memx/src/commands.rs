@@ -9,6 +9,7 @@ use analysis::placement::optimize_layout;
 use energy::SramPart;
 use loopir::parse::parse_kernel;
 use loopir::{AccessKind, ArrayId, DataLayout, Kernel, TraceGen};
+use memexplore::metrics::read_trace;
 use memexplore::{
     select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
     FaultPlan, Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
@@ -26,7 +27,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A command's result, split by stream. `stdout` carries the
 /// machine-readable records/report; `stderr` carries human-facing notes
@@ -152,7 +153,8 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             em_nj,
             natural,
             format,
-            exhaustive,
+            // Every frontier comes from the one exhaustive sweep.
+            exhaustive: _,
             telemetry,
             engine,
             no_analytic,
@@ -167,7 +169,6 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
                 deadline_secs: supervise.deadline_secs,
                 engine,
                 format,
-                exhaustive,
                 ..job
             };
             let ctx = RunCtx {
@@ -1400,7 +1401,12 @@ fn trace_search_winner(records: &[Option<Record>], objective: Objective) -> Opti
     best.map(|(index, _)| index)
 }
 
-/// `memx pareto`: the three-objective frontier of the input's grid.
+/// `memx pareto`: the three-objective frontier of the input's grid,
+/// [`select::pareto3`] over the records of the same sweep `memx explore`
+/// runs. A supervised kernel sweep simulates the same records, so its
+/// frontier is byte-identical to the plain one when the run is clean
+/// (CI's Pareto smoke run diffs the two), and well-formed over whatever
+/// completed when it is not.
 fn pareto(
     spec: &JobSpec,
     ctx: &RunCtx,
@@ -1410,36 +1416,18 @@ fn pareto(
     let designs = spec.input.grid();
     spec.input.check_grid(&designs, stderr)?;
     let (explorer, obs) = job_explorer(spec, ctx)?;
-    let (frontier, sweep, engine_label) = match &spec.input {
-        JobInput::Kernel(kernel) if !supervise.is_active() => {
-            let space = DesignSpace::paper();
-            if spec.exhaustive {
-                let (frontier, sweep) = explorer
-                    .try_pareto_exhaustive(kernel, &space)
-                    .map_err(explore_error)?;
-                (frontier, sweep, "exhaustive")
-            } else {
-                let (frontier, sweep) = explorer
-                    .try_pareto_pruned(kernel, &space)
-                    .map_err(explore_error)?;
-                (frontier, sweep, "pruned")
-            }
-        }
-        // The supervised sweep is exhaustive over the grid; the frontier
-        // over its completed records is bit-identical to the pruned one
-        // when the run is clean (the pareto oracle tests pin that), and
-        // well-formed over whatever completed when it is not.
-        input => {
-            let outcome = sweep_job(input, &explorer, &designs, supervise, stderr)?;
-            let frontier = select::pareto3(&outcome.completed_records());
-            let mut sweep = outcome.telemetry;
-            sweep.frontier_size = frontier.len();
-            let label = match input {
-                JobInput::Kernel(_) => "supervised",
-                JobInput::Trace(_) => "streamed",
-            };
-            (frontier, sweep, label)
-        }
+    let outcome = sweep_job(&spec.input, &explorer, &designs, supervise, stderr)?;
+    let select_start = Instant::now();
+    let frontier = select::pareto3(&outcome.completed_records());
+    let select_time = select_start.elapsed();
+    let mut sweep = outcome.telemetry;
+    sweep.select_time += select_time;
+    sweep.total_time += select_time;
+    sweep.frontier_size = frontier.len();
+    let engine_label = match (&spec.input, supervise.is_active()) {
+        (JobInput::Trace(_), _) => "streamed",
+        (JobInput::Kernel(_), true) => "supervised",
+        (JobInput::Kernel(_), false) => "exhaustive",
     };
     if let Some(o) = &obs {
         o.finish();
@@ -1564,7 +1552,11 @@ fn simulate(
         evaluator.placement = PlacementMode::Natural;
     }
     let design = CacheDesign::new(cache, line, assoc, tiling);
-    let record = evaluator.evaluate(kernel, design);
+    let (layout, conflict_free) = evaluator
+        .try_layout_for(kernel, cache, line)
+        .map_err(explore_error)?;
+    let tiled = loopir::transform::tile_all(kernel, tiling);
+    let record = evaluator.evaluate_with_trace(design, &read_trace(&tiled, &layout), conflict_free);
 
     let mut out = String::new();
     let _ = writeln!(out, "kernel {} on {}", kernel.name, config);
@@ -1574,8 +1566,6 @@ fn simulate(
         record.trip_count, record.miss_rate, record.cycles, record.energy_nj, record.conflict_free
     );
     if classify {
-        let (layout, _) = evaluator.layout_for(kernel, cache, line);
-        let tiled = loopir::transform::tile_all(kernel, tiling);
         let events = TraceGen::new(&tiled, &layout)
             .filter(|a| a.kind == AccessKind::Read)
             .map(|a| TraceEvent::read(a.addr, a.size));
@@ -2131,7 +2121,7 @@ mod tests {
             "stdout must stay pure CSV: {out:?}"
         );
         assert!(
-            out.stderr.contains("prune"),
+            out.stderr.contains("frontier :"),
             "telemetry summary missing from stderr: {out:?}"
         );
     }
@@ -2139,50 +2129,28 @@ mod tests {
     #[test]
     fn pareto_command_json_matches_exhaustive_frontier() {
         let (_dir, path) = write_kernel();
-        let pruned = run(Command::Pareto {
-            file: path.clone(),
-            part: "cy7c".into(),
-            em_nj: None,
-            natural: false,
-            format: "json".into(),
-            exhaustive: false,
-            telemetry: false,
-            engine: "fused".into(),
-            no_analytic: false,
-            supervise: Supervise::default(),
-            obs: ObsFlags::default(),
-        })
-        .expect("pruned succeeds")
-        .stdout;
-        let exhaustive = run(Command::Pareto {
-            file: path,
-            part: "cy7c".into(),
-            em_nj: None,
-            natural: false,
-            format: "json".into(),
-            exhaustive: true,
-            telemetry: false,
-            engine: "fused".into(),
-            no_analytic: false,
-            supervise: Supervise::default(),
-            obs: ObsFlags::default(),
-        })
-        .expect("exhaustive succeeds")
-        .stdout;
-        assert!(pruned.contains("\"engine\": \"pruned\""), "{pruned}");
-        assert!(
-            exhaustive.contains("\"engine\": \"exhaustive\""),
-            "{exhaustive}"
-        );
-        // Identical frontiers: everything after the engine line must match.
-        let body = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("\"engine\""))
-                .collect::<Vec<_>>()
-                .join("\n")
+        let run_with = |exhaustive: bool| {
+            run(Command::Pareto {
+                file: path.clone(),
+                part: "cy7c".into(),
+                em_nj: None,
+                natural: false,
+                format: "json".into(),
+                exhaustive,
+                telemetry: false,
+                engine: "fused".into(),
+                no_analytic: false,
+                supervise: Supervise::default(),
+                obs: ObsFlags::default(),
+            })
+            .expect("command succeeds")
+            .stdout
         };
-        assert_eq!(body(&pruned), body(&exhaustive));
-        assert!(pruned.contains("\"frontier_size\""), "{pruned}");
+        // `--exhaustive` is accepted and ignored: one sweep, one frontier.
+        let plain = run_with(false);
+        assert_eq!(plain, run_with(true));
+        assert!(plain.contains("\"engine\": \"exhaustive\""), "{plain}");
+        assert!(plain.contains("\"frontier_size\""), "{plain}");
     }
 
     #[test]

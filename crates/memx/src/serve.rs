@@ -209,9 +209,10 @@ impl JobInput {
 //
 // * the CLI refuses `--analytical` and `--space expansive` (they would
 //   change what is computed: exit 1, before the file is read), warns on
-//   `--engine` and `--beam` (they only change how), and lets
-//   `--exhaustive` and `--gap` pass without effect;
-// * the JSON API rejects every kernel-only field with a 400.
+//   `--engine` and `--beam` (they only change how), and lets `--gap`
+//   pass without effect (`--exhaustive` has none on any input);
+// * the JSON API rejects every kernel-only field with a 400, including
+//   `exhaustive`, which a kernel pareto job accepts and ignores.
 
 /// The fields a trace job rejects with a 400.
 const KERNEL_ONLY_FIELDS: [&str; 6] =
@@ -305,8 +306,6 @@ pub struct JobSpec {
     pub engine: String,
     /// pareto: `csv`/`json`; search: `text`/`csv`/`json`.
     pub format: String,
-    /// pareto: exhaustive instead of pruned.
-    pub exhaustive: bool,
     /// search: objective to minimize.
     pub objective: Objective,
     /// search: `paper` or `expansive` grid.
@@ -386,7 +385,6 @@ impl JobSpec {
             } else {
                 "csv".to_string()
             },
-            exhaustive: false,
             objective: Objective::Energy,
             space: "paper".to_string(),
             beam: None,
@@ -530,8 +528,10 @@ impl JobSpec {
                         field_keyword(value, "format", &["text", "csv", "json"])?.to_string();
                     true
                 }
+                // Accepted for compatibility and ignored: every frontier
+                // comes from the one exhaustive sweep.
                 "exhaustive" if kind == JobKind::Pareto => {
-                    spec.exhaustive = field_bool(value, "exhaustive")?;
+                    field_bool(value, "exhaustive")?;
                     true
                 }
                 "objective" if kind == JobKind::Search => {
@@ -632,7 +632,6 @@ impl JobSpec {
             JobKind::Pareto => {
                 let _ = write!(s, "engine={}\0", self.engine);
                 let _ = write!(s, "format={}\0", self.format);
-                let _ = write!(s, "exhaustive={}\0", u8::from(self.exhaustive));
             }
             JobKind::Search => {
                 let _ = write!(s, "objective={}\0", self.objective);
@@ -1371,7 +1370,8 @@ pub struct SubmitRequest {
     pub engine: String,
     /// Output format (pareto/search).
     pub format: Option<String>,
-    /// pareto: exhaustive sweep.
+    /// pareto: `--exhaustive`; the daemon ignores it on a kernel job and
+    /// rejects it on a trace job.
     pub exhaustive: bool,
     /// search: objective.
     pub objective: Option<Objective>,

@@ -174,10 +174,12 @@ fn placement_overflow_is_one_error_line_not_a_wrapped_layout() {
     )
     .expect("tempdir writable");
     let path = huge.to_str().expect("utf8 path");
-    // `place` prints no layout; the sweep commands, which place every
-    // (T, L) pair of their grid first, print no records.
+    // `place` prints no layout and `simulate` no record; the sweep
+    // commands, which place every (T, L) pair of their grid first, print
+    // no records.
     for args in [
         &["place", path, "--cache", "1024", "--line", "16"][..],
+        &["simulate", path, "--cache", "1024", "--line", "16"][..],
         &["explore", path][..],
         &["pareto", path][..],
         &["pareto", path, "--exhaustive"][..],
@@ -189,6 +191,36 @@ fn placement_overflow_is_one_error_line_not_a_wrapped_layout() {
         assert_one_line_error(&out);
         assert!(
             stderr(&out).contains("overflow"),
+            "{args:?} stderr: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{args:?} prints nothing on stdout");
+    }
+}
+
+#[test]
+fn leader_outside_its_array_is_one_error_line_not_a_panic() {
+    let scratch = Scratch::new("place-bounds");
+    // At i = 0 the one class leader reads a[-1].
+    let lead = scratch.path("lead.mx");
+    std::fs::write(
+        &lead,
+        "kernel Lead\narray a[8] elem 4\nfor i = 0 .. 7\n  read a[i-1]\n",
+    )
+    .expect("tempdir writable");
+    let path = lead.to_str().expect("utf8 path");
+    for args in [
+        &["place", path, "--cache", "64", "--line", "8"][..],
+        &["simulate", path, "--cache", "64", "--line", "8"][..],
+        &["explore", path][..],
+        &["pareto", path][..],
+        &["search", path][..],
+    ] {
+        let out = memx(args);
+        assert_eq!(exit_code(&out), 1, "{args:?} stderr: {}", stderr(&out));
+        assert_one_line_error(&out);
+        assert!(
+            stderr(&out).contains("out of bounds: -1 not in 0..8"),
             "{args:?} stderr: {}",
             stderr(&out)
         );

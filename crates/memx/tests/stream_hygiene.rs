@@ -104,7 +104,7 @@ fn pareto_csv_stays_pure_rows_with_telemetry() {
             "non-CSV line on stdout: {line:?}"
         );
     }
-    assert!(stderr(&out).contains("prune"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("frontier :"), "{}", stderr(&out));
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //!   regenerate-per-design reference, bit for bit.
 //! * `tests/fused_oracle.rs` — the fused one-pass replay engine against
 //!   the per-design engine on every paper kernel, explore and pareto.
-//! * `tests/pareto_oracle.rs` — branch-and-bound pruning against the
-//!   exhaustive frontier on every paper kernel.
+//! * `tests/replay_oracle.rs` — sweep records and the Pareto frontier
+//!   over them against a scalar replay of each design alone.
 //! * `tests/regression_kernels.rs` — pinned metrics for the paper's
 //!   five kernels so model drift is caught at the digit level.
 //! * `tests/paper_claims.rs` — the qualitative claims of the source

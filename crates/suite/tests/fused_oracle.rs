@@ -1,7 +1,7 @@
 //! The fused-replay oracle: on every paper kernel, the fused one-pass
 //! engine must produce records *bit-identical* to the per-design engine
 //! over the full paper grid — for both the exhaustive explore sweep and
-//! the pruned Pareto search.
+//! the Pareto frontier `memx pareto` takes over it.
 //!
 //! This is the acceptance gate of the trace-group refactor
 //! (`memsim::ReplayBank` + `memexplore::Engine::Fused`): banking designs
@@ -12,7 +12,7 @@
 
 use loopir::kernels;
 use loopir::Kernel;
-use memexplore::{DesignSpace, Engine, Explorer};
+use memexplore::{select, DesignSpace, Engine, Explorer};
 
 fn assert_fused_oracle(kernel: &Kernel) {
     let space = DesignSpace::paper();
@@ -44,22 +44,12 @@ fn assert_fused_oracle(kernel: &Kernel) {
         ft.trace_events_replayed
     );
 
-    // Pruned Pareto search: same frontier, same prune decisions.
-    let (ff, fft) = fused.pareto_pruned(kernel, &space);
-    let (pf, pft) = per_design.pareto_pruned(kernel, &space);
+    // Pareto frontier over each sweep: the same records.
+    let (ff, pf) = (select::pareto3(&fr), select::pareto3(&pr));
+    assert!(!ff.is_empty(), "{}", kernel.name);
     assert_eq!(
         ff, pf,
-        "{}: fused pruned frontier diverged from per-design",
-        kernel.name
-    );
-    assert_eq!(
-        fft.designs_pruned, pft.designs_pruned,
-        "{}: banking must not change the prune set",
-        kernel.name
-    );
-    assert_eq!(
-        fft.designs_evaluated, pft.designs_evaluated,
-        "{}",
+        "{}: fused frontier diverged from per-design",
         kernel.name
     );
 }

@@ -240,24 +240,59 @@ fn layout_phase_logs_placement_and_scoring_units() {
 }
 
 #[test]
-fn pareto_pruned_log_reconciles_with_telemetry() {
-    let kernel = kernels::compress(31);
-    let space = DesignSpace::paper();
-    let buf = SharedBuf::default();
-    let obs = obs_into(&buf);
-    let explorer = Explorer::default().with_obs(Arc::clone(&obs));
-    let (frontier, telemetry) = explorer.pareto_pruned(&kernel, &space);
-    obs.finish();
-    assert!(!frontier.is_empty());
+fn pareto_log_reconciles_with_telemetry() {
+    // `memx pareto` end to end: the frontier of one exhaustive sweep, its
+    // telemetry embedded in the JSON output and its log in a file.
+    let dir = std::env::temp_dir().join(format!("memx-obs-pareto-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is creatable");
+    let log = dir.join("pareto.jsonl");
+    let argv: Vec<String> = [
+        "pareto",
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/kernels/compress.mx"
+        ),
+        "--format",
+        "json",
+        "--telemetry",
+        "--log-json",
+        log.to_str().expect("utf8 path"),
+    ]
+    .iter()
+    .map(|a| a.to_string())
+    .collect();
+    let out = memx::run(memx::parse_args(&argv).expect("valid arguments")).expect("pareto runs");
+    let json = memexplore::obs::parse_json(&out.stdout).expect("pareto JSON parses");
+    let text = std::fs::read_to_string(&log).expect("log written");
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let report = RunReport::from_jsonl(&buf.take_text()).expect("log parses");
-    assert_eq!(report.designs_done as usize, telemetry.designs_evaluated);
-    assert_eq!(report.pruned as usize, telemetry.designs_pruned);
-    assert!(
-        report.pruned > 0,
-        "the paper grid always prunes some designs"
+    use memexplore::obs::Json;
+    let field = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).expect(k);
+    let telemetry = json.get("telemetry").expect("telemetry embedded");
+    let frontier = match json.get("frontier") {
+        Some(Json::Arr(rows)) => rows.len() as u64,
+        other => panic!("frontier is not an array: {other:?}"),
+    };
+    assert!(frontier > 0);
+    assert_eq!(
+        json.get("engine").and_then(Json::as_str),
+        Some("exhaustive")
     );
-    assert!(report.phases.iter().any(|p| p.name == "bound"));
+    assert_eq!(field(&json, "frontier_size"), frontier);
+    assert_eq!(field(telemetry, "frontier_size"), frontier);
+
+    let report = RunReport::from_jsonl(&text).expect("log parses");
+    let designs = DesignSpace::paper().designs().len() as u64;
+    assert_eq!(report.designs_done, designs);
+    assert_eq!(field(telemetry, "designs_evaluated"), designs);
+    assert_eq!(report.pruned, 0);
+    assert_eq!(field(telemetry, "designs_pruned"), 0);
+    for phase in ["layout", "trace", "simulate", "select"] {
+        assert!(
+            report.phases.iter().any(|p| p.name == phase && p.spans > 0),
+            "phase {phase} missing from log"
+        );
+    }
 }
 
 #[test]

@@ -8,14 +8,15 @@
 //! so comparing the engines with each other cannot catch a fault they
 //! share. This suite keeps an independent reference for both, on the
 //! paper grid and on an ample grid where the analytic fast path resolves
-//! groups in closed form. Records of the pruned Pareto frontier are
-//! checked against the same reference.
+//! groups in closed form. Records of the Pareto frontier `memx pareto`
+//! prints (`select::pareto3` over the sweep) are checked against the same
+//! reference.
 
 use loopir::kernels;
 use loopir::transform::tile_all;
 use loopir::Kernel;
 use memexplore::metrics::read_trace;
-use memexplore::{CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record};
+use memexplore::{select, CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record};
 use std::collections::HashMap;
 
 /// Each design's record from a scalar replay of its own trace. Layouts
@@ -70,8 +71,7 @@ fn assert_replay_oracle(kernel: &Kernel) {
                     kernel.name
                 );
             }
-            let (frontier, _) = explorer.pareto_pruned(kernel, &space);
-            for r in &frontier {
+            for r in &select::pareto3(&swept) {
                 assert_eq!(
                     Some(&r),
                     by_design.get(&r.design),

@@ -269,7 +269,7 @@ impl From<CheckpointError> for ExploreError {
 
 /// Renders a panic payload as text (panics carry `&str` or `String` in
 /// practice; anything else is reported generically).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

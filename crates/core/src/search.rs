@@ -899,7 +899,8 @@ impl Explorer {
         }
         let objective = options.objective;
         let start = Instant::now();
-        let deadline_at = options.deadline.map(|d| start + d);
+        // A deadline past the end of representable time never fires.
+        let deadline_at = options.deadline.and_then(|d| start.checked_add(d));
         let obs = self.obs.as_deref();
         let search_span = Span::begin(obs, "search");
         let mut telemetry = SweepTelemetry::default();

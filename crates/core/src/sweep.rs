@@ -294,7 +294,8 @@ impl<'a> Sweep<'a> {
             id,
             workers,
             start,
-            deadline: options.deadline.map(|d| start + d),
+            // A deadline past the end of representable time never fires.
+            deadline: options.deadline.and_then(|d| start.checked_add(d)),
             hists: SweepHists::default(),
             slots,
             records_resumed,

@@ -1,5 +1,7 @@
 //! Argument parsing (no external parser crates).
 
+use crate::knobs::{Id, JobKind, Knob, Knobs, KNOBS, SECONDS};
+use crate::serve::SubmitRequest;
 use memexplore::Objective;
 use std::error::Error;
 use std::fmt;
@@ -97,7 +99,8 @@ Kernel files use the loopir text format, e.g.:
 
 /// Sweep-supervisor flags shared by `explore` and `pareto`
 /// (checkpoint/resume/deadline). All default to off; the sweep then runs
-/// supervised only when one of them is set.
+/// supervised only when one of them is set. The deadline is a job knob
+/// (see [`crate::knobs`]); the rest are run settings.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Supervise {
     /// Checkpoint sidecar path (`--checkpoint`).
@@ -125,11 +128,6 @@ impl Supervise {
         if self.checkpoint_every > 0 && self.checkpoint.is_none() {
             return Err(err("`--checkpoint-every` requires `--checkpoint PATH`"));
         }
-        // `<= 0.0 || NaN` rather than `!(d > 0.0)`: same set, and clippy
-        // prefers the comparison spelled positively.
-        if self.deadline_secs.is_some_and(|d| d <= 0.0 || d.is_nan()) {
-            return Err(err("`--deadline` must be a positive number of seconds"));
-        }
         Ok(())
     }
 
@@ -144,7 +142,6 @@ impl Supervise {
                 self.checkpoint_every = if n == 0 { 32 } else { n };
             }
             "--resume" => self.resume = true,
-            "--deadline" => self.deadline_secs = Some(parse_num(flag, args.value_of(flag)?)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -277,22 +274,10 @@ pub enum Command {
     Sweep {
         /// Path to the kernel or `.din` trace file.
         file: String,
-        /// Off-chip part keyword (`cy7c`, `lp2m`, `16m`).
-        part: String,
-        /// Custom `Em` (nJ/access) overriding `part`.
-        em_nj: Option<f64>,
-        /// Use the natural (unoptimized) layout.
-        natural: bool,
-        /// Cycle bound for the min-energy selection.
-        bound_cycles: Option<f64>,
-        /// Energy bound (nJ) for the min-time selection.
-        bound_energy: Option<f64>,
-        /// Print the Pareto frontier.
-        pareto: bool,
+        /// The explore job's knobs (no analytical model, no deadline).
+        knobs: Knobs,
         /// Print merged sweep telemetry (including shard counters).
         telemetry: bool,
-        /// Simulation engine forwarded to workers.
-        engine: String,
         /// Local worker processes to spawn (0 = coordinator-local only,
         /// unless daemons are attached).
         distributed: usize,
@@ -318,24 +303,12 @@ pub enum Command {
     Worker {
         /// Path to the kernel or `.din` trace file.
         file: String,
-        /// Off-chip part keyword (`cy7c`, `lp2m`, `16m`).
-        part: String,
-        /// Custom `Em` (nJ/access) overriding `part`.
-        em_nj: Option<f64>,
-        /// Use the natural (unoptimized) layout.
-        natural: bool,
-        /// Simulation engine (`fused` or `per-design`).
-        engine: String,
-        /// First global design index (inclusive).
-        start: usize,
-        /// One past the last global design index.
-        end: usize,
-        /// Checkpoint sidecar path (required: it is the result stream).
-        checkpoint: String,
-        /// Flush interval in records (0 selects the default).
-        checkpoint_every: usize,
-        /// Resume from an existing checkpoint (crash recovery).
-        resume: bool,
+        /// The shard job's knobs, including its `[start, end)` range of
+        /// global design indices.
+        knobs: Knobs,
+        /// Checkpoint path (required: it is the result stream), flush
+        /// interval and resume flag.
+        supervise: Supervise,
     },
     /// Run the sweep-as-a-service daemon: exploration jobs over
     /// HTTP+JSON, fair scheduling onto a shared worker pool, and a
@@ -359,51 +332,7 @@ pub enum Command {
     },
     /// Submit one job to a running `memx serve` daemon and print its
     /// response (the tiny client the CI smoke job and scripts use).
-    Submit {
-        /// Daemon address (`HOST:PORT`).
-        addr: String,
-        /// Path to the kernel file (read locally, sent in the request).
-        file: String,
-        /// Job kind: `explore` (default), `pareto`, or `search`.
-        job: String,
-        /// Off-chip part keyword (`cy7c`, `lp2m`, `16m`).
-        part: String,
-        /// Custom `Em` (nJ/access) overriding `part`.
-        em_nj: Option<f64>,
-        /// Use the natural (unoptimized) layout.
-        natural: bool,
-        /// explore: use the analytical miss-rate model.
-        analytical: bool,
-        /// explore: cycle bound for the min-energy selection.
-        bound_cycles: Option<f64>,
-        /// explore: energy bound (nJ) for the min-time selection.
-        bound_energy: Option<f64>,
-        /// explore: print the Pareto frontier.
-        pareto: bool,
-        /// Simulation engine (`fused` or `per-design`).
-        engine: String,
-        /// pareto/search output format.
-        format: Option<String>,
-        /// pareto: `--exhaustive`, sent on; the daemon ignores it on a
-        /// kernel job and rejects it on a trace job.
-        exhaustive: bool,
-        /// search: objective to minimize.
-        objective: Option<Objective>,
-        /// search: grid keyword (`paper` or `expansive`).
-        space: String,
-        /// search: beam width.
-        beam: Option<usize>,
-        /// search: relative gap target.
-        gap: f64,
-        /// Per-job deadline in seconds.
-        deadline_secs: Option<f64>,
-        /// Poll `GET /v1/health` for up to SECS before submitting.
-        wait_health_secs: Option<f64>,
-        /// Retries after connection-refused/timeout (0 = fail fast).
-        retries: u32,
-        /// Base retry backoff in milliseconds (exponential + jitter).
-        backoff_ms: u64,
-    },
+    Submit(SubmitRequest),
     /// Render a run summary from a `--log-json` event log.
     Report {
         /// Path to the JSONL event log.
@@ -514,13 +443,109 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, UsageEr
         .map_err(|_| err(format!("bad value `{value}` for `{flag}`")))
 }
 
-fn parse_engine(value: &str) -> Result<String, UsageError> {
-    if !["fused", "per-design"].contains(&value) {
-        return Err(err(format!(
-            "unknown engine `{value}` (expected fused or per-design)"
-        )));
+/// A flag's value in seconds, by the rule every deadline obeys.
+fn seconds(flag: &str, args: &mut Args<'_>) -> Result<f64, UsageError> {
+    let v = parse_num(flag, args.value_of(flag)?)?;
+    SECONDS.check(&format!("`{flag}`"), v).map_err(err)
+}
+
+/// Applies `flag` when it names a knob that `takes` admits, reading its
+/// value through the knob's row; false when it names none. Rows that
+/// share a flag (`--format`) are tried in turn, so `memx submit`, which
+/// admits every kind's knobs, takes the keywords of each.
+fn parse_knob(
+    knobs: &mut Knobs,
+    flag: &str,
+    args: &mut Args<'_>,
+    takes: impl Fn(&Knob) -> bool,
+) -> Result<bool, UsageError> {
+    let mut rows = KNOBS
+        .iter()
+        .filter(|k| k.flag == flag && takes(k))
+        .peekable();
+    let Some(first) = rows.peek() else {
+        return Ok(false);
+    };
+    let text = if first.is_switch() {
+        ""
+    } else {
+        args.value_of(flag)?
+    };
+    let mut refusal = String::new();
+    for row in rows {
+        match row.parse_text(text) {
+            Ok(value) => {
+                knobs.set(row.id, value);
+                return Ok(true);
+            }
+            Err(e) => refusal = e,
+        }
     }
-    Ok(value.to_string())
+    Err(err(refusal))
+}
+
+/// The explore, pareto or search command of `kind` with `knobs` and the
+/// run settings.
+fn job_command(
+    kind: JobKind,
+    file: String,
+    knobs: &Knobs,
+    telemetry: bool,
+    no_analytic: bool,
+    supervise: Supervise,
+    obs: ObsFlags,
+) -> Command {
+    let part = knobs.word(Id::Part).to_string();
+    let (em_nj, natural) = (knobs.num(Id::Em), knobs.on(Id::Natural));
+    let supervise = Supervise {
+        deadline_secs: knobs.num(Id::Deadline),
+        ..supervise
+    };
+    match kind {
+        JobKind::Explore => Command::Explore {
+            file,
+            part,
+            em_nj,
+            natural,
+            analytical: knobs.on(Id::Analytical),
+            bound_cycles: knobs.num(Id::BoundCycles),
+            bound_energy: knobs.num(Id::BoundEnergy),
+            pareto: knobs.on(Id::Pareto),
+            telemetry,
+            engine: knobs.word(Id::Engine).to_string(),
+            no_analytic,
+            supervise,
+            obs,
+        },
+        JobKind::Pareto => Command::Pareto {
+            file,
+            part,
+            em_nj,
+            natural,
+            format: knobs.word(Id::ParetoFormat).to_string(),
+            exhaustive: knobs.on(Id::Exhaustive),
+            telemetry,
+            engine: knobs.word(Id::Engine).to_string(),
+            no_analytic,
+            supervise,
+            obs,
+        },
+        _ => Command::Search {
+            file,
+            part,
+            em_nj,
+            natural,
+            objective: knobs.objective(),
+            space: knobs.word(Id::Space).to_string(),
+            beam: knobs.count(Id::Beam),
+            gap: knobs.num(Id::Gap).unwrap_or_default(),
+            deadline_secs: supervise.deadline_secs,
+            format: knobs.word(Id::SearchFormat).to_string(),
+            telemetry,
+            no_analytic,
+            obs,
+        },
+    }
 }
 
 /// Parses the argument vector (without the program name).
@@ -537,240 +562,37 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
     let sub = args.next().ok_or_else(|| err("missing subcommand"))?;
     match sub {
         "help" | "--help" | "-h" => Ok(Command::Help),
-        "explore" => {
+        "explore" | "pareto" | "search" => {
+            let kind = JobKind::parse(sub).expect("a sweep subcommand names its job kind");
             let file = args
                 .next()
-                .ok_or_else(|| err("explore needs a kernel or trace file"))?;
-            let mut cmd = Command::Explore {
-                file: file.to_string(),
-                part: "cy7c".to_string(),
-                em_nj: None,
-                natural: false,
-                analytical: false,
-                bound_cycles: None,
-                bound_energy: None,
-                pareto: false,
-                telemetry: false,
-                engine: "fused".to_string(),
-                no_analytic: false,
-                supervise: Supervise::default(),
-                obs: ObsFlags::default(),
-            };
-            while let Some(flag) = args.next() {
-                let Command::Explore {
-                    part,
-                    em_nj,
-                    natural,
-                    analytical,
-                    bound_cycles,
-                    bound_energy,
-                    pareto,
-                    telemetry,
-                    engine,
-                    no_analytic,
-                    supervise,
-                    obs,
-                    ..
-                } = &mut cmd
-                else {
-                    unreachable!("cmd is Explore by construction");
-                };
-                match flag {
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        *part = v.to_string();
-                    }
-                    "--em" => *em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => *natural = true,
-                    "--analytical" => *analytical = true,
-                    "--bound-cycles" => {
-                        *bound_cycles = Some(parse_num(flag, args.value_of(flag)?)?)
-                    }
-                    "--bound-energy" => {
-                        *bound_energy = Some(parse_num(flag, args.value_of(flag)?)?)
-                    }
-                    "--pareto" => *pareto = true,
-                    "--telemetry" => *telemetry = true,
-                    "--engine" => *engine = parse_engine(args.value_of(flag)?)?,
-                    "--no-analytic" => *no_analytic = true,
-                    other => {
-                        if !supervise.parse_flag(other, &mut args)?
-                            && !obs.parse_flag(other, &mut args)?
-                        {
-                            return Err(err(format!("unknown flag `{other}` for explore")));
-                        }
-                    }
-                }
-            }
-            if let Command::Explore { supervise, .. } = &cmd {
-                supervise.validate()?;
-            }
-            Ok(cmd)
-        }
-        "pareto" => {
-            let file = args
-                .next()
-                .ok_or_else(|| err("pareto needs a kernel or trace file"))?
+                .ok_or_else(|| err(format!("{sub} needs a kernel or trace file")))?
                 .to_string();
-            let mut part = "cy7c".to_string();
-            let mut em_nj = None;
-            let mut natural = false;
-            let mut format = "csv".to_string();
-            let mut exhaustive = false;
-            let mut telemetry = false;
-            let mut engine = "fused".to_string();
-            let mut no_analytic = false;
+            let mut knobs = Knobs::default();
+            let (mut telemetry, mut no_analytic) = (false, false);
             let mut supervise = Supervise::default();
             let mut obs = ObsFlags::default();
             while let Some(flag) = args.next() {
                 match flag {
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        part = v.to_string();
-                    }
-                    "--em" => em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => natural = true,
-                    "--format" => {
-                        let v = args.value_of(flag)?;
-                        if !["csv", "json"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown format `{v}` (expected csv or json)"
-                            )));
-                        }
-                        format = v.to_string();
-                    }
-                    "--exhaustive" => exhaustive = true,
                     "--telemetry" => telemetry = true,
-                    "--engine" => engine = parse_engine(args.value_of(flag)?)?,
                     "--no-analytic" => no_analytic = true,
-                    other => {
-                        if !supervise.parse_flag(other, &mut args)?
-                            && !obs.parse_flag(other, &mut args)?
-                        {
-                            return Err(err(format!("unknown flag `{other}` for pareto")));
-                        }
-                    }
+                    _ if parse_knob(&mut knobs, flag, &mut args, |k| k.takes(kind))? => {}
+                    // A search is never checkpointed; its deadline is a knob.
+                    _ if kind != JobKind::Search && supervise.parse_flag(flag, &mut args)? => {}
+                    _ if obs.parse_flag(flag, &mut args)? => {}
+                    other => return Err(err(format!("unknown flag `{other}` for {sub}"))),
                 }
             }
             supervise.validate()?;
-            Ok(Command::Pareto {
+            Ok(job_command(
+                kind,
                 file,
-                part,
-                em_nj,
-                natural,
-                format,
-                exhaustive,
+                &knobs,
                 telemetry,
-                engine,
                 no_analytic,
                 supervise,
                 obs,
-            })
-        }
-        "search" => {
-            let file = args
-                .next()
-                .ok_or_else(|| err("search needs a kernel or trace file"))?
-                .to_string();
-            let mut part = "cy7c".to_string();
-            let mut em_nj = None;
-            let mut natural = false;
-            let mut objective = Objective::Energy;
-            let mut space = "paper".to_string();
-            let mut beam = None;
-            let mut gap = 0.0f64;
-            let mut deadline_secs = None;
-            let mut format = "text".to_string();
-            let mut telemetry = false;
-            let mut no_analytic = false;
-            let mut obs = ObsFlags::default();
-            while let Some(flag) = args.next() {
-                match flag {
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        part = v.to_string();
-                    }
-                    "--em" => em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => natural = true,
-                    "--objective" => objective = args.value_of(flag)?.parse().map_err(err)?,
-                    "--space" => {
-                        let v = args.value_of(flag)?;
-                        if !["paper", "expansive"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown space `{v}` (expected paper or expansive)"
-                            )));
-                        }
-                        space = v.to_string();
-                    }
-                    "--beam" => {
-                        let n: usize = parse_num(flag, args.value_of(flag)?)?;
-                        if n == 0 {
-                            return Err(err("`--beam` must be at least 1"));
-                        }
-                        beam = Some(n);
-                    }
-                    "--gap" => {
-                        let g: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if !g.is_finite() || g < 0.0 {
-                            return Err(err("`--gap` must be a finite non-negative fraction"));
-                        }
-                        gap = g;
-                    }
-                    "--deadline" => {
-                        let d: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if d <= 0.0 || d.is_nan() {
-                            return Err(err("`--deadline` must be a positive number of seconds"));
-                        }
-                        deadline_secs = Some(d);
-                    }
-                    "--format" => {
-                        let v = args.value_of(flag)?;
-                        if !["text", "csv", "json"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown format `{v}` (expected text, csv, or json)"
-                            )));
-                        }
-                        format = v.to_string();
-                    }
-                    "--telemetry" => telemetry = true,
-                    "--no-analytic" => no_analytic = true,
-                    other => {
-                        if !obs.parse_flag(other, &mut args)? {
-                            return Err(err(format!("unknown flag `{other}` for search")));
-                        }
-                    }
-                }
-            }
-            Ok(Command::Search {
-                file,
-                part,
-                em_nj,
-                natural,
-                objective,
-                space,
-                beam,
-                gap,
-                deadline_secs,
-                format,
-                telemetry,
-                no_analytic,
-                obs,
-            })
+            ))
         }
         "serve" => {
             let mut addr = "127.0.0.1:7199".to_string();
@@ -804,15 +626,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                         }
                         cache_bytes = n;
                     }
-                    "--default-deadline" => {
-                        let d: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if d <= 0.0 || d.is_nan() {
-                            return Err(err(
-                                "`--default-deadline` must be a positive number of seconds",
-                            ));
-                        }
-                        default_deadline = Some(d);
-                    }
+                    "--default-deadline" => default_deadline = Some(seconds(flag, &mut args)?),
                     "--distribute" => distribute = parse_num(flag, args.value_of(flag)?)?,
                     other => {
                         if !obs.parse_flag(other, &mut args)? {
@@ -843,22 +657,8 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                 .next()
                 .ok_or_else(|| err("submit needs a kernel or trace file"))?
                 .to_string();
-            let mut job = "explore".to_string();
-            let mut part = "cy7c".to_string();
-            let mut em_nj = None;
-            let mut natural = false;
-            let mut analytical = false;
-            let mut bound_cycles = None;
-            let mut bound_energy = None;
-            let mut pareto = false;
-            let mut engine = "fused".to_string();
-            let mut format = None;
-            let mut exhaustive = false;
-            let mut objective = None;
-            let mut space = "paper".to_string();
-            let mut beam = None;
-            let mut gap = 0.0f64;
-            let mut deadline_secs = None;
+            let mut job = JobKind::Explore;
+            let mut knobs = Knobs::default();
             let mut wait_health_secs = None;
             let mut retries = 0u32;
             let mut backoff_ms = 250u64;
@@ -866,81 +666,15 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                 match flag {
                     "--job" => {
                         let v = args.value_of(flag)?;
-                        if !["explore", "pareto", "search"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown job `{v}` (expected explore, pareto, or search)"
-                            )));
-                        }
-                        job = v.to_string();
+                        job = JobKind::parse(v)
+                            .filter(|&k| k != JobKind::Shard)
+                            .ok_or_else(|| {
+                                err(format!(
+                                    "unknown job `{v}` (expected explore, pareto, or search)"
+                                ))
+                            })?;
                     }
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        part = v.to_string();
-                    }
-                    "--em" => em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => natural = true,
-                    "--analytical" => analytical = true,
-                    "--bound-cycles" => bound_cycles = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--bound-energy" => bound_energy = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--pareto" => pareto = true,
-                    "--engine" => engine = parse_engine(args.value_of(flag)?)?,
-                    "--format" => {
-                        let v = args.value_of(flag)?;
-                        if !["text", "csv", "json"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown format `{v}` (expected text, csv, or json)"
-                            )));
-                        }
-                        format = Some(v.to_string());
-                    }
-                    "--exhaustive" => exhaustive = true,
-                    "--objective" => {
-                        objective = Some(args.value_of(flag)?.parse().map_err(err)?);
-                    }
-                    "--space" => {
-                        let v = args.value_of(flag)?;
-                        if !["paper", "expansive"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown space `{v}` (expected paper or expansive)"
-                            )));
-                        }
-                        space = v.to_string();
-                    }
-                    "--beam" => {
-                        let n: usize = parse_num(flag, args.value_of(flag)?)?;
-                        if n == 0 {
-                            return Err(err("`--beam` must be at least 1"));
-                        }
-                        beam = Some(n);
-                    }
-                    "--gap" => {
-                        let g: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if !g.is_finite() || g < 0.0 {
-                            return Err(err("`--gap` must be a finite non-negative fraction"));
-                        }
-                        gap = g;
-                    }
-                    "--deadline" => {
-                        let d: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if d <= 0.0 || d.is_nan() {
-                            return Err(err("`--deadline` must be a positive number of seconds"));
-                        }
-                        deadline_secs = Some(d);
-                    }
-                    "--wait-health" => {
-                        let d: f64 = parse_num(flag, args.value_of(flag)?)?;
-                        if d <= 0.0 || d.is_nan() {
-                            return Err(err(
-                                "`--wait-health` must be a positive number of seconds",
-                            ));
-                        }
-                        wait_health_secs = Some(d);
-                    }
+                    "--wait-health" => wait_health_secs = Some(seconds(flag, &mut args)?),
                     "--retries" => retries = parse_num(flag, args.value_of(flag)?)?,
                     "--backoff" => {
                         let ms: u64 = parse_num(flag, args.value_of(flag)?)?;
@@ -949,46 +683,31 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                         }
                         backoff_ms = ms;
                     }
+                    // The knobs of every sweep kind: the daemon checks
+                    // them against `--job`.
+                    _ if parse_knob(&mut knobs, flag, &mut args, |k| {
+                        k.kinds.iter().any(|&kind| kind != JobKind::Shard)
+                    })? => {}
                     other => return Err(err(format!("unknown flag `{other}` for submit"))),
                 }
             }
-            Ok(Command::Submit {
+            Ok(Command::Submit(SubmitRequest {
                 addr,
                 file,
                 job,
-                part,
-                em_nj,
-                natural,
-                analytical,
-                bound_cycles,
-                bound_energy,
-                pareto,
-                engine,
-                format,
-                exhaustive,
-                objective,
-                space,
-                beam,
-                gap,
-                deadline_secs,
+                knobs,
                 wait_health_secs,
                 retries,
                 backoff_ms,
-            })
+            }))
         }
         "sweep" => {
             let file = args
                 .next()
                 .ok_or_else(|| err("sweep needs a kernel or trace file"))?
                 .to_string();
-            let mut part = "cy7c".to_string();
-            let mut em_nj = None;
-            let mut natural = false;
-            let mut bound_cycles = None;
-            let mut bound_energy = None;
-            let mut pareto = false;
+            let mut knobs = Knobs::default();
             let mut telemetry = false;
-            let mut engine = "fused".to_string();
             let mut distributed = None;
             let mut shards = None;
             let mut attach = Vec::new();
@@ -999,22 +718,7 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
             let mut obs = ObsFlags::default();
             while let Some(flag) = args.next() {
                 match flag {
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        part = v.to_string();
-                    }
-                    "--em" => em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => natural = true,
-                    "--bound-cycles" => bound_cycles = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--bound-energy" => bound_energy = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--pareto" => pareto = true,
                     "--telemetry" => telemetry = true,
-                    "--engine" => engine = parse_engine(args.value_of(flag)?)?,
                     "--distributed" => distributed = Some(parse_num(flag, args.value_of(flag)?)?),
                     "--shards" => {
                         let n: usize = parse_num(flag, args.value_of(flag)?)?;
@@ -1046,11 +750,13 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                         }
                         straggler_ms = ms;
                     }
-                    other => {
-                        if !obs.parse_flag(other, &mut args)? {
-                            return Err(err(format!("unknown flag `{other}` for sweep")));
-                        }
-                    }
+                    // The merged sweep is an explore over shard jobs: it
+                    // has no analytical model and no deadline.
+                    _ if parse_knob(&mut knobs, flag, &mut args, |k| {
+                        k.takes(JobKind::Explore) && ![Id::Analytical, Id::Deadline].contains(&k.id)
+                    })? => {}
+                    _ if obs.parse_flag(flag, &mut args)? => {}
+                    other => return Err(err(format!("unknown flag `{other}` for sweep"))),
                 }
             }
             // `--attach` alone is a valid worker pool; `--distributed`
@@ -1065,14 +771,8 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                 };
             Ok(Command::Sweep {
                 file,
-                part,
-                em_nj,
-                natural,
-                bound_cycles,
-                bound_energy,
-                pareto,
+                knobs,
                 telemetry,
-                engine,
                 distributed,
                 shards,
                 attach,
@@ -1088,58 +788,29 @@ pub fn parse_args(argv: &[String]) -> Result<Command, UsageError> {
                 .next()
                 .ok_or_else(|| err("worker needs a kernel or trace file"))?
                 .to_string();
-            let mut part = "cy7c".to_string();
-            let mut em_nj = None;
-            let mut natural = false;
-            let mut engine = "fused".to_string();
-            let mut start = None;
-            let mut end = None;
-            let mut checkpoint = None;
-            let mut checkpoint_every = 0usize;
-            let mut resume = false;
+            let mut knobs = Knobs::default();
+            let mut supervise = Supervise::default();
             while let Some(flag) = args.next() {
                 match flag {
-                    "--part" => {
-                        let v = args.value_of(flag)?;
-                        if !["cy7c", "lp2m", "16m"].contains(&v) {
-                            return Err(err(format!(
-                                "unknown part `{v}` (expected cy7c, lp2m, or 16m)"
-                            )));
-                        }
-                        part = v.to_string();
-                    }
-                    "--em" => em_nj = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--natural" => natural = true,
-                    "--engine" => engine = parse_engine(args.value_of(flag)?)?,
-                    "--start" => start = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--end" => end = Some(parse_num(flag, args.value_of(flag)?)?),
-                    "--checkpoint" => checkpoint = Some(args.value_of(flag)?.to_string()),
-                    "--checkpoint-every" => {
-                        let n: usize = parse_num(flag, args.value_of(flag)?)?;
-                        checkpoint_every = if n == 0 { 32 } else { n };
-                    }
-                    "--resume" => resume = true,
+                    _ if parse_knob(&mut knobs, flag, &mut args, |k| k.takes(JobKind::Shard))? => {}
+                    _ if supervise.parse_flag(flag, &mut args)? => {}
                     other => return Err(err(format!("unknown flag `{other}` for worker"))),
                 }
             }
-            let start: usize = start.ok_or_else(|| err("worker needs `--start I`"))?;
-            let end: usize = end.ok_or_else(|| err("worker needs `--end J`"))?;
-            if end <= start {
-                return Err(err("worker `--end` must be greater than `--start`"));
+            if !knobs.given(Id::Start) {
+                return Err(err("worker needs `--start I`"));
             }
-            let checkpoint = checkpoint
-                .ok_or_else(|| err("worker needs `--checkpoint PATH` (the result stream)"))?;
+            if !knobs.given(Id::End) {
+                return Err(err("worker needs `--end J`"));
+            }
+            knobs.shard_range().map_err(err)?;
+            if supervise.checkpoint.is_none() {
+                return Err(err("worker needs `--checkpoint PATH` (the result stream)"));
+            }
             Ok(Command::Worker {
                 file,
-                part,
-                em_nj,
-                natural,
-                engine,
-                start,
-                end,
-                checkpoint,
-                checkpoint_every,
-                resume,
+                knobs,
+                supervise,
             })
         }
         "report" => {
@@ -1640,63 +1311,41 @@ mod tests {
         }
     }
 
+    fn submit(line: &str) -> SubmitRequest {
+        match parse_args(&argv(line)).expect("valid") {
+            Command::Submit(request) => request,
+            other => panic!("wrong command: {other:?}"),
+        }
+    }
+
     #[test]
     fn submit_defaults_and_flags() {
-        match parse_args(&argv("submit 127.0.0.1:7199 k.mx")).expect("valid") {
-            Command::Submit {
-                addr,
-                file,
-                job,
-                part,
-                engine,
-                format,
-                objective,
-                space,
-                gap,
-                wait_health_secs,
-                ..
-            } => {
-                assert_eq!(addr, "127.0.0.1:7199");
-                assert_eq!(file, "k.mx");
-                assert_eq!(job, "explore");
-                assert_eq!(part, "cy7c");
-                assert_eq!(engine, "fused");
-                assert_eq!(format, None);
-                assert_eq!(objective, None);
-                assert_eq!(space, "paper");
-                assert_eq!(gap, 0.0);
-                assert_eq!(wait_health_secs, None);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse_args(&argv(
+        let request = submit("submit 127.0.0.1:7199 k.mx");
+        assert_eq!(request.addr, "127.0.0.1:7199");
+        assert_eq!(request.file, "k.mx");
+        assert_eq!(request.job, JobKind::Explore);
+        assert_eq!(request.knobs, Knobs::default());
+        assert_eq!(request.knobs.word(Id::Part), "cy7c");
+        assert_eq!(request.knobs.word(Id::Engine), "fused");
+        assert_eq!(request.knobs.word(Id::Space), "paper");
+        assert_eq!(request.knobs.num(Id::Gap), Some(0.0));
+        assert_eq!(request.wait_health_secs, None);
+        let request = submit(
             "submit h:1 k.mx --job search --objective cycles --space expansive \
              --beam 8 --gap 0.05 --deadline 10 --wait-health 5 --format json",
-        ))
-        .expect("valid")
-        {
-            Command::Submit {
-                job,
-                objective,
-                space,
-                beam,
-                gap,
-                deadline_secs,
-                wait_health_secs,
-                format,
-                ..
-            } => {
-                assert_eq!(job, "search");
-                assert_eq!(objective, Some(Objective::Cycles));
-                assert_eq!(space, "expansive");
-                assert_eq!(beam, Some(8));
-                assert_eq!(gap, 0.05);
-                assert_eq!(deadline_secs, Some(10.0));
-                assert_eq!(wait_health_secs, Some(5.0));
-                assert_eq!(format.as_deref(), Some("json"));
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        );
+        let knobs = request.knobs;
+        assert_eq!(request.job, JobKind::Search);
+        assert_eq!(knobs.objective(), Objective::Cycles);
+        assert_eq!(knobs.word(Id::Space), "expansive");
+        assert_eq!(knobs.count(Id::Beam), Some(8));
+        assert_eq!(knobs.num(Id::Gap), Some(0.05));
+        assert_eq!(knobs.num(Id::Deadline), Some(10.0));
+        assert_eq!(request.wait_health_secs, Some(5.0));
+        // `json` is a pareto keyword too; either row's value is sent as
+        // the one `format` member.
+        assert!(knobs.given(Id::ParetoFormat) || knobs.given(Id::SearchFormat));
+        assert!(!knobs.given(Id::Part));
     }
 
     #[test]
@@ -1719,28 +1368,10 @@ mod tests {
 
     #[test]
     fn submit_parses_retry_flags_with_defaults() {
-        match parse_args(&argv("submit h:1 k.mx")).expect("valid") {
-            Command::Submit {
-                retries,
-                backoff_ms,
-                ..
-            } => {
-                assert_eq!(retries, 0);
-                assert_eq!(backoff_ms, 250);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        match parse_args(&argv("submit h:1 k.mx --retries 4 --backoff 50")).expect("valid") {
-            Command::Submit {
-                retries,
-                backoff_ms,
-                ..
-            } => {
-                assert_eq!(retries, 4);
-                assert_eq!(backoff_ms, 50);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
+        let request = submit("submit h:1 k.mx");
+        assert_eq!((request.retries, request.backoff_ms), (0, 250));
+        let request = submit("submit h:1 k.mx --retries 4 --backoff 50");
+        assert_eq!((request.retries, request.backoff_ms), (4, 50));
         for (line, needle) in [
             ("submit h:1 k.mx --retries many", "--retries"),
             ("submit h:1 k.mx --backoff 0", "--backoff"),
@@ -1774,7 +1405,7 @@ mod tests {
                 retry_budget,
                 backoff_ms,
                 straggler_ms,
-                pareto,
+                knobs,
                 ..
             } => {
                 assert_eq!(file, "k.mx");
@@ -1784,7 +1415,7 @@ mod tests {
                 assert_eq!(retry_budget, 3);
                 assert_eq!(backoff_ms, 100);
                 assert_eq!(straggler_ms, 10_000);
-                assert!(!pareto);
+                assert!(!knobs.on(Id::Pareto));
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1803,11 +1434,8 @@ mod tests {
                 retry_budget,
                 backoff_ms,
                 straggler_ms,
-                part,
-                natural,
-                pareto,
+                knobs,
                 telemetry,
-                bound_cycles,
                 ..
             } => {
                 assert_eq!(distributed, 0);
@@ -1817,9 +1445,9 @@ mod tests {
                 assert_eq!(retry_budget, 1);
                 assert_eq!(backoff_ms, 10);
                 assert_eq!(straggler_ms, 500);
-                assert_eq!(part, "lp2m");
-                assert!(natural && pareto && telemetry);
-                assert_eq!(bound_cycles, Some(9000.0));
+                assert_eq!(knobs.word(Id::Part), "lp2m");
+                assert!(knobs.on(Id::Natural) && knobs.on(Id::Pareto) && telemetry);
+                assert_eq!(knobs.num(Id::BoundCycles), Some(9000.0));
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -1838,6 +1466,8 @@ mod tests {
                 "--straggler-ms",
             ),
             ("sweep k.mx --distributed 2 --checkpoint c", "unknown flag"),
+            ("sweep k.mx --distributed 2 --analytical", "unknown flag"),
+            ("sweep k.mx --distributed 2 --deadline 5", "unknown flag"),
         ] {
             let e = parse_args(&argv(line)).expect_err(line);
             assert!(e.0.contains(needle), "{line}: {e}");
@@ -1854,22 +1484,16 @@ mod tests {
         {
             Command::Worker {
                 file,
-                start,
-                end,
-                checkpoint,
-                checkpoint_every,
-                resume,
-                engine,
-                part,
-                ..
+                knobs,
+                supervise,
             } => {
                 assert_eq!(file, "k.mx");
-                assert_eq!((start, end), (5, 10));
-                assert_eq!(checkpoint, "s.ckpt");
-                assert_eq!(checkpoint_every, 32);
-                assert!(resume);
-                assert_eq!(engine, "per-design");
-                assert_eq!(part, "16m");
+                assert_eq!(knobs.shard_range(), Ok((5, 10)));
+                assert_eq!(supervise.checkpoint.as_deref(), Some("s.ckpt"));
+                assert_eq!(supervise.checkpoint_every, 32);
+                assert!(supervise.resume);
+                assert_eq!(knobs.word(Id::Engine), "per-design");
+                assert_eq!(knobs.word(Id::Part), "16m");
             }
             other => panic!("wrong command: {other:?}"),
         }

@@ -2,7 +2,8 @@
 //! split by stream (records on stdout, human notes on stderr).
 
 use crate::cli::{Command, ObsFlags, Supervise, USAGE};
-use crate::serve::{JobInput, JobKind, JobSpec};
+use crate::knobs::{Id, JobKind, Knobs};
+use crate::serve::{JobInput, JobSpec};
 use analysis::classes::{partition_cases, partition_classes};
 use analysis::min_cache::MinCacheReport;
 use analysis::placement::optimize_layout;
@@ -110,122 +111,14 @@ impl From<String> for RunError {
 pub fn run(cmd: Command) -> Result<Output, RunError> {
     match cmd {
         Command::Help => Ok(Output::stdout_only(USAGE.to_string())),
-        Command::Explore {
-            file,
-            part,
-            em_nj,
-            natural,
-            analytical,
-            bound_cycles,
-            bound_energy,
-            pareto,
-            telemetry,
-            engine,
-            no_analytic,
-            supervise,
-            obs,
-        } => {
-            let job = cli_job(JobKind::Explore, &file, analytical, "paper")?;
-            let spec = JobSpec {
-                part,
-                em_nj,
-                natural,
-                deadline_secs: supervise.deadline_secs,
-                analytical,
-                bound_cycles,
-                bound_energy,
-                pareto,
-                engine,
-                ..job
-            };
-            let ctx = RunCtx {
-                telemetry,
-                analytic: !no_analytic,
-                supervise,
-                obs,
-                ..RunCtx::default()
-            };
-            run_job(&spec, &ctx).map(|(out, _)| out)
-        }
-        Command::Pareto {
-            file,
-            part,
-            em_nj,
-            natural,
-            format,
-            // Every frontier comes from the one exhaustive sweep.
-            exhaustive: _,
-            telemetry,
-            engine,
-            no_analytic,
-            supervise,
-            obs,
-        } => {
-            let job = cli_job(JobKind::Pareto, &file, false, "paper")?;
-            let spec = JobSpec {
-                part,
-                em_nj,
-                natural,
-                deadline_secs: supervise.deadline_secs,
-                engine,
-                format,
-                ..job
-            };
-            let ctx = RunCtx {
-                telemetry,
-                analytic: !no_analytic,
-                supervise,
-                obs,
-                ..RunCtx::default()
-            };
-            run_job(&spec, &ctx).map(|(out, _)| out)
-        }
-        Command::Search {
-            file,
-            part,
-            em_nj,
-            natural,
-            objective,
-            space,
-            beam,
-            gap,
-            deadline_secs,
-            format,
-            telemetry,
-            no_analytic,
-            obs,
-        } => {
-            let job = cli_job(JobKind::Search, &file, false, &space)?;
-            let spec = JobSpec {
-                part,
-                em_nj,
-                natural,
-                deadline_secs,
-                format,
-                objective,
-                space,
-                beam,
-                gap,
-                ..job
-            };
-            let ctx = RunCtx {
-                telemetry,
-                analytic: !no_analytic,
-                obs,
-                ..RunCtx::default()
-            };
+        cmd @ (Command::Explore { .. } | Command::Pareto { .. } | Command::Search { .. }) => {
+            let (spec, ctx) = cli_job(cmd)?;
             run_job(&spec, &ctx).map(|(out, _)| out)
         }
         Command::Sweep {
             file,
-            part,
-            em_nj,
-            natural,
-            bound_cycles,
-            bound_energy,
-            pareto,
+            knobs,
             telemetry,
-            engine,
             distributed,
             shards,
             attach,
@@ -236,14 +129,9 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             obs,
         } => {
             let spec = JobSpec {
-                part,
-                em_nj,
-                natural,
-                bound_cycles,
-                bound_energy,
-                pareto,
-                engine,
-                ..JobSpec::new(JobKind::Explore, JobInput::load(&file)?)
+                kind: JobKind::Explore,
+                input: JobInput::load(&file)?,
+                knobs,
             };
             let ctx = RunCtx {
                 telemetry,
@@ -264,32 +152,21 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
         }
         Command::Worker {
             file,
-            part,
-            em_nj,
-            natural,
-            engine,
-            start,
-            end,
-            checkpoint,
-            checkpoint_every,
-            resume,
+            knobs,
+            supervise,
         } => {
             let spec = JobSpec {
-                part,
-                em_nj,
-                natural,
-                engine,
-                shard_start: start,
-                shard_end: end,
-                ..JobSpec::new(JobKind::Shard, JobInput::load(&file)?)
+                kind: JobKind::Shard,
+                input: JobInput::load(&file)?,
+                knobs,
             };
             let checkpoint = CheckpointPolicy {
-                path: PathBuf::from(checkpoint),
-                every: match checkpoint_every {
+                path: PathBuf::from(supervise.checkpoint.unwrap_or_default()),
+                every: match supervise.checkpoint_every {
                     0 => 32,
                     n => n,
                 },
-                resume,
+                resume: supervise.resume,
             };
             crate::sweep::worker(&spec, &file, checkpoint)
         }
@@ -339,51 +216,7 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
                 stderr: "memx serve: shut down cleanly\n".to_string(),
             })
         }
-        Command::Submit {
-            addr,
-            file,
-            job,
-            part,
-            em_nj,
-            natural,
-            analytical,
-            bound_cycles,
-            bound_energy,
-            pareto,
-            engine,
-            format,
-            exhaustive,
-            objective,
-            space,
-            beam,
-            gap,
-            deadline_secs,
-            wait_health_secs,
-            retries,
-            backoff_ms,
-        } => crate::serve::submit(&crate::serve::SubmitRequest {
-            addr,
-            file,
-            job,
-            part,
-            em_nj,
-            natural,
-            analytical,
-            bound_cycles,
-            bound_energy,
-            pareto,
-            engine,
-            format,
-            exhaustive,
-            objective,
-            space,
-            beam,
-            gap,
-            deadline_secs,
-            wait_health_secs,
-            retries,
-            backoff_ms,
-        }),
+        Command::Submit(request) => crate::serve::submit(&request),
         Command::Report { file } => report(&file),
         Command::Simulate {
             file,
@@ -621,19 +454,19 @@ pub(crate) fn engine_kind(engine: &str) -> Engine {
     }
 }
 
-/// Builds the evaluator shared by `explore` and `pareto`: off-chip part
-/// from the keyword (or a custom `Em`), optionally with natural layout.
-pub(crate) fn make_evaluator(part: &str, em_nj: Option<f64>, natural: bool) -> Evaluator {
-    let part = match em_nj {
+/// Builds a job's evaluator: off-chip part from the keyword (or a custom
+/// `Em`), optionally with natural layout.
+pub(crate) fn make_evaluator(knobs: &Knobs) -> Evaluator {
+    let part = match knobs.num(Id::Em) {
         Some(em) => SramPart::custom(format!("custom (Em = {em} nJ)"), em),
-        None => match part {
+        None => match knobs.word(Id::Part) {
             "lp2m" => SramPart::low_power_2mbit(),
             "16m" => SramPart::sram_16mbit(),
             _ => SramPart::cy7c_2mbit(),
         },
     };
     let mut evaluator = Evaluator::with_part(part);
-    if natural {
+    if knobs.on(Id::Natural) {
         evaluator.placement = PlacementMode::Natural;
     }
     evaluator
@@ -936,12 +769,118 @@ impl Default for RunCtx {
     }
 }
 
-/// The job of an explore/pareto/search command line, with every knob at
-/// its default. Kernel-only knobs on a `.din` path are refused before the
-/// file is read.
-fn cli_job(kind: JobKind, file: &str, analytical: bool, space: &str) -> Result<JobSpec, RunError> {
-    crate::serve::refuse_trace_knobs(file, analytical, space)?;
-    Ok(JobSpec::new(kind, JobInput::load(file)?))
+/// The job of an explore, pareto or search command line and its run
+/// settings. Each field passes the check of its knob's row, and
+/// kernel-only knobs on a `.din` path are refused before the file is
+/// read.
+fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
+    let mut k = Knobs::default();
+    let (kind, file, ctx) = match cmd {
+        Command::Explore {
+            file,
+            part,
+            em_nj,
+            natural,
+            analytical,
+            bound_cycles,
+            bound_energy,
+            pareto,
+            telemetry,
+            engine,
+            no_analytic,
+            supervise,
+            obs,
+        } => {
+            k.put_word(Id::Part, &part)?;
+            k.put(Id::Em, em_nj)?;
+            k.put(Id::Natural, natural)?;
+            k.put(Id::Deadline, supervise.deadline_secs)?;
+            k.put(Id::Analytical, analytical)?;
+            k.put(Id::BoundCycles, bound_cycles)?;
+            k.put(Id::BoundEnergy, bound_energy)?;
+            k.put(Id::Pareto, pareto)?;
+            k.put_word(Id::Engine, &engine)?;
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                supervise,
+                obs,
+                ..RunCtx::default()
+            };
+            (JobKind::Explore, file, ctx)
+        }
+        Command::Pareto {
+            file,
+            part,
+            em_nj,
+            natural,
+            format,
+            exhaustive,
+            telemetry,
+            engine,
+            no_analytic,
+            supervise,
+            obs,
+        } => {
+            k.put_word(Id::Part, &part)?;
+            k.put(Id::Em, em_nj)?;
+            k.put(Id::Natural, natural)?;
+            k.put(Id::Deadline, supervise.deadline_secs)?;
+            k.put_word(Id::ParetoFormat, &format)?;
+            k.put(Id::Exhaustive, exhaustive)?;
+            k.put_word(Id::Engine, &engine)?;
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                supervise,
+                obs,
+                ..RunCtx::default()
+            };
+            (JobKind::Pareto, file, ctx)
+        }
+        Command::Search {
+            file,
+            part,
+            em_nj,
+            natural,
+            objective,
+            space,
+            beam,
+            gap,
+            deadline_secs,
+            format,
+            telemetry,
+            no_analytic,
+            obs,
+        } => {
+            k.put_word(Id::Part, &part)?;
+            k.put(Id::Em, em_nj)?;
+            k.put(Id::Natural, natural)?;
+            k.put(Id::Deadline, deadline_secs)?;
+            k.put(Id::Objective, objective)?;
+            k.put_word(Id::Space, &space)?;
+            k.put(Id::Beam, beam)?;
+            k.put(Id::Gap, gap)?;
+            k.put_word(Id::SearchFormat, &format)?;
+            let ctx = RunCtx {
+                telemetry,
+                analytic: !no_analytic,
+                obs,
+                ..RunCtx::default()
+            };
+            (JobKind::Search, file, ctx)
+        }
+        other => unreachable!("{other:?} is not an explore, pareto or search command"),
+    };
+    if is_din_path(&file) {
+        k.refuse_on_trace(kind)?;
+    }
+    let spec = JobSpec {
+        kind,
+        input: JobInput::load(&file)?,
+        knobs: k,
+    };
+    Ok((spec, ctx))
 }
 
 /// Runs one job: the single runner behind `memx explore|pareto|search`,
@@ -950,9 +889,11 @@ fn cli_job(kind: JobKind, file: &str, analytical: bool, space: &str) -> Result<J
 /// output), which keeps partial results out of the daemon's cache.
 pub(crate) fn run_job(spec: &JobSpec, ctx: &RunCtx) -> Result<(Output, bool), RunError> {
     let mut stderr = String::new();
-    spec.warn_trace_knobs(&mut stderr);
+    if let JobInput::Trace(_) = spec.input {
+        spec.knobs.warn_on_trace(spec.kind, &mut stderr);
+    }
     let supervise = Supervise {
-        deadline_secs: spec.deadline_secs,
+        deadline_secs: spec.knobs.num(Id::Deadline),
         ..ctx.supervise.clone()
     };
     let (stdout, cancelled) = match spec.kind {
@@ -1012,8 +953,9 @@ fn explore(
 ) -> Result<(String, bool), RunError> {
     let designs = spec.input.grid();
     spec.input.check_grid(&designs, stderr)?;
+    let analytical = spec.knobs.on(Id::Analytical);
     let (records, sweep) = match &spec.input {
-        JobInput::Kernel(kernel) if spec.analytical => {
+        JobInput::Kernel(kernel) if analytical => {
             if supervise.is_active() {
                 let _ = writeln!(
                     stderr,
@@ -1026,7 +968,7 @@ fn explore(
                     "warning: --log-json/--progress are ignored with --analytical (no sweep runs)"
                 );
             }
-            let evaluator = make_evaluator(&spec.part, spec.em_nj, spec.natural);
+            let evaluator = make_evaluator(&spec.knobs);
             let records = designs
                 .iter()
                 .map(|&d| evaluator.evaluate_analytical(kernel, d))
@@ -1035,7 +977,7 @@ fn explore(
         }
         // Deadline jobs need the supervisor's cooperative cancellation,
         // so they keep the undistributed path.
-        JobInput::Kernel(_) if ctx.distribute >= 2 && spec.deadline_secs.is_none() => (
+        JobInput::Kernel(_) if ctx.distribute >= 2 && supervise.deadline_secs.is_none() => (
             crate::sweep::explore_sharded(spec, ctx, &designs, stderr)?,
             None,
         ),
@@ -1048,14 +990,8 @@ fn explore(
             (outcome.completed_records(), Some(outcome.telemetry))
         }
     };
-    let mut out = spec.input.heading(records.len(), spec.analytical);
-    write_selection(
-        &mut out,
-        &records,
-        spec.bound_cycles,
-        spec.bound_energy,
-        spec.pareto,
-    );
+    let mut out = spec.input.heading(records.len(), analytical);
+    write_selection(&mut out, &records, &spec.knobs);
     // The summary goes to stderr, never into the record stream: with
     // `--telemetry` a piped stdout must stay exactly the records.
     if ctx.telemetry {
@@ -1075,22 +1011,17 @@ fn explore(
 }
 
 /// Writes the `minimum energy :` / `minimum time   :` / bounded-selection
-/// / frontier lines over a completed record set. Shared by every explore
-/// path so the round-trip smoke can diff their selections byte-for-byte.
-pub(crate) fn write_selection(
-    out: &mut String,
-    records: &[Record],
-    bound_cycles: Option<f64>,
-    bound_energy: Option<f64>,
-    pareto: bool,
-) {
+/// / frontier lines over a completed record set, as an explore job's
+/// bound and frontier knobs ask. Shared by every explore path so the
+/// round-trip smoke can diff their selections byte-for-byte.
+pub(crate) fn write_selection(out: &mut String, records: &[Record], knobs: &Knobs) {
     if let Some(r) = select::min_energy(records) {
         let _ = writeln!(out, "minimum energy : {}", fmt_record(r));
     }
     if let Some(r) = select::min_cycles(records) {
         let _ = writeln!(out, "minimum time   : {}", fmt_record(r));
     }
-    if let Some(bound) = bound_cycles {
+    if let Some(bound) = knobs.num(Id::BoundCycles) {
         match select::min_energy_bounded(records, bound) {
             Some(r) => {
                 let _ = writeln!(out, "min energy @ cycles<={bound:.0} : {}", fmt_record(r));
@@ -1100,7 +1031,7 @@ pub(crate) fn write_selection(
             }
         }
     }
-    if let Some(bound) = bound_energy {
+    if let Some(bound) = knobs.num(Id::BoundEnergy) {
         match select::min_cycles_bounded(records, bound) {
             Some(r) => {
                 let _ = writeln!(out, "min time @ energy<={bound:.0} nJ : {}", fmt_record(r));
@@ -1110,7 +1041,7 @@ pub(crate) fn write_selection(
             }
         }
     }
-    if pareto {
+    if knobs.on(Id::Pareto) {
         let _ = writeln!(out, "pareto frontier:");
         for r in select::pareto(records) {
             let _ = writeln!(out, "  {}", fmt_record(r));
@@ -1140,7 +1071,7 @@ fn search(
 ) -> Result<(String, bool), RunError> {
     let outcome = match &spec.input {
         JobInput::Kernel(kernel) => {
-            let space = if spec.space == "expansive" {
+            let space = if spec.knobs.word(Id::Space) == "expansive" {
                 DesignSpace::expansive()
             } else {
                 DesignSpace::paper()
@@ -1148,10 +1079,10 @@ fn search(
             check_space_inputs(kernel, &space, stderr)?;
             let (explorer, obs) = job_explorer(spec, ctx)?;
             let options = SearchOptions {
-                objective: spec.objective,
-                beam: spec.beam,
-                gap: spec.gap,
-                deadline: spec.deadline_secs.map(Duration::from_secs_f64),
+                objective: spec.knobs.objective(),
+                beam: spec.knobs.count(Id::Beam),
+                gap: spec.knobs.num(Id::Gap).unwrap_or_default(),
+                deadline: spec.knobs.num(Id::Deadline).map(Duration::from_secs_f64),
             };
             let outcome = explorer
                 .try_search(kernel, &space, &options)
@@ -1175,10 +1106,10 @@ fn search(
             if let Some(o) = &obs {
                 o.finish();
             }
-            trace_search_outcome(sweep, spec.objective)
+            trace_search_outcome(sweep, spec.knobs.objective())
         }
     };
-    if ctx.telemetry && spec.format != "json" {
+    if ctx.telemetry && spec.knobs.word(Id::SearchFormat) != "json" {
         let _ = writeln!(stderr, "{}", outcome.telemetry);
         if let JobInput::Kernel(_) = spec.input {
             let _ = writeln!(
@@ -1202,14 +1133,14 @@ fn search(
 fn render_search(spec: &JobSpec, outcome: &SearchOutcome, telemetry: bool) -> String {
     let (subject, name) = spec.input.subject();
     let space_name = match spec.input {
-        JobInput::Kernel(_) => spec.space.as_str(),
+        JobInput::Kernel(_) => spec.knobs.word(Id::Space),
         JobInput::Trace(_) => "trace",
     };
     let objective = outcome.objective;
     let evaluated = outcome.telemetry.designs_evaluated;
     let pruned = outcome.telemetry.designs_pruned;
     let mut out = String::new();
-    match spec.format.as_str() {
+    match spec.knobs.word(Id::SearchFormat) {
         "csv" => {
             let _ = writeln!(
                 out,
@@ -1455,7 +1386,7 @@ fn render_frontier(
 ) -> String {
     let (subject, name) = spec.input.subject();
     let mut out = String::new();
-    if spec.format == "json" {
+    if spec.knobs.word(Id::ParetoFormat) == "json" {
         let rows: Vec<String> = frontier
             .iter()
             .map(|r| {
@@ -2411,5 +2342,96 @@ mod tests {
             .expect_err("a 128-way PLRU axis is refused");
         assert_eq!(e.exit_code(), 2, "{e}");
         assert!(e.to_string().contains("at most 64 ways"), "{e}");
+    }
+
+    /// A non-default value for the row, as typed after its flag.
+    fn sample(row: &crate::knobs::Knob) -> Option<String> {
+        use crate::knobs::Ty;
+        match row.ty {
+            Ty::Switch => None,
+            Ty::Word(words) => Some(words[1].to_string()),
+            Ty::Num(..) => Some("3.5".to_string()),
+            Ty::Count(_, min) => Some((min + 7).to_string()),
+            Ty::Objective => Some("weighted=1,0.5".to_string()),
+        }
+    }
+
+    /// For every knob and every job kind that takes it, the CLI flag, the
+    /// JSON member and the `memx submit` body name the same job: the
+    /// same cache key, which a keyed knob moves off the default's.
+    #[test]
+    fn every_knob_keys_alike_on_every_surface() {
+        use crate::knobs::KNOBS;
+        use memexplore::obs::{parse_json, push_json_str};
+        let (_dir, path) = write_kernel();
+        let text = std::fs::read_to_string(&path).expect("kernel was written");
+        let argv = |args: &[&str]| -> Vec<String> { args.iter().map(|a| a.to_string()).collect() };
+        // A shard needs a range; the row under test overrides it.
+        let shard_base = ["--start", "0", "--end", "100"];
+        let json_key = |kind: JobKind, members: &str| {
+            let mut body = format!("{{\"command\":\"{}\",\"kernel\":", kind.as_str());
+            push_json_str(&mut body, &text);
+            if kind == JobKind::Shard {
+                body.push_str(",\"start\":0,\"end\":100");
+            }
+            body.push_str(members);
+            body.push('}');
+            JobSpec::from_json(&parse_json(&body).expect("valid JSON"))
+                .unwrap_or_else(|e| panic!("{body}: {e}"))
+                .cache_key()
+        };
+        let cli_key = |kind: JobKind, flags: &[&str]| {
+            if kind == JobKind::Shard {
+                let mut args = vec!["worker", path.as_str(), "--checkpoint", "c"];
+                args.extend_from_slice(&shard_base);
+                args.extend_from_slice(flags);
+                let Command::Worker { knobs, .. } = parse_args(&argv(&args)).expect("valid") else {
+                    panic!("{args:?} is a worker command");
+                };
+                let input = JobInput::load(&path).expect("kernel loads");
+                return JobSpec { kind, input, knobs }.cache_key();
+            }
+            let mut args = vec![kind.as_str(), path.as_str()];
+            args.extend_from_slice(flags);
+            let cmd = parse_args(&argv(&args)).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            cli_job(cmd).expect("job builds").0.cache_key()
+        };
+        for row in &KNOBS {
+            let value = sample(row);
+            let mut flags = vec![row.flag];
+            flags.extend(value.as_deref());
+            let member = match &value {
+                None => "true".to_string(),
+                Some(v) => match row.ty {
+                    crate::knobs::Ty::Word(_) | crate::knobs::Ty::Objective => {
+                        let mut quoted = String::new();
+                        push_json_str(&mut quoted, v);
+                        quoted
+                    }
+                    _ => v.clone(),
+                },
+            };
+            let members = format!(",\"{}\":{member}", row.member);
+            for &kind in row.kinds {
+                let at = format!("{} on {}", row.flag, kind.as_str());
+                let key = json_key(kind, &members);
+                assert_eq!(cli_key(kind, &flags), key, "{at}: CLI");
+                if row.key.is_some() {
+                    assert_ne!(json_key(kind, ""), key, "{at}: the knob must move the key");
+                }
+                if kind == JobKind::Shard {
+                    continue;
+                }
+                let mut args = vec!["submit", "h:1", path.as_str(), "--job", kind.as_str()];
+                args.extend_from_slice(&flags);
+                let Command::Submit(request) = parse_args(&argv(&args)).expect("valid") else {
+                    panic!("{args:?} is a submit command");
+                };
+                let body = request.body("kernel", &text);
+                let spec = JobSpec::from_json(&parse_json(&body).expect("valid JSON"))
+                    .unwrap_or_else(|e| panic!("{at}: {body}: {e}"));
+                assert_eq!(spec.cache_key(), key, "{at}: memx submit");
+            }
+        }
     }
 }

@@ -21,12 +21,15 @@
 //! [`cli::USAGE`] lists every flag. An explore, pareto or search run is
 //! one [`JobSpec`] over one [`serve::JobInput`], whether it comes from
 //! the command line or from a `memx serve` request, and both surfaces
-//! run it through the same runner. Each command returns an [`Output`]
-//! split by stream (records on stdout, notes on stderr), so everything
-//! is unit-testable without spawning a process.
+//! run it through the same runner. Its knobs are the rows of one table,
+//! in [`knobs`], which every surface parses, checks and renders them by.
+//! Each command returns an [`Output`] split by stream (records on stdout,
+//! notes on stderr), so everything is unit-testable without spawning a
+//! process.
 
 pub mod cli;
 pub mod commands;
+pub mod knobs;
 pub mod serve;
 pub mod sweep;
 

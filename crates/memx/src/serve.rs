@@ -32,13 +32,15 @@
 //! depth) flow through the obs layer and surface in `memx report`.
 
 use crate::commands::{self, Output, RunCtx, RunError};
+use crate::knobs::{self, Id, JobKind, Knobs, Value, KNOBS};
 use loopir::parse::parse_kernel;
 use loopir::Kernel;
+use memexplore::explore::panic_message;
 use memexplore::obs::{parse_json, push_json_str, Json};
 use memexplore::supervisor::sweep_id;
 use memexplore::{
     trace_sweep_id, CacheDesign, CacheKey, DesignSpace, Evaluator, Explorer, FieldValue, Lookup,
-    Objective, Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
+    Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
 };
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -65,33 +67,6 @@ const MAX_BODY: usize = 16 << 20;
 // ---------------------------------------------------------------------------
 // Job specification
 // ---------------------------------------------------------------------------
-
-/// The job kinds the daemon runs — the three sweep commands.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JobKind {
-    /// Exhaustive paper-grid sweep (`memx explore`).
-    Explore,
-    /// Three-objective Pareto frontier (`memx pareto`).
-    Pareto,
-    /// Certified bound-guided search (`memx search`).
-    Search,
-    /// One shard of a distributed sweep: evaluate `[start, end)` of the
-    /// workload's grid and answer with the checkpoint wire bytes
-    /// (hex-encoded in `stdout`) plus quarantine lines (`stderr`). The
-    /// `memx sweep --attach` coordinator is the client.
-    Shard,
-}
-
-impl JobKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            JobKind::Explore => "explore",
-            JobKind::Pareto => "pareto",
-            JobKind::Search => "search",
-            JobKind::Shard => "shard",
-        }
-    }
-}
 
 /// The workload a job sweeps: a parsed kernel or a streamed trace.
 ///
@@ -202,122 +177,18 @@ impl JobInput {
     }
 }
 
-// Kernel-only knobs on a trace input. A streamed `.din` sweep has one
-// engine and no analytical model, and it sweeps the fixed trace grid
-// exhaustively. The two surfaces treat these knobs differently, and
-// the items below are the whole of that difference:
-//
-// * the CLI refuses `--analytical` and `--space expansive` (they would
-//   change what is computed: exit 1, before the file is read), warns on
-//   `--engine` and `--beam` (they only change how), and lets `--gap`
-//   pass without effect (`--exhaustive` has none on any input);
-// * the JSON API rejects every kernel-only field with a 400, including
-//   `exhaustive`, which a kernel pareto job accepts and ignores.
-
-/// The fields a trace job rejects with a 400.
-const KERNEL_ONLY_FIELDS: [&str; 6] =
-    ["engine", "analytical", "exhaustive", "space", "beam", "gap"];
-
-/// The JSON API's refusal of one of [`KERNEL_ONLY_FIELDS`].
-fn kernel_only_field(key: &str) -> BadRequest {
-    bad(format!(
-        "field `{key}` needs a kernel workload (a streamed `.din` trace \
-         sweeps the fixed trace grid)"
-    ))
-}
-
-/// The CLI's refusals, checked on the path before the `.din` file is read.
-pub(crate) fn refuse_trace_knobs(
-    file: &str,
-    analytical: bool,
-    space: &str,
-) -> Result<(), RunError> {
-    if !commands::is_din_path(file) {
-        return Ok(());
-    }
-    if analytical {
-        return Err(RunError::Other(
-            "`--analytical` needs a kernel: the closed-form miss-rate model \
-             has no meaning for a recorded `.din` trace"
-                .into(),
-        ));
-    }
-    if space == "expansive" {
-        return Err(RunError::Other(
-            "`--space expansive` needs a kernel: a `.din` trace sweeps \
-             the fixed trace grid"
-                .into(),
-        ));
-    }
-    Ok(())
-}
-
-impl JobSpec {
-    /// The CLI's warnings, the first stderr lines of a trace job. A JSON
-    /// trace job cannot set either knob.
-    pub(crate) fn warn_trace_knobs(&self, stderr: &mut String) {
-        use std::fmt::Write as _;
-        if !matches!(self.input, JobInput::Trace(_)) {
-            return;
-        }
-        if self.engine != "fused" {
-            let _ = writeln!(
-                stderr,
-                "warning: --engine {} is ignored for `.din` traces \
-                 (streamed sweeps are always banked)",
-                self.engine
-            );
-        }
-        if self.beam.is_some() {
-            let _ = writeln!(
-                stderr,
-                "warning: --beam is ignored for `.din` traces (the trace grid is swept exhaustively)"
-            );
-        }
-    }
-}
-
-/// A fully validated job request. Defaults mirror the offline CLI, so a
-/// request that only sets `command` and `kernel` behaves exactly like
-/// `memx <command> KERNEL.mx` (and `trace` like `memx <command> TRACE.din`).
+/// A fully validated job request: its kind, its workload and its knobs.
+/// The knobs' defaults are the offline CLI's, so a request that only sets
+/// `command` and `kernel` behaves exactly like `memx <command> KERNEL.mx`
+/// (and `trace` like `memx <command> TRACE.din`).
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Which sweep to run.
     pub kind: JobKind,
     /// The workload (inline kernel or inline trace).
     pub input: JobInput,
-    /// Off-chip part keyword (`cy7c`, `lp2m`, `16m`).
-    pub part: String,
-    /// Custom `Em` (nJ/access) overriding `part`.
-    pub em_nj: Option<f64>,
-    /// Natural (unoptimized) layout.
-    pub natural: bool,
-    /// Per-job deadline in seconds (not part of the cache key).
-    pub deadline_secs: Option<f64>,
-    /// explore: analytical miss-rate model.
-    pub analytical: bool,
-    /// explore: cycle bound for the min-energy selection.
-    pub bound_cycles: Option<f64>,
-    /// explore: energy bound for the min-time selection.
-    pub bound_energy: Option<f64>,
-    /// explore: print the Pareto frontier.
-    pub pareto: bool,
-    /// explore/pareto: simulation engine (`fused` or `per-design`).
-    pub engine: String,
-    /// pareto: `csv`/`json`; search: `text`/`csv`/`json`.
-    pub format: String,
-    /// search: objective to minimize.
-    pub objective: Objective,
-    /// search: `paper` or `expansive` grid.
-    pub space: String,
-    /// search: beam width.
-    pub beam: Option<usize>,
-    /// search: relative gap target.
-    pub gap: f64,
-    /// shard: first grid index of the slice (inclusive).
-    pub shard_start: usize,
-    /// shard: one past the last grid index of the slice.
-    pub shard_end: usize,
+    /// Every knob's value (see [`crate::knobs`]).
+    pub knobs: Knobs,
 }
 
 /// A rejected job request — one line, reported as HTTP 400.
@@ -336,79 +207,23 @@ fn bad(msg: impl Into<String>) -> BadRequest {
     BadRequest(msg.into())
 }
 
-fn field_f64(v: &Json, key: &str) -> Result<f64, BadRequest> {
-    v.as_f64()
-        .ok_or_else(|| bad(format!("field `{key}` must be a number")))
-}
-
-fn field_bool(v: &Json, key: &str) -> Result<bool, BadRequest> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(bad(format!("field `{key}` must be a boolean"))),
-    }
-}
-
 fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, BadRequest> {
     v.as_str()
         .ok_or_else(|| bad(format!("field `{key}` must be a string")))
 }
 
-fn field_keyword<'a>(v: &'a Json, key: &str, allowed: &[&str]) -> Result<&'a str, BadRequest> {
-    let s = field_str(v, key)?;
-    if !allowed.contains(&s) {
-        return Err(bad(format!(
-            "unknown {key} `{s}` (expected {})",
-            allowed.join(", ")
-        )));
-    }
-    Ok(s)
-}
-
 impl JobSpec {
-    /// A `kind` job over `input` with every knob at its default, which is
-    /// the offline CLI's default.
-    pub(crate) fn new(kind: JobKind, input: JobInput) -> JobSpec {
-        JobSpec {
-            kind,
-            input,
-            part: "cy7c".to_string(),
-            em_nj: None,
-            natural: false,
-            deadline_secs: None,
-            analytical: false,
-            bound_cycles: None,
-            bound_energy: None,
-            pareto: false,
-            engine: "fused".to_string(),
-            format: if kind == JobKind::Search {
-                "text".to_string()
-            } else {
-                "csv".to_string()
-            },
-            objective: Objective::Energy,
-            space: "paper".to_string(),
-            beam: None,
-            gap: 0.0,
-            shard_start: 0,
-            shard_end: 0,
-        }
-    }
-
     /// The explorer this job sweeps with: the evaluator and engine come
     /// from the job, the worker-thread count from the caller.
     pub(crate) fn explorer(&self, workers: Option<usize>) -> Explorer {
-        let mut explorer = Explorer::new(commands::make_evaluator(
-            &self.part,
-            self.em_nj,
-            self.natural,
-        ))
-        .with_engine(commands::engine_kind(&self.engine));
+        let mut explorer = Explorer::new(commands::make_evaluator(&self.knobs))
+            .with_engine(commands::engine_kind(self.knobs.word(Id::Engine)));
         explorer.workers = workers.map(|w| w.max(1));
         explorer
     }
 
     /// Parses and validates a `POST /v1/jobs` body. Every key is checked
-    /// against the allowlist for its job kind; anything else is an error,
+    /// against the knobs its job kind takes; anything else is an error,
     /// never a silent default.
     pub fn from_json(body: &Json) -> Result<JobSpec, BadRequest> {
         let Json::Obj(pairs) = body else {
@@ -416,17 +231,14 @@ impl JobSpec {
         };
         let kind = match body.get("command") {
             None => return Err(bad("missing field `command`")),
-            Some(v) => match field_str(v, "command")? {
-                "explore" => JobKind::Explore,
-                "pareto" => JobKind::Pareto,
-                "search" => JobKind::Search,
-                "shard" => JobKind::Shard,
-                other => {
-                    return Err(bad(format!(
-                        "unknown command `{other}` (expected explore, pareto, search, or shard)"
-                    )))
-                }
-            },
+            Some(v) => {
+                let name = field_str(v, "command")?;
+                JobKind::parse(name).ok_or_else(|| {
+                    bad(format!(
+                        "unknown command `{name}` (expected explore, pareto, search, or shard)"
+                    ))
+                })?
+            }
         };
         let input = match (body.get("kernel"), body.get("trace")) {
             (Some(_), Some(_)) => {
@@ -449,143 +261,48 @@ impl JobSpec {
         };
         let is_trace = matches!(input, JobInput::Trace(_));
 
-        let mut spec = JobSpec::new(kind, input);
+        let mut knobs = Knobs::default();
         for (key, value) in pairs {
-            let known = match key.as_str() {
-                "command" | "kernel" | "trace" => true,
-                key if is_trace && KERNEL_ONLY_FIELDS.contains(&key) => {
-                    return Err(kernel_only_field(key));
-                }
-                "part" => {
-                    spec.part = field_keyword(value, "part", &["cy7c", "lp2m", "16m"])?.to_string();
-                    true
-                }
-                "em_nj" => {
-                    let em = field_f64(value, "em_nj")?;
-                    if !em.is_finite() || em <= 0.0 {
-                        return Err(bad("field `em_nj` must be a positive number"));
-                    }
-                    spec.em_nj = Some(em);
-                    true
-                }
-                "natural" => {
-                    spec.natural = field_bool(value, "natural")?;
-                    true
-                }
-                // A deadline would truncate the shard's result stream,
-                // and the coordinator would silently merge a partial
-                // sweep — so it is a typed error, never ignored.
-                "deadline_secs" if kind == JobKind::Shard => {
-                    return Err(bad("field `deadline_secs` does not apply to shard jobs \
-                         (a partial shard would corrupt the merged sweep)"));
-                }
-                "start" | "end" if kind == JobKind::Shard => {
-                    let n = value.as_u64().ok_or_else(|| {
-                        bad(format!("field `{key}` must be a non-negative integer"))
-                    })? as usize;
-                    if key == "start" {
-                        spec.shard_start = n;
-                    } else {
-                        spec.shard_end = n;
-                    }
-                    true
-                }
-                "deadline_secs" => {
-                    let d = field_f64(value, "deadline_secs")?;
-                    if !d.is_finite() || d <= 0.0 {
-                        return Err(bad("field `deadline_secs` must be a positive number"));
-                    }
-                    spec.deadline_secs = Some(d);
-                    true
-                }
-                "analytical" if kind == JobKind::Explore => {
-                    spec.analytical = field_bool(value, "analytical")?;
-                    true
-                }
-                "bound_cycles" if kind == JobKind::Explore => {
-                    spec.bound_cycles = Some(field_f64(value, "bound_cycles")?);
-                    true
-                }
-                "bound_energy" if kind == JobKind::Explore => {
-                    spec.bound_energy = Some(field_f64(value, "bound_energy")?);
-                    true
-                }
-                "pareto" if kind == JobKind::Explore => {
-                    spec.pareto = field_bool(value, "pareto")?;
-                    true
-                }
-                "engine" if kind != JobKind::Search => {
-                    spec.engine =
-                        field_keyword(value, "engine", &["fused", "per-design"])?.to_string();
-                    true
-                }
-                "format" if kind == JobKind::Pareto => {
-                    spec.format = field_keyword(value, "format", &["csv", "json"])?.to_string();
-                    true
-                }
-                "format" if kind == JobKind::Search => {
-                    spec.format =
-                        field_keyword(value, "format", &["text", "csv", "json"])?.to_string();
-                    true
-                }
-                // Accepted for compatibility and ignored: every frontier
-                // comes from the one exhaustive sweep.
-                "exhaustive" if kind == JobKind::Pareto => {
-                    field_bool(value, "exhaustive")?;
-                    true
-                }
-                "objective" if kind == JobKind::Search => {
-                    spec.objective = field_str(value, "objective")?.parse().map_err(bad)?;
-                    true
-                }
-                "space" if kind == JobKind::Search => {
-                    spec.space =
-                        field_keyword(value, "space", &["paper", "expansive"])?.to_string();
-                    true
-                }
-                "beam" if kind == JobKind::Search => {
-                    let b = value
-                        .as_u64()
-                        .filter(|&b| b >= 1)
-                        .ok_or_else(|| bad("field `beam` must be a positive integer"))?;
-                    spec.beam = Some(b as usize);
-                    true
-                }
-                "gap" if kind == JobKind::Search => {
-                    let g = field_f64(value, "gap")?;
-                    if !g.is_finite() || g < 0.0 {
-                        return Err(bad("field `gap` must be a finite non-negative fraction"));
-                    }
-                    spec.gap = g;
-                    true
-                }
-                _ => false,
-            };
-            if !known {
+            let key = key.as_str();
+            if matches!(key, "command" | "kernel" | "trace") {
+                continue;
+            }
+            if is_trace && knobs::kernel_only(key) {
                 return Err(bad(format!(
-                    "unknown field `{key}` for command `{}`",
-                    kind.as_str()
+                    "field `{key}` needs a kernel workload (a streamed `.din` trace \
+                     sweeps the fixed trace grid)"
                 )));
             }
+            // A deadline would truncate the shard's result stream, and
+            // the coordinator would silently merge a partial sweep.
+            if kind == JobKind::Shard && key == "deadline_secs" {
+                return Err(bad("field `deadline_secs` does not apply to shard jobs \
+                     (a partial shard would corrupt the merged sweep)"));
+            }
+            let row = KNOBS
+                .iter()
+                .find(|k| k.member == key && k.takes(kind))
+                .ok_or_else(|| {
+                    bad(format!(
+                        "unknown field `{key}` for command `{}`",
+                        kind.as_str()
+                    ))
+                })?;
+            knobs.set(row.id, row.parse_json(value).map_err(bad)?);
         }
-        if kind == JobKind::Shard && spec.shard_end <= spec.shard_start {
-            return Err(bad(
-                "shard jobs need a non-empty range: `start` < `end` (grid indices)",
-            ));
+        if kind == JobKind::Shard {
+            knobs.shard_range().map_err(bad)?;
         }
-        Ok(spec)
+        Ok(JobSpec { kind, input, knobs })
     }
 
     /// The content address of this job: a 128-bit FNV-1a hash over the
     /// canonical rendering. Canonical means (a) the *parsed* kernel's
     /// `Display` (so formatting/comments in the request text are erased)
     /// — or, for trace jobs, the streaming fingerprint plus event count
-    /// (so two spellings of the same recorded events share an entry), (b)
-    /// every knob present with its resolved value (so explicit defaults
-    /// hash like omitted ones), (c) floats as IEEE bit patterns (so `0.5`
-    /// and `5e-1` agree), and (d) only fields that affect the result
-    /// bytes — `deadline_secs` is excluded because cancelled results are
-    /// never cached.
+    /// (so two spellings of the same recorded events share an entry), and
+    /// (b) each keyed knob the kind takes, in table order, with its
+    /// default made explicit (see [`crate::knobs`]).
     pub fn cache_key(&self) -> CacheKey {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(512);
@@ -603,53 +320,7 @@ impl JobSpec {
                 );
             }
         }
-        let _ = write!(s, "part={}\0", self.part);
-        let _ = write!(
-            s,
-            "em={}\0",
-            self.em_nj
-                .map_or("-".to_string(), |v| format!("{:016x}", v.to_bits()))
-        );
-        let _ = write!(s, "natural={}\0", u8::from(self.natural));
-        match self.kind {
-            JobKind::Explore => {
-                let _ = write!(s, "engine={}\0", self.engine);
-                let _ = write!(s, "analytical={}\0", u8::from(self.analytical));
-                let _ = write!(
-                    s,
-                    "bound_cycles={}\0",
-                    self.bound_cycles
-                        .map_or("-".to_string(), |v| format!("{:016x}", v.to_bits()))
-                );
-                let _ = write!(
-                    s,
-                    "bound_energy={}\0",
-                    self.bound_energy
-                        .map_or("-".to_string(), |v| format!("{:016x}", v.to_bits()))
-                );
-                let _ = write!(s, "pareto={}\0", u8::from(self.pareto));
-            }
-            JobKind::Pareto => {
-                let _ = write!(s, "engine={}\0", self.engine);
-                let _ = write!(s, "format={}\0", self.format);
-            }
-            JobKind::Search => {
-                let _ = write!(s, "objective={}\0", self.objective);
-                let _ = write!(s, "space={}\0", self.space);
-                let _ = write!(
-                    s,
-                    "beam={}\0",
-                    self.beam.map_or("-".to_string(), |b| b.to_string())
-                );
-                let _ = write!(s, "gap={:016x}\0", self.gap.to_bits());
-                let _ = write!(s, "format={}\0", self.format);
-            }
-            JobKind::Shard => {
-                let _ = write!(s, "engine={}\0", self.engine);
-                let _ = write!(s, "start={}\0", self.shard_start);
-                let _ = write!(s, "end={}\0", self.shard_end);
-            }
-        }
+        self.knobs.write_key(self.kind, &mut s);
         CacheKey::from_canonical(s.as_bytes())
     }
 }
@@ -1077,8 +748,8 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
             return write_response(stream, 400, &[], &b);
         }
     };
-    if spec.deadline_secs.is_none() {
-        spec.deadline_secs = shared.default_deadline;
+    if let (Value::Unset, Some(d)) = (spec.knobs.get(Id::Deadline), shared.default_deadline) {
+        spec.knobs.set(Id::Deadline, Value::Num(d));
     }
     let key = spec.cache_key();
     let key_hex = key.to_hex();
@@ -1137,7 +808,7 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
                     return write_response(stream, code, &headers, &b);
                 }
                 Err(panic) => {
-                    let msg = panic_message(&panic);
+                    let msg = panic_message(panic);
                     drop(flight);
                     let b = error_body(500, &format!("job panicked: {msg}"));
                     record_job(shared, &spec, started, "miss", "panic", queue_depth, 500);
@@ -1158,16 +829,6 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
         ("X-Memx-Status", status),
     ];
     write_response(stream, code, &headers, &response)
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 /// Emits the per-job observability event and bumps the job counter.
@@ -1294,14 +955,15 @@ pub fn http_request(addr: &str, method: &str, path: &str, body: &[u8]) -> io::Re
 /// out. Used by `memx submit --wait-health` and the CI smoke job to avoid
 /// racing the daemon's startup.
 pub fn wait_health(addr: &str, budget: Duration) -> bool {
-    let deadline = Instant::now() + budget;
+    // A budget past the end of representable time never runs out.
+    let deadline = Instant::now().checked_add(budget);
     loop {
         if let Ok(r) = http_request(addr, "GET", "/v1/health", b"") {
             if r.code == 200 {
                 return true;
             }
         }
-        if Instant::now() >= deadline {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return false;
         }
         std::thread::sleep(Duration::from_millis(25));
@@ -1343,46 +1005,18 @@ pub fn signal_received() -> bool {
 // memx submit
 // ---------------------------------------------------------------------------
 
-/// The `memx submit` request, mirroring the `Command::Submit` CLI flags.
+/// The `memx submit` request: the job and how to deliver it.
+#[derive(Clone, PartialEq, Debug)]
 pub struct SubmitRequest {
     /// Daemon address (`HOST:PORT`).
     pub addr: String,
     /// Workload file path (read locally, sent inline): `.mx` kernel
     /// text, or a `.din` trace submitted as a streamed trace job.
     pub file: String,
-    /// Job kind keyword (`explore`, `pareto`, `search`).
-    pub job: String,
-    /// Off-chip part keyword.
-    pub part: String,
-    /// Custom `Em` (nJ/access).
-    pub em_nj: Option<f64>,
-    /// Natural layout.
-    pub natural: bool,
-    /// explore: analytical model.
-    pub analytical: bool,
-    /// explore: cycle bound.
-    pub bound_cycles: Option<f64>,
-    /// explore: energy bound.
-    pub bound_energy: Option<f64>,
-    /// explore: print the frontier.
-    pub pareto: bool,
-    /// Simulation engine keyword.
-    pub engine: String,
-    /// Output format (pareto/search).
-    pub format: Option<String>,
-    /// pareto: `--exhaustive`; the daemon ignores it on a kernel job and
-    /// rejects it on a trace job.
-    pub exhaustive: bool,
-    /// search: objective.
-    pub objective: Option<Objective>,
-    /// search: grid keyword.
-    pub space: String,
-    /// search: beam width.
-    pub beam: Option<usize>,
-    /// search: gap target.
-    pub gap: f64,
-    /// Per-job deadline.
-    pub deadline_secs: Option<f64>,
+    /// Job kind (`--job`).
+    pub job: JobKind,
+    /// The job's knobs; the ones given on the command line are sent.
+    pub knobs: Knobs,
     /// Poll health for up to this many seconds before submitting.
     pub wait_health_secs: Option<f64>,
     /// Retry transient transport failures this many times (`--retries`).
@@ -1393,68 +1027,19 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    /// Renders the `POST /v1/jobs` body. Only non-default knobs are sent,
-    /// so a flag that does not apply to the chosen job kind surfaces as
-    /// the daemon's typed 400 instead of being silently dropped.
-    /// `workload_key` is `"kernel"` for `.mx` files and `"trace"` for
-    /// `.din` files.
-    fn body(&self, workload_key: &str, workload_text: &str) -> String {
+    /// Renders the `POST /v1/jobs` body. Every knob given on the command
+    /// line is sent, so a flag that does not apply to the chosen job kind
+    /// surfaces as the daemon's typed 400 instead of being silently
+    /// dropped. `workload_key` is `"kernel"` for `.mx` files and
+    /// `"trace"` for `.din` files.
+    pub(crate) fn body(&self, workload_key: &str, workload_text: &str) -> String {
         let mut b = String::from("{\"command\":");
-        push_json_str(&mut b, &self.job);
+        push_json_str(&mut b, self.job.as_str());
         b.push_str(",\"");
         b.push_str(workload_key);
         b.push_str("\":");
         push_json_str(&mut b, workload_text);
-        if self.part != "cy7c" {
-            b.push_str(",\"part\":");
-            push_json_str(&mut b, &self.part);
-        }
-        if let Some(em) = self.em_nj {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"em_nj\":{em}"));
-        }
-        if self.natural {
-            b.push_str(",\"natural\":true");
-        }
-        if self.analytical {
-            b.push_str(",\"analytical\":true");
-        }
-        if let Some(v) = self.bound_cycles {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"bound_cycles\":{v}"));
-        }
-        if let Some(v) = self.bound_energy {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"bound_energy\":{v}"));
-        }
-        if self.pareto {
-            b.push_str(",\"pareto\":true");
-        }
-        if self.engine != "fused" {
-            b.push_str(",\"engine\":");
-            push_json_str(&mut b, &self.engine);
-        }
-        if let Some(f) = &self.format {
-            b.push_str(",\"format\":");
-            push_json_str(&mut b, f);
-        }
-        if self.exhaustive {
-            b.push_str(",\"exhaustive\":true");
-        }
-        if let Some(o) = &self.objective {
-            b.push_str(",\"objective\":");
-            push_json_str(&mut b, &o.to_string());
-        }
-        if self.space != "paper" {
-            b.push_str(",\"space\":");
-            push_json_str(&mut b, &self.space);
-        }
-        if let Some(n) = self.beam {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"beam\":{n}"));
-        }
-        if self.gap != 0.0 {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"gap\":{}", self.gap));
-        }
-        if let Some(d) = self.deadline_secs {
-            let _ = std::fmt::Write::write_fmt(&mut b, format_args!(",\"deadline_secs\":{d}"));
-        }
+        self.knobs.write_json(&mut b, |k| self.knobs.given(k.id));
         b.push('}');
         b
     }
@@ -1762,6 +1347,43 @@ mod tests {
         assert!(e.0.contains("mutually exclusive"), "{e}");
         let e = trace_spec("explore", "not a trace", "").expect_err("bad trace");
         assert!(e.0.contains("bad trace"), "{e}");
+    }
+
+    #[test]
+    fn knob_values_that_used_to_panic_are_a_400() {
+        let server = Server::start(ServeConfig::default()).expect("bind ephemeral port");
+        let addr = server.addr().to_string();
+        for (extra, message) in [
+            (
+                ",\"deadline_secs\":1e30",
+                "field `deadline_secs` must be a positive number of seconds",
+            ),
+            (
+                ",\"em_nj\":-1",
+                "field `em_nj` must be a positive finite number",
+            ),
+        ] {
+            let mut body = String::from("{\"command\":\"explore\",\"kernel\":");
+            push_json_str(&mut body, &compress_text());
+            body.push_str(extra);
+            body.push('}');
+            let e = JobSpec::from_json(&parse_json(&body).expect("valid")).expect_err(extra);
+            assert_eq!(e.0, message);
+            let response = http_request(&addr, "POST", "/v1/jobs", body.as_bytes()).expect("up");
+            assert_eq!(response.code, 400, "{extra}");
+            let json = parse_json(&String::from_utf8_lossy(&response.body)).expect("JSON");
+            assert_eq!(json.get("error").and_then(Json::as_str), Some(message));
+        }
+        server.request_shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn panic_payloads_keep_their_message() {
+        let payload = catch_unwind(|| panic!("boom")).expect_err("the closure panics");
+        assert_eq!(panic_message(payload), "boom");
+        let payload = catch_unwind(|| panic!("{} {}", "formatted", 7)).expect_err("panics");
+        assert_eq!(panic_message(payload), "formatted 7");
     }
 
     #[test]

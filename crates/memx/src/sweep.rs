@@ -30,6 +30,7 @@
 //! lines on the worker's stdout.
 
 use crate::commands::{self, Output, RunCtx, RunError};
+use crate::knobs::{JobKind, OnTrace};
 use crate::serve::{JobInput, JobSpec};
 use memexplore::obs::{parse_json, Json};
 use memexplore::{
@@ -84,7 +85,7 @@ pub(crate) fn worker(
     checkpoint: CheckpointPolicy,
 ) -> Result<Output, RunError> {
     let designs = spec.input.grid();
-    let (start, end) = (spec.shard_start, spec.shard_end);
+    let (start, end) = spec.knobs.shard_range()?;
     if end > designs.len() {
         return Err(RunError::Io(format!(
             "worker range [{start}..{end}) exceeds the {}-design grid of `{file}`",
@@ -242,22 +243,10 @@ impl ProcessExecutor {
     fn new(slots: usize, file: &str, spec: &JobSpec, dir: PathBuf) -> Result<Self, RunError> {
         let exe = std::env::current_exe()
             .map_err(|e| RunError::Io(format!("cannot locate the memx binary: {e}")))?;
-        let mut flags = vec!["--part".to_string(), spec.part.clone()];
-        if let Some(em) = spec.em_nj {
-            flags.push("--em".to_string());
-            flags.push(em.to_string());
-        }
-        if spec.natural {
-            flags.push("--natural".to_string());
-        }
-        if spec.engine != "fused" {
-            flags.push("--engine".to_string());
-            flags.push(spec.engine.clone());
-        }
         Ok(Self {
             exe,
             file: file.to_string(),
-            flags,
+            flags: spec.knobs.flags(JobKind::Shard),
             dir,
             slots,
             checkpoint_every: 8,
@@ -458,21 +447,14 @@ impl HttpExecutor {
         b.push_str(subject);
         b.push_str("\":");
         push_json_str(&mut b, workload_text);
-        if spec.part != "cy7c" {
-            b.push_str(",\"part\":");
-            push_json_str(&mut b, &spec.part);
-        }
-        if let Some(em) = spec.em_nj {
-            let _ = write!(b, ",\"em_nj\":{em}");
-        }
-        if spec.natural {
-            b.push_str(",\"natural\":true");
-        }
-        // A trace shard job rejects the field (one engine only).
-        if matches!(spec.input, JobInput::Kernel(_)) && spec.engine != "fused" {
-            b.push_str(",\"engine\":");
-            push_json_str(&mut b, &spec.engine);
-        }
+        // The knobs a shard job takes, set away from their defaults; a
+        // trace shard job rejects the kernel-only ones (one engine only).
+        let kernel = matches!(spec.input, JobInput::Kernel(_));
+        spec.knobs.write_json(&mut b, |k| {
+            k.takes(JobKind::Shard)
+                && !spec.knobs.is_default(k)
+                && (kernel || k.on_trace == OnTrace::Same)
+        });
         b.push(',');
         Self {
             addrs,
@@ -649,7 +631,9 @@ pub(crate) fn sweep(spec: &JobSpec, ctx: &RunCtx, req: &SweepRequest) -> Result<
         return Ok(output);
     }
     let mut stderr = String::new();
-    spec.warn_trace_knobs(&mut stderr);
+    if let JobInput::Trace(_) = spec.input {
+        spec.knobs.warn_on_trace(spec.kind, &mut stderr);
+    }
     let designs = spec.input.grid();
     spec.input.check_grid(&designs, &mut stderr)?;
     let explorer = spec.explorer(None);
@@ -723,13 +707,7 @@ pub(crate) fn sweep(spec: &JobSpec, ctx: &RunCtx, req: &SweepRequest) -> Result<
 
     let records = merged_records(&outcome, &designs, &mut stderr)?;
     let mut out = spec.input.heading(records.len(), false);
-    commands::write_selection(
-        &mut out,
-        &records,
-        spec.bound_cycles,
-        spec.bound_energy,
-        spec.pareto,
-    );
+    commands::write_selection(&mut out, &records, &spec.knobs);
     if ctx.telemetry {
         let mut t = SweepTelemetry {
             designs_evaluated: records.len(),
@@ -757,8 +735,8 @@ pub(crate) fn sweep(spec: &JobSpec, ctx: &RunCtx, req: &SweepRequest) -> Result<
 /// lines.
 pub(crate) fn shard(spec: &JobSpec, ctx: &RunCtx, stderr: &mut String) -> Result<String, RunError> {
     let designs = spec.input.grid();
-    let (start, end) = (spec.shard_start, spec.shard_end);
-    if end > designs.len() || start >= end {
+    let (start, end) = spec.knobs.shard_range()?;
+    if end > designs.len() {
         return Err(RunError::Other(
             format!(
                 "shard range [{start}..{end}) is invalid for the {}-design grid",

@@ -529,3 +529,63 @@ fn deadline_yields_partial_result_with_exit_zero() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("explored"), "{stdout}");
 }
+
+/// Knob values that once panicked (exit 101) are invalid CLI input now:
+/// exit 2, and the first stderr line names the flag and its rule.
+#[test]
+fn invalid_knob_values_are_exit_two_not_a_panic() {
+    let scratch = Scratch::new("knobs");
+    let kernel = scratch.kernel();
+    let mut probes: Vec<(Vec<&str>, &str)> = Vec::new();
+    for command in ["explore", "pareto"] {
+        for em in ["-1", "nan"] {
+            probes.push((
+                vec![command, &kernel, "--em", em],
+                "`--em` must be a positive finite number",
+            ));
+        }
+    }
+    for command in ["explore", "search"] {
+        for deadline in ["inf", "1e30"] {
+            probes.push((
+                vec![command, &kernel, "--deadline", deadline],
+                "`--deadline` must be a positive number of seconds",
+            ));
+        }
+    }
+    probes.extend([
+        (
+            vec!["serve", "--default-deadline", "inf"],
+            "`--default-deadline` must be a positive number of seconds",
+        ),
+        (
+            vec!["submit", "127.0.0.1:9", &kernel, "--wait-health", "1e30"],
+            "`--wait-health` must be a positive number of seconds",
+        ),
+    ]);
+    for (args, message) in probes {
+        let out = memx(&args);
+        let err = stderr(&out);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {err}");
+        assert_eq!(
+            err.lines().next(),
+            Some(format!("error: {message}").as_str()),
+            "{args:?}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// A deadline that fits a `Duration` but lies past the end of the
+/// clock's range never fires: the sweep runs to completion.
+#[test]
+fn deadline_beyond_the_clock_is_no_deadline() {
+    let scratch = Scratch::new("far-deadline");
+    let kernel = scratch.kernel();
+    for command in ["explore", "search"] {
+        let out = memx(&[command, &kernel, "--deadline", "1e19"]);
+        assert_eq!(exit_code(&out), 0, "{command}: {}", stderr(&out));
+        let plain = memx(&[command, &kernel]);
+        assert_eq!(out.stdout, plain.stdout, "{command}");
+    }
+}

@@ -16,7 +16,7 @@
 use crate::explore::{try_steal_loop, ExploreError, SweepHists};
 use crate::metrics::{Evaluator, PlacementMode, PlanSource, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Obs, Span};
-use analysis::placement::{optimize_layout, PlacementError, PlacementReport};
+use analysis::placement::{check_leader_bounds, optimize_layout, PlacementError, PlacementReport};
 use loopir::{DataLayout, Kernel};
 use memsim::{CacheConfig, ReplayBank, TraceEvent, TraceSource};
 use std::sync::OnceLock;
@@ -42,7 +42,9 @@ const SCORE_BANK_LINES: usize = 1 << 16;
 /// [`ExploreError::WorkerPanic`] (phase `layout`) with the message of the
 /// first worker panic, or else [`ExploreError::Placement`] naming the
 /// first pair (in pair order) whose placement failed, such as an array
-/// whose padded addresses overflow 64 bits.
+/// whose padded addresses overflow 64 bits. Under the natural layout,
+/// nothing is placed but placement's bounds check still runs: a class
+/// leader outside its array is [`ExploreError::Placement`] too.
 pub(crate) fn arbitrate_layouts(
     evaluator: &Evaluator,
     kernel: &Kernel,
@@ -57,6 +59,12 @@ pub(crate) fn arbitrate_layouts(
         message,
     };
     let _span = Span::begin(obs, "layout");
+    if evaluator.placement == PlacementMode::Natural {
+        // Nothing is placed, so run placement's bounds check here: an
+        // out-of-bounds leader must not reach trace generation.
+        check_leader_bounds(kernel)
+            .map_err(|e| ExploreError::Placement(format!("natural layout: {e}")))?;
+    }
 
     // Placement, one unit per pair.
     let slots: Vec<OnceLock<Result<Option<PlacementReport>, PlacementError>>> =

@@ -40,8 +40,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Version stamp of the JSONL event schema, emitted as `"v"` on every
-/// line so downstream parsers can detect format changes.
-pub const EVENT_SCHEMA_VERSION: u64 = 1;
+/// line so downstream parsers can detect format changes. Version 2 adds
+/// the stage timings of the `serve`/`job` event (`queue_us`, `compute_us`,
+/// `write_us`); version 1 logs still parse, without them.
+pub const EVENT_SCHEMA_VERSION: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // JSON primitives (emission)
@@ -524,7 +526,7 @@ impl Event {
             match key.as_str() {
                 "v" => {
                     let v = value.as_u64().ok_or("bad `v`")?;
-                    if v != EVENT_SCHEMA_VERSION {
+                    if !(1..=EVENT_SCHEMA_VERSION).contains(&v) {
                         return Err(format!("unsupported event schema version {v}"));
                     }
                 }
@@ -1207,6 +1209,12 @@ pub struct RunReport {
     pub queue_depth_max: u64,
     /// End-to-end serve job latencies (rebuilt, µs resolution).
     pub job: LatencySummary,
+    /// Serve misses' enqueue-to-slot-start waits (`queue_us`).
+    pub job_queue: LatencySummary,
+    /// Serve misses' compute times on their slot (`compute_us`).
+    pub job_compute: LatencySummary,
+    /// Serve jobs' response write times (`write_us`).
+    pub job_write: LatencySummary,
 }
 
 impl RunReport {
@@ -1223,6 +1231,9 @@ impl RunReport {
         let score = LatencyHistogram::new();
         let flush = LatencyHistogram::new();
         let job = LatencyHistogram::new();
+        let job_queue = LatencyHistogram::new();
+        let job_compute = LatencyHistogram::new();
+        let job_write = LatencyHistogram::new();
         for (lineno, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -1311,6 +1322,15 @@ impl RunReport {
                         }
                         "job" => {
                             job.record(dur);
+                            for (field, hist) in [
+                                ("queue_us", &job_queue),
+                                ("compute_us", &job_compute),
+                                ("write_us", &job_write),
+                            ] {
+                                if let Some(us) = event.u64_field(field) {
+                                    hist.record(Duration::from_micros(us));
+                                }
+                            }
                             report.jobs_done += 1;
                             if event.str_field("status") == Some("cancelled") {
                                 report.jobs_cancelled += 1;
@@ -1345,6 +1365,9 @@ impl RunReport {
         report.score = score.summary();
         report.flush = flush.summary();
         report.job = job.summary();
+        report.job_queue = job_queue.summary();
+        report.job_compute = job_compute.summary();
+        report.job_write = job_write.summary();
         Ok(report)
     }
 
@@ -1431,16 +1454,28 @@ impl fmt::Display for RunReport {
             }
         }
         if self.jobs_done > 0 {
+            // Medians of the stage timings; `-` where no job recorded one
+            // (hits never queue or compute, and older logs lack them).
+            let median = |s: &LatencySummary| {
+                if s.count == 0 {
+                    "-".to_string()
+                } else {
+                    fmt_dur(s.percentile(0.5))
+                }
+            };
             writeln!(
                 f,
                 "serve: {} job(s) ({} cancelled), cache {} hit / {} miss / {} join, \
-                 max queue depth {}",
+                 max queue depth {}, median queue {} / compute {} / write {}",
                 self.jobs_done,
                 self.jobs_cancelled,
                 self.cache_hits,
                 self.cache_misses,
                 self.cache_joins,
-                self.queue_depth_max
+                self.queue_depth_max,
+                median(&self.job_queue),
+                median(&self.job_compute),
+                median(&self.job_write)
             )?;
             writeln!(f, "  job   : {}", self.job)?;
         }
@@ -1741,6 +1776,51 @@ mod tests {
             .find(|l| l.starts_with("  simulate  : "))
             .expect("simulate phase line");
         assert!(simulate.ends_with(", 400 scalar lane-events"), "{simulate}");
+    }
+
+    #[test]
+    fn report_prints_serve_stage_medians() {
+        let job = |v: u64, cache: &str, stages: &str| {
+            format!(
+                "{{\"v\":{v},\"t_us\":5,\"run\":\"r\",\"kind\":\"point\",\"phase\":\"serve\",\
+                 \"name\":\"job\",\"dur_us\":900,\"cache\":\"{cache}\",\"status\":\"complete\",\
+                 \"queue_depth\":0{stages}}}\n"
+            )
+        };
+        let mut text = job(
+            2,
+            "miss",
+            ",\"queue_us\":40,\"compute_us\":800,\"write_us\":12",
+        );
+        text.push_str(&job(
+            2,
+            "miss",
+            ",\"queue_us\":60,\"compute_us\":820,\"write_us\":12",
+        ));
+        text.push_str(&job(2, "hit", ",\"write_us\":12"));
+        // A version 1 line has no stage timings and still counts as a job.
+        text.push_str(&job(1, "hit", ""));
+        let report = RunReport::from_jsonl(&text).expect("v1 and v2 lines parse");
+        assert_eq!(report.jobs_done, 4);
+        assert_eq!(report.job_queue.count, 2);
+        assert_eq!(report.job_compute.count, 2);
+        assert_eq!(report.job_write.count, 3);
+        let serve = report
+            .to_string()
+            .lines()
+            .find(|l| l.starts_with("serve: "))
+            .expect("serve line")
+            .to_string();
+        assert!(
+            // Bucket maxima (at most 6.25% high) of the lower middle samples.
+            serve.ends_with("median queue 41.0 us / compute 819.2 us / write 12.3 us"),
+            "{serve}"
+        );
+        // No stage recorded: a dash, not a fake 0.
+        let hits_only = RunReport::from_jsonl(&job(1, "hit", "")).expect("parses");
+        assert!(hits_only
+            .to_string()
+            .contains("median queue - / compute - / write -"));
     }
 
     #[test]

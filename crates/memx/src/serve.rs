@@ -24,12 +24,16 @@
 //! identical jobs simulate once; every submitter gets byte-identical
 //! bytes. Cancelled (deadline) and failed jobs are never cached.
 //!
-//! Jobs are admitted through a ticket-FIFO [`FairGate`] with a bounded
-//! number of concurrent slots; each admitted job runs on the existing
-//! work-stealing sweep pool with `workers ≈ cores/slots` so concurrent
-//! jobs share the machine instead of oversubscribing it. Per-job events
-//! (`serve`/`job` with duration, cache disposition, status, and queue
-//! depth) flow through the obs layer and surface in `memx report`.
+//! The accept loop waits on the listener with `poll(2)`, so a connection
+//! is read as soon as it arrives. Each connection gets a handler thread;
+//! a hit answers there with the cached bytes. A miss goes into one FIFO
+//! `SlotQueue` that `slots` long-lived slot threads take jobs from in
+//! strict arrival order; each job runs on the existing work-stealing
+//! sweep pool with `workers ≈ cores/slots` so concurrent jobs share the
+//! machine instead of oversubscribing it. Per-job events (`serve`/`job`
+//! with duration, cache disposition, status, queue depth, and the stage
+//! timings `queue_us`, `compute_us` and `write_us`) flow through the obs
+//! layer and surface in `memx report`.
 
 use crate::commands::{self, Output, RunCtx, RunError};
 use crate::knobs::{self, Id, JobKind, Knobs, Value, KNOBS};
@@ -42,11 +46,12 @@ use memexplore::{
     trace_sweep_id, CacheDesign, CacheKey, DesignSpace, Evaluator, Explorer, FieldValue, Lookup,
     Obs, ResultCache, SweepOptions, SweepOutcome, TraceWorkload,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,6 +64,10 @@ const KEY_SCHEMA: &str = "memx-serve-job-v1";
 /// Read timeout on accepted connections — a stalled client cannot pin a
 /// handler thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Longest the accept loop waits for a connection before it looks at the
+/// shutdown flag again.
+const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// Largest accepted request body (16 MiB leaves room for very large
 /// generated kernels while bounding a hostile Content-Length).
@@ -326,70 +335,130 @@ impl JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Fair admission gate
+// Slot queue
 // ---------------------------------------------------------------------------
 
-struct GateState {
-    /// Next ticket to hand out.
-    tail: u64,
-    /// Lowest ticket not yet admitted.
-    head: u64,
-    /// Jobs currently holding a slot.
+struct QueueState<T> {
+    /// Tasks not yet taken by a slot thread, oldest first.
+    waiting: VecDeque<T>,
+    /// Tasks taken and not yet finished.
     active: usize,
+    /// Set by [`SlotQueue::close`]: no more tasks are accepted.
+    closed: bool,
 }
 
-/// Ticket-FIFO admission with `slots` concurrent holders: jobs are
-/// admitted strictly in arrival order (no barging — a heavyweight
-/// expansive-space job cannot be starved by a stream of cheap ones), at
-/// most `slots` at a time.
-pub struct FairGate {
-    state: Mutex<GateState>,
-    cv: Condvar,
-    slots: usize,
+/// The one FIFO that feeds the slot threads. Tasks are taken strictly in
+/// arrival order (no barging — a heavyweight expansive-space job cannot be
+/// starved by a stream of cheap ones), and each of the `slots` threads
+/// that pop from it runs one task at a time.
+struct SlotQueue<T> {
+    state: Mutex<QueueState<T>>,
+    ready: Condvar,
 }
 
-impl FairGate {
-    /// A gate with `slots` concurrent slots (clamped to ≥ 1).
-    pub fn new(slots: usize) -> Self {
-        FairGate {
-            state: Mutex::new(GateState {
-                tail: 0,
-                head: 0,
+impl<T> SlotQueue<T> {
+    fn new() -> Self {
+        SlotQueue {
+            state: Mutex::new(QueueState {
+                waiting: VecDeque::new(),
                 active: 0,
+                closed: false,
             }),
-            cv: Condvar::new(),
-            slots: slots.max(1),
+            ready: Condvar::new(),
         }
     }
 
-    /// Blocks until this caller's ticket is first in line *and* a slot is
-    /// free. Returns the queue depth observed at enqueue time (jobs that
-    /// were waiting ahead of this one).
-    pub fn acquire(&self) -> u64 {
+    /// Appends `task` and returns how many tasks wait ahead of it, or
+    /// `None` (dropping the task) once the queue is closed.
+    fn push(&self, task: T) -> Option<u64> {
         let mut st = self.state.lock().unwrap();
-        let ticket = st.tail;
-        st.tail += 1;
-        let depth = ticket - st.head;
-        while !(st.head == ticket && st.active < self.slots) {
-            st = self.cv.wait(st).unwrap();
+        if st.closed {
+            return None;
         }
-        st.head += 1;
-        st.active += 1;
-        depth
-    }
-
-    /// Releases a slot (pairs with one [`FairGate::acquire`]).
-    pub fn release(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.active -= 1;
+        let depth = st.waiting.len() as u64;
+        st.waiting.push_back(task);
         drop(st);
-        self.cv.notify_all();
+        self.ready.notify_one();
+        Some(depth)
+    }
+
+    /// Blocks until a task waits, then takes the oldest and counts it
+    /// active. `None` once the queue is closed and every task is taken.
+    fn pop(&self) -> Option<T> {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(task) = st.waiting.pop_front() {
+                st.active += 1;
+                return Some(task);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap();
+        }
+    }
+
+    /// Marks one task taken by [`SlotQueue::pop`] finished.
+    fn finish(&self) {
+        self.state.lock().unwrap().active -= 1;
+    }
+
+    /// Refuses further tasks; the slot threads drain what waits and exit.
+    fn close(&self) {
+        self.state.lock().unwrap().closed = true;
+        self.ready.notify_all();
     }
 
     /// `(waiting, active)` snapshot.
-    pub fn depth(&self) -> (u64, usize) {
+    fn depth(&self) -> (u64, usize) {
         let st = self.state.lock().unwrap();
-        (st.tail - st.head, st.active)
+        (st.waiting.len() as u64, st.active)
+    }
+}
+
+/// A cache miss waiting for a slot: the job, when it was queued, and
+/// where its outcome goes.
+struct Miss {
+    spec: JobSpec,
+    queued: Instant,
+    reply: SyncSender<Computed>,
+}
+
+/// `commands::run_job`'s result (its output and whether a deadline
+/// cancelled it), or the payload of its panic.
+type JobResult = std::thread::Result<Result<(Output, bool), RunError>>;
+
+/// A miss's outcome as its slot thread hands it back.
+struct Computed {
+    result: JobResult,
+    /// Enqueue to slot start.
+    queue: Duration,
+    /// Slot start to the job's return.
+    compute: Duration,
+}
+
+/// One slot thread: runs queued misses, oldest first, until the queue is
+/// closed and drained. Long-lived, so every miss computes on one of a
+/// fixed set of `slots` threads (and their allocator arenas) instead of
+/// on its connection's fresh thread.
+fn slot_loop(shared: &ServerShared) {
+    let ctx = RunCtx {
+        workers: Some(shared.workers_per_job),
+        distribute: shared.distribute,
+        ..RunCtx::default()
+    };
+    while let Some(miss) = shared.queue.pop() {
+        let start = Instant::now();
+        let result = catch_unwind(AssertUnwindSafe(|| commands::run_job(&miss.spec, &ctx)));
+        let compute = start.elapsed();
+        // The slot is given back before the answer, so a client holding
+        // its answer never sees its own job counted active.
+        shared.queue.finish();
+        let _ = miss.reply.send(Computed {
+            result,
+            queue: start - miss.queued,
+            compute,
+        });
     }
 }
 
@@ -432,11 +501,11 @@ impl Default for ServeConfig {
 
 struct ServerShared {
     cache: ResultCache,
-    gate: FairGate,
+    queue: SlotQueue<Miss>,
     obs: Option<Arc<Obs>>,
     shutdown: Arc<AtomicBool>,
     jobs: AtomicU64,
-    /// Worker threads each admitted job may use, sized so `slots`
+    /// Worker threads each slot's job may use, sized so `slots`
     /// concurrent jobs share the cores instead of oversubscribing.
     workers_per_job: usize,
     default_deadline: Option<f64>,
@@ -453,8 +522,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and starts the accept loop. Returns once the
-    /// socket is live — jobs can be submitted immediately.
+    /// Binds the listener and starts the accept loop and the slot
+    /// threads. Returns once the socket is live — jobs can be submitted
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -471,7 +541,7 @@ impl Server {
         };
         let shared = Arc::new(ServerShared {
             cache: ResultCache::new(config.cache_entries, config.cache_bytes),
-            gate: FairGate::new(slots),
+            queue: SlotQueue::new(),
             obs: config.obs,
             shutdown: Arc::new(AtomicBool::new(false)),
             jobs: AtomicU64::new(0),
@@ -479,8 +549,15 @@ impl Server {
             default_deadline: config.default_deadline,
             distribute: config.distribute,
         });
+        let slot_threads = (0..slots)
+            .map(|_| {
+                let slot_shared = Arc::clone(&shared);
+                std::thread::spawn(move || slot_loop(&slot_shared))
+            })
+            .collect();
         let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::spawn(move || accept_loop(listener, accept_shared));
+        let accept_thread =
+            std::thread::spawn(move || accept_loop(listener, accept_shared, slot_threads));
         Ok(Server {
             addr,
             shared,
@@ -513,7 +590,8 @@ impl Server {
         self.accept_thread.as_ref().is_none_or(|h| h.is_finished())
     }
 
-    /// Waits for the accept loop (and its in-flight requests) to finish.
+    /// Waits for the accept loop (and its in-flight requests and slot
+    /// threads) to finish.
     pub fn join(mut self) {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
@@ -521,7 +599,7 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, slots: Vec<JoinHandle<()>>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -533,18 +611,59 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                 handlers.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
+                wait_for_connection(&listener, ACCEPT_POLL);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
-    // Graceful drain: finish requests that were already accepted.
+    // Graceful drain: finish requests that were already accepted (their
+    // misses are queued or running), then let the slots run dry and exit.
     for h in handlers {
         let _ = h.join();
+    }
+    shared.queue.close();
+    for s in slots {
+        let _ = s.join();
     }
     if let Some(obs) = &shared.obs {
         obs.finish();
     }
+}
+
+/// Blocks until `listener` has a connection waiting or `timeout` passes:
+/// `poll(2)` on its descriptor, so a connection is accepted as soon as it
+/// arrives, while the timeout bounds how late the shutdown flag is seen.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::ffi::{c_int, c_short, c_ulong};
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 1;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fd` is one initialized `struct pollfd` that outlives the
+    // call, and `nfds` is 1. An error or EINTR return only sends the loop
+    // round again.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 // ---------------------------------------------------------------------------
@@ -682,7 +801,7 @@ fn handle_connection(mut stream: TcpStream, shared: &ServerShared) -> io::Result
 
 fn stats_json(shared: &ServerShared) -> String {
     let st = shared.cache.stats();
-    let (waiting, active) = shared.gate.depth();
+    let (waiting, active) = shared.queue.depth();
     format!(
         concat!(
             "{{\"jobs\":{},\"active\":{},\"queue_depth\":{},",
@@ -751,116 +870,164 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
     if let (Value::Unset, Some(d)) = (spec.knobs.get(Id::Deadline), shared.default_deadline) {
         spec.knobs.set(Id::Deadline, Value::Num(d));
     }
+    let kind = spec.kind;
     let key = spec.cache_key();
     let key_hex = key.to_hex();
 
     // Single-flight lookup: a hit (resident or coalesced onto a concurrent
-    // leader) answers without touching the gate or the sweep pool.
-    let (disposition, code, status, response) = match shared.cache.lookup(key) {
+    // leader) answers with the cached bytes, without touching the queue
+    // or the sweep pool.
+    let (cache, status, code, response, slot) = match shared.cache.lookup(key) {
         Lookup::Hit { value, coalesced } => {
-            let disposition = if coalesced { "join" } else { "hit" };
-            (disposition, 200u16, "complete", (*value).clone())
+            let cache = if coalesced { "join" } else { "hit" };
+            (cache, "complete", 200, value, None)
         }
         Lookup::Miss(flight) => {
-            // Leader: fair-FIFO admission, then simulate.
-            let queue_depth = shared.gate.acquire();
-            let ctx = RunCtx {
-                workers: Some(shared.workers_per_job),
-                distribute: shared.distribute,
-                ..RunCtx::default()
+            // Leader: queue for a slot thread, then wait for its outcome.
+            let (reply, answer) = mpsc::sync_channel(1);
+            let miss = Miss {
+                spec,
+                queued: Instant::now(),
+                reply,
             };
-            let result = catch_unwind(AssertUnwindSafe(|| commands::run_job(&spec, &ctx)));
-            shared.gate.release();
-            match result {
-                Ok(Ok((output, cancelled))) => {
-                    let status = if cancelled { "cancelled" } else { "complete" };
-                    let bytes = job_body(status, key, spec.kind, &output);
-                    // Only completed results are cacheable; a cancelled
-                    // (deadline) job still answers its waiters with the
-                    // partial bytes but is re-simulated next time.
-                    flight.fulfill(Arc::new(bytes.clone()), !cancelled);
-                    record_job(shared, &spec, started, "miss", status, queue_depth, 200);
-                    let headers = [
-                        ("X-Memx-Cache", "miss"),
-                        ("X-Memx-Key", key_hex.as_str()),
-                        ("X-Memx-Status", status),
-                    ];
-                    return write_response(stream, 200, &headers, &bytes);
-                }
-                Ok(Err(err)) => {
-                    // Runtime failure (e.g. infeasible grid): typed 422.
-                    // Invalid cache geometry is the client's fault: 400.
-                    // I/O failures cannot normally happen (inputs are
-                    // inline), so anything of that class is a 500.
-                    let code = match &err {
-                        RunError::Io(_) => 500,
-                        RunError::Geometry(_) => 400,
-                        RunError::Other(_) => 422,
+            let outcome = shared
+                .queue
+                .push(miss)
+                .and_then(|depth| Some((depth, answer.recv().ok()?)));
+            let (status, code, bytes, slot) = match outcome {
+                Some((queue_depth, computed)) => {
+                    let (status, code, bytes) = miss_response(computed.result, key, kind);
+                    let slot = SlotTimes {
+                        queue_depth,
+                        queue: computed.queue,
+                        compute: computed.compute,
                     };
-                    drop(flight); // abandon: waiters retry, nothing cached
-                    let b = error_body(code, &err.to_string());
-                    record_job(shared, &spec, started, "miss", "error", queue_depth, code);
-                    let headers = [
-                        ("X-Memx-Cache", "miss"),
-                        ("X-Memx-Key", key_hex.as_str()),
-                        ("X-Memx-Status", "error"),
-                    ];
-                    return write_response(stream, code, &headers, &b);
+                    (status, code, bytes, Some(slot))
                 }
-                Err(panic) => {
-                    let msg = panic_message(panic);
-                    drop(flight);
-                    let b = error_body(500, &format!("job panicked: {msg}"));
-                    record_job(shared, &spec, started, "miss", "panic", queue_depth, 500);
-                    let headers = [
-                        ("X-Memx-Cache", "miss"),
-                        ("X-Memx-Key", key_hex.as_str()),
-                        ("X-Memx-Status", "panic"),
-                    ];
-                    return write_response(stream, 500, &headers, &b);
-                }
+                // Refused by a closing queue, or its slot thread died
+                // before answering: no job ran to an outcome.
+                None => ("error", 500, error_body(500, "no slot ran the job"), None),
+            };
+            let bytes = Arc::new(bytes);
+            if code == 200 {
+                // Only completed results are cacheable; a cancelled
+                // (deadline) job still answers its waiters with the
+                // partial bytes but is re-simulated next time.
+                flight.fulfill(Arc::clone(&bytes), status == "complete");
+            } else {
+                drop(flight); // abandon: waiters retry, nothing cached
             }
+            ("miss", status, code, bytes, slot)
         }
     };
-    record_job(shared, &spec, started, disposition, status, 0, code);
+    shared.jobs.fetch_add(1, Ordering::Relaxed);
+    let dur = started.elapsed();
     let headers = [
-        ("X-Memx-Cache", disposition),
+        ("X-Memx-Cache", cache),
         ("X-Memx-Key", key_hex.as_str()),
         ("X-Memx-Status", status),
     ];
-    write_response(stream, code, &headers, &response)
+    let written = write_response(stream, code, &headers, &response);
+    record_job(
+        shared,
+        &JobRecord {
+            kind,
+            key_hex: &key_hex,
+            cache,
+            status,
+            http: code,
+            dur,
+            slot,
+            write: started.elapsed() - dur,
+        },
+    );
+    written
 }
 
-/// Emits the per-job observability event and bumps the job counter.
-fn record_job(
-    shared: &ServerShared,
-    spec: &JobSpec,
-    started: Instant,
-    cache: &str,
-    status: &str,
-    queue_depth: u64,
-    http: u16,
-) {
-    shared.jobs.fetch_add(1, Ordering::Relaxed);
-    if let Some(obs) = &shared.obs {
-        let dur = started.elapsed();
-        obs.point(
-            "serve",
-            "job",
-            &[
-                (
-                    "dur_us",
-                    FieldValue::U64(u64::try_from(dur.as_micros()).unwrap_or(u64::MAX)),
-                ),
-                ("command", FieldValue::Str(spec.kind.as_str().to_string())),
-                ("key", FieldValue::Str(spec.cache_key().to_hex())),
-                ("cache", FieldValue::Str(cache.to_string())),
-                ("status", FieldValue::Str(status.to_string())),
-                ("queue_depth", FieldValue::U64(queue_depth)),
-                ("http", FieldValue::U64(u64::from(http))),
-            ],
-        );
+/// The status, HTTP code and body of a miss whose job ran on a slot.
+fn miss_response(result: JobResult, key: CacheKey, kind: JobKind) -> (&'static str, u16, Vec<u8>) {
+    match result {
+        Ok(Ok((output, cancelled))) => {
+            let status = if cancelled { "cancelled" } else { "complete" };
+            (status, 200, job_body(status, key, kind, &output))
+        }
+        Ok(Err(err)) => {
+            // Runtime failure (e.g. infeasible grid): typed 422. Invalid
+            // cache geometry is the client's fault: 400. I/O failures
+            // cannot normally happen (inputs are inline), so anything of
+            // that class is a 500.
+            let code = match &err {
+                RunError::Io(_) => 500,
+                RunError::Geometry(_) => 400,
+                RunError::Other(_) => 422,
+            };
+            ("error", code, error_body(code, &err.to_string()))
+        }
+        Err(panic) => {
+            let msg = panic_message(panic);
+            (
+                "panic",
+                500,
+                error_body(500, &format!("job panicked: {msg}")),
+            )
+        }
     }
+}
+
+/// Where a miss spent its time before its answer was written.
+struct SlotTimes {
+    /// Jobs waiting ahead of it when it was queued.
+    queue_depth: u64,
+    /// Enqueue to slot start.
+    queue: Duration,
+    /// Slot start to the job's return.
+    compute: Duration,
+}
+
+/// What the `serve`/`job` event records about one answered job.
+struct JobRecord<'a> {
+    kind: JobKind,
+    key_hex: &'a str,
+    cache: &'static str,
+    status: &'static str,
+    http: u16,
+    /// Request read to response ready.
+    dur: Duration,
+    /// The slot stages of a miss (`None` for hits and joins).
+    slot: Option<SlotTimes>,
+    /// Writing the response.
+    write: Duration,
+}
+
+fn micros(d: Duration) -> FieldValue {
+    FieldValue::U64(u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
+}
+
+/// Emits the per-job observability event: `dur_us`, then the stage
+/// timings — `queue_us` and `compute_us` for a miss, `write_us` for every
+/// job.
+fn record_job(shared: &ServerShared, job: &JobRecord<'_>) {
+    let Some(obs) = &shared.obs else {
+        return;
+    };
+    let mut fields = vec![
+        ("dur_us", micros(job.dur)),
+        ("command", FieldValue::Str(job.kind.as_str().to_string())),
+        ("key", FieldValue::Str(job.key_hex.to_string())),
+        ("cache", FieldValue::Str(job.cache.to_string())),
+        ("status", FieldValue::Str(job.status.to_string())),
+        (
+            "queue_depth",
+            FieldValue::U64(job.slot.as_ref().map_or(0, |s| s.queue_depth)),
+        ),
+        ("http", FieldValue::U64(u64::from(job.http))),
+    ];
+    if let Some(slot) = &job.slot {
+        fields.push(("queue_us", micros(slot.queue)));
+        fields.push(("compute_us", micros(slot.compute)));
+    }
+    fields.push(("write_us", micros(job.write)));
+    obs.point("serve", "job", &fields);
 }
 
 // ---------------------------------------------------------------------------
@@ -1388,42 +1555,57 @@ mod tests {
 
     #[test]
     fn fair_gate_admits_in_fifo_order() {
-        let gate = Arc::new(FairGate::new(1));
+        type Task = (usize, SyncSender<()>);
+        let queue: Arc<SlotQueue<Task>> = Arc::new(SlotQueue::new());
         let order = Arc::new(Mutex::new(Vec::new()));
-        // Hold the only slot so the workers below must queue.
-        let depth0 = gate.acquire();
-        assert_eq!(depth0, 0);
+        // Hold the only slot so the submitters below must queue.
+        let (held, _) = mpsc::sync_channel(1);
+        assert_eq!(queue.push((usize::MAX, held)), Some(0));
+        assert!(queue.pop().is_some());
         let mut handles = Vec::new();
         for i in 0..4 {
-            let worker_gate = Arc::clone(&gate);
-            let order = Arc::clone(&order);
+            let submit_queue = Arc::clone(&queue);
             handles.push(std::thread::spawn(move || {
-                worker_gate.acquire();
-                order.lock().unwrap().push(i);
-                worker_gate.release();
+                let (reply, answer) = mpsc::sync_channel(1);
+                submit_queue.push((i, reply)).expect("queue is open");
+                answer.recv().expect("the slot answers");
             }));
             // Give each thread time to enqueue before the next, so the
-            // ticket order matches the spawn order.
-            while gate.depth().0 < i + 1 {
+            // arrival order matches the spawn order.
+            while queue.depth().0 < i as u64 + 1 {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        gate.release();
+        // Release the held slot to one slot thread, as `slot_loop` runs.
+        queue.finish();
+        let slot_queue = Arc::clone(&queue);
+        let slot_order = Arc::clone(&order);
+        let slot = std::thread::spawn(move || {
+            while let Some((i, reply)) = slot_queue.pop() {
+                slot_order.lock().unwrap().push(i);
+                slot_queue.finish();
+                let _ = reply.send(());
+            }
+        });
         for h in handles {
             h.join().unwrap();
         }
+        queue.close();
+        slot.join().unwrap();
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn gate_depth_tracks_waiting_and_active() {
-        let gate = FairGate::new(2);
-        gate.acquire();
-        gate.acquire();
-        assert_eq!(gate.depth(), (0, 2));
-        gate.release();
-        assert_eq!(gate.depth(), (0, 1));
-        gate.release();
-        assert_eq!(gate.depth(), (0, 0));
+        let queue = SlotQueue::new();
+        queue.push(0);
+        queue.push(1);
+        queue.pop();
+        queue.pop();
+        assert_eq!(queue.depth(), (0, 2));
+        queue.finish();
+        assert_eq!(queue.depth(), (0, 1));
+        queue.finish();
+        assert_eq!(queue.depth(), (0, 0));
     }
 }

@@ -215,6 +215,20 @@ fn leader_outside_its_array_is_one_error_line_not_a_panic() {
         &["explore", path][..],
         &["pareto", path][..],
         &["search", path][..],
+        // Nothing is placed under the natural layout; the layout phase
+        // runs placement's bounds check anyway, before any trace.
+        &[
+            "simulate",
+            path,
+            "--cache",
+            "64",
+            "--line",
+            "8",
+            "--natural",
+        ][..],
+        &["explore", path, "--natural"][..],
+        &["pareto", path, "--natural"][..],
+        &["search", path, "--natural"][..],
     ] {
         let out = memx(args);
         assert_eq!(exit_code(&out), 1, "{args:?} stderr: {}", stderr(&out));

@@ -197,27 +197,6 @@ fn leader_position(
         .map(|o| (subs[0] as u64, o)))
 }
 
-/// The bounds check [`optimize_layout`] runs before any search, for the
-/// callers that keep the natural layout and so never place: every class
-/// leader's subscripts at the first iteration point must lie inside its
-/// array.
-///
-/// # Errors
-///
-/// [`PlacementError::SubscriptOutOfBounds`] for the first leader (in
-/// class order) outside its array.
-pub fn check_leader_bounds(kernel: &Kernel) -> Result<(), PlacementError> {
-    let ivs = first_iteration(kernel);
-    for class in partition_classes(kernel, false) {
-        leader_position(
-            kernel,
-            class.array,
-            &leader_subscripts(kernel, &class, &ivs),
-        )?;
-    }
-    Ok(())
-}
-
 /// A circular byte range `[start, start+len)` on a ring of `n` bytes (the
 /// cache size). `len` already includes one line of phase slack.
 #[derive(Clone, Copy, Debug)]

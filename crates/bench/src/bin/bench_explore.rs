@@ -1,14 +1,17 @@
-//! Sweep-engine benchmark: fused one-pass replay vs per-design replay.
+//! Sweep benchmark: fused one-pass bank replay vs a scalar per-design loop.
 //!
 //! For each of the paper's five kernels this runs the full
-//! `DesignSpace::paper()` sweep with the fused engine (analytic fast
-//! path on and off) and the per-design engine, checks all three record
-//! streams are bit-identical, and reports the replay-phase speedup
-//! (`simulate_time` per-design / fused) alongside the wall-clock
-//! speedup. Every kernel is measured at each worker count in
+//! `DesignSpace::paper()` sweep through `Explorer` (every trace group one
+//! banked replay) and through a scalar per-design loop (each design
+//! generates its own read trace and replays it through one `Simulator`
+//! via `Evaluator::evaluate_with_trace`, on one thread, with layouts
+//! placed once per `(T, L)` pair), checks the two record streams are
+//! bit-identical, and reports the replay-phase speedup (the loop's trace
+//! and replay time over the sweep's `simulate_time`) alongside the
+//! wall-clock speedup. Every sweep is measured at each worker count in
 //! `{1, num_cpus}` — published rows carry a `workers` field so
 //! single-worker numbers can no longer masquerade as the engine's
-//! parallel throughput. Each kernel row also carries three per-layer
+//! parallel throughput; the per-design loop always runs on one thread. Each kernel row also carries three per-layer
 //! rates: `trace_mev_per_s` (trace generation timed alone on one thread,
 //! every paper tiling under the natural layout), `replay_design_events_per_s`
 //! (bank replay timed alone on one thread: every trace group of the
@@ -29,8 +32,9 @@
 use loopir::transform::tile_all;
 use loopir::{kernels, DataLayout};
 use memexplore::metrics::read_trace;
-use memexplore::{CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record, SweepTelemetry};
+use memexplore::{CacheDesign, DesignSpace, Evaluator, Explorer, Record, SweepTelemetry};
 use memsim::TraceEvent;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -54,11 +58,10 @@ struct KernelResult {
     workers: usize,
     designs: usize,
     fused_secs: f64,
-    no_analytic_secs: f64,
     per_design_secs: f64,
     replay_speedup: f64,
     total_speedup: f64,
-    /// Fused ≡ fused-without-analytic ≡ per-design, bitwise.
+    /// Fused ≡ the scalar per-design loop, bitwise.
     identical: bool,
     /// Trace-generation throughput in isolation (see [`trace_mev_per_s`]).
     trace_mev_per_s: f64,
@@ -155,32 +158,61 @@ fn replay_rate(kernel: &loopir::Kernel, designs: &[CacheDesign]) -> ReplayRate {
     }
 }
 
+/// The scalar per-design baseline, timed as a whole.
+struct PerDesign {
+    records: Vec<Record>,
+    /// Best-of-[`RUNS`] wall time of the whole loop.
+    secs: f64,
+    /// Of that run: trace generation plus replay, layouts excluded.
+    simulate_secs: f64,
+}
+
+/// Evaluates every design on its own, on one thread: layouts are placed
+/// once per `(T, L)` pair and kernels tiled once per `B`, then each design
+/// generates its read trace and replays it through one `Simulator`
+/// (`Evaluator::evaluate_with_trace`, the scalar reference).
+fn per_design_loop(kernel: &loopir::Kernel, designs: &[CacheDesign]) -> PerDesign {
+    let evaluator = Evaluator::default();
+    let (secs, (records, simulate)) = best_of(RUNS, || {
+        let mut layouts: HashMap<(usize, usize), (DataLayout, bool)> = HashMap::new();
+        let mut tiled: HashMap<u64, loopir::Kernel> = HashMap::new();
+        for d in designs {
+            layouts
+                .entry((d.cache_size, d.line))
+                .or_insert_with(|| evaluator.layout_for(kernel, d.cache_size, d.line));
+            tiled
+                .entry(d.tiling)
+                .or_insert_with(|| tile_all(kernel, d.tiling));
+        }
+        let start = Instant::now();
+        let records: Vec<Record> = designs
+            .iter()
+            .map(|&d| {
+                let (layout, conflict_free) = &layouts[&(d.cache_size, d.line)];
+                let trace = read_trace(&tiled[&d.tiling], layout);
+                evaluator.evaluate_with_trace(d, &trace, *conflict_free)
+            })
+            .collect();
+        (records, start.elapsed())
+    });
+    PerDesign {
+        records,
+        secs,
+        simulate_secs: simulate.as_secs_f64(),
+    }
+}
+
 fn bench_kernel(
     kernel: &loopir::Kernel,
     designs: &[memexplore::CacheDesign],
     workers: usize,
     trace_mev_per_s: f64,
     replay: ReplayRate,
+    per_design: &PerDesign,
 ) -> KernelResult {
-    let fused = Explorer::default()
-        .with_engine(Engine::Fused)
-        .with_workers(workers);
-    let no_analytic = Explorer::default()
-        .with_engine(Engine::Fused)
-        .with_workers(workers)
-        .with_analytic(false);
-    let per_design = Explorer::default()
-        .with_engine(Engine::PerDesign)
-        .with_workers(workers);
-
+    let fused = Explorer::default().with_workers(workers);
     let (fused_secs, (fused_records, fused_t)) = best_of(RUNS, || {
         fused.explore_designs_with_telemetry(kernel, designs)
-    });
-    let (na_secs, (na_records, _)) = best_of(RUNS, || {
-        no_analytic.explore_designs_with_telemetry(kernel, designs)
-    });
-    let (per_secs, (per_records, per_t)) = best_of(RUNS, || {
-        per_design.explore_designs_with_telemetry(kernel, designs)
     });
 
     KernelResult {
@@ -188,11 +220,10 @@ fn bench_kernel(
         workers,
         designs: designs.len(),
         fused_secs,
-        no_analytic_secs: na_secs,
-        per_design_secs: per_secs,
-        replay_speedup: per_t.simulate_time.as_secs_f64() / fused_t.simulate_time.as_secs_f64(),
-        total_speedup: per_secs / fused_secs,
-        identical: fused_records == per_records && fused_records == na_records,
+        per_design_secs: per_design.secs,
+        replay_speedup: per_design.simulate_secs / fused_t.simulate_time.as_secs_f64(),
+        total_speedup: per_design.secs / fused_secs,
+        identical: fused_records == per_design.records,
         trace_mev_per_s,
         replay,
         layouts_per_s: fused_t.layouts_computed as f64 / fused_t.layout_time.as_secs_f64(),
@@ -256,8 +287,16 @@ fn main() {
     for kernel in kernels::all_paper_kernels() {
         let trace_rate = trace_mev_per_s(&kernel);
         let replay = replay_rate(&kernel, &designs);
+        let per_design = per_design_loop(&kernel, &designs);
         for &workers in &worker_counts {
-            results.push(bench_kernel(&kernel, &designs, workers, trace_rate, replay));
+            results.push(bench_kernel(
+                &kernel,
+                &designs,
+                workers,
+                trace_rate,
+                replay,
+                &per_design,
+            ));
         }
     }
 
@@ -266,9 +305,7 @@ fn main() {
     let serial: Vec<Record> = Explorer::default()
         .with_workers(1)
         .explore_designs(&kernel, &designs);
-    let fused_compress = Explorer::default()
-        .with_engine(Engine::Fused)
-        .explore_designs(&kernel, &designs);
+    let fused_compress = Explorer::default().explore_designs(&kernel, &designs);
     let identical_to_serial = fused_compress == serial;
 
     let expansive = bench_expansive(num_cpus.max(2));
@@ -278,12 +315,16 @@ fn main() {
 
     for r in &results {
         println!(
-            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | no-analytic {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x | trace {:.1} Mev/s | replay {:.2e} design-events/s | {:.0} layouts/s",
-            r.kernel, r.designs, r.workers, r.fused_secs, r.no_analytic_secs, r.per_design_secs,
+            "kernel {} | {} designs | {} worker(s) | fused {:.3} s | per-design {:.3} s | replay speedup {:.2}x | total {:.2}x | trace {:.1} Mev/s | replay {:.2e} design-events/s | {:.0} layouts/s",
+            r.kernel, r.designs, r.workers, r.fused_secs, r.per_design_secs,
             r.replay_speedup, r.total_speedup, r.trace_mev_per_s,
             r.replay.design_events as f64 / r.replay.secs, r.layouts_per_s
         );
-        assert!(r.identical, "{}: engines diverged", r.kernel);
+        assert!(
+            r.identical,
+            "{}: sweep diverged from the per-design loop",
+            r.kernel
+        );
     }
     println!("{}", compress.telemetry);
     for r in &results {
@@ -331,7 +372,6 @@ fn render_json(
                 "      \"workers\": {},\n",
                 "      \"designs\": {},\n",
                 "      \"fused_secs\": {:.6},\n",
-                "      \"fused_no_analytic_secs\": {:.6},\n",
                 "      \"per_design_secs\": {:.6},\n",
                 "      \"replay_phase_speedup\": {:.3},\n",
                 "      \"total_speedup\": {:.3},\n",
@@ -348,7 +388,6 @@ fn render_json(
             r.workers,
             r.designs,
             r.fused_secs,
-            r.no_analytic_secs,
             r.per_design_secs,
             r.replay_speedup,
             r.total_speedup,
@@ -368,7 +407,7 @@ fn render_json(
             "  \"benchmark\": \"explore_paper_space\",\n",
             "  \"runs_per_engine\": {},\n",
             "  \"num_cpus\": {},\n",
-            "  \"engines\": [\"fused\", \"fused-no-analytic\", \"per-design\"],\n",
+            "  \"engines\": [\"fused\", \"per-design-scalar\"],\n",
             "  \"kernels\": [\n{}  ],\n",
             "  \"records_identical_to_serial\": {},\n",
             "  \"expansive_subset\": {{\n",

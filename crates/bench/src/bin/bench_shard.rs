@@ -21,7 +21,7 @@
 use loopir::kernels;
 use memexplore::shard::ShardFn;
 use memexplore::{
-    partition, run_sharded, CacheDesign, CoordinatorOptions, DesignSpace, Engine, Explorer, Record,
+    partition, run_sharded, CacheDesign, CoordinatorOptions, DesignSpace, Explorer, Record,
     ShardOutput, ShardSpec, ThreadExecutor,
 };
 use std::fmt::Write as _;
@@ -47,11 +47,10 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// The worker body `memx worker` runs, minus the process boundary: a
-/// serial fused sweep over the shard's slice of the grid.
+/// serial sweep over the shard's slice of the grid.
 fn shard_worker(kernel: loopir::Kernel, designs: Vec<CacheDesign>) -> Arc<ShardFn> {
     Arc::new(move |spec: &ShardSpec| {
         let records = Explorer::default()
-            .with_engine(Engine::Fused)
             .with_workers(1)
             .explore_designs(&kernel, &designs[spec.start..spec.end]);
         Ok(ShardOutput {
@@ -80,9 +79,7 @@ struct KernelResult {
 fn bench_kernel(kernel: &loopir::Kernel, designs: &[CacheDesign]) -> KernelResult {
     // Oracle: the undistributed sweep every configuration must reproduce.
     let (single_secs, baseline) = best_of(RUNS, || {
-        Explorer::default()
-            .with_engine(Engine::Fused)
-            .explore_designs(kernel, designs)
+        Explorer::default().explore_designs(kernel, designs)
     });
 
     let cores = std::thread::available_parallelism().map_or(4, usize::from);

@@ -1,24 +1,20 @@
 //! The analytic fast path: trace groups resolved in closed form.
 //!
-//! The fused engine's unit of work is a trace group — one kernel trace
-//! plus the bank of designs replaying it. [`try_group_records`] attempts
-//! to produce that bank's records *without* replay, using the exact
-//! per-class calculator in [`analysis::exact`]: if the group's trace is
-//! read-only and every design either never evicts or never re-references
-//! an evicted line, the full simulator report (counters and both buses)
-//! follows in closed form, and the records — built through the same
+//! A trace group is one kernel trace plus the bank of designs replaying
+//! it. [`try_group_records`] attempts to produce that bank's records
+//! *without* replay, using the exact per-class calculator in
+//! [`analysis::exact`]: if the group's trace is read-only and every
+//! design either never evicts or never re-references an evicted line,
+//! the full simulator report (counters and both buses) follows in closed
+//! form, and the records — built through the same
 //! [`Evaluator::evaluate_bank_reports`] tail as replayed groups — are
-//! bit-identical to simulation.
+//! bit-identical to simulation. The attempt is only made when every
+//! design in the bank could hold the kernel's whole array footprint.
 //!
-//! Profiling costs one trace scan, so groups are gated first by a cheap
-//! capacity heuristic: the attempt is only made when every design in the
-//! bank could hold the kernel's whole array footprint. Smaller caches
-//! essentially never classify exact (the paper grids never do), and the
-//! gate keeps the fast path free for them. Sweeps and search batches
-//! check [`gate_admits`] before materializing a group's trace, so a group
-//! the gate refuses is only ever streamed from its compiled plan. The
-//! `--no-analytic` escape hatch ([`Explorer::analytic`](crate::Explorer)) disables the attempt
-//! entirely.
+//! No sweep or search calls this module: every record comes from a
+//! banked replay. It is reached only by memxbench's staged `paper_sweep`
+//! run and by its oracle test, and goes when that benchmark stops
+//! calling it.
 
 use crate::metrics::{CacheDesign, Evaluator, Record};
 use analysis::exact::{exact_report, profile_read_class, ClassProfile};
@@ -33,9 +29,8 @@ pub fn kernel_footprint_bytes(kernel: &Kernel) -> u64 {
 
 /// The capacity gate of [`try_group_records`]: whether it can return
 /// records for `bank` at all, i.e. the bank is non-empty and every design
-/// could hold the kernel's whole `footprint`. Only a group that passes
-/// needs its trace materialized.
-pub fn gate_admits(footprint: u64, bank: &[(CacheDesign, bool)]) -> bool {
+/// could hold the kernel's whole `footprint`.
+fn gate_admits(footprint: u64, bank: &[(CacheDesign, bool)]) -> bool {
     !bank.is_empty() && bank.iter().all(|(d, _)| d.cache_size as u64 >= footprint)
 }
 

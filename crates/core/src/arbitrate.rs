@@ -16,8 +16,8 @@
 use crate::explore::{try_steal_loop, ExploreError, SweepHists};
 use crate::metrics::{Evaluator, PlacementMode, PlanSource, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Obs, Span};
-use analysis::placement::{check_leader_bounds, optimize_layout, PlacementError, PlacementReport};
-use loopir::{DataLayout, Kernel};
+use analysis::placement::{optimize_layout, PlacementError, PlacementReport};
+use loopir::{check_subscripts, DataLayout, Kernel};
 use memsim::{CacheConfig, ReplayBank, TraceEvent, TraceSource};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -39,12 +39,15 @@ const SCORE_BANK_LINES: usize = 1 << 16;
 ///
 /// # Errors
 ///
-/// [`ExploreError::WorkerPanic`] (phase `layout`) with the message of the
-/// first worker panic, or else [`ExploreError::Placement`] naming the
-/// first pair (in pair order) whose placement failed, such as an array
-/// whose padded addresses overflow 64 bits. Under the natural layout,
-/// nothing is placed but placement's bounds check still runs: a class
-/// leader outside its array is [`ExploreError::Placement`] too.
+/// [`ExploreError::Placement`] before anything is placed when some
+/// access of the kernel's trace leaves its array
+/// ([`check_subscripts`]; under the natural layout the message starts
+/// `natural layout: `), so no out-of-bounds kernel reaches trace
+/// generation. Then [`ExploreError::WorkerPanic`] (phase `layout`) with
+/// the message of the first worker panic, or else
+/// [`ExploreError::Placement`] naming the first pair (in pair order)
+/// whose placement failed, such as an array whose padded addresses
+/// overflow 64 bits.
 pub(crate) fn arbitrate_layouts(
     evaluator: &Evaluator,
     kernel: &Kernel,
@@ -59,12 +62,14 @@ pub(crate) fn arbitrate_layouts(
         message,
     };
     let _span = Span::begin(obs, "layout");
-    if evaluator.placement == PlacementMode::Natural {
-        // Nothing is placed, so run placement's bounds check here: an
-        // out-of-bounds leader must not reach trace generation.
-        check_leader_bounds(kernel)
-            .map_err(|e| ExploreError::Placement(format!("natural layout: {e}")))?;
-    }
+    // Tiling only reorders the iteration points, so checking the untiled
+    // nest covers every tiled trace of the grid.
+    check_subscripts(kernel).map_err(|e| {
+        ExploreError::Placement(match evaluator.placement {
+            PlacementMode::Natural => format!("natural layout: {e}"),
+            PlacementMode::Optimized => e.to_string(),
+        })
+    })?;
 
     // Placement, one unit per pair.
     let slots: Vec<OnceLock<Result<Option<PlacementReport>, PlacementError>>> =

@@ -8,25 +8,21 @@
 //! by deduplicated layout contents plus `B`: all associativities `S` —
 //! and all `(T, L)` pairs that optimize to the same layout — share one
 //! trace, and the designs sharing it form a *trace group*. No trace is
-//! materialized: the [sweep runner](crate::sweep) walks a group's plan in
-//! 4,096-event chunks straight into its bank, and fans the groups out over
-//! a work-stealing pool of scoped threads (a shared atomic next-job index
-//! — no static chunking, so skewed costs cannot strand idle workers).
-//! With the default [`Engine::Fused`] each group is one unit: one walk of
-//! the plan through a `memsim::ReplayBank` that steps every design in
-//! lockstep, so generation and trace consumption are O(events) per group
-//! instead of O(events × designs); [`Engine::PerDesign`] makes every
-//! design its own unit, each walking the plan afresh. Records are written into per-design slots either way, so the
+//! materialized: the [sweep runner](crate::sweep) walks each group's plan
+//! once, in 4,096-event chunks, through one `memsim::ReplayBank` that
+//! steps every member in lockstep, so generation and trace consumption
+//! are O(events) per group instead of O(events × designs). The groups
+//! fan out over a work-stealing pool of scoped threads (a shared atomic
+//! next-job index — no static chunking, so skewed costs cannot strand
+//! idle workers). Records are written into per-design slots, so the
 //! returned order is the deterministic sweep order regardless of
-//! scheduling or engine.
+//! scheduling.
 
-use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::checkpoint::CheckpointError;
-use crate::metrics::{collect_reads, CacheDesign, Evaluator, Record};
+use crate::metrics::{CacheDesign, Evaluator, Record};
 use crate::obs::{LatencyHistogram, Obs, Span};
 use crate::supervisor::SweepOptions;
-use crate::sweep::{Feed, Unit};
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
 use loopir::{DataLayout, Kernel, TraceGen};
@@ -34,7 +30,7 @@ use memsim::{Replacement, WritePolicy};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -188,32 +184,6 @@ impl DesignSpace {
     }
 }
 
-/// Which simulation engine a sweep uses. Both produce bit-identical
-/// records in the same deterministic sweep order; they differ only in how
-/// the work-stealing queue partitions the replay work.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// The work unit is a **trace group**: one compiled trace plan plus
-    /// the bank of every design replaying it, evaluated by a fused
-    /// one-pass replay (`memsim::ReplayBank`) that walks the plan once
-    /// while stepping all cache states in lockstep.
-    #[default]
-    Fused,
-    /// The work unit is a single design; each one walks its group's plan
-    /// on its own. Kept as the reference implementation for differential
-    /// tests and perf comparisons.
-    PerDesign,
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Engine::Fused => "fused",
-            Engine::PerDesign => "per-design",
-        })
-    }
-}
-
 /// A typed sweep failure.
 ///
 /// Worker panics are joined and *propagated* as this error instead of
@@ -349,9 +319,9 @@ pub(crate) fn try_steal_loop<F: Fn(usize, usize) + Sync>(
     })
 }
 
-/// The per-unit latency histograms every sweep engine records into
+/// The per-unit latency histograms every sweep and search records into
 /// (whether or not a JSONL log is configured): trace-group scans,
-/// per-design simulations, layout placements, and checkpoint flushes.
+/// per-design fallback retries, layout placements, and checkpoint flushes.
 /// Snapshotted into the matching [`SweepTelemetry`] fields at the end of
 /// a run.
 #[derive(Debug, Default)]
@@ -360,9 +330,10 @@ pub(crate) struct SweepHists {
     pub layout: LatencyHistogram,
     /// Layout scoring latency (one sample per direct-mapped scoring bank).
     pub score: LatencyHistogram,
-    /// Per-design simulation latency (per-design engine + fallbacks).
+    /// Per-design simulation latency (fallback retries after a bank
+    /// panic).
     pub design: LatencyHistogram,
-    /// Trace-group scan latency (fused engine, one sample per bank).
+    /// Trace-group scan latency (one sample per bank).
     pub scan: LatencyHistogram,
     /// Checkpoint flush latency (supervised sweeps).
     pub flush: LatencyHistogram,
@@ -390,7 +361,7 @@ impl SweepHists {
 /// let records = Explorer::default().explore(&kernels::matadd(6), &DesignSpace::small());
 /// assert!(!records.is_empty());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Explorer {
     /// Per-design evaluator.
     pub evaluator: Evaluator,
@@ -399,31 +370,10 @@ pub struct Explorer {
     /// reference for determinism checks — results are bit-identical
     /// either way).
     pub workers: Option<usize>,
-    /// Simulation engine ([`Engine::Fused`] by default; records are
-    /// bit-identical either way).
-    pub engine: Engine,
     /// Observability hub (JSONL events + progress counters). `None` — the
     /// default — keeps the sweep exactly as uninstrumented as before;
     /// records are bit-identical either way.
     pub obs: Option<Arc<Obs>>,
-    /// Whether the fused engine may resolve qualifying trace groups in
-    /// closed form instead of replaying them (see [`crate::analytic`]).
-    /// On by default; records are bit-identical either way — `false` is
-    /// the `--no-analytic` escape hatch and the honest replay baseline
-    /// for benchmarks.
-    pub analytic: bool,
-}
-
-impl Default for Explorer {
-    fn default() -> Self {
-        Explorer {
-            evaluator: Evaluator::default(),
-            workers: None,
-            engine: Engine::default(),
-            obs: None,
-            analytic: true,
-        }
-    }
 }
 
 /// The prepared inputs of a kernel sweep's simulate phase, built by
@@ -431,7 +381,7 @@ impl Default for Explorer {
 /// distinct `(T, L)` pair) and the trace groups, one per distinct
 /// (deduplicated layout, tiling) key, with the tiled kernels and layouts
 /// their plans compile from. [`Explorer::compile_plans`] then runs the
-/// trace and classify phases over it.
+/// trace phase over it.
 pub(crate) struct SweepPlan {
     /// Distinct `(T, L)` pair → its index in first-appearance order.
     pub pair_index: HashMap<(usize, usize), usize>,
@@ -464,56 +414,6 @@ impl SweepPlan {
     }
 }
 
-/// A trace group the classify phase resolved in closed form.
-#[derive(Clone)]
-pub(crate) struct Resolved {
-    /// One record per member, in member order.
-    pub records: Vec<Record>,
-    /// Events in the group's trace.
-    pub events: usize,
-}
-
-/// The trace and classify phases' output over a [`SweepPlan`]: one
-/// compiled, not yet walked trace plan per group, and the closed-form
-/// records of every group the analytic fast path resolved.
-pub(crate) struct GroupFeeds<'p> {
-    plans: Vec<TraceGen<'p>>,
-    known: Vec<Option<Resolved>>,
-    /// Events of the traces the classify phase materialized.
-    events_materialized: u64,
-    trace_time: Duration,
-    classify_time: Duration,
-}
-
-impl GroupFeeds<'_> {
-    /// One bank unit per trace group of `groups` (the plan's): the
-    /// closed-form records the classify phase resolved for it, else its
-    /// compiled plan.
-    pub fn units(&self, groups: &[Vec<usize>]) -> Vec<Unit<'_>> {
-        groups
-            .iter()
-            .zip(self.known.clone())
-            .zip(&self.plans)
-            .map(|((members, known), plan)| {
-                let feed = match known {
-                    Some(Resolved { records, events }) => Feed::Known { records, events },
-                    None => Feed::Plan(plan),
-                };
-                Unit::bank(members.clone(), feed)
-            })
-            .collect()
-    }
-
-    /// Writes the trace and classify phases' counters and timings into
-    /// `t`, on top of the simulate phase's generated events.
-    pub fn fill(&self, t: &mut SweepTelemetry) {
-        t.traces_generated = self.plans.len();
-        t.trace_events_generated += self.events_materialized;
-        t.trace_time = self.trace_time;
-        t.classify_time = self.classify_time;
-    }
-}
-
 impl Explorer {
     /// An explorer around a specific evaluator.
     pub fn new(evaluator: Evaluator) -> Self {
@@ -523,21 +423,9 @@ impl Explorer {
         }
     }
 
-    /// Enables or disables the analytic fast path (builder-style).
-    pub fn with_analytic(mut self, analytic: bool) -> Self {
-        self.analytic = analytic;
-        self
-    }
-
     /// Pins the sweep to a fixed worker count (builder-style).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Selects the simulation engine (builder-style).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -577,25 +465,20 @@ impl Explorer {
 
     /// The compile-once, simulate-many engine behind every sweep.
     ///
-    /// Five phases, all but the last work-stealing over scoped threads:
+    /// Four phases, all but the last work-stealing over scoped threads:
     ///
-    /// 1. **layout** — one off-chip placement per distinct `(T, L)` pair
+    /// 1. **layout** — the kernel's subscripts are checked against their
+    ///    arrays, then one off-chip placement per distinct `(T, L)` pair
     ///    (placement does not depend on `S` or `B`);
     /// 2. **trace** — one compiled `loopir::TraceGen` plan per distinct
     ///    (layout value, `B`) key; nothing is generated yet;
-    /// 3. **classify** — a trace group that passes the analytic fast
-    ///    path's capacity gate has its trace materialized and, if the
-    ///    fast path resolves it exactly, gets its records in closed form.
-    ///    No other group's trace is ever held whole (none on the paper
-    ///    grid);
-    /// 4. **simulate** — the [sweep runner](crate::sweep) steals units: a
-    ///    trace group (with [`Engine::Fused`]) whose plan is walked in
-    ///    4,096-event chunks straight into one `memsim::ReplayBank`
-    ///    stepping every member in lockstep, or a single design (with
-    ///    [`Engine::PerDesign`]) walking the plan alone. Trace generation
-    ///    happens here (`SweepTelemetry::generate_time`), and a deadline
-    ///    stops it between chunks. Records scatter into per-design slots;
-    /// 5. **select** — slots are collected into sweep order.
+    /// 3. **simulate** — the [sweep runner](crate::sweep) steals trace
+    ///    groups, each one walk of its plan in 4,096-event chunks straight
+    ///    into one `memsim::ReplayBank` stepping every member in lockstep.
+    ///    Trace generation happens here (`SweepTelemetry::generate_time`),
+    ///    and a deadline stops it between chunks. Records scatter into
+    ///    per-design slots;
+    /// 4. **select** — slots are collected into sweep order.
     pub fn explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
@@ -672,21 +555,19 @@ impl Explorer {
         })
     }
 
-    /// The trace phase, then the classify phase, over `plan`: each trace
-    /// key's plan is compiled (not walked), then every group the analytic
-    /// fast path resolves gets its records in closed form. A compile
-    /// panic (`trace address overflow`) is a whole-phase
+    /// The trace phase over `plan`: each trace key's plan is compiled,
+    /// not walked. Returns the plans, one per trace group, and the phase's
+    /// wall time. A compile panic
+    /// (`trace address overflow`) is a whole-phase
     /// [`ExploreError::WorkerPanic`] with phase `trace`: every design of
     /// the group would fail the same way.
     pub(crate) fn compile_plans<'p>(
         &self,
-        kernel: &Kernel,
-        designs: &[CacheDesign],
         workers: usize,
         plan: &'p SweepPlan,
-    ) -> Result<GroupFeeds<'p>, ExploreError> {
+    ) -> Result<(Vec<TraceGen<'p>>, Duration), ExploreError> {
         let phase_start = Instant::now();
-        let span = Span::begin(self.obs.as_deref(), "trace");
+        let _span = Span::begin(self.obs.as_deref(), "trace");
         let slots: Vec<OnceLock<TraceGen<'p>>> =
             plan.keys.iter().map(|_| OnceLock::new()).collect();
         try_steal_loop(workers, plan.keys.len(), |_w, g| {
@@ -697,81 +578,11 @@ impl Explorer {
             phase: "trace",
             message,
         })?;
-        let plans: Vec<TraceGen<'p>> = slots
+        let plans = slots
             .into_iter()
             .map(|s| s.into_inner().expect("trace phase compiled every key"))
             .collect();
-        drop(span);
-        let trace_time = phase_start.elapsed();
-
-        let phase_start = Instant::now();
-        let (known, events_materialized) = self.classify(
-            kernel,
-            workers,
-            designs,
-            |i| plan.conflict_free_of(&designs[i]),
-            &plan.groups,
-            &plans,
-        )?;
-        Ok(GroupFeeds {
-            plans,
-            known,
-            events_materialized,
-            trace_time,
-            classify_time: phase_start.elapsed(),
-        })
-    }
-
-    /// The classify phase: trace group `g` (design indices sharing
-    /// `plans[g]`) gets its closed-form records when the analytic fast
-    /// path resolves every member exactly, else `None`. Only a group that
-    /// passes the fast path's capacity gate ([`gate_admits`]) has its
-    /// trace materialized; the second value counts those traces' events.
-    /// All `None` when the fast path is disabled, and under
-    /// [`Engine::PerDesign`], whose sweeps stay a pure replay of every
-    /// design.
-    fn classify(
-        &self,
-        kernel: &Kernel,
-        workers: usize,
-        designs: &[CacheDesign],
-        conflict_free: impl Fn(usize) -> bool + Sync,
-        groups: &[Vec<usize>],
-        plans: &[TraceGen<'_>],
-    ) -> Result<(Vec<Option<Resolved>>, u64), ExploreError> {
-        if !self.analytic || self.engine == Engine::PerDesign {
-            return Ok((groups.iter().map(|_| None).collect(), 0));
-        }
-        let span = Span::begin(self.obs.as_deref(), "classify");
-        let footprint = kernel_footprint_bytes(kernel);
-        let materialized = AtomicU64::new(0);
-        let slots: Vec<OnceLock<Resolved>> = groups.iter().map(|_| OnceLock::new()).collect();
-        try_steal_loop(workers, groups.len(), |_w, g| {
-            let lanes: Vec<(CacheDesign, bool)> = groups[g]
-                .iter()
-                .map(|&i| (designs[i], conflict_free(i)))
-                .collect();
-            if !gate_admits(footprint, &lanes) {
-                return;
-            }
-            let trace = collect_reads(plans[g].clone());
-            materialized.fetch_add(trace.len() as u64, Ordering::Relaxed);
-            if let Some(records) = try_group_records(&self.evaluator, footprint, &lanes, &trace) {
-                let _ = slots[g].set(Resolved {
-                    records,
-                    events: trace.len(),
-                });
-            }
-        })
-        .map_err(|message| ExploreError::WorkerPanic {
-            phase: "classify",
-            message,
-        })?;
-        drop(span);
-        Ok((
-            slots.into_iter().map(OnceLock::into_inner).collect(),
-            materialized.into_inner(),
-        ))
+        Ok((plans, phase_start.elapsed()))
     }
 
     /// Fallible [`explore_designs_with_telemetry`](Self::explore_designs_with_telemetry):
@@ -990,6 +801,9 @@ mod tests {
 
     #[test]
     fn fused_and_per_design_engines_are_bit_identical() {
+        // The banked sweep against the scalar reference, one design at a
+        // time (`Evaluator::evaluate` replays its own read trace through
+        // one `Simulator`).
         let k = kernels::compress(15);
         let space = DesignSpace {
             cache_sizes: vec![32, 64, 128],
@@ -1000,12 +814,12 @@ mod tests {
             ..Default::default()
         };
         let designs = space.designs();
-        let fused = Explorer::default()
-            .with_engine(Engine::Fused)
-            .explore_designs(&k, &designs);
-        let per_design = Explorer::default()
-            .with_engine(Engine::PerDesign)
-            .explore_designs(&k, &designs);
+        let explorer = Explorer::default();
+        let fused = explorer.explore_designs(&k, &designs);
+        let per_design: Vec<Record> = designs
+            .iter()
+            .map(|&d| explorer.evaluator.evaluate(&k, d))
+            .collect();
         assert_eq!(fused, per_design);
     }
 
@@ -1021,32 +835,15 @@ mod tests {
             ..Default::default()
         };
         let designs = space.designs();
-        let (_, fused) = Explorer::default()
-            .with_engine(Engine::Fused)
-            .explore_designs_with_telemetry(&k, &designs);
+        let (_, fused) = Explorer::default().explore_designs_with_telemetry(&k, &designs);
         assert!(fused.fused_groups > 0);
+        assert_eq!(fused.analytic_groups, 0);
         assert!(fused.max_bank_width >= 3); // 3 associativities share a slice
         assert!(fused.trace_events_scanned < fused.trace_events_replayed);
         assert_eq!(
             fused.trace_events_avoided(),
             fused.trace_events_replayed - fused.trace_events_scanned
         );
-        let (_, per) = Explorer::default()
-            .with_engine(Engine::PerDesign)
-            .explore_designs_with_telemetry(&k, &designs);
-        assert_eq!(per.fused_groups, 0);
-        assert_eq!(per.max_bank_width, 0);
-        assert_eq!(per.trace_events_scanned, per.trace_events_replayed);
-        assert_eq!(per.trace_events_avoided(), 0);
-        // Logical replay counts agree across engines.
-        assert_eq!(per.trace_events_replayed, fused.trace_events_replayed);
-    }
-
-    #[test]
-    fn engine_display_matches_cli_names() {
-        assert_eq!(Engine::Fused.to_string(), "fused");
-        assert_eq!(Engine::PerDesign.to_string(), "per-design");
-        assert_eq!(Engine::default(), Engine::Fused);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 /// Which units of a supervised sweep should fail, and how.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Panic while the fused engine scans this trace-group index.
+    /// Panic while the sweep runner scans this unit (trace-group) index.
     pub panic_group: Option<usize>,
-    /// Panic while simulating this design index (fires on the per-design
-    /// engine and on the fused engine's per-design fallback path).
+    /// Panic while simulating this design index alone (fires on the
+    /// per-design fallback path that retries a panicked bank).
     pub panic_design: Option<usize>,
     /// Report failure for this (0-based) checkpoint flush.
     pub fail_checkpoint_write: Option<usize>,
@@ -59,7 +59,7 @@ impl FaultPlan {
     }
 
     /// Panics iff fault injection is compiled in and `group` is the
-    /// planned group. Called by the fused engine before scanning a bank.
+    /// planned group. Called by the sweep runner before scanning a bank.
     #[inline]
     pub fn maybe_panic_group(&self, group: usize) {
         if cfg!(feature = "fault-injection") && self.panic_group == Some(group) {

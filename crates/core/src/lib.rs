@@ -61,7 +61,7 @@ pub use cache::{fnv1a_128, CacheKey, CacheStats, FlightGuard, Lookup, ResultCach
 pub use checkpoint::{Checkpoint, CheckpointError};
 pub use composite::{CompositeProgram, CompositeRecord};
 pub use cycles::CycleModel;
-pub use explore::{DesignSpace, Engine, ExploreError, Explorer};
+pub use explore::{DesignSpace, ExploreError, Explorer};
 pub use fault::FaultPlan;
 pub use metrics::{CacheDesign, Evaluator, PlacementMode, Record};
 pub use obs::{

@@ -280,7 +280,7 @@ impl Evaluator {
     }
 
     /// Evaluates a whole bank of designs against one shared trace slice in
-    /// a single scan — the fused engine's work unit (a *trace group*), and
+    /// a single scan — the sweep's work unit (a *trace group*), and
     /// a certified search's leaf batch.
     ///
     /// All designs must share the trace, i.e. the same layout and tiling
@@ -379,7 +379,7 @@ impl Evaluator {
     }
 
     /// Applies the cycle and energy models to a finished simulation report
-    /// — the shared tail of the per-design and fused evaluation paths.
+    /// — the shared tail of the per-design and banked evaluation paths.
     fn record_from_report(
         &self,
         design: CacheDesign,
@@ -458,13 +458,8 @@ impl Evaluator {
 /// format consumed by [`Evaluator::evaluate_with_trace`] and the bank
 /// evaluators.
 pub fn read_trace(kernel: &Kernel, layout: &DataLayout) -> Vec<TraceEvent> {
-    collect_reads(TraceGen::new(kernel, layout))
-}
-
-/// The read events of a compiled plan's whole walk.
-pub(crate) fn collect_reads(gen: TraceGen<'_>) -> Vec<TraceEvent> {
     let mut trace = Vec::new();
-    gen.for_each(|a| {
+    TraceGen::new(kernel, layout).for_each(|a| {
         if a.kind == AccessKind::Read {
             trace.push(TraceEvent::read(a.addr, a.size));
         }

@@ -8,7 +8,7 @@
 //!
 //! * **JSONL event log** ([`Obs`] with a sink): one JSON object per line
 //!   — span begin/end events for the sweep phases and point events for
-//!   per-unit work (trace-group scans, per-design simulations, layout
+//!   per-unit work (trace-group scans, per-design fallback retries, layout
 //!   placements) and supervisor activity (quarantine, fallback,
 //!   checkpoint flush, resume, deadline cancel). Every event carries a
 //!   monotonic timestamp relative to the run start, the run id, and
@@ -1272,9 +1272,6 @@ impl RunReport {
                     match event.name.as_str() {
                         "scan" => {
                             scan.record(dur);
-                            report.designs_done += event.u64_field("fresh").unwrap_or(0);
-                        }
-                        "analytic" => {
                             report.designs_done += event.u64_field("fresh").unwrap_or(0);
                         }
                         "sim" => {

@@ -112,12 +112,9 @@
 //! above it the key's leaves keep the compulsory floor. MIN allocates
 //! O(n) and nothing sized by the address span.
 
-use crate::analytic::{gate_admits, kernel_footprint_bytes, try_group_records};
 use crate::arbitrate::arbitrate_layouts;
 use crate::explore::{DesignSpace, ExploreError, Explorer, SweepHists};
-use crate::metrics::{
-    collect_reads, read_trace, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS,
-};
+use crate::metrics::{read_trace, CacheDesign, PlanSource, Record, PLAN_CHUNK_EVENTS};
 use crate::obs::{FieldValue, Span};
 use crate::sweep::stream_into;
 use crate::telemetry::SweepTelemetry;
@@ -544,9 +541,6 @@ struct LeafBatches<'a> {
     objective: Objective,
     pairs: &'a [PairInfo],
     layouts: &'a [DataLayout],
-    /// The analytic fast path's capacity gate
-    /// ([`kernel_footprint_bytes`]).
-    footprint: u64,
     /// Tiled kernels by tiling `B`.
     tiled: HashMap<u64, Kernel>,
     /// Open leaves not yet batched, by [`stream_key`](Self::stream_key).
@@ -735,11 +729,9 @@ impl LeafBatches<'_> {
     /// whose floored bound key beats `inc_key` (the key's missing floors
     /// are computed first). The others can never beat
     /// the incumbent again, so they leave the index too (their pop prunes
-    /// them). The key's plan is compiled here; when the analytic gate
-    /// admits the batch its trace is materialized and the analytic path
-    /// tried first, else one `ReplayBank` scan streams the plan chunk by
-    /// chunk. Records are bit-identical to evaluating each leaf alone, as
-    /// the bank and analytic paths guarantee.
+    /// them). The key's plan is compiled here, and one `ReplayBank` scan
+    /// streams it chunk by chunk. Records are bit-identical to evaluating
+    /// each leaf alone, as the bank guarantees.
     fn evaluate(
         &mut self,
         trace: (usize, u64),
@@ -775,51 +767,32 @@ impl LeafBatches<'_> {
 
         let sim_start = Instant::now();
         let evaluator = &self.explorer.evaluator;
-        let mut analytic = None;
-        let mut n = 0;
-        if self.explorer.analytic && gate_admits(self.footprint, &designs) {
-            let events = collect_reads(plan.clone());
-            n = events.len() as u64;
-            telemetry.trace_events_generated += n;
-            analytic = try_group_records(evaluator, self.footprint, &designs, &events);
-        }
-        let analytic_hit = analytic.is_some();
-        let mut scalar = 0;
-        let records = analytic.unwrap_or_else(|| {
-            let mut bank = evaluator.replay_bank(&designs);
-            let mut source = PlanSource::from_plan(plan);
-            let pass = stream_into(&mut bank, &mut source, PLAN_CHUNK_EVENTS, |_| {
-                ControlFlow::Continue(())
-            })
-            .expect("a plan source never fails");
-            n = pass.events;
-            telemetry.trace_events_generated += n;
-            telemetry.generate_time += pass.fill_time;
-            scalar = bank.scalar_lane_events();
-            evaluator.evaluate_bank_reports(&designs, &bank.finish())
-        });
+        let mut bank = evaluator.replay_bank(&designs);
+        let mut source = PlanSource::from_plan(plan);
+        let pass = stream_into(&mut bank, &mut source, PLAN_CHUNK_EVENTS, |_| {
+            ControlFlow::Continue(())
+        })
+        .expect("a plan source never fails");
+        let n = pass.events;
+        let scalar = bank.scalar_lane_events();
+        let records = evaluator.evaluate_bank_reports(&designs, &bank.finish());
         let dur = sim_start.elapsed();
         let width = designs.len();
+        telemetry.trace_events_generated += n;
+        telemetry.generate_time += pass.fill_time;
         telemetry.simulate_time += dur;
         telemetry.fused_groups += 1;
         telemetry.max_bank_width = telemetry.max_bank_width.max(width);
         telemetry.trace_events_replayed += n * width as u64;
+        telemetry.trace_events_scanned += n;
         telemetry.scalar_lane_events += scalar;
-        if analytic_hit {
-            telemetry.analytic_groups += 1;
-        } else {
-            telemetry.simulated_groups += 1;
-            telemetry.trace_events_scanned += n;
-            hists.scan.record(dur);
-        }
+        hists.scan.record(dur);
         if let Some(o) = self.explorer.obs.as_deref() {
             o.counters.add_done(width as u64);
-            if !analytic_hit {
-                o.counters.add_events(n);
-            }
+            o.counters.add_events(n);
             o.unit(
                 "simulate",
-                if analytic_hit { "analytic" } else { "scan" },
+                "scan",
                 0,
                 dur,
                 &[
@@ -1021,7 +994,6 @@ impl Explorer {
             objective,
             pairs: &pairs,
             layouts: &unique_layouts,
-            footprint: kernel_footprint_bytes(kernel),
             tiled,
             open: HashMap::new(),
             records: HashMap::new(),
@@ -1632,7 +1604,7 @@ mod tests {
             &SearchOptions::default(),
         );
         let t = &out.telemetry;
-        assert!(t.simulated_groups > 0);
+        assert!(t.fused_groups > 0);
         // The simulate line's busy time is the batches' own, not the
         // layout phase's.
         assert_eq!(t.worker_busy.iter().sum::<Duration>(), t.simulate_time);

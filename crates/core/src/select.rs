@@ -139,8 +139,8 @@ fn canonical_key(r: &Record) -> (f64, f64, usize, usize, usize, u64) {
 ///
 /// The result is sorted by the canonical key (cycles, energy, cache size,
 /// then the remaining design coordinates), so two frontiers computed from
-/// the same underlying records — e.g. by the fused and the per-design
-/// sweep — compare equal with `==`, bitwise on the floating-point metrics.
+/// the same underlying records — e.g. by the banked sweep and a scalar
+/// per-design reference — compare equal with `==`, bitwise on the floating-point metrics.
 /// `memx pareto` is this function over the records of one sweep.
 ///
 /// # Example

@@ -1,16 +1,15 @@
-//! Fault-isolated sweep supervision: panic quarantine, engine fallback,
-//! checkpoint/resume, and deadline-bounded partial results.
+//! Fault-isolated sweep supervision: panic quarantine, per-design
+//! fallback, checkpoint/resume, and deadline-bounded partial results.
 //!
 //! [`Explorer::explore_supervised`] runs the kernel sweep with per-unit
 //! fault isolation. Every sweep shares one simulate phase, the
 //! [sweep runner](crate::sweep), which wraps each *unit of work* — a
-//! trace group for the fused engine, a single design for the per-design
-//! engine — in `catch_unwind` and degrades per unit:
+//! trace group's bank — in `catch_unwind` and degrades per unit:
 //!
-//! * a panicking fused bank scan is **retried** once per member as a
-//!   bank of one (the fallback path), so one poisoned design in a bank
-//!   cannot take its neighbours down with it;
-//! * a panicking single design is **quarantined** into a structured
+//! * a panicking bank scan is **retried** once per member as a bank of
+//!   one (the fallback path), so one poisoned design in a bank cannot
+//!   take its neighbours down with it;
+//! * a design that panics alone too is **quarantined** into a structured
 //!   [`SweepError`] instead of aborting;
 //! * every unaffected design stays **bit-identical** to a clean run,
 //!   because units share only immutable inputs (the prepared sweep plan)
@@ -31,7 +30,7 @@ use crate::checkpoint::fnv1a;
 use crate::explore::ExploreError;
 use crate::fault::FaultPlan;
 use crate::metrics::{CacheDesign, Evaluator, Record};
-use crate::sweep::Sweep;
+use crate::sweep::{Feed, Sweep, Unit};
 use crate::telemetry::SweepTelemetry;
 use crate::Explorer;
 use loopir::Kernel;
@@ -85,8 +84,8 @@ pub struct SweepError {
     pub design_index: usize,
     /// The design itself.
     pub design: CacheDesign,
-    /// Engine that panicked last: `"per-design"` (a per-design unit)
-    /// or `"fallback"` (per-design retry after a bank panic).
+    /// Path that panicked last: `"fallback"` (the per-design retry
+    /// after a bank panic) or `"worker"` (a lost shard worker).
     pub engine: &'static str,
     /// Panic payload, downcast to text.
     pub message: String,
@@ -182,9 +181,9 @@ pub(crate) fn push_grid(bytes: &mut Vec<u8>, designs: &[CacheDesign]) {
 
 impl Explorer {
     /// Runs the kernel sweep under the fault-isolation supervisor. The
-    /// layout, trace, and classify phases are shared inputs to every
-    /// design, so a panic there (a `trace address overflow` while
-    /// compiling a plan, say) is still a whole-sweep [`ExploreError`];
+    /// layout and trace phases are shared inputs to every design, so a
+    /// panic there (a `trace address overflow` while compiling a plan,
+    /// say) is still a whole-sweep [`ExploreError`];
     /// from the simulate phase on, failures degrade per unit of work as
     /// described in the module docs. Every replay, retry included, walks
     /// its group's compiled plan afresh.
@@ -198,18 +197,26 @@ impl Explorer {
         let id = sweep_id(kernel, designs, &self.evaluator);
         let mut sweep = Sweep::begin(self, designs, options, workers, id)?;
         let plan = self.prepare(kernel, designs, workers, &sweep.hists)?;
-        let feeds = self.compile_plans(kernel, designs, workers, &plan)?;
-        sweep
-            .run(&self.units(feeds.units(&plan.groups)), |i| {
-                plan.conflict_free_of(&designs[i])
+        let (plans, trace_time) = self.compile_plans(workers, &plan)?;
+        let units: Vec<Unit<'_>> = plan
+            .groups
+            .iter()
+            .zip(&plans)
+            .map(|(members, p)| Unit {
+                members: members.clone(),
+                feed: Feed::Plan(p),
             })
+            .collect();
+        sweep
+            .run(&units, |i| plan.conflict_free_of(&designs[i]))
             .map_err(|e| ExploreError::WorkerPanic {
                 phase: "simulate",
                 message: e.to_string(),
             })?;
         let mut outcome = sweep.finish();
         plan.fill(&mut outcome.telemetry);
-        feeds.fill(&mut outcome.telemetry);
+        outcome.telemetry.traces_generated = plans.len();
+        outcome.telemetry.trace_time = trace_time;
         Ok(outcome)
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Kernel sweeps (plain or supervised) and streamed `.din` sweeps differ
 //! only in where their trace events come from. Each cuts its design grid
-//! into [`Unit`]s — a set of member design indices plus
-//! one [`Feed`]: records that are already known (analytic-exact groups),
-//! or a `memsim::TraceSource` to step a `memsim::ReplayBank` with (a
-//! kernel's compiled trace plan, or a re-opened `.din` stream). Both
-//! sources go through one loop, [`stream_into`], in chunks: no kernel
-//! trace is ever held whole on this path. A [`Sweep`] then owns, once:
+//! into [`Unit`]s — a set of member design indices plus one [`Feed`]:
+//! a kernel's compiled trace plan, or a re-opened `.din` stream. Every
+//! unit is one `memsim::ReplayBank` pass over its feed through one loop,
+//! [`stream_into`], in chunks: no kernel trace is ever held whole on this
+//! path. A [`Sweep`] then owns, once:
 //!
 //! * checkpoint resume, periodic flush, and the final flush;
 //! * the cooperative deadline, checked at unit starts and between
@@ -17,16 +16,10 @@
 //!   quarantined into a [`SweepError`];
 //! * the [`FaultPlan`](crate::FaultPlan) hooks: `panic_group` keyed by
 //!   unit index, `panic_design` by design index;
-//! * the obs `scan`, `sim`, and `analytic` unit events (with `gen_us`
-//!   on plan units and `parse_us` on stream units), the latency
-//!   histograms, the generated/replayed/scanned counters, and the select
-//!   phase collecting records into sweep order.
-//!
-//! [`Engine::PerDesign`] only means "units of width one, marked
-//! per-design" ([`Explorer::units`]). A per-design unit logs `sim` rather
-//! than `scan`, fires `panic_design` rather than `panic_group`, and a
-//! panic quarantines it directly (a retry alone would repeat the same
-//! work). A bank that happens to have one member is still a bank.
+//! * the obs `scan` (a bank) and `sim` (a fallback retry) unit events
+//!   (with `gen_us` on plan units and `parse_us` on stream units), the
+//!   latency histograms, the generated/replayed/scanned counters, and the
+//!   select phase collecting records into sweep order.
 //!
 //! Records land in write-once slots indexed by design and units share
 //! only immutable inputs, so every unaffected record is bit-identical to
@@ -39,7 +32,7 @@ use crate::obs::{FieldValue, Span};
 use crate::supervisor::{CheckpointPolicy, SweepError, SweepOptions, SweepOutcome};
 use crate::telemetry::SweepTelemetry;
 use crate::workload::TraceWorkload;
-use crate::{Engine, Explorer};
+use crate::Explorer;
 use loopir::TraceGen;
 use memsim::{ReplayBank, TraceEvent, TraceSource, TraceSourceError};
 use std::fmt;
@@ -49,12 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Where a unit's records come from.
-#[derive(Clone)]
+/// Where a unit's trace events come from.
 pub(crate) enum Feed<'a> {
-    /// Records already known (an analytic-exact trace group), one per
-    /// member, over a trace of `events` events.
-    Known { records: Vec<Record>, events: usize },
     /// A kernel's compiled trace plan, not yet walked: every replay walks
     /// a clone of it from the start, chunk by chunk.
     Plan(&'a TraceGen<'a>),
@@ -113,41 +102,6 @@ pub(crate) fn stream_into(
 pub(crate) struct Unit<'a> {
     pub members: Vec<usize>,
     pub feed: Feed<'a>,
-    /// One design of an [`Engine::PerDesign`] sweep rather than a bank.
-    pub per_design: bool,
-}
-
-impl<'a> Unit<'a> {
-    /// A bank: every member replays `feed` in one pass.
-    pub fn bank(members: Vec<usize>, feed: Feed<'a>) -> Self {
-        Unit {
-            members,
-            feed,
-            per_design: false,
-        }
-    }
-}
-
-impl Explorer {
-    /// The units of a sweep whose trace groups are `groups`: the groups
-    /// themselves, or one per-design unit per member under
-    /// [`Engine::PerDesign`] (whose classify phase resolves nothing, so
-    /// every feed replays).
-    pub(crate) fn units<'a>(&self, groups: Vec<Unit<'a>>) -> Vec<Unit<'a>> {
-        if self.engine == Engine::Fused {
-            return groups;
-        }
-        groups
-            .into_iter()
-            .flat_map(|Unit { members, feed, .. }| {
-                members.into_iter().map(move |i| Unit {
-                    members: vec![i],
-                    feed: feed.clone(),
-                    per_design: true,
-                })
-            })
-            .collect()
-    }
 }
 
 /// A simulate-phase failure that no unit could absorb.
@@ -222,7 +176,6 @@ pub(crate) struct Sweep<'a> {
     cancelled: AtomicBool,
     stopped: AtomicBool,
     banks: usize,
-    analytic_banks: usize,
     max_bank_width: usize,
     simulate_time: Duration,
     worker_busy: Vec<Duration>,
@@ -315,7 +268,6 @@ impl<'a> Sweep<'a> {
             cancelled: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             banks: 0,
-            analytic_banks: 0,
             max_bank_width: 0,
             simulate_time: Duration::ZERO,
             worker_busy: Vec::new(),
@@ -338,11 +290,8 @@ impl<'a> Sweep<'a> {
         });
         drop(span);
         self.simulate_time = phase_start.elapsed();
-        for unit in units.iter().filter(|u| !u.per_design) {
-            self.banks += 1;
-            self.analytic_banks += usize::from(matches!(unit.feed, Feed::Known { .. }));
-            self.max_bank_width = self.max_bank_width.max(unit.members.len());
-        }
+        self.banks = units.len();
+        self.max_bank_width = units.iter().map(|u| u.members.len()).max().unwrap_or(0);
         self.worker_busy = busy.map_err(RunError::Panic)?;
         match lock(&self.source_error).take() {
             Some(e) => Err(RunError::Source(e)),
@@ -382,8 +331,6 @@ impl<'a> Sweep<'a> {
             scalar_lane_events: self.scalar_lane_events.into_inner(),
             fused_groups: self.banks,
             max_bank_width: self.max_bank_width,
-            analytic_groups: self.analytic_banks,
-            simulated_groups: self.banks - self.analytic_banks,
             workers: self.workers,
             simulate_time: self.simulate_time,
             generate_time: Duration::from_nanos(self.generate_ns.into_inner()),
@@ -438,46 +385,10 @@ impl<'a> Sweep<'a> {
             return;
         }
         let members = &unit.members;
-        let fresh = members
-            .iter()
-            .filter(|&&i| self.slots[i].get().is_none())
-            .count();
-        if fresh == 0 {
+        if members.iter().all(|&i| self.slots[i].get().is_some()) {
             return; // every member resumed from the checkpoint
         }
-        if let Feed::Known { records, events } = &unit.feed {
-            let start = Instant::now();
-            self.replayed
-                .fetch_add((events * members.len()) as u64, Ordering::Relaxed);
-            for (&i, record) in members.iter().zip(records) {
-                self.complete(i, record.clone());
-            }
-            if let Some(o) = self.explorer.obs.as_deref() {
-                o.counters.add_done(fresh as u64);
-                o.unit(
-                    "simulate",
-                    "analytic",
-                    w as u64,
-                    start.elapsed(),
-                    &[
-                        ("events", FieldValue::U64(*events as u64)),
-                        ("width", FieldValue::U64(members.len() as u64)),
-                        ("fresh", FieldValue::U64(fresh as u64)),
-                    ],
-                );
-            }
-            return;
-        }
         let fault = &self.options.fault;
-        if unit.per_design {
-            let i = members[0];
-            if let Some(message) = self.attempt(w, members, &unit.feed, cf, false, || {
-                fault.maybe_panic_design(i)
-            }) {
-                self.quarantine(i, "per-design", message);
-            }
-            return;
-        }
         if self
             .attempt(w, members, &unit.feed, cf, true, || {
                 fault.maybe_panic_group(u)
@@ -515,7 +426,7 @@ impl<'a> Sweep<'a> {
 
     /// Replays `members` over `feed` under `catch_unwind` (after the
     /// fault `hook`) and lands the records as a `scan` of a bank or a
-    /// `sim` of one design (`bank`). Returns the panic message if
+    /// `sim` of one fallback design (`bank` false). Returns the panic message if
     /// the attempt panicked; a deadline or source failure mid-replay
     /// lands nothing and is not a panic.
     ///
@@ -563,7 +474,6 @@ impl<'a> Sweep<'a> {
         let evaluator = &self.explorer.evaluator;
         let mut bank = evaluator.replay_bank(&lanes);
         let (mut source, capacity, fill_field): (Box<dyn TraceSource + '_>, usize, _) = match feed {
-            Feed::Known { .. } => unreachable!("known records never replay"),
             Feed::Plan(plan) => (
                 Box::new(PlanSource::from_plan((*plan).clone())),
                 PLAN_CHUNK_EVENTS,

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Version stamp of the [`SweepTelemetry::to_json`] layout, emitted as
 /// its first field so downstream consumers can detect schema changes.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 10;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 11;
 
 /// Counters and timings of one design-space sweep.
 #[derive(Clone, Debug, Default)]
@@ -30,18 +30,16 @@ pub struct SweepTelemetry {
     /// and the traces its bounds scan).
     pub traces_generated: usize,
     /// Events generated from kernel trace plans: every walk of a plan
-    /// (one per bank scan, so per design under the per-design engine)
-    /// plus every materialized trace. For a `.din` sweep, the trace's
-    /// length.
+    /// (one per bank scan, fallback retries included) plus every
+    /// materialized trace. For a `.din` sweep, the trace's length.
     pub trace_events_generated: u64,
     /// Total events replayed by simulations, counted *logically*: every
     /// design consumes its whole span, so this is events × designs even
-    /// when the fused engine scans the span once for many designs.
+    /// when a bank scans the span once for many designs.
     pub trace_events_replayed: u64,
-    /// Total events *physically* streamed into banks. Equal to
-    /// [`trace_events_replayed`](Self::trace_events_replayed) for the
-    /// per-design engine; with the fused engine each trace group is
-    /// scanned once regardless of bank width, so this is smaller by
+    /// Total events *physically* streamed into banks. Each trace group
+    /// is scanned once regardless of bank width, so this is smaller than
+    /// [`trace_events_replayed`](Self::trace_events_replayed) by
     /// [`trace_events_avoided`](Self::trace_events_avoided).
     pub trace_events_scanned: u64,
     /// Lane-events the banks resolved one access at a time on their
@@ -50,19 +48,14 @@ pub struct SweepTelemetry {
     /// lane-event took a bulk tier.
     pub scalar_lane_events: u64,
     /// Banks the sweep scheduled (a trace group replaying one trace, or
-    /// a `.din` shard). 0 for the per-design engine, whose units are
-    /// single designs.
+    /// a `.din` shard).
     pub fused_groups: usize,
-    /// Widest design bank stepped in lockstep by the fused engine
-    /// (0 for the per-design engine).
+    /// Widest design bank stepped in lockstep.
     pub max_bank_width: usize,
-    /// Trace groups resolved in closed form by the analytic fast path —
-    /// bit-identical records, no replay (0 when disabled or when no
-    /// group qualified).
+    /// Always 0: no sweep or search resolves a trace group in closed
+    /// form any more. Kept only for the benchmark harness, which still
+    /// reads it.
     pub analytic_groups: usize,
-    /// Banks that replayed through a `memsim::ReplayBank`
-    /// (`fused_groups - analytic_groups`).
-    pub simulated_groups: usize,
     /// Worker threads used by the sweep.
     pub workers: usize,
     /// Wall time of the layout phase (off-chip placement per `(T, L)`).
@@ -70,9 +63,6 @@ pub struct SweepTelemetry {
     /// Wall time of the trace phase: compiling each trace key's plan
     /// (plus, in search, materializing the traces its bounds scan).
     pub trace_time: Duration,
-    /// Wall time classifying trace groups for the analytic fast path
-    /// (zero when the fast path is disabled or never gated in).
-    pub classify_time: Duration,
     /// Wall time of the work-stealing simulation phase, trace generation
     /// included.
     pub simulate_time: Duration,
@@ -112,11 +102,11 @@ pub struct SweepTelemetry {
     /// Wall time of the floor units: walking the streams, linking next
     /// uses and running MIN.
     pub floor_time: Duration,
-    /// Designs quarantined by the supervisor after panicking on every
-    /// available engine (0 for unsupervised sweeps).
+    /// Designs quarantined by the supervisor after panicking in their
+    /// bank and again alone (0 for unsupervised sweeps).
     pub designs_quarantined: usize,
-    /// Designs re-run on the per-design fallback engine after their
-    /// fused bank scan panicked.
+    /// Designs re-run one at a time on the fallback path after their
+    /// bank scan panicked.
     pub designs_retried: usize,
     /// Checkpoint flushes that reached the sidecar file.
     pub checkpoints_written: usize,
@@ -156,10 +146,9 @@ pub struct SweepTelemetry {
     /// arbitrates optimized against natural layouts (one sample per
     /// scoring bank: its replay time, trace generation excluded).
     pub score_latency: LatencySummary,
-    /// Per-design simulation latency (per-design engine and supervisor
-    /// fallbacks).
+    /// Per-design simulation latency (supervisor fallback retries).
     pub design_latency: LatencySummary,
-    /// Trace-group scan latency (fused engine, one sample per bank).
+    /// Trace-group scan latency (one sample per bank).
     pub scan_latency: LatencySummary,
     /// Checkpoint flush latency (supervised sweeps).
     pub flush_latency: LatencySummary,
@@ -182,15 +171,15 @@ impl SweepTelemetry {
         self.trace_events_replayed as f64 / self.trace_events_generated as f64
     }
 
-    /// Events the fused one-pass replay avoided streaming: logical
-    /// replays minus physical scans (0 for the per-design engine).
+    /// Events the one-pass bank replay avoided streaming: logical
+    /// replays minus physical scans.
     pub fn trace_events_avoided(&self) -> u64 {
         self.trace_events_replayed
             .saturating_sub(self.trace_events_scanned)
     }
 
-    /// Mean designs per trace group (1.0 when the sweep ran per-design or
-    /// was empty) — how much lockstep the fused engine achieved. A
+    /// Mean designs per trace group (1.0 when the sweep was empty) — how
+    /// much lockstep the banks achieved. A
     /// search's speculative records were bank lanes too.
     pub fn mean_bank_width(&self) -> f64 {
         if self.fused_groups == 0 {
@@ -248,7 +237,6 @@ impl SweepTelemetry {
                 "\"trace_events_scanned\":{},\"trace_events_avoided\":{},",
                 "\"scalar_lane_events\":{},",
                 "\"fused_groups\":{},\"max_bank_width\":{},",
-                "\"analytic_groups\":{},\"simulated_groups\":{},",
                 "\"trace_reuse_factor\":{},\"workers\":{},",
                 "\"worker_utilization\":{},\"designs_pruned\":{},",
                 "\"designs_speculative\":{},",
@@ -263,7 +251,7 @@ impl SweepTelemetry {
                 "\"shards_redispatched\":{},\"shard_entries_deduped\":{},",
                 "\"workers_surviving\":{},",
                 "\"layout_secs\":{},\"trace_secs\":{},",
-                "\"classify_secs\":{},\"bound_secs\":{},",
+                "\"bound_secs\":{},",
                 "\"simulate_secs\":{},\"generate_secs\":{},",
                 "\"select_secs\":{},\"total_secs\":{},",
                 "\"layout_latency\":{},\"score_latency\":{},",
@@ -282,8 +270,6 @@ impl SweepTelemetry {
             self.scalar_lane_events,
             self.fused_groups,
             self.max_bank_width,
-            self.analytic_groups,
-            self.simulated_groups,
             json_f64(self.trace_reuse_factor(), 3),
             self.workers,
             json_f64(self.worker_utilization(), 3),
@@ -309,7 +295,6 @@ impl SweepTelemetry {
             self.workers_surviving,
             json_f64(self.layout_time.as_secs_f64(), 6),
             json_f64(self.trace_time.as_secs_f64(), 6),
-            json_f64(self.classify_time.as_secs_f64(), 6),
             json_f64(self.bound_time.as_secs_f64(), 6),
             json_f64(self.simulate_time.as_secs_f64(), 6),
             json_f64(self.generate_time.as_secs_f64(), 6),
@@ -403,15 +388,6 @@ impl fmt::Display for SweepTelemetry {
                 f,
                 "  speculate: {} batched records never consumed",
                 self.designs_speculative
-            )?;
-        }
-        if self.analytic_groups > 0 {
-            writeln!(
-                f,
-                "  analytic : {} trace groups closed-form ({} simulated) in {:.1} ms",
-                self.analytic_groups,
-                self.simulated_groups,
-                self.classify_time.as_secs_f64() * 1e3
             )?;
         }
         if self.frontier_size > 0 {

@@ -1,7 +1,7 @@
 //! External trace workloads: streamed `.din` sweeps with bounded memory.
 //!
-//! The kernel sweep engines ([`Explorer::explore_designs_with_telemetry`])
-//! walk each compiled kernel trace plan chunk by chunk through the
+//! The kernel sweep ([`Explorer::explore_designs_with_telemetry`])
+//! walks each compiled kernel trace plan chunk by chunk through the
 //! [sweep runner](crate::sweep). This module is the `.din` counterpart
 //! on the same runner: a [`TraceWorkload`] names an external
 //! Dinero `.din` trace (file or in-memory text), carries its content
@@ -317,7 +317,10 @@ impl Explorer {
             .step_by(TRACE_BANK_WIDTH)
             .map(|start| {
                 let members = (start..designs.len().min(start + TRACE_BANK_WIDTH)).collect();
-                Unit::bank(members, Feed::Stream(workload))
+                Unit {
+                    members,
+                    feed: Feed::Stream(workload),
+                }
             })
             .collect();
         let workers = self.worker_count(shards.len());

@@ -1,5 +1,5 @@
-//! Degenerate-configuration edge cases for the evaluator, the sweep
-//! engines and the Pareto frontier over their records.
+//! Degenerate-configuration edge cases for the evaluator, the sweep and
+//! the Pareto frontier over its records.
 //!
 //! The paper grid never reaches these corners (it requires ≥ 4 lines and
 //! kernels always read something), so they get dedicated coverage:
@@ -11,7 +11,7 @@ use loopir::transform::tile_all;
 use loopir::DataLayout;
 use loopir::{kernels, AffineExpr, ArrayDecl, ArrayId, ArrayRef, Kernel, Loop, LoopNest};
 use memexplore::metrics::read_trace;
-use memexplore::{select, CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record};
+use memexplore::{select, CacheDesign, DesignSpace, Evaluator, Explorer, Record};
 
 /// A kernel that only writes — its read trace is empty.
 fn write_only_kernel() -> Kernel {
@@ -75,8 +75,8 @@ fn empty_read_trace_yields_zeroed_record() {
     assert_eq!(record.energy_nj, 0.0);
 }
 
-/// The Pareto frontier of `kernel` over `space` from each sweep engine,
-/// checked against the frontier of each design evaluated alone.
+/// The Pareto frontier of `kernel` over `space` from the banked sweep,
+/// checked (records and frontier) against each design evaluated alone.
 fn engine_frontiers(kernel: &Kernel, space: &DesignSpace) -> Vec<Record> {
     let designs = space.designs();
     let evaluator = Evaluator::default();
@@ -85,12 +85,9 @@ fn engine_frontiers(kernel: &Kernel, space: &DesignSpace) -> Vec<Record> {
         .map(|&d| evaluator.evaluate(kernel, d))
         .collect();
     let reference = select::pareto3(&alone);
-    for engine in [Engine::Fused, Engine::PerDesign] {
-        let swept = Explorer::default()
-            .with_engine(engine)
-            .explore_designs(kernel, &designs);
-        assert_eq!(select::pareto3(&swept), reference, "{engine:?}");
-    }
+    let swept = Explorer::default().explore_designs(kernel, &designs);
+    assert_eq!(swept, alone);
+    assert_eq!(select::pareto3(&swept), reference);
     reference
 }
 
@@ -113,8 +110,8 @@ fn pareto_engines_agree_on_a_degenerate_space() {
 #[test]
 fn pareto_engines_agree_on_an_empty_read_trace() {
     // Every design costs the same (zero), so the frontier collapses to
-    // the smallest cache and the engines must agree on which records
-    // survive the tie-break.
+    // the smallest cache and the sweep must agree with the reference on
+    // which records survive the tie-break.
     let frontier = engine_frontiers(&write_only_kernel(), &DesignSpace::small());
     assert!(!frontier.is_empty());
     let smallest = DesignSpace::small().cache_sizes[0];

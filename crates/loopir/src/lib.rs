@@ -41,4 +41,4 @@ pub use kernels::all_paper_kernels;
 pub use layout::DataLayout;
 pub use nest::{AccessKind, ArrayDecl, ArrayId, ArrayRef, Bound, Kernel, Loop, LoopNest};
 pub use parse::parse_kernel;
-pub use trace::{MemoryAccess, TraceGen};
+pub use trace::{check_subscripts, MemoryAccess, OutOfBounds, TraceGen};

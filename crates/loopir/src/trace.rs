@@ -16,7 +16,9 @@
 
 use crate::expr::AffineExpr;
 use crate::layout::DataLayout;
-use crate::nest::{AccessKind, ArrayId, Bound, Kernel};
+use crate::nest::{AccessKind, ArrayId, ArrayRef, Bound, Kernel, Loop};
+use std::error::Error;
+use std::fmt;
 
 /// One memory access of the generated trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,31 +151,54 @@ fn fits<T>(v: Option<T>, what: impl FnOnce() -> String) -> T {
     v.unwrap_or_else(|| panic!("trace address overflow: {} does not fit an i64", what()))
 }
 
-/// Widens the interval `acc` by `c · v` for `v` in `range`, panicking on
-/// overflow.
-fn widen(acc: (i64, i64), c: i64, range: (i64, i64), what: impl Fn() -> String) -> (i64, i64) {
-    let ends = c.checked_mul(range.0).zip(c.checked_mul(range.1));
-    let (a, b) = fits(ends.map(|(a, b)| (a.min(b), a.max(b))), &what);
-    (
-        fits(acc.0.checked_add(a), &what),
-        fits(acc.1.checked_add(b), &what),
-    )
-}
-
 /// The extremes of an affine row (constant plus one coefficient per
-/// level) over the first `coeffs.len()` levels of `ranges`.
-fn row_range(
-    constant: i64,
-    coeffs: &[i64],
-    ranges: &[(i64, i64)],
-    what: impl Fn() -> String,
-) -> (i64, i64) {
+/// level) over the first `coeffs.len()` levels of `ranges`, or `None` if
+/// some partial sum leaves `i64`.
+fn row_range(constant: i64, coeffs: &[i64], ranges: &[(i64, i64)]) -> Option<(i64, i64)> {
     coeffs
         .iter()
         .zip(ranges)
-        .fold((constant, constant), |acc, (&c, &range)| {
-            widen(acc, c, range, &what)
+        .try_fold((constant, constant), |(lo, hi), (&c, &(a, b))| {
+            let (x, y) = (c.checked_mul(a)?, c.checked_mul(b)?);
+            Some((lo.checked_add(x.min(y))?, hi.checked_add(x.max(y))?))
         })
+}
+
+/// A loop bound as an affine expression and its `min` cap (`i64::MAX`
+/// for none).
+fn bound_parts(b: &Bound) -> (AffineExpr, i64) {
+    match b {
+        Bound::Const(k) => (AffineExpr::constant(*k), i64::MAX),
+        Bound::Affine(e) => (e.clone(), i64::MAX),
+        Bound::Min(e, cap) => (e.clone(), *cap),
+    }
+}
+
+/// Each induction variable's range over the nest: lower bounds minimised
+/// and upper bounds maximised over the outer ranges, caps applied. `Err`
+/// names the first loop whose bounds leave `i64`. Every bound must read
+/// only the loops enclosing it.
+fn iteration_box(loops: &[Loop]) -> Result<Vec<(i64, i64)>, usize> {
+    let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(loops.len());
+    for (l, lp) in loops.iter().enumerate() {
+        let range = |b: &Bound| {
+            let (e, cap) = bound_parts(b);
+            row_range(e.constant_term(), &e.linear_part(l), &ranges)
+                .map(|(lo, hi)| (lo.min(cap), hi.min(cap)))
+                .ok_or(l)
+        };
+        let lo = range(&lp.lower)?.0;
+        let hi = range(&lp.upper)?.1;
+        ranges.push((lo, hi.max(lo)));
+    }
+    Ok(ranges)
+}
+
+/// Whether `r` matches its array's rank and reads only loops of the
+/// nest, so its address is affine over the nest.
+fn is_exact(kernel: &Kernel, r: &ArrayRef, depth: usize) -> bool {
+    r.subscripts.len() == kernel.array(r.array).dims.len()
+        && r.subscripts.iter().all(|s| s.max_depth() < Some(depth))
 }
 
 impl Plan {
@@ -192,11 +217,7 @@ impl Plan {
             let a = kernel.array(r.array);
             let p = layout.placement(r.array);
             let what = |part: &str| format!("{part} of reference {ri} to `{}`", a.name);
-            if r.subscripts.len() != a.dims.len()
-                || r.subscripts.iter().any(|s| s.max_depth() >= Some(depth))
-            {
-                exact = false;
-            }
+            exact &= is_exact(kernel, r, depth);
             // Byte weight of each subscript position: the row pitch for
             // the outermost dimension of a multi-dimensional array, the
             // row-major element weight times the element size otherwise.
@@ -239,11 +260,7 @@ impl Plan {
         let mut caps = Vec::with_capacity(2 * depth);
         for (l, lp) in loops.iter().enumerate() {
             for b in [&lp.lower, &lp.upper] {
-                let (e, cap) = match b {
-                    Bound::Const(k) => (&AffineExpr::constant(*k), i64::MAX),
-                    Bound::Affine(e) => (e, i64::MAX),
-                    Bound::Min(e, cap) => (e, *cap),
-                };
+                let (e, cap) = bound_parts(b);
                 assert!(
                     e.max_depth().is_none_or(|d| d < l),
                     "a bound of loop {l} reads a loop that does not enclose it"
@@ -255,32 +272,22 @@ impl Plan {
             }
         }
 
-        // Each induction variable's range over the nest: lower bounds
-        // minimised and upper bounds maximised over the outer ranges.
-        let mut ranges: Vec<(i64, i64)> = Vec::with_capacity(depth);
-        for l in 0..depth {
-            let what = || format!("the bounds of loop {l}");
-            let range = |i: usize| {
-                let (constant, coeffs) = &bound_rows[i];
-                let (lo, hi) = row_range(*constant, &coeffs[..l], &ranges, what);
-                (lo.min(caps[i]), hi.min(caps[i]))
-            };
-            let lo = range(2 * l).0;
-            let hi = range(2 * l + 1).1;
-            ranges.push((lo, hi.max(lo)));
-        }
+        let ranges = match iteration_box(loops) {
+            Ok(ranges) => ranges,
+            Err(l) => fits(None, || format!("the bounds of loop {l}")),
+        };
         // Every value the walk carries lies inside its row's extremes
         // over that box, so checking them here makes every later sum
         // exact. Subscripts wholly inside their extents need no per-run
         // check at all.
         let mut verified = exact;
         for (q, (constant, coeffs)) in addr_rows.iter().enumerate() {
-            row_range(*constant, coeffs, &ranges, || {
+            fits(row_range(*constant, coeffs, &ranges), || {
                 format!("the address of reference {q} over the iteration box")
             });
         }
         for (k, ((constant, coeffs), &extent)) in sub_rows.iter().zip(&extents).enumerate() {
-            let (lo, hi) = row_range(*constant, coeffs, &ranges, || {
+            let (lo, hi) = fits(row_range(*constant, coeffs, &ranges), || {
                 format!("subscript row {k} over the iteration box")
             });
             verified &= lo >= 0 && hi < extent;
@@ -710,6 +717,174 @@ impl Iterator for TraceGen<'_> {
     }
 }
 
+/// The first access of a kernel's trace whose subscript leaves its
+/// array: the access at which a naive walk through
+/// [`DataLayout::element_address`] (and so [`TraceGen`]) panics.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct OutOfBounds {
+    /// Index of the body reference, in program order.
+    pub reference: usize,
+    /// Name of the array.
+    pub array: String,
+    /// Which subscript (0 = outermost).
+    pub dim: usize,
+    /// The subscript's value.
+    pub index: i64,
+    /// The dimension's extent.
+    pub extent: usize,
+}
+
+impl fmt::Display for OutOfBounds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "subscript {} of `{}` out of bounds: {} not in 0..{}",
+            self.dim, self.array, self.index, self.extent
+        )
+    }
+}
+
+impl Error for OutOfBounds {}
+
+/// Checks every subscript of every reference of `kernel` against its
+/// array's extent over every iteration point, without generating the
+/// trace.
+///
+/// It takes one step per innermost run, never one per event: a
+/// subscript is affine in the innermost variable, so over a run it
+/// leaves its extent at most once, at a point that follows in closed
+/// form from the run's first value and step. When every subscript stays
+/// inside its extent over the whole box of induction-variable ranges (as
+/// [`TraceGen`]'s plan checks), no run is visited at all.
+///
+/// A kernel [`TraceGen`] rejects on its own terms passes: a reference
+/// whose arity differs from its array's rank, a subscript or bound that
+/// reads a loop outside its scope, or a box that does not fit an `i64`.
+///
+/// # Errors
+///
+/// [`OutOfBounds`] for the first access, in trace order, that leaves its
+/// array (references in program order, subscripts outermost first).
+pub fn check_subscripts(kernel: &Kernel) -> Result<(), OutOfBounds> {
+    let loops = &kernel.nest.loops;
+    let depth = loops.len();
+    let refs = &kernel.nest.refs;
+    let well_formed = refs.iter().all(|r| is_exact(kernel, r, depth))
+        && loops.iter().enumerate().all(|(l, lp)| {
+            [&lp.lower, &lp.upper]
+                .iter()
+                .all(|b| bound_parts(b).0.max_depth() < Some(l))
+        });
+    if !well_formed {
+        return Ok(());
+    }
+    let Ok(ranges) = iteration_box(loops) else {
+        return Ok(());
+    };
+    // (reference, dimension, subscript, extent), in walk order.
+    let subs: Vec<(usize, usize, &AffineExpr, i64)> = refs
+        .iter()
+        .enumerate()
+        .flat_map(|(r, aref)| {
+            let dims = &kernel.array(aref.array).dims;
+            aref.subscripts
+                .iter()
+                .zip(dims)
+                .enumerate()
+                .map(move |(k, (e, &d))| (r, k, e, i64::try_from(d).unwrap_or(i64::MAX)))
+        })
+        .collect();
+    let mut verified = true;
+    for &(_, _, e, d) in &subs {
+        match row_range(e.constant_term(), &e.linear_part(depth), &ranges) {
+            Some((lo, hi)) => verified &= lo >= 0 && hi < d,
+            None => return Ok(()),
+        }
+    }
+    if verified {
+        return Ok(());
+    }
+
+    // The first bad access of the run starting at `ivs` and taking
+    // `left` more steps of `step` on the innermost variable: the least
+    // (point, reference, subscript) outside its extent. Each subscript
+    // is affine in the run's point `p`, so it leaves `0..d` at most once.
+    let first_bad = |ivs: &[i64], step: i64, left: u64| -> Option<OutOfBounds> {
+        let mut best: Option<(u64, usize, usize, i64)> = None;
+        for &(r, k, e, d) in &subs {
+            let v0 = i128::from(e.eval(ivs));
+            let b = i128::from(e.coeff(depth.saturating_sub(1))) * i128::from(step);
+            let d = i128::from(d);
+            let p = if !(0..d).contains(&v0) {
+                0
+            } else if b > 0 {
+                (d - 1 - v0) / b + 1
+            } else if b < 0 {
+                v0 / -b + 1
+            } else {
+                continue;
+            };
+            let Some(p) = u64::try_from(p).ok().filter(|&p| p <= left) else {
+                continue;
+            };
+            if best.is_none_or(|(q, ..)| p < q) {
+                best = Some((p, r, k, (v0 + b * i128::from(p)) as i64));
+            }
+        }
+        best.map(|(_, r, k, index)| {
+            let a = kernel.array(refs[r].array);
+            OutOfBounds {
+                reference: r,
+                array: a.name.clone(),
+                dim: k,
+                index,
+                extent: a.dims[k],
+            }
+        })
+    };
+    let Some(inner) = depth.checked_sub(1) else {
+        // A nest without loops is one point.
+        return first_bad(&[], 0, 0).map_or(Ok(()), Err);
+    };
+
+    // An odometer over the outer levels, one innermost run per point.
+    let mut ivs = vec![0i64; depth];
+    let mut his = vec![0i64; depth];
+    let (mut level, mut entering) = (0, true);
+    loop {
+        if entering {
+            let lp = &loops[level];
+            let (lo, hi) = (lp.lower.eval(&ivs[..level]), lp.upper.eval(&ivs[..level]));
+            if lo <= hi && level < inner {
+                ivs[level] = lo;
+                his[level] = hi;
+                level += 1;
+                continue;
+            }
+            if lo <= hi {
+                ivs[inner] = lo;
+                let left = hi.abs_diff(lo) / lp.step as u64;
+                if let Some(e) = first_bad(&ivs, lp.step, left) {
+                    return Err(e);
+                }
+            }
+            entering = false;
+        } else {
+            let next = ivs[level].checked_add(loops[level].step);
+            if let Some(next) = next.filter(|&n| n <= his[level]) {
+                ivs[level] = next;
+                level += 1;
+                entering = true;
+                continue;
+            }
+        }
+        if level == 0 {
+            return Ok(());
+        }
+        level -= 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -916,6 +1091,29 @@ mod tests {
             vec![(8, AccessKind::Read), (12, AccessKind::Write)]
         );
         assert_eq!(by_fold, by_next);
+    }
+
+    #[test]
+    fn subscript_check_covers_a_loopless_point() {
+        // Loopless nests have no runs; the random-kernel property test
+        // always generates at least one loop.
+        let point = |index: i64| {
+            let nest = LoopNest {
+                loops: vec![],
+                refs: vec![
+                    ArrayRef::read(ArrayId(0), vec![AffineExpr::constant(2)]),
+                    ArrayRef::write(ArrayId(0), vec![AffineExpr::constant(index)]),
+                ],
+            };
+            Kernel::new("point", vec![ArrayDecl::new("a", &[4], 4)], nest)
+        };
+        assert_eq!(check_subscripts(&point(3)), Ok(()));
+        let e = check_subscripts(&point(4)).expect_err("a[4] of a 4-element array");
+        assert_eq!(e.reference, 1);
+        assert_eq!(
+            e.to_string(),
+            "subscript 0 of `a` out of bounds: 4 not in 0..4"
+        );
     }
 
     /// The whole trace pulled through [`TraceGen::fill`] in chunks of

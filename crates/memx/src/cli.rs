@@ -86,6 +86,10 @@ flush interval (32 records).
 Pareto: `memx pareto` prints the exact frontier of the full sweep;
 `--exhaustive` is accepted and has no effect.
 
+Engines: every record comes from one banked replay of its trace group.
+`--engine fused|per-design` and `--no-analytic` are accepted and have no
+effect on what is computed or printed.
+
 Kernel files use the loopir text format, e.g.:
 
   kernel Compress
@@ -199,10 +203,11 @@ pub enum Command {
         pareto: bool,
         /// Print sweep telemetry (trace reuse, phase times, utilization).
         telemetry: bool,
-        /// Simulation engine (`fused`, the default, or `per-design`).
+        /// `--engine fused|per-design`: accepted and ignored (every sweep
+        /// replays banked); still part of the job's cache key.
         engine: String,
-        /// Disable the analytic fast path (`--no-analytic`): replay every
-        /// trace group even when it classifies analytic-exact.
+        /// `--no-analytic`: accepted and ignored (no sweep resolves
+        /// records in closed form).
         no_analytic: bool,
         /// Supervisor options (checkpoint/resume/deadline).
         supervise: Supervise,
@@ -228,9 +233,10 @@ pub enum Command {
         /// Print sweep telemetry (phase times, frontier size): on stderr
         /// with CSV, embedded in the JSON otherwise.
         telemetry: bool,
-        /// Simulation engine (`fused`, the default, or `per-design`).
+        /// `--engine fused|per-design`: accepted and ignored (every sweep
+        /// replays banked); still part of the job's cache key.
         engine: String,
-        /// Disable the analytic fast path (`--no-analytic`).
+        /// `--no-analytic`: accepted and ignored.
         no_analytic: bool,
         /// Supervisor options (checkpoint/resume/deadline).
         supervise: Supervise,
@@ -263,7 +269,7 @@ pub enum Command {
         format: String,
         /// Print search telemetry on stderr.
         telemetry: bool,
-        /// Disable the analytic fast path (`--no-analytic`).
+        /// `--no-analytic`: accepted and ignored.
         no_analytic: bool,
         /// Observability options (JSONL event log, live progress).
         obs: ObsFlags,

@@ -12,7 +12,7 @@ use loopir::parse::parse_kernel;
 use loopir::{AccessKind, ArrayId, DataLayout, Kernel, TraceGen};
 use memexplore::metrics::read_trace;
 use memexplore::{
-    select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
+    select, CacheDesign, CheckpointPolicy, DesignSpace, Evaluator, ExploreError, Explorer,
     FaultPlan, Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
     SearchOutcome, SweepOptions, SweepOutcome, SweepTelemetry, TraceError,
 };
@@ -445,15 +445,6 @@ fn simulate_din(
     Ok(out)
 }
 
-/// Maps the validated `--engine` keyword to the sweep engine (the parser
-/// only lets `fused` and `per-design` through).
-pub(crate) fn engine_kind(engine: &str) -> Engine {
-    match engine {
-        "per-design" => Engine::PerDesign,
-        _ => Engine::Fused,
-    }
-}
-
 /// Builds a job's evaluator: off-chip part from the keyword (or a custom
 /// `Em`), optionally with natural layout.
 pub(crate) fn make_evaluator(knobs: &Knobs) -> Evaluator {
@@ -739,12 +730,10 @@ fn note_supervised(outcome: &SweepOutcome, total: usize, stderr: &mut String) {
 
 /// Per-invocation settings of a job run. None of them is part of the
 /// job's identity: they never enter its cache key or its JSON.
+#[derive(Default)]
 pub(crate) struct RunCtx {
     /// Print the sweep's telemetry summary (`--telemetry`).
     pub telemetry: bool,
-    /// Let the analytic fast path resolve trace groups (off with
-    /// `--no-analytic`).
-    pub analytic: bool,
     /// Checkpoint and resume flags; the deadline is the job's own.
     pub supervise: Supervise,
     /// Event log and progress line.
@@ -754,19 +743,6 @@ pub(crate) struct RunCtx {
     /// In-process shard workers for an explore job over a kernel
     /// (`memx serve --distribute`; 0 or 1 = undistributed).
     pub distribute: usize,
-}
-
-impl Default for RunCtx {
-    fn default() -> Self {
-        RunCtx {
-            telemetry: false,
-            analytic: true,
-            supervise: Supervise::default(),
-            obs: ObsFlags::default(),
-            workers: None,
-            distribute: 0,
-        }
-    }
 }
 
 /// The job of an explore, pareto or search command line and its run
@@ -787,7 +763,7 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             pareto,
             telemetry,
             engine,
-            no_analytic,
+            no_analytic: _,
             supervise,
             obs,
         } => {
@@ -802,7 +778,6 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             k.put_word(Id::Engine, &engine)?;
             let ctx = RunCtx {
                 telemetry,
-                analytic: !no_analytic,
                 supervise,
                 obs,
                 ..RunCtx::default()
@@ -818,7 +793,7 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             exhaustive,
             telemetry,
             engine,
-            no_analytic,
+            no_analytic: _,
             supervise,
             obs,
         } => {
@@ -831,7 +806,6 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             k.put_word(Id::Engine, &engine)?;
             let ctx = RunCtx {
                 telemetry,
-                analytic: !no_analytic,
                 supervise,
                 obs,
                 ..RunCtx::default()
@@ -850,7 +824,7 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             deadline_secs,
             format,
             telemetry,
-            no_analytic,
+            no_analytic: _,
             obs,
         } => {
             k.put_word(Id::Part, &part)?;
@@ -864,7 +838,6 @@ fn cli_job(cmd: Command) -> Result<(JobSpec, RunCtx), RunError> {
             k.put_word(Id::SearchFormat, &format)?;
             let ctx = RunCtx {
                 telemetry,
-                analytic: !no_analytic,
                 obs,
                 ..RunCtx::default()
             };
@@ -909,7 +882,7 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &RunCtx) -> Result<(Output, bool), Ru
 /// sweep is done (`None` when `--log-json` and `--progress` are off).
 fn job_explorer(spec: &JobSpec, ctx: &RunCtx) -> Result<(Explorer, Option<Arc<Obs>>), RunError> {
     let obs = build_obs(&ctx.obs)?;
-    let mut explorer = spec.explorer(ctx.workers).with_analytic(ctx.analytic);
+    let mut explorer = spec.explorer(ctx.workers);
     if let Some(o) = &obs {
         explorer = explorer.with_obs(Arc::clone(o));
     }

@@ -222,11 +222,10 @@ fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, BadRequest> {
 }
 
 impl JobSpec {
-    /// The explorer this job sweeps with: the evaluator and engine come
-    /// from the job, the worker-thread count from the caller.
+    /// The explorer this job sweeps with: the evaluator comes from the
+    /// job, the worker-thread count from the caller.
     pub(crate) fn explorer(&self, workers: Option<usize>) -> Explorer {
-        let mut explorer = Explorer::new(commands::make_evaluator(&self.knobs))
-            .with_engine(commands::engine_kind(self.knobs.word(Id::Engine)));
+        let mut explorer = Explorer::new(commands::make_evaluator(&self.knobs));
         explorer.workers = workers.map(|w| w.max(1));
         explorer
     }

@@ -243,6 +243,43 @@ fn leader_outside_its_array_is_one_error_line_not_a_panic() {
 }
 
 #[test]
+fn subscript_leaving_its_array_mid_nest_is_one_error_line_not_a_panic() {
+    let scratch = Scratch::new("trail-bounds");
+    // Every reference is in bounds at the first iteration point; at
+    // i = 7 the read of a[i+1] reaches a[8].
+    let trail = scratch.path("trail.mx");
+    std::fs::write(
+        &trail,
+        "kernel Trail\narray a[8] elem 4\nfor i = 0 .. 7\n  read a[i+1]\n",
+    )
+    .expect("tempdir writable");
+    let path = trail.to_str().expect("utf8 path");
+    for natural in [false, true] {
+        for command in [
+            &["explore", path][..],
+            &["pareto", path][..],
+            &["search", path][..],
+            &["simulate", path, "--cache", "64", "--line", "4"][..],
+        ] {
+            let mut args = command.to_vec();
+            if natural {
+                args.push("--natural");
+            }
+            let out = memx(&args);
+            assert_eq!(exit_code(&out), 1, "{args:?} stderr: {}", stderr(&out));
+            assert_one_line_error(&out);
+            assert!(
+                stderr(&out).contains("subscript 0 of `a` out of bounds: 8 not in 0..8"),
+                "{args:?} stderr: {}",
+                stderr(&out)
+            );
+            assert!(!stderr(&out).contains("panicked"), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?} prints nothing on stdout");
+        }
+    }
+}
+
+#[test]
 fn bad_geometry_is_exit_two_everywhere() {
     let scratch = Scratch::new("geometry");
     let kernel = scratch.kernel();

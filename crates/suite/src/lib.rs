@@ -7,8 +7,9 @@
 //!
 //! * `tests/differential.rs` — the sweep engine against the naive
 //!   regenerate-per-design reference, bit for bit.
-//! * `tests/fused_oracle.rs` — the fused one-pass replay engine against
-//!   the per-design engine on every paper kernel, explore and pareto.
+//! * `tests/fused_oracle.rs` — the banked one-pass replay against a
+//!   scalar per-design replay on every paper kernel, explore and pareto,
+//!   with its scan accounting.
 //! * `tests/replay_oracle.rs` — sweep records and the Pareto frontier
 //!   over them against a scalar replay of each design alone.
 //! * `tests/regression_kernels.rs` — pinned metrics for the paper's
@@ -18,7 +19,7 @@
 //! * `tests/end_to_end.rs`, `tests/pipeline.rs` — kernel text in,
 //!   report out, through every public layer.
 //! * `tests/random_kernels.rs` — property tests over randomly generated
-//!   kernels.
+//!   kernels, including the subscript check against a naive walk.
 //! * `tests/extensions.rs` — the beyond-paper extensions (replacement
 //!   policies, write policies, line buffer, icache split).
 //!

@@ -1,22 +1,26 @@
 //! Differential oracle for the analytic fast path.
 //!
-//! The fused engine may resolve a whole trace group in closed form
-//! (`memexplore::analytic::try_group_records`, built on
-//! `analysis::exact`) instead of replaying it. That is only sound if the
-//! closed form is *bit-identical* to simulation, so two layers pin it:
+//! `memexplore::analytic::try_group_records` (built on `analysis::exact`)
+//! resolves a whole trace group in closed form instead of replaying it.
+//! No sweep or search calls it any more; the benchmark harness's staged
+//! run still does, and that is only sound if the closed form is
+//! *bit-identical* to simulation, so two layers pin it:
 //!
 //! 1. **End to end**: on seven kernels (the paper's five plus the stencil
-//!    and conv2d extras), `Explorer` records with the fast path enabled
-//!    must equal plain replay and the per-design engine — on the paper
-//!    grid (where the capacity gate keeps the fast path dormant) and on
-//!    an ample grid sized to actually trigger it.
+//!    and conv2d extras), every trace group it resolves must equal the
+//!    scalar reference (`Evaluator::evaluate_with_trace`, one design at a
+//!    time) — on the paper grid (where the capacity gate keeps it
+//!    dormant) and on an ample grid sized to actually trigger it.
 //! 2. **Unit**: any report the classifier approves as analytic-exact must
 //!    reproduce the naive `memsim::reference` model's counters exactly,
 //!    over random read traces and random geometries.
 
 use analysis::exact::{exact_report, profile_read_class};
+use loopir::transform::tile_all;
 use loopir::{kernels, Kernel};
-use memexplore::{DesignSpace, Engine, Explorer};
+use memexplore::analytic::{kernel_footprint_bytes, try_group_records};
+use memexplore::metrics::read_trace;
+use memexplore::{CacheDesign, DesignSpace, Evaluator};
 use memsim::reference::ReferenceCache;
 use memsim::{BusEncoding, CacheConfig, TraceEvent};
 use proptest::prelude::*;
@@ -32,7 +36,7 @@ fn seven_kernels() -> Vec<Kernel> {
 /// A grid whose every cache holds the kernel's whole array footprint, so
 /// the capacity gate admits each trace group to classification.
 fn ample_space(kernel: &Kernel) -> DesignSpace {
-    let footprint: u64 = memexplore::analytic::kernel_footprint_bytes(kernel);
+    let footprint: u64 = kernel_footprint_bytes(kernel);
     let base = usize::try_from(footprint.next_power_of_two()).expect("small kernels");
     DesignSpace {
         cache_sizes: vec![base, base * 2],
@@ -44,50 +48,52 @@ fn ample_space(kernel: &Kernel) -> DesignSpace {
     }
 }
 
-fn assert_analytic_oracle(kernel: &Kernel, space: &DesignSpace, expect_analytic: bool) {
-    let analytic = Explorer::default().with_engine(Engine::Fused);
-    let replayed = Explorer::default()
-        .with_engine(Engine::Fused)
-        .with_analytic(false);
-    let per_design = Explorer::default().with_engine(Engine::PerDesign);
+/// A trace group: its (layout, tiling) key and its bank.
+type Group = ((loopir::DataLayout, u64), Vec<(CacheDesign, bool)>);
 
-    let (ar, at) = analytic.explore_with_telemetry(kernel, space);
-    let (rr, rt) = replayed.explore_with_telemetry(kernel, space);
-    let (pr, _) = per_design.explore_with_telemetry(kernel, space);
+/// Groups `space`'s designs by trace (layout, tiling), offers each group
+/// to the closed form, and checks every resolved record against the
+/// scalar reference. Returns how many groups resolved, of how many.
+fn assert_analytic_oracle(kernel: &Kernel, space: &DesignSpace) -> (usize, usize) {
+    let evaluator = Evaluator::default();
+    let footprint = kernel_footprint_bytes(kernel);
+    let mut groups: Vec<Group> = Vec::new();
+    for d in space.designs() {
+        let (layout, conflict_free) = evaluator.layout_for(kernel, d.cache_size, d.line);
+        let key = (layout, d.tiling);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, bank)) => bank.push((d, conflict_free)),
+            None => groups.push((key, vec![(d, conflict_free)])),
+        }
+    }
+    let mut resolved = 0;
+    for ((layout, tiling), bank) in &groups {
+        let trace = read_trace(&tile_all(kernel, *tiling), layout);
+        let Some(records) = try_group_records(&evaluator, footprint, bank, &trace) else {
+            continue;
+        };
+        resolved += 1;
+        for (record, &(d, conflict_free)) in records.iter().zip(bank) {
+            assert_eq!(
+                *record,
+                evaluator.evaluate_with_trace(d, &trace, conflict_free),
+                "{}: closed form diverged from the scalar reference at {d}",
+                kernel.name
+            );
+        }
+    }
+    (resolved, groups.len())
+}
 
-    assert_eq!(
-        ar, rr,
-        "{}: analytic records diverged from fused replay",
-        kernel.name
-    );
-    assert_eq!(
-        ar, pr,
-        "{}: analytic records diverged from per-design replay",
-        kernel.name
-    );
-    assert_eq!(
-        at.analytic_groups + at.simulated_groups,
-        at.fused_groups,
-        "{}: every fused group is either analytic or simulated",
-        kernel.name
-    );
-    assert_eq!(
-        rt.analytic_groups, 0,
-        "{}: --no-analytic must never classify",
-        kernel.name
-    );
-    if expect_analytic {
-        assert!(
-            at.analytic_groups > 0,
-            "{}: ample grid should trigger the fast path ({} groups, all simulated)",
-            kernel.name,
-            at.fused_groups
-        );
-    } else {
-        // The paper grid's caches sit far below every kernel footprint,
-        // so the capacity gate must keep the fast path dormant there.
+#[test]
+fn analytic_matches_simulation_on_the_paper_grid() {
+    // The paper grid's caches sit far below every kernel footprint, so
+    // the capacity gate keeps the closed form dormant there.
+    let space = DesignSpace::paper();
+    for kernel in seven_kernels() {
+        let (resolved, _) = assert_analytic_oracle(&kernel, &space);
         assert_eq!(
-            at.analytic_groups, 0,
+            resolved, 0,
             "{}: paper grid should never classify",
             kernel.name
         );
@@ -95,17 +101,14 @@ fn assert_analytic_oracle(kernel: &Kernel, space: &DesignSpace, expect_analytic:
 }
 
 #[test]
-fn analytic_matches_simulation_on_the_paper_grid() {
-    let space = DesignSpace::paper();
-    for kernel in seven_kernels() {
-        assert_analytic_oracle(&kernel, &space, false);
-    }
-}
-
-#[test]
 fn analytic_fast_path_fires_and_matches_on_ample_grids() {
     for kernel in seven_kernels() {
-        assert_analytic_oracle(&kernel, &ample_space(&kernel), true);
+        let (resolved, groups) = assert_analytic_oracle(&kernel, &ample_space(&kernel));
+        assert!(
+            resolved > 0,
+            "{}: ample grid should trigger the closed form (0 of {groups} groups)",
+            kernel.name
+        );
     }
 }
 

@@ -9,7 +9,7 @@
 use loopir::kernels;
 use memexplore::obs::{Event, EventKind, FieldValue};
 use memexplore::{
-    CheckpointPolicy, DesignSpace, Engine, Explorer, Objective, Obs, ObsConfig, ObsSink, RunReport,
+    CheckpointPolicy, DesignSpace, Explorer, Objective, Obs, ObsConfig, ObsSink, RunReport,
     SearchOptions, SweepOptions, TraceWorkload,
 };
 use proptest::prelude::*;
@@ -160,48 +160,39 @@ fn obs_into(buf: &SharedBuf) -> Arc<Obs> {
 
 #[test]
 fn explore_log_reconciles_with_telemetry() {
-    for engine in [Engine::Fused, Engine::PerDesign] {
-        let kernel = kernels::compress(31);
-        let space = DesignSpace::paper();
-        let buf = SharedBuf::default();
-        let obs = obs_into(&buf);
-        let explorer = Explorer::default()
-            .with_engine(engine)
-            .with_obs(Arc::clone(&obs));
-        let (records, telemetry) = explorer.explore_with_telemetry(&kernel, &space);
-        obs.finish();
+    let kernel = kernels::compress(31);
+    let space = DesignSpace::paper();
+    let buf = SharedBuf::default();
+    let obs = obs_into(&buf);
+    let explorer = Explorer::default().with_obs(Arc::clone(&obs));
+    let (records, telemetry) = explorer.explore_with_telemetry(&kernel, &space);
+    obs.finish();
 
-        let report = RunReport::from_jsonl(&buf.take_text()).expect("log parses");
-        assert_eq!(report.run_id, "suite-test");
-        assert_eq!(
-            report.designs_done as usize, telemetry.designs_evaluated,
-            "{engine:?}: log totals diverge from telemetry"
+    let report = RunReport::from_jsonl(&buf.take_text()).expect("log parses");
+    assert_eq!(report.run_id, "suite-test");
+    assert_eq!(
+        report.designs_done as usize, telemetry.designs_evaluated,
+        "log totals diverge from telemetry"
+    );
+    assert_eq!(report.designs_done as usize, records.len());
+    assert_eq!(report.pruned, 0);
+    assert_eq!(report.quarantined, 0);
+    assert!(!report.cancelled);
+    // Phase structure: layout, trace, simulate, select all closed.
+    for phase in ["layout", "trace", "simulate", "select"] {
+        assert!(
+            report.phases.iter().any(|p| p.name == phase && p.spans > 0),
+            "phase {phase} missing from log"
         );
-        assert_eq!(report.designs_done as usize, records.len());
-        assert_eq!(report.pruned, 0);
-        assert_eq!(report.quarantined, 0);
-        assert!(!report.cancelled);
-        // Phase structure: layout, trace, simulate, select all closed.
-        for phase in ["layout", "trace", "simulate", "select"] {
-            assert!(
-                report.phases.iter().any(|p| p.name == phase && p.spans > 0),
-                "{engine:?}: phase {phase} missing from log"
-            );
-        }
-        // Latency histograms rebuilt from the log match the sweep's own
-        // counts (same per-unit events feed both).
-        match engine {
-            Engine::Fused => {
-                assert_eq!(report.scan.count, telemetry.scan_latency.count);
-                assert_eq!(report.scan.count as usize, telemetry.fused_groups);
-            }
-            Engine::PerDesign => {
-                assert_eq!(report.sim.count, telemetry.design_latency.count);
-                assert_eq!(report.sim.count as usize, telemetry.designs_evaluated);
-            }
-        }
-        assert_eq!(report.layout.count, telemetry.layout_latency.count);
     }
+    // Latency histograms rebuilt from the log match the sweep's own
+    // counts (same per-unit events feed both): one scan per bank, and no
+    // per-design `sim` unit in a run without faults.
+    assert_eq!(report.scan.count, telemetry.scan_latency.count);
+    assert_eq!(report.scan.count as usize, telemetry.fused_groups);
+    assert_eq!(report.sim.count, 0);
+    assert_eq!(telemetry.design_latency.count, 0);
+    assert_eq!(report.layout.count, telemetry.layout_latency.count);
 }
 
 #[test]
@@ -328,8 +319,8 @@ fn search_log_reconciles_with_telemetry() {
     assert_eq!(report.pruned as usize, t.designs_pruned);
     assert!(report.pruned > 0, "no pruned point logged");
     assert_eq!(report.scan.count, t.scan_latency.count);
-    assert_eq!(report.scan.count as usize, t.simulated_groups);
-    assert_eq!(t.fused_groups, t.simulated_groups + t.analytic_groups);
+    assert_eq!(report.scan.count as usize, t.fused_groups);
+    assert_eq!(t.analytic_groups, 0);
     // Each trace key's MIN floor work is one `floor` unit.
     assert!(t.floor_units > 0, "no floor unit ran");
     assert_eq!(report.floor_units as usize, t.floor_units);

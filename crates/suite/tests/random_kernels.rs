@@ -5,8 +5,8 @@ mod placement_oracle;
 use analysis::placement::{optimize_layout, PlacementError};
 use loopir::transform::{tile, tile_all};
 use loopir::{
-    AccessKind, AffineExpr, ArrayDecl, ArrayId, ArrayRef, Bound, DataLayout, Kernel, Loop,
-    LoopNest, MemoryAccess, TraceGen,
+    check_subscripts, AccessKind, AffineExpr, ArrayDecl, ArrayId, ArrayRef, Bound, DataLayout,
+    Kernel, Loop, LoopNest, MemoryAccess, TraceGen,
 };
 use memsim::{CacheConfig, Simulator, TraceEvent};
 use proptest::prelude::*;
@@ -379,6 +379,51 @@ proptest! {
         oracle_walk(&tiled, &layout, &mut expected);
         let got: Vec<MemoryAccess> = TraceGen::new(&tiled, &layout).collect();
         prop_assert_eq!(got, expected);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `check_subscripts` takes one step per innermost run, yet names the
+    /// same access a naive per-event walk panics at: the same subscript
+    /// message, and the same reference (the walk emits every reference
+    /// once per point, so the failing one is the prefix length modulo the
+    /// reference count). A kernel it passes walks to the end. The
+    /// generator's subscripts never go below 0, so one subscript is
+    /// nudged by -1, 0 or +1 to leave its array from below as well.
+    #[test]
+    fn subscript_check_names_the_naive_walks_first_out_of_bounds_access(
+        kernel in arb_affine_kernel(),
+        b in 1u64..=17,
+        (r, k, delta) in (0usize..4, 0usize..3, -1i64..=1),
+    ) {
+        let mut kernel = kernel;
+        let refs = &mut kernel.nest.refs;
+        let n = refs.len();
+        let subs = &mut refs[r % n].subscripts;
+        let k = k % subs.len();
+        subs[k] = subs[k].clone() + delta;
+        let tiled = (kernel.nest.loops[0].step == 1).then(|| tile(&kernel, &[b]));
+        for kernel in std::iter::once(&kernel).chain(&tiled) {
+            let layout = DataLayout::natural(kernel);
+            let mut prefix = Vec::new();
+            let oracle_panic = panic_message(|| oracle_walk(kernel, &layout, &mut prefix));
+            match (check_subscripts(kernel), oracle_panic) {
+                (Ok(()), None) => {}
+                (Err(e), Some(message)) => {
+                    prop_assert_eq!(e.to_string(), message, "kernel {}", kernel);
+                    prop_assert_eq!(e.reference, prefix.len() % kernel.nest.refs.len());
+                }
+                (got, want) => prop_assert!(
+                    false,
+                    "kernel {}: check says {:?}, the walk panics with {:?}",
+                    kernel,
+                    got,
+                    want
+                ),
+            }
+        }
     }
 }
 

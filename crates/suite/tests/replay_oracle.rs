@@ -1,22 +1,21 @@
 //! The scalar-replay oracle: on every paper kernel, the sweep's records
 //! must equal, bit for bit, what `Evaluator::evaluate_with_trace` gives
-//! each design alone — a scalar `Simulator` over the raw, uncompressed
-//! trace, with no classify step, no compression and no bank.
+//! each design alone — a scalar `Simulator` over the raw trace, with no
+//! bank and no chunking.
 //!
-//! The sweep runner feeds both engines from the same prepared inputs
-//! (fused banks and per-design units replay the same compressed trace),
-//! so comparing the engines with each other cannot catch a fault they
-//! share. This suite keeps an independent reference for both, on the
-//! paper grid and on an ample grid where the analytic fast path resolves
-//! groups in closed form. Records of the Pareto frontier `memx pareto`
-//! prints (`select::pareto3` over the sweep) are checked against the same
+//! Every sweep record comes from one banked replay of a compiled trace
+//! plan, so comparing the sweep with itself cannot catch a fault in that
+//! path. This suite keeps an independent reference for it, on the paper
+//! grid and on an ample grid whose every cache holds the kernel's whole
+//! footprint. Records of the Pareto frontier `memx pareto` prints
+//! (`select::pareto3` over the sweep) are checked against the same
 //! reference.
 
 use loopir::kernels;
 use loopir::transform::tile_all;
 use loopir::Kernel;
 use memexplore::metrics::read_trace;
-use memexplore::{select, CacheDesign, DesignSpace, Engine, Evaluator, Explorer, Record};
+use memexplore::{select, CacheDesign, DesignSpace, Evaluator, Explorer, Record};
 use std::collections::HashMap;
 
 /// Each design's record from a scalar replay of its own trace. Layouts
@@ -41,7 +40,7 @@ fn scalar_records(evaluator: &Evaluator, kernel: &Kernel, designs: &[CacheDesign
 }
 
 /// A grid whose every cache holds the kernel's whole array footprint, so
-/// the analytic fast path can resolve its trace groups.
+/// no design misses for capacity.
 fn ample_space(kernel: &Kernel) -> DesignSpace {
     let footprint = memexplore::analytic::kernel_footprint_bytes(kernel);
     let base = usize::try_from(footprint.next_power_of_two()).expect("small kernels");
@@ -61,24 +60,21 @@ fn assert_replay_oracle(kernel: &Kernel) {
         let oracle = scalar_records(&Evaluator::default(), kernel, &designs);
         let by_design: HashMap<CacheDesign, &Record> =
             designs.iter().copied().zip(&oracle).collect();
-        for engine in [Engine::Fused, Engine::PerDesign] {
-            let explorer = Explorer::default().with_engine(engine);
-            let swept = explorer.explore_designs(kernel, &designs);
-            for ((got, want), d) in swept.iter().zip(&oracle).zip(&designs) {
-                assert_eq!(
-                    got, want,
-                    "{} ({engine}): sweep diverged from scalar replay at {d}",
-                    kernel.name
-                );
-            }
-            for r in &select::pareto3(&swept) {
-                assert_eq!(
-                    Some(&r),
-                    by_design.get(&r.design),
-                    "{} ({engine}): frontier record diverged from scalar replay",
-                    kernel.name
-                );
-            }
+        let swept = Explorer::default().explore_designs(kernel, &designs);
+        for ((got, want), d) in swept.iter().zip(&oracle).zip(&designs) {
+            assert_eq!(
+                got, want,
+                "{}: sweep diverged from scalar replay at {d}",
+                kernel.name
+            );
+        }
+        for r in &select::pareto3(&swept) {
+            assert_eq!(
+                Some(&r),
+                by_design.get(&r.design),
+                "{}: frontier record diverged from scalar replay",
+                kernel.name
+            );
         }
     }
 }

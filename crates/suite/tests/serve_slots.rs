@@ -120,3 +120,28 @@ fn natural_layout_leader_outside_its_array_is_a_422() {
     server.request_shutdown();
     server.join();
 }
+
+#[test]
+fn subscript_leaving_its_array_mid_nest_is_a_422() {
+    let server = Server::start(ServeConfig::default()).expect("bind ephemeral port");
+    // In bounds at the first iteration point; a[i+1] reaches a[8] at
+    // i = 7, in either placement mode.
+    let trail = "kernel Trail\narray a[8] elem 4\nfor i = 0 .. 7\n  read a[i+1]\n";
+    for (extra, prefix) in [("", ""), (",\"natural\":true", "natural layout: ")] {
+        for command in ["explore", "pareto", "search"] {
+            let r = post_job(&server, &job_body(command, trail, extra));
+            assert_eq!(r.code, 422, "{command}{extra}");
+            let want = format!("{prefix}subscript 0 of `a` out of bounds: 8 not in 0..8");
+            assert_eq!(
+                body_json(&r).get("error").and_then(Json::as_str),
+                Some(want.as_str()),
+                "{command}{extra}"
+            );
+        }
+    }
+    // The daemon keeps serving.
+    let ok = post_job(&server, &job_body("explore", &kernel_source("dequant"), ""));
+    assert_eq!(ok.code, 200);
+    server.request_shutdown();
+    server.join();
+}

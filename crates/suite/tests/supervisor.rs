@@ -2,8 +2,7 @@
 //!
 //! The contract under test: a clean supervised run is bit-identical to a
 //! plain run; an injected panic quarantines only the affected design(s)
-//! (or recovers them via the per-design fallback when the fused bank
-//! panicked) while every other record stays bit-identical; a cooperative
+//! (after the per-design fallback recovers the rest of a panicked bank) while every other record stays bit-identical; a cooperative
 //! deadline yields a well-formed partial result; and a resumed sweep
 //! reproduces an uninterrupted one exactly. Fault-injection tests are
 //! compiled only with `--features fault-injection` — the plan is inert
@@ -13,8 +12,7 @@ use loopir::kernels;
 use loopir::Kernel;
 use memexplore::supervisor::sweep_id;
 use memexplore::{
-    Checkpoint, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
-    SweepOptions,
+    Checkpoint, CheckpointPolicy, DesignSpace, Evaluator, ExploreError, Explorer, SweepOptions,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -42,10 +40,10 @@ impl Drop for Scratch {
     }
 }
 
-fn assert_clean_supervised_equivalence(kernel: &Kernel, engine: Engine) {
+fn assert_clean_supervised_equivalence(kernel: &Kernel) {
     let space = DesignSpace::paper();
     let designs = space.designs();
-    let explorer = Explorer::default().with_engine(engine);
+    let explorer = Explorer::default();
     let (clean, _) = explorer.explore_designs_with_telemetry(kernel, &designs);
     let outcome = explorer
         .explore_supervised(kernel, &designs, &SweepOptions::default())
@@ -67,16 +65,12 @@ fn assert_clean_supervised_equivalence(kernel: &Kernel, engine: Engine) {
 
 #[test]
 fn clean_supervised_run_is_bit_identical_compress() {
-    let k = kernels::compress(31);
-    assert_clean_supervised_equivalence(&k, Engine::Fused);
-    assert_clean_supervised_equivalence(&k, Engine::PerDesign);
+    assert_clean_supervised_equivalence(&kernels::compress(31));
 }
 
 #[test]
 fn clean_supervised_run_is_bit_identical_sor() {
-    let k = kernels::sor(31);
-    assert_clean_supervised_equivalence(&k, Engine::Fused);
-    assert_clean_supervised_equivalence(&k, Engine::PerDesign);
+    assert_clean_supervised_equivalence(&kernels::sor(31));
 }
 
 #[test]
@@ -297,8 +291,8 @@ mod injected {
             .0
     }
 
-    /// A panicking fused bank scan must fall back to the per-design
-    /// engine and recover *every* member bit-identically.
+    /// A panicking bank scan must fall back to per-design retries and
+    /// recover *every* member bit-identically.
     fn assert_fused_fallback_recovers(kernel: &Kernel, group: usize) {
         let designs = DesignSpace::paper().designs();
         let clean = clean_records(kernel, &designs);
@@ -310,7 +304,6 @@ mod injected {
             ..SweepOptions::default()
         };
         let outcome = Explorer::default()
-            .with_engine(Engine::Fused)
             .explore_supervised(kernel, &designs, &options)
             .expect("sweep survives the injected panic");
         assert!(
@@ -332,27 +325,49 @@ mod injected {
         );
     }
 
-    /// A design that panics on the per-design engine is quarantined; all
-    /// other records stay bit-identical to a clean run.
+    /// The trace-group index of design `victim`: groups are numbered by
+    /// the first appearance, in design order, of their (layout, tiling)
+    /// key, the layout being the one the layout phase picks per `(T, L)`.
+    fn group_of(kernel: &Kernel, designs: &[memexplore::CacheDesign], victim: usize) -> usize {
+        let evaluator = Evaluator::default();
+        let mut keys = Vec::new();
+        for d in &designs[..=victim] {
+            let (layout, _) = evaluator.layout_for(kernel, d.cache_size, d.line);
+            if !keys.contains(&(layout.clone(), d.tiling)) {
+                keys.push((layout, d.tiling));
+            }
+        }
+        let (layout, _) =
+            evaluator.layout_for(kernel, designs[victim].cache_size, designs[victim].line);
+        let key = (layout, designs[victim].tiling);
+        keys.iter()
+            .position(|k| *k == key)
+            .expect("the victim's key was seen")
+    }
+
+    /// A design that panics in its bank and again alone on the fallback
+    /// is quarantined; every other record, its bank-mates' included,
+    /// stays bit-identical to a clean run.
     fn assert_per_design_quarantine(kernel: &Kernel, victim: usize) {
         let designs = DesignSpace::paper().designs();
         let clean = clean_records(kernel, &designs);
         let options = SweepOptions {
             fault: FaultPlan {
+                panic_group: Some(group_of(kernel, &designs, victim)),
                 panic_design: Some(victim),
                 ..FaultPlan::none()
             },
             ..SweepOptions::default()
         };
         let outcome = Explorer::default()
-            .with_engine(Engine::PerDesign)
             .explore_supervised(kernel, &designs, &options)
             .expect("sweep survives the injected panic");
         assert_eq!(outcome.errors.len(), 1, "{}", kernel.name);
         assert_eq!(outcome.errors[0].design_index, victim);
-        assert_eq!(outcome.errors[0].engine, "per-design");
+        assert_eq!(outcome.errors[0].engine, "fallback");
         assert!(outcome.errors[0].message.contains("injected fault"));
         assert_eq!(outcome.telemetry.designs_quarantined, 1);
+        assert!(outcome.telemetry.designs_retried > 0);
         for (i, slot) in outcome.records.iter().enumerate() {
             if i == victim {
                 assert!(
@@ -397,10 +412,9 @@ mod injected {
         assert_per_design_quarantine(&kernels::sor(31), 42);
     }
 
-    /// A trace group of one design is still a fused bank: `panic_group`
-    /// fires on it, the fallback retries its design, and a design that
-    /// panics in the fallback too is labelled `fallback`, not
-    /// `per-design`.
+    /// A trace group of one design is still a bank: `panic_group` fires
+    /// on it, the fallback retries its design, and a design that panics
+    /// in the fallback too is labelled `fallback`.
     #[test]
     fn singleton_bank_panic_goes_through_the_fallback() {
         let k = kernels::compress(31);
@@ -423,7 +437,6 @@ mod injected {
             ..SweepOptions::default()
         };
         let outcome = Explorer::default()
-            .with_engine(Engine::Fused)
             .explore_supervised(&k, &designs, &options)
             .expect("sweep survives the injected panic");
         let t = &outcome.telemetry;
@@ -457,7 +470,6 @@ mod injected {
             ..SweepOptions::default()
         };
         let outcome = Explorer::default()
-            .with_engine(Engine::Fused)
             .explore_supervised(&kernel, &designs, &options)
             .expect("sweep survives both injected panics");
         assert_eq!(outcome.errors.len(), 1, "{:?}", outcome.errors);
@@ -472,31 +484,27 @@ mod injected {
     /// Seeded plans pick their fault site reproducibly; any seed must
     /// leave every unaffected record bit-identical.
     #[test]
-    fn seeded_fault_plans_isolate_on_both_engines() {
+    fn seeded_fault_plans_isolate_every_unaffected_record() {
         let kernel = kernels::dequant(31);
         let designs = DesignSpace::paper().designs();
         let clean = clean_records(&kernel, &designs);
         for seed in [1, 2] {
-            let plan = FaultPlan::seeded(seed, 4, designs.len());
-            for engine in [Engine::Fused, Engine::PerDesign] {
-                let options = SweepOptions {
-                    fault: plan.clone(),
-                    ..SweepOptions::default()
-                };
-                let outcome = Explorer::default()
-                    .with_engine(engine)
-                    .explore_supervised(&kernel, &designs, &options)
-                    .expect("sweep survives the seeded faults");
-                for (i, slot) in outcome.records.iter().enumerate() {
-                    if let Some(r) = slot {
-                        assert_eq!(r, &clean[i], "seed {seed}: design {i} diverged");
-                    }
+            let options = SweepOptions {
+                fault: FaultPlan::seeded(seed, 4, designs.len()),
+                ..SweepOptions::default()
+            };
+            let outcome = Explorer::default()
+                .explore_supervised(&kernel, &designs, &options)
+                .expect("sweep survives the seeded faults");
+            for (i, slot) in outcome.records.iter().enumerate() {
+                if let Some(r) = slot {
+                    assert_eq!(r, &clean[i], "seed {seed}: design {i} diverged");
                 }
-                assert!(
-                    outcome.records.iter().filter(|r| r.is_none()).count() <= 1,
-                    "seed {seed}: at most the doubly-faulted design may be lost"
-                );
             }
+            assert!(
+                outcome.records.iter().filter(|r| r.is_none()).count() <= 1,
+                "seed {seed}: at most the doubly-faulted design may be lost"
+            );
         }
     }
 
